@@ -1,0 +1,12 @@
+"""Make the benchmark modules and the program sources importable.
+
+Run from the repository root::
+
+    python3 -m pytest perfbench/tests -q
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
