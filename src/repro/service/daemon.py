@@ -150,6 +150,7 @@ class _Counters:
 class _CsvSink:
     """Append-only internal-CSV output, byte-identical to ``write_csv``.
 
+    Each piece is formatted in full, then encoded and written once.
     Opens with a truncate-to-checkpoint so bytes from a chunk whose
     checkpoint never committed are removed before new appends; a failed
     append rolls the file back to its pre-append length so the
@@ -176,22 +177,18 @@ class _CsvSink:
         try:
             rows = iter_csv_rows(piece)
             header = next(rows)
-            if not self._has_header:
-                self._write_line(header)
-                self._has_header = True
-            for row in rows:
-                self._write_line(row)
+            lines = list(rows) if self._has_header else [header, *rows]
+            if lines:
+                data = ("\n".join(lines) + "\n").encode("utf-8")
+                self._handle.write(data)
+                self.nbytes += len(data)
+            self._has_header = True
         except Exception:
             self._handle.truncate(start)
             self._handle.seek(start)
             self.nbytes = start
             self._has_header = start > 0
             raise
-
-    def _write_line(self, line: str) -> None:
-        data = (line + "\n").encode("utf-8")
-        self._handle.write(data)
-        self.nbytes += len(data)
 
     def sync(self) -> None:
         if self._handle is not None:

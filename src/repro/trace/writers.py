@@ -8,6 +8,7 @@ paper's published download bundle.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 from pathlib import Path
 from typing import TextIO
@@ -18,39 +19,65 @@ from .trace import BlockTrace
 __all__ = ["iter_csv_rows", "write_csv", "write_msrc", "write_blktrace_text", "dump_trace"]
 
 
-def iter_csv_rows(trace: BlockTrace) -> Iterator[str]:
-    """Yield header + data rows of the internal CSV format.
+#: Rows the internal CSV writer formats at a time.  Bounds the field
+#: lists and text one block holds, whatever the trace length.
+CSV_BLOCK_ROWS = 4096
 
-    Public because the streaming service's sink appends pieces row by
-    row and must emit byte-identical output to :func:`write_csv` over
-    the concatenated trace (the crash-recovery parity contract).
+
+def _csv_text_blocks(trace: BlockTrace) -> Iterator[str]:
+    """The internal CSV as newline-terminated text: header line, then row blocks.
+
+    Each block takes ``tolist()`` slices of the columns (Python floats
+    and ints, so ``%.3f`` runs the same float formatting that an
+    f-string applies to ``np.float64``) and formats all its rows with
+    one repeated row format.  Op characters are resolved once per
+    distinct code in the block, so a code outside :class:`OpType`
+    raises ``ValueError`` before the block is yielded.
     """
-    columns = ["timestamp_us", "lba", "size_sectors", "op"]
+    names = ["timestamp_us", "lba", "size_sectors", "op"]
+    row_format = "%.3f,%d,%d,%s"
+    columns = [trace.timestamps, trace.lbas, trace.sizes, trace.ops]
     if trace.has_device_times:
-        columns += ["issue_us", "complete_us"]
+        assert trace.issues is not None and trace.completes is not None
+        names += ["issue_us", "complete_us"]
+        row_format += ",%.3f,%.3f"
+        columns += [trace.issues, trace.completes]
     if trace.has_sync_flags:
-        columns.append("sync")
-    yield ",".join(columns)
-    for i in range(len(trace)):
-        fields = [
-            f"{trace.timestamps[i]:.3f}",
-            str(int(trace.lbas[i])),
-            str(int(trace.sizes[i])),
-            OpType(int(trace.ops[i])).to_char(),
-        ]
-        if trace.has_device_times:
-            assert trace.issues is not None and trace.completes is not None
-            fields += [f"{trace.issues[i]:.3f}", f"{trace.completes[i]:.3f}"]
-        if trace.has_sync_flags:
-            assert trace.syncs is not None
-            fields.append("1" if trace.syncs[i] else "0")
-        yield ",".join(fields)
+        assert trace.syncs is not None
+        names.append("sync")
+        row_format += ",%d"
+        columns.append(trace.syncs)
+    row_format += "\n"
+    width = len(columns)
+    yield ",".join(names) + "\n"
+    for start in range(0, len(trace), CSV_BLOCK_ROWS):
+        block = [column[start : start + CSV_BLOCK_ROWS].tolist() for column in columns]
+        chars = {code: OpType(code).to_char() for code in set(block[3])}
+        block[3] = list(map(chars.__getitem__, block[3]))
+        n_rows = len(block[0])
+        # Row-major interleave: row i's fields sit at [i*width, (i+1)*width).
+        fields: list[object] = [None] * (n_rows * width)
+        for j, values in enumerate(block):
+            fields[j::width] = values
+        yield (row_format * n_rows) % tuple(fields)
+
+
+def iter_csv_rows(trace: BlockTrace) -> Iterator[str]:
+    """Yield header + data rows of the internal CSV format, without newlines.
+
+    Public because the streaming service's sink formats each piece
+    through it, joins the rows and appends them with one write; its
+    output must be byte-identical to :func:`write_csv` over the
+    concatenated trace (the crash-recovery parity contract).
+    """
+    for text in _csv_text_blocks(trace):
+        yield from text[:-1].split("\n")
 
 
 def write_csv(trace: BlockTrace, target: TextIO) -> None:
     """Write ``trace`` in the internal CSV format to an open text file."""
-    for row in iter_csv_rows(trace):
-        target.write(row + "\n")
+    for text in _csv_text_blocks(trace):
+        target.write(text)
 
 
 def write_msrc(trace: BlockTrace, target: TextIO) -> None:
@@ -108,6 +135,8 @@ def dump_trace(trace: BlockTrace, path: str | Path, fmt: str = "internal") -> Pa
     ``"msrc"``, ``"blktrace"`` (text), or ``"npz"`` — the versioned
     binary store format (see :mod:`repro.trace.io.store`), which
     round-trips every column bit-exactly and loads without parsing.
+    Every format replaces ``path`` only once the whole trace is
+    written, so a failed write leaves an existing file unchanged.
     """
     if fmt == "npz":
         from .io.store import save_trace_npz
@@ -123,6 +152,14 @@ def dump_trace(trace: BlockTrace, path: str | Path, fmt: str = "internal") -> Pa
             f"unknown trace format {fmt!r}; choose from {sorted(writers) + ['npz']}"
         )
     p = Path(path)
-    with p.open("w", encoding="utf-8") as handle:
-        writers[fmt](trace, handle)
+    # Write beside the target and rename over it, so a writer that fails
+    # part-way (missing stamps, a bad op code) leaves an existing file
+    # untouched instead of empty or holding a valid-looking prefix.
+    tmp = p.with_name(p.name + f".tmp{os.getpid()}")
+    try:
+        with tmp.open("w", encoding="utf-8") as handle:
+            writers[fmt](trace, handle)
+        os.replace(tmp, p)
+    finally:
+        tmp.unlink(missing_ok=True)
     return p

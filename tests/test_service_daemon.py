@@ -9,6 +9,8 @@ dead-letter file and never kill the stream.
 
 from __future__ import annotations
 
+import errno
+import io
 import json
 import socket
 import threading
@@ -18,7 +20,7 @@ import pytest
 
 from repro import TraceTracker
 from repro.storage import ConstantLatencyDevice, HDDModel, SATA_600
-from repro.trace import BlockTrace, TraceReader, dump_trace
+from repro.trace import BlockTrace, TraceReader, dump_trace, write_csv
 from repro.workloads import collect_trace, generate_intents, get_spec
 from repro.service import (
     DirectoryWatchSource,
@@ -27,6 +29,7 @@ from repro.service import (
     SocketLineSource,
     StreamingReconstructionService,
 )
+from repro.service.daemon import _CsvSink
 
 CHUNK = 60
 
@@ -72,6 +75,91 @@ def assert_parity(workdir, metrics, oracle):
     saved = json.loads((workdir / "metrics.json").read_text())
     assert saved["n_requests"] == oracle["metrics"].n_requests
     assert saved["new_duration_us"] == oracle["metrics"].new_duration_us
+
+
+def csv_bytes(trace: BlockTrace) -> bytes:
+    buffer = io.StringIO()
+    write_csv(trace, buffer)
+    return buffer.getvalue().encode("utf-8")
+
+
+class _TornWrite:
+    """File handle whose writes land half their bytes, then fail."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def write(self, data):
+        self.handle.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+
+class TestCsvSink:
+    """Piecewise appends, rollback of a failed append, truncate on open."""
+
+    def test_pieces_concatenate_to_write_csv(self, stream_trace, tmp_path):
+        cuts = [0, 0, 37, 38, 300, len(stream_trace)]  # an empty and a one-row piece
+        sink = _CsvSink(tmp_path / "out.csv")
+        sink.open(truncate_to=0)
+        for lo, hi in zip(cuts, cuts[1:]):
+            sink.append(stream_trace.select(slice(lo, hi)))
+        sink.close()
+        data = (tmp_path / "out.csv").read_bytes()
+        assert data == csv_bytes(stream_trace)  # one header
+        assert sink.nbytes == len(data)
+
+    @pytest.mark.parametrize("failure", ["op_code", "torn_write"])
+    def test_failed_append_rolls_back_and_retry_appends_cleanly(
+        self, stream_trace, tmp_path, failure
+    ):
+        path = tmp_path / "out.csv"
+        head, tail = stream_trace.select(slice(0, 100)), stream_trace.select(slice(100, None))
+        sink = _CsvSink(path)
+        sink.open(truncate_to=0)
+        sink.append(head)
+        before = sink.nbytes
+        if failure == "op_code":
+            ops = tail.ops.copy()
+            ops[5] = 7
+            poisoned = BlockTrace(
+                tail.timestamps, tail.lbas, tail.sizes, ops,
+                issues=tail.issues, completes=tail.completes, syncs=tail.syncs,
+            )
+            with pytest.raises(ValueError):
+                sink.append(poisoned)
+        else:
+            handle = sink._handle
+            sink._handle = _TornWrite(handle)
+            with pytest.raises(OSError):
+                sink.append(tail)
+            sink._handle = handle
+        sink.sync()
+        assert sink.nbytes == before == path.stat().st_size
+        sink.append(tail)
+        sink.close()
+        assert path.read_bytes() == csv_bytes(stream_trace)
+
+    def test_open_truncates_past_checkpoint(self, stream_trace, tmp_path):
+        path = tmp_path / "out.csv"
+        head, tail = stream_trace.select(slice(0, 100)), stream_trace.select(slice(100, None))
+        sink = _CsvSink(path)
+        sink.open(truncate_to=0)
+        sink.append(head)
+        checkpoint = sink.nbytes
+        sink.append(tail)  # bytes of a chunk whose checkpoint never committed
+        sink.close()
+        sink.open(truncate_to=checkpoint)
+        assert sink.nbytes == checkpoint == path.stat().st_size
+        assert path.read_bytes() == csv_bytes(head)
+        sink.append(tail)
+        sink.close()
+        assert path.read_bytes() == csv_bytes(stream_trace)
+        sink.open(truncate_to=0)
+        sink.close()
+        assert path.read_bytes() == b""
 
 
 class TestParityHarness:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
@@ -21,6 +22,62 @@ from repro.trace import (
     write_csv,
     write_msrc,
 )
+from repro.trace.writers import CSV_BLOCK_ROWS, iter_csv_rows
+
+
+def reference_csv_rows(trace: BlockTrace) -> Iterator[str]:
+    """Per-row internal CSV formatter: the byte oracle for the block writer."""
+    columns = ["timestamp_us", "lba", "size_sectors", "op"]
+    if trace.has_device_times:
+        columns += ["issue_us", "complete_us"]
+    if trace.has_sync_flags:
+        columns.append("sync")
+    yield ",".join(columns)
+    for i in range(len(trace)):
+        fields = [
+            f"{trace.timestamps[i]:.3f}",
+            str(int(trace.lbas[i])),
+            str(int(trace.sizes[i])),
+            OpType(int(trace.ops[i])).to_char(),
+        ]
+        if trace.has_device_times:
+            assert trace.issues is not None and trace.completes is not None
+            fields += [f"{trace.issues[i]:.3f}", f"{trace.completes[i]:.3f}"]
+        if trace.has_sync_flags:
+            assert trace.syncs is not None
+            fields.append("1" if trace.syncs[i] else "0")
+        yield ",".join(fields)
+
+
+def csv_text(trace: BlockTrace) -> str:
+    buffer = io.StringIO()
+    write_csv(trace, buffer)
+    return buffer.getvalue()
+
+
+def random_trace(n: int, stamps: bool = True, syncs: bool = True, seed: int = 0) -> BlockTrace:
+    """``n`` requests with LBAs past 2^32 and sub-microsecond stamp digits."""
+    rng = np.random.default_rng(seed)
+    timestamps = np.cumsum(rng.exponential(75.0, n))
+    issues = timestamps + rng.uniform(0.0, 9.0, n)
+    return BlockTrace(
+        timestamps,
+        rng.integers(0, 2**40, n),
+        rng.integers(1, 1024, n),
+        rng.integers(0, 2, n),
+        issues=issues if stamps else None,
+        completes=issues + rng.exponential(300.0, n) if stamps else None,
+        syncs=rng.random(n) < 0.6 if syncs else None,
+    )
+
+
+def with_op_code(trace: BlockTrace, row: int, code: int) -> BlockTrace:
+    ops = trace.ops.copy()
+    ops[row] = code
+    return BlockTrace(
+        trace.timestamps, trace.lbas, trace.sizes, ops,
+        issues=trace.issues, completes=trace.completes, syncs=trace.syncs,
+    )
 
 
 class TestMsrcParser:
@@ -138,6 +195,55 @@ class TestInternalRoundTrip:
             parse_internal(["foo,bar,baz,qux", "1,2,3,R"])
 
 
+class TestCsvWriterIdentity:
+    """The block writer is byte-identical to the per-row reference."""
+
+    @pytest.mark.parametrize("stamps", [False, True])
+    @pytest.mark.parametrize("syncs", [False, True])
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS + 17],
+    )
+    def test_matches_reference(self, stamps, syncs, n):
+        trace = random_trace(n, stamps, syncs, seed=n)
+        reference = list(reference_csv_rows(trace))
+        assert list(iter_csv_rows(trace)) == reference
+        assert csv_text(trace) == "".join(row + "\n" for row in reference)
+
+    def test_rounding_ties_and_large_values(self):
+        # 0.0625 is a binary tie at 3 decimals (round-half-even prints
+        # 0.062); 0.0005 is not exactly representable and prints 0.001.
+        timestamps = [
+            0.0005, 0.0015, 0.0625, 0.1875, 1.0625, 9_999_999_999.9995, 1e10, 1e10 + 0.0625
+        ]
+        n = len(timestamps)
+        trace = BlockTrace(
+            timestamps,
+            [0, 2**32 - 1, 2**32, 2**33 + 7, 2**40, 2**50, 2**62, 2**63 - 1],
+            [1, 8, 2**31, 2**32, 16, 8, 8, 2**40],
+            [0, 1] * (n // 2),
+            issues=[t + 0.0625 for t in timestamps],
+            completes=[t + 2.5e-4 for t in timestamps],
+            syncs=[True, False] * (n // 2),
+        )
+        text = csv_text(trace)
+        assert text == "".join(row + "\n" for row in reference_csv_rows(trace))
+        rows = text.splitlines()
+        assert rows[1].startswith("0.001,0,1,R,")
+        assert rows[3].startswith("0.062,4294967296,")
+        assert rows[8].startswith(
+            "10000000000.062,9223372036854775807,1099511627776,W,10000000000.125,"
+        )
+
+    @pytest.mark.parametrize("row", [0, 3, CSV_BLOCK_ROWS + 3])
+    def test_op_code_outside_optype_raises(self, row):
+        trace = with_op_code(random_trace(CSV_BLOCK_ROWS + 10), row, 7)
+        with pytest.raises(ValueError, match="OpType"):
+            write_csv(trace, io.StringIO())
+        with pytest.raises(ValueError, match="OpType"):
+            list(iter_csv_rows(trace))
+
+
 class TestMsrcWriter:
     def test_msrc_round_trip(self):
         t = BlockTrace(
@@ -193,3 +299,15 @@ class TestFileIO:
         t = BlockTrace([0.0], [0], [8], [0])
         with pytest.raises(ValueError, match="unknown trace format"):
             dump_trace(t, tmp_path / "x", fmt="nope")
+
+    @pytest.mark.parametrize("bad_row", [3, CSV_BLOCK_ROWS + 3])
+    def test_failed_dump_leaves_existing_file_unchanged(self, tmp_path, bad_row):
+        target = tmp_path / "kept.csv"
+        previous = csv_text(random_trace(5)).encode("utf-8")
+        target.write_bytes(previous)
+        with pytest.raises(ValueError, match="stamps"):
+            dump_trace(random_trace(5, stamps=False), target, fmt="msrc")
+        with pytest.raises(ValueError, match="OpType"):
+            dump_trace(with_op_code(random_trace(CSV_BLOCK_ROWS + 10), bad_row, 7), target)
+        assert target.read_bytes() == previous
+        assert list(tmp_path.iterdir()) == [target]  # no temp file left behind
