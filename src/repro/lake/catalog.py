@@ -197,25 +197,33 @@ class LakeCatalog:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(str(self.path), timeout=timeout_s)
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        # Connections opening a fresh file together race twice: SQLite
+        # answers the switch to WAL with "locked" without waiting, and
+        # each may find no version row yet.  So both steps retry, and
+        # the version row is inserted idempotently, then read back.
+        _write_with_retry(lambda: self._conn.execute("PRAGMA journal_mode=WAL"))
         self._conn.execute(f"PRAGMA busy_timeout={int(timeout_s * 1000)}")
         self._conn.execute("PRAGMA synchronous=NORMAL")
-        with self._conn:
-            self._conn.executescript(_SCHEMA)
-            row = self._conn.execute(
-                "SELECT value FROM lake_meta WHERE key='schema_version'"
-            ).fetchone()
-            if row is None:
+
+        def _init_schema() -> str:
+            with self._conn:
+                self._conn.executescript(_SCHEMA)
                 self._conn.execute(
-                    "INSERT INTO lake_meta (key, value) VALUES ('schema_version', ?)",
+                    "INSERT OR IGNORE INTO lake_meta (key, value) "
+                    "VALUES ('schema_version', ?)",
                     (str(SCHEMA_VERSION),),
                 )
-            elif int(row[0]) != SCHEMA_VERSION:
-                raise LakeError(
-                    f"{self.path} has lake schema version {row[0]}; this build "
-                    f"reads version {SCHEMA_VERSION} — rebuild with "
-                    f"'repro-lake ingest --rescan'"
-                )
+                return self._conn.execute(
+                    "SELECT value FROM lake_meta WHERE key='schema_version'"
+                ).fetchone()[0]
+
+        version = _write_with_retry(_init_schema)
+        if int(version) != SCHEMA_VERSION:
+            raise LakeError(
+                f"{self.path} has lake schema version {version}; this build "
+                f"reads version {SCHEMA_VERSION} — rebuild with "
+                f"'repro-lake ingest --rescan'"
+            )
 
     def close(self) -> None:
         """Close the underlying connection (idempotent)."""

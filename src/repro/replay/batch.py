@@ -41,22 +41,15 @@ import numpy as np
 from ..storage.device import StorageDevice
 from ..trace.record import OpType
 from ..trace.trace import BlockTrace
-from .replayer import ReplayResult
+from .replayer import ReplayResult, _validated_idle
 
 __all__ = ["replay_with_idle_batch", "replay_back_to_back_batch"]
 
 
 def _normalized_idle(n: int, idle_us: np.ndarray | None) -> np.ndarray:
     """Validate and pad the idle array to length ``n`` (trailing zero)."""
-    if idle_us is None:
-        return np.zeros(n, dtype=np.float64)
-    idle_arr = np.asarray(idle_us, dtype=np.float64)
-    if len(idle_arr) not in (n - 1, n):
-        raise ValueError(f"idle array must have length {n - 1} (or {n}), got {len(idle_arr)}")
-    if np.any(idle_arr < 0):
-        raise ValueError("idle periods must be non-negative")
     padded = np.zeros(n, dtype=np.float64)
-    padded[: n - 1] = idle_arr[: n - 1]
+    padded[: n - 1] = _validated_idle(n, idle_us)[: n - 1]
     return padded
 
 

@@ -8,65 +8,40 @@ with a bounded submission window, the way ``fio`` drives a device at
 request is submitted as soon as a slot frees *and* its think time has
 elapsed.
 
-Two engines produce identical results:
+:func:`replay_queue_depth_scalar` is the original discrete-event loop
+over :meth:`~repro.storage.device.StorageDevice.submit`, kept as the
+readable specification and the bit-identity oracle for the test suite.
+Its in-flight window is a plain list it re-filters per request
+(O(n·qd) comprehensions), and every request pays the full
+``submit``/``Completion``/collector overhead.
 
-- :func:`replay_queue_depth_scalar` — the original discrete-event loop
-  over :meth:`~repro.storage.device.StorageDevice.submit`, kept as the
-  readable specification and the bit-identity oracle for the test
-  suite.  Its in-flight window is a plain list it re-filters per
-  request (O(n·qd) comprehensions), and every request pays the full
-  ``submit``/``Completion``/collector overhead.
-- :func:`replay_queue_depth` — the production engine.  When the device
+:func:`replay_queue_depth` is the production entry point.  It picks
+one of three engines, all bit-identical to the oracle:
+
+- the *FIFO chain* (:func:`_qdepth_fifo_fast`).  When the device
   prices the whole stream up front (``service_batch``) *and* queueing
   is a single FIFO server (``fifo_single_server``, or trivially at
   ``queue_depth == 1``), the window recurrence collapses to scalar
   arithmetic over precomputed channel-delay and service columns: the
   in-flight set of a FIFO device is always the trailing ``qd``
   requests, so "wait for the oldest outstanding completion" is one
-  comparison against ``finishes[i - qd]``.  Devices with internal
-  parallelism take the *plan* engine when they provide one
-  (``device.replay_plan``, flash and flash arrays): fragment fan-out
+  comparison against ``finishes[i - qd]``.
+- the *plan loop* (:func:`_qdepth_plan_events`), for devices with
+  internal parallelism that provide a replay plan
+  (``device.replay_plan``: flash and flash arrays).  Fragment fan-out
   and memoised relative-service entries are resolved for the whole
   stream up front by the columnar device kernels, and the event loop
   runs each member's fast paths inline — no per-request key
   construction, memo lookups, or method dispatch, and busy-state page
-  walks run from the shape's prefetched occupancy walk.  Everything
-  else falls back to a heap-based discrete-event loop that drives
-  ``device._service`` directly with the per-request conversions
-  hoisted out.  Both event engines keep the in-flight window in a
-  binary heap with expiry batched per completion wave: expired
-  completions are only swept when the window *looks* full, so a
-  replay that never saturates the window pays one length check per
-  request instead of a pop scan.
+  walks run from the shape's prefetched occupancy walk.
+- the *heap event loop* (:func:`_qdepth_events`), for every other
+  device: it drives ``device._service`` directly with the per-request
+  conversions hoisted out.
 
-Epoch-batched engine
---------------------
-At ``queue_depth > 1`` devices with a plan take the *epoch* engine
-(:func:`_qdepth_epoch_events`), which restructures the per-event plan
-loop around a simple observation: the submit/ack clock chain only
-depends on fragment outcomes through window-full clock bumps, and a
-replay that keeps up with its window never bumps.  The engine
-therefore advances the clock one *epoch* (a block of requests) at a
-time — optimistic serial two-add chain, no heap — then drains each
-member's fragments for the epoch as structure-of-arrays waves:
-request-sorted ack gathers, a vectorised ``ack + horizon`` candidate
-column, and an exclusive running max that classifies every fragment as
-provably-idle (``ack >= horizon upper bound`` ⇒ the idle probe must
-succeed, because the probe *is* the decision — the scalar engine's
-horizon test is just a shortcut for it) or possibly-busy.  Only the
-possibly-busy fragments and the write fragments (buffer admission is
-order-dependent) are walked serially; provably-idle reads commit their
-memoised stamps in a tight slice-assignment loop.  The epoch then
-validates its no-bump assumption exactly — every request must finish
-by the time the request ``queue_depth`` behind it submits, plus a
-pseudo-pair check for completions carried in flight across epoch
-boundaries — and on any violation rolls the member state back to the
-epoch snapshot and replays the epoch through the retained serial plan
-loop (bit-identical by construction), adapting the epoch size.  The
-scalar replayer and the per-event plan engine are both retained as
-bit-identity oracles, and an optional numba tier
-(:mod:`repro.replay.fastpath`, the ``repro[fast]`` extra) compiles the
-serial chains without changing a single stamp.
+Both event engines keep the in-flight window in a binary heap with
+expiry batched per completion wave: expired completions are only swept
+when the window *looks* full, so a replay that never saturates the
+window pays one length check per request instead of a pop scan.
 
 Used by tests and available to studies that want target-load
 sensitivity (e.g. how reconstruction fidelity changes when the replayer
@@ -80,27 +55,13 @@ import heapq
 import numpy as np
 
 from ..storage.device import StorageDevice
-from ..storage.flash import _entries_apply_run, _entry_commit, _entry_idle_sparse
-from ..storage.kernels import exclusive_running_max
+from ..storage.flash import _entry_commit, _entry_idle_sparse
 from ..trace.record import OpType
 from ..trace.trace import BlockTrace
 from .collector import TraceCollector
-from .fastpath import ack_chain, fifo_chain
-from .replayer import ReplayResult
+from .replayer import ReplayResult, _validated_idle
 
 __all__ = ["replay_queue_depth", "replay_queue_depth_scalar"]
-
-
-def _validated_idle(n: int, idle_us: np.ndarray | None) -> np.ndarray:
-    """Shared argument validation for both engines (length ``n - 1``)."""
-    if idle_us is not None:
-        idle_arr = np.asarray(idle_us, dtype=np.float64)
-        if len(idle_arr) not in (n - 1, n):
-            raise ValueError(f"idle array must have length {n - 1} (or {n}), got {len(idle_arr)}")
-        if np.any(idle_arr < 0):
-            raise ValueError("idle periods must be non-negative")
-        return idle_arr
-    return np.zeros(max(0, n - 1), dtype=np.float64)
 
 
 def _qdepth_metadata(old_trace: BlockTrace, device: StorageDevice, method: str, qd: int) -> dict:
@@ -134,20 +95,20 @@ def replay_queue_depth(
 
     Stamps are bit-identical to :func:`replay_queue_depth_scalar`
     (property-tested across every device type); see the module
-    docstring for how the two execution regimes achieve that.
+    docstring for how each engine achieves that.
 
-    ``engine`` selects the execution strategy for plan-capable devices:
-    ``"auto"`` (default) picks the epoch-batched engine at
-    ``queue_depth > 1`` and the per-event plan loop otherwise;
-    ``"epoch"``, ``"plan"`` and ``"events"`` force a specific engine
-    (used by the differential identity suite and the benchmarks — all
-    three produce bit-identical stamps).  Devices without a plan fall
-    back to the heap event loop under every setting.
+    ``engine`` selects the execution strategy: ``"auto"`` (default)
+    takes the FIFO chain where the device allows it, else the plan loop
+    for plan-capable devices, else the heap event loop; ``"plan"`` skips
+    the FIFO chain and ``"events"`` forces the heap event loop (used by
+    the differential identity suite — all three produce bit-identical
+    stamps).  Devices without a plan fall back to the heap event loop
+    under every setting.
 
     Returns the same :class:`ReplayResult` shape as the synchronous
     replayer.
     """
-    if engine not in ("auto", "epoch", "plan", "events"):
+    if engine not in ("auto", "plan", "events"):
         raise ValueError(f"unknown engine {engine!r}")
     n = len(old_trace)
     if n == 0:
@@ -169,28 +130,21 @@ def replay_queue_depth(
         svc = device.service_batch(old_trace.ops, old_trace.lbas, old_trace.sizes)
     metadata = _qdepth_metadata(old_trace, device, method, queue_depth)
     t_cdel = device.channel.delay_batch_us(old_trace.ops, old_trace.sizes)
+    plan = None
+    if svc is None and engine != "events":
+        plan = device.replay_plan(old_trace.ops, old_trace.lbas, old_trace.sizes)
     if svc is not None:
         submits, acks, starts, finishes = _qdepth_fifo_fast(
             t_cdel, svc, idle_arr, queue_depth
         )
-    elif engine == "events":
+    elif plan is not None:
+        submits, acks, starts, finishes = _qdepth_plan_events(
+            device, plan, t_cdel, idle_arr, queue_depth
+        )
+    else:
         submits, acks, starts, finishes = _qdepth_events(
             old_trace, device, t_cdel, idle_arr, queue_depth
         )
-    else:
-        plan = device.replay_plan(old_trace.ops, old_trace.lbas, old_trace.sizes)
-        if plan is None:
-            submits, acks, starts, finishes = _qdepth_events(
-                old_trace, device, t_cdel, idle_arr, queue_depth
-            )
-        elif engine == "plan" or queue_depth == 1:
-            submits, acks, starts, finishes = _qdepth_plan_events(
-                device, plan, t_cdel, idle_arr, queue_depth
-            )
-        else:
-            submits, acks, starts, finishes = _qdepth_epoch_events(
-                device, plan, t_cdel, idle_arr, queue_depth
-            )
     trace = BlockTrace(
         timestamps=submits,
         lbas=old_trace.lbas,
@@ -223,15 +177,34 @@ def _qdepth_fifo_fast(
     ``clock → ack = clock + t_cdel → start = max(ack, busy) →
     finish = start + svc`` — performed on Python floats (same IEEE-754
     doubles, same operation order, so the stamps are bit-identical).
-    The chain itself lives in :mod:`repro.replay.fastpath` so the
-    optional numba tier can compile it without changing a stamp.
     """
     n = len(svc)
     submits = np.empty(n, dtype=np.float64)
     acks = np.empty(n, dtype=np.float64)
     starts = np.empty(n, dtype=np.float64)
     finishes = np.empty(n, dtype=np.float64)
-    fifo_chain(t_cdel, svc, idle_arr, queue_depth, submits, acks, starts, finishes)
+    t_cdel_l = t_cdel.tolist()
+    svc_l = svc.tolist()
+    idle_l = idle_arr.tolist()
+    finishes_l: list[float] = []
+    append_finish = finishes_l.append
+    clock = 0.0
+    prev_finish = 0.0
+    qd = queue_depth
+    for i in range(n):
+        if i >= qd and finishes_l[i - qd] > clock:
+            clock = finishes_l[i - qd]
+        ack = clock + t_cdel_l[i]
+        start = ack if ack >= prev_finish else prev_finish
+        finish = start + svc_l[i]
+        submits[i] = clock
+        acks[i] = ack
+        starts[i] = start
+        finishes[i] = finish
+        append_finish(finish)
+        prev_finish = finish
+        if i < n - 1:
+            clock = ack + idle_l[i]
     return submits, acks, starts, finishes
 
 
@@ -429,567 +402,6 @@ def _qdepth_plan_events(
     for i, start in start_overrides:
         starts_arr[i] = start
     return submits_arr, acks_arr, starts_arr, finishes_arr
-
-
-#: Epoch sizing for :func:`_qdepth_epoch_events` — initial block,
-#: shrink floor, growth ceiling, and how many consecutive certificate
-#: failures flip the remainder of the replay to the serial plan loop.
-_EPOCH_SIZE = 256
-_EPOCH_MIN = 128
-_EPOCH_MAX = 16384
-_EPOCH_GIVEUP = 3
-
-
-def _plan_serial_range(
-    i0: int,
-    i1: int,
-    n: int,
-    clock: float,
-    in_flight: list[float],
-    offsets,
-    frags,
-    members,
-    array_level: bool,
-    dbs,
-    cbs,
-    hors,
-    bufs,
-    bbs,
-    caps,
-    bw_us,
-    bw4,
-    t_cdel_l,
-    idle_l,
-    qd: int,
-    acks_arr: np.ndarray,
-    fins_arr: np.ndarray,
-    subs_arr: np.ndarray,
-    start_overrides: list[tuple[int, float]],
-) -> float:
-    """Serial plan-loop over requests ``[i0, i1)`` (the epoch fallback).
-
-    The exact :func:`_qdepth_plan_events` body, writing the stamp
-    columns in place and advancing the shared member state and
-    in-flight heap, so an epoch whose no-bump certificate failed
-    replays bit-identically to the per-event engine.  ``in_flight``
-    holds exactly the live completions (finish > clock) of requests
-    before ``i0`` — the per-event heap may additionally carry expired
-    entries, but those never survive the full-window sweep, so the
-    blocking decisions (and every stamp) are unchanged.  Returns the
-    clock after request ``i1 - 1``.
-    """
-    heappush, heappop = heapq.heappush, heapq.heappop
-    for i in range(i0, i1):
-        if len(in_flight) >= qd:
-            while in_flight and in_flight[0] <= clock:
-                heappop(in_flight)
-            if len(in_flight) >= qd:
-                clock = heappop(in_flight)
-        ack = clock + t_cdel_l[i]
-        finish = ack
-        for k in range(offsets[i], offsets[i + 1]):
-            mi, e = frags[k]
-            db = dbs[mi]
-            cb = cbs[mi]
-            if e.is_read:
-                if ack >= hors[mi] or _entry_idle_sparse(db, cb, e, ack):
-                    _entry_commit(db, cb, e, ack)
-                    h = ack + e.horizon
-                    if h > hors[mi]:
-                        hors[mi] = h
-                    f = ack + e.svc
-                else:
-                    f = members[mi]._busy_read(e, ack)
-                    if f > hors[mi]:
-                        hors[mi] = f
-            elif e.buffered:
-                nbytes = e.nbytes
-                buf = bufs[mi]
-                bb = bbs[mi]
-                while buf and buf[0][0] <= ack:
-                    __, freed = buf.popleft()
-                    bb -= freed
-                if bb + nbytes <= caps[mi] and (
-                    ack >= hors[mi] or _entry_idle_sparse(db, cb, e, ack)
-                ):
-                    buf.append((ack + e.drain_rel, nbytes))
-                    bbs[mi] = bb + nbytes
-                    _entry_commit(db, cb, e, ack)
-                    h = ack + e.horizon
-                    if h > hors[mi]:
-                        hors[mi] = h
-                    f = ack + e.svc
-                else:
-                    ssd = members[mi]
-                    ssd._buffered_bytes = bb
-                    start = ssd._buffer_admit(nbytes, ack)
-                    ack_done = start + bw_us[mi] + nbytes / bw4[mi]
-                    drain = ssd._busy_program(e, ack_done)
-                    buf.append((drain, nbytes))
-                    bbs[mi] = ssd._buffered_bytes + nbytes
-                    if drain > hors[mi]:
-                        hors[mi] = drain
-                    f = ack_done
-                    if not array_level:
-                        start_overrides.append((i, start))
-            else:
-                if ack >= hors[mi] or _entry_idle_sparse(db, cb, e, ack):
-                    _entry_commit(db, cb, e, ack)
-                    h = ack + e.horizon
-                    if h > hors[mi]:
-                        hors[mi] = h
-                    f = ack + e.svc
-                else:
-                    f = members[mi]._busy_program(e, ack)
-                    if f > hors[mi]:
-                        hors[mi] = f
-            if f > finish:
-                finish = f
-        heappush(in_flight, finish)
-        subs_arr[i] = clock
-        acks_arr[i] = ack
-        fins_arr[i] = finish
-        if i < n - 1:
-            clock = ack + idle_l[i]
-    return clock
-
-
-def _epoch_member_wave(
-    col,
-    lo: int,
-    hi: int,
-    i0: int,
-    req_rel: np.ndarray,
-    t: np.ndarray,
-    ffin: np.ndarray,
-    member,
-    db,
-    cb,
-    h0: float,
-    buf,
-    bb: int,
-    cap: int,
-    bw_u: float,
-    bw4v: float,
-    array_level: bool,
-    start_overrides: list[tuple[int, float]],
-):
-    """Drain one member's fragments ``[lo, hi)`` as a wave.
-
-    ``col`` is the member's request-sorted fragment column
-    (:meth:`repro.storage.flash.FlashReplayPlan.member_columns`);
-    ``req_rel``/``t``/``ffin`` are the gathered epoch-relative request
-    indices, optimistic acks, and idle-case finishes the caller already
-    built for its pre-wave lower-bound certificate.  The wave builds
-    the ``ack + horizon`` candidate column and classifies: a fragment
-    whose ack is at least the running horizon upper bound (exclusive
-    prefix max of candidates, folded with the entry horizon ``h0`` and
-    the finishes of any slow fragments seen so far) is provably idle —
-    the probe *is* the scalar engine's decision, the horizon test only
-    a shortcut for it — so its memoised stamps (and, for buffered
-    writes that fit, its buffer admission) apply in a tight loop
-    (:func:`repro.storage.flash._entries_apply_run`, with deferred
-    buffer retirement).  Everything else (horizon violations, fragments
-    whose ack falls below the latest slow-path finish, buffered writes
-    that miss the buffer even after exact retirement) is walked
-    serially with the exact plan-loop branches, mutating the member's
-    real busy state; slow finishes overwrite ``ffin`` in place.
-    Returns ``(new_horizon, new_bb, lastw)``: the member's exact
-    end-of-epoch horizon and (deferred) buffer occupancy, and the ack
-    of the wave's last buffer admission (``None`` when the wave had
-    none) — the caller's threshold for the final retirement catch-up.
-    """
-    cand = t + col.hor[lo:hi]
-    k = hi - lo
-    recs = col.recs[lo:hi]
-    busy_read = member._busy_read
-    busy_program = member._busy_program
-    t_l = t.tolist()
-    viol = t < exclusive_running_max(cand, h0)
-    viol_l = viol.tolist()
-    # Static serial positions: horizon violations only.  Fragments
-    # forced serial dynamically (ack below the latest slow-path finish,
-    # tracked by ``hx_end``; buffered writes that overflow) are picked
-    # up position by position inside the walk.
-    stat_l = np.nonzero(viol)[0].tolist()
-    # Slow-path finishes are batched into one fancy-index store at the
-    # end of the wave (positions are visited at most once, so the
-    # batched store writes exactly what the in-loop stores would).
-    fin_i: list[int] = []
-    fin_v: list[float] = []
-    h_extra = 0.0
-    hx_end = 0
-    si = 0
-    ns = len(stat_l)
-    p = 0
-    while p < k:
-        while si < ns and stat_l[si] < p:
-            si += 1
-        s = stat_l[si] if si < ns else k
-        if p < hx_end:
-            s = p
-        elif p < s:
-            # Gap: ack ≥ every horizon bound ⇒ the idle probe must
-            # pass ⇒ the scalar engine would apply exactly this.  The
-            # run stops early only at a buffered write that misses the
-            # buffer after exact retirement — handled serially below.
-            q, bb = _entries_apply_run(db, cb, recs, t_l, p, s, buf, bb, cap)
-            p = q
-            if q < s:
-                s = q
-        if s == k:
-            break
-        tq = t_l[s]
-        r = recs[s]
-        kind = r[0]
-        if kind == 0:
-            # The epoch shortcut (``tq >= h_extra and not viol``) is
-            # provably never true here — a static serial position has
-            # ``viol`` set and a dynamically forced one has
-            # ``tq < h_extra`` by the ``hx_end`` invariant — so reads
-            # go straight to the fused probe-commit-or-walk closure.
-            tf = r[6]
-            if tf is not None:
-                f = tf(db, cb, tq)
-                if f:
-                    fin_i.append(s)
-                    fin_v.append(f)
-                    if f > h_extra:
-                        h_extra = f
-                        while hx_end < k and t_l[hx_end] < h_extra:
-                            hx_end += 1
-            elif r[1](db, cb, tq):
-                r[2](db, cb, tq)
-            else:
-                bf = r[5]
-                f = bf(db, cb, tq) if bf is not None else busy_read(r[4], tq)
-                fin_i.append(s)
-                fin_v.append(f)
-                if f > h_extra:
-                    h_extra = f
-                    while hx_end < k and t_l[hx_end] < h_extra:
-                        hx_end += 1
-        elif kind == 1:
-            nbytes, dr = r[3]
-            if bb + nbytes > cap:
-                while buf and buf[0][0] <= tq:
-                    __, freed = buf.popleft()
-                    bb -= freed
-            if bb + nbytes <= cap and (
-                (tq >= h_extra and not viol_l[s]) or r[1](db, cb, tq)
-            ):
-                buf.append((tq + dr, nbytes))
-                bb += nbytes
-                r[2](db, cb, tq)
-            else:
-                # Slow admission needs the exact occupancy: catch up
-                # any still-deferred retirements first (no-op when the
-                # overflow branch above already ran).
-                while buf and buf[0][0] <= tq:
-                    __, freed = buf.popleft()
-                    bb -= freed
-                member._buffered_bytes = bb
-                start = member._buffer_admit(nbytes, tq)
-                ack_done = start + bw_u + nbytes / bw4v
-                bf = r[5]
-                drain = (
-                    bf(db, cb, ack_done)
-                    if bf is not None
-                    else busy_program(r[4], ack_done)
-                )
-                buf.append((drain, nbytes))
-                bb = member._buffered_bytes + nbytes
-                fin_i.append(s)
-                fin_v.append(ack_done)
-                if drain > h_extra:
-                    h_extra = drain
-                    while hx_end < k and t_l[hx_end] < h_extra:
-                        hx_end += 1
-                if not array_level:
-                    start_overrides.append((i0 + int(req_rel[s]), start))
-        else:
-            tf = r[6]
-            if tf is not None:
-                f = tf(db, cb, tq)
-                if f:
-                    fin_i.append(s)
-                    fin_v.append(f)
-                    if f > h_extra:
-                        h_extra = f
-                        while hx_end < k and t_l[hx_end] < h_extra:
-                            hx_end += 1
-            elif r[1](db, cb, tq):
-                r[2](db, cb, tq)
-            else:
-                bf = r[5]
-                f = bf(db, cb, tq) if bf is not None else busy_program(r[4], tq)
-                fin_i.append(s)
-                fin_v.append(f)
-                if f > h_extra:
-                    h_extra = f
-                    while hx_end < k and t_l[hx_end] < h_extra:
-                        hx_end += 1
-        p = s + 1
-    if fin_i:
-        ffin[fin_i] = fin_v
-    # Exact end-of-epoch horizon: fast paths fold their candidates,
-    # slow paths their finishes (each slow candidate is bounded by its
-    # finish, so folding all candidates is exact, not just an upper
-    # bound).
-    new_h = max(h0, float(cand.max()), h_extra)
-    wb = col.wbuf
-    j = int(np.searchsorted(wb, hi)) - 1
-    lastw = t_l[int(wb[j]) - lo] if j >= 0 and wb[j] >= lo else None
-    return new_h, bb, lastw
-
-
-def _no_bump_ok(
-    live_carry: list[float],
-    clock: float,
-    subs_arr: np.ndarray,
-    fins_ep: np.ndarray,
-    i0: int,
-    i1: int,
-    qd: int,
-) -> bool:
-    """No-bump certificate for epoch ``[i0, i1)`` against local finishes.
-
-    Carried live completions first (pseudo pairs: each of the at most
-    ``qd`` live finishes, ordered ascending, must clear the submit
-    ``qd`` slots after its pseudo-position just before the epoch), then
-    the in-epoch pairs — request ``j`` must finish by submit ``j + qd``
-    — as one vector comparison.  ``fins_ep`` is the epoch-local finish
-    column (length ``i1 - i0``); passing the idle-case lower bound
-    ``ack + svc`` instead of true finishes turns the certificate into a
-    cheap pre-wave necessary condition.
-    """
-    live = sorted(v for v in live_carry if v > clock)
-    for m, v in enumerate(live):
-        pos = i0 - len(live) + m + qd
-        if pos >= i1:
-            break
-        if v > subs_arr[pos]:
-            return False
-    if i1 - qd > i0 and bool(np.any(fins_ep[: i1 - qd - i0] > subs_arr[i0 + qd : i1])):
-        return False
-    return True
-
-
-def _qdepth_epoch_events(
-    device: StorageDevice,
-    plan,
-    t_cdel: np.ndarray,
-    idle_arr: np.ndarray,
-    queue_depth: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Epoch-batched replay over a device plan (flash / flash array).
-
-    Optimistically assumes the submission window never fills for a
-    block of requests (the *epoch*): the submit/ack clock chain is then
-    a pure two-add serial recurrence (:func:`repro.replay.fastpath.ack_chain`)
-    with no heap, and each member's fragments drain as a
-    structure-of-arrays wave (:func:`_epoch_member_wave`).  The
-    assumption is validated exactly afterwards — request ``j`` must
-    finish by submit ``j + qd`` for every in-epoch pair, and each
-    completion carried live across the epoch boundary must clear the
-    submit ``qd`` slots after its pseudo-position just before the epoch
-    (there are at most ``qd`` of them, ordered ascending; together the
-    pairs bound the in-flight count below ``qd`` at every request).
-    On violation the member state rolls back to the epoch snapshot and
-    the epoch replays through :func:`_plan_serial_range`, halving the
-    epoch size; repeated failures hand the whole remainder to the
-    serial loop.  Stamps are bit-identical to
-    :func:`_qdepth_plan_events` in every case.
-    """
-    offsets = plan.offsets
-    frags = plan.frags
-    array_level = plan.array_level
-    members = plan.members_of(device)
-    cols = plan.member_columns()
-    n = len(offsets) - 1
-    qd = queue_depth
-    dbs = [m._die_busy for m in members]
-    cbs = [m._chan_busy for m in members]
-    hors = [m._state_horizon for m in members]
-    bufs = [m._buffered for m in members]
-    bbs = [m._buffered_bytes for m in members]
-    caps = [m._buffer_capacity for m in members]
-    bw_us = [m.geometry.buffer_write_us for m in members]
-    bw4 = [m.channel.bandwidth_mb_s * 4 for m in members]
-    t_cdel_l = t_cdel.tolist()
-    idle_l = idle_arr.tolist()
-    acks_arr = np.empty(n, dtype=np.float64)
-    fins_arr = np.empty(n, dtype=np.float64)
-    subs_arr = np.empty(n, dtype=np.float64)
-    start_overrides: list[tuple[int, float]] = []
-    live_carry: list[float] = []
-    mlos = [0] * len(cols)
-    lastws = [float("-inf")] * len(cols)
-    nm = len(cols)
-    clock = 0.0
-    i0 = 0
-    epoch = _EPOCH_SIZE
-    fail_streak = 0
-    precheck = False
-    while i0 < n:
-        i1 = min(n, i0 + epoch)
-        clock_end = ack_chain(t_cdel, idle_arr, clock, i0, i1, n, acks_arr)
-        subs_arr[i0] = clock
-        if i1 - i0 > 1:
-            np.add(acks_arr[i0 : i1 - 1], idle_arr[i0 : i1 - 1], out=subs_arr[i0 + 1 : i1])
-        acks_ep = acks_arr[i0:i1]
-        # Gather each member's fragment columns for the epoch and —
-        # only while recovering from a recent certificate failure —
-        # fold the idle-case finishes (``ack + svc``, a lower bound on
-        # the true finishes) into a pre-wave certificate: if even the
-        # lower bound bumps the window, skip the optimistic waves
-        # entirely — no member state is touched, so there is nothing to
-        # roll back.  On a success streak the precheck is pure overhead
-        # (the real certificate below passes anyway), so it stays off
-        # until a failure re-arms it.
-        if precheck:
-            fins_ep = acks_ep.copy()
-        pre: list[tuple[int, np.ndarray, np.ndarray, np.ndarray] | None] = [None] * nm
-        for mi in range(nm):
-            col = cols[mi]
-            if col is None:
-                continue
-            lo = mlos[mi]
-            hi = int(np.searchsorted(col.req, i1))
-            if hi == lo:
-                continue
-            req_rel = col.req[lo:hi] - i0
-            t = acks_ep[req_rel]
-            ffin = t + col.svc[lo:hi]
-            if precheck:
-                np.maximum.at(fins_ep, req_rel, ffin)
-            pre[mi] = (hi, req_rel, t, ffin)
-        ok = not precheck or _no_bump_ok(live_carry, clock, subs_arr, fins_ep, i0, i1, qd)
-        if ok:
-            snap = [
-                (list(db), list(cb), h, tuple(buf), bb)
-                for db, cb, h, buf, bb in zip(dbs, cbs, hors, bufs, bbs)
-            ]
-            snap_mlos = list(mlos)
-            snap_lastws = list(lastws)
-            snap_overrides = len(start_overrides)
-            fins_ep = acks_ep.copy()
-            for mi in range(nm):
-                gathered = pre[mi]
-                if gathered is None:
-                    continue
-                hi, req_rel, t, ffin = gathered
-                new_h, new_bb, lastw = _epoch_member_wave(
-                    cols[mi],
-                    mlos[mi],
-                    hi,
-                    i0,
-                    req_rel,
-                    t,
-                    ffin,
-                    members[mi],
-                    dbs[mi],
-                    cbs[mi],
-                    hors[mi],
-                    bufs[mi],
-                    bbs[mi],
-                    caps[mi],
-                    bw_us[mi],
-                    bw4[mi],
-                    array_level,
-                    start_overrides,
-                )
-                mlos[mi] = hi
-                hors[mi] = new_h
-                bbs[mi] = new_bb
-                if lastw is not None:
-                    lastws[mi] = lastw
-                np.maximum.at(fins_ep, req_rel, ffin)
-            fins_arr[i0:i1] = fins_ep
-            # Real certificate against the true finishes (slow paths
-            # may have pushed them past the lower bound).
-            ok = _no_bump_ok(live_carry, clock, subs_arr, fins_ep, i0, i1, qd)
-            if ok:
-                clock = clock_end
-                lo_t = max(i0, i1 - qd)
-                tail = fins_arr[lo_t:i1]
-                live_carry = [v for v in live_carry if v > clock]
-                live_carry.extend(tail[tail > clock].tolist())
-                i0 = i1
-                fail_streak = 0
-                precheck = False
-                if epoch < _EPOCH_MAX:
-                    epoch = min(_EPOCH_MAX, epoch * 4)
-                continue
-            # Certificate failed after the waves ran: a window bump is
-            # possible somewhere in the epoch.  Roll every member back
-            # to the epoch snapshot before the serial replay below.
-            for mi, (db_s, cb_s, h_s, buf_s, bb_s) in enumerate(snap):
-                dbs[mi][:] = db_s
-                cbs[mi][:] = cb_s
-                hors[mi] = h_s
-                buf = bufs[mi]
-                buf.clear()
-                buf.extend(buf_s)
-                bbs[mi] = bb_s
-            mlos = snap_mlos
-            lastws = snap_lastws
-            del start_overrides[snap_overrides:]
-        prior = fins_arr[:i0]
-        in_flight = prior[prior > clock].tolist()
-        heapq.heapify(in_flight)
-        fail_streak += 1
-        precheck = True
-        epoch = max(_EPOCH_MIN, epoch // 2)
-        i1_serial = n if fail_streak >= _EPOCH_GIVEUP else i1
-        clock = _plan_serial_range(
-            i0,
-            i1_serial,
-            n,
-            clock,
-            in_flight,
-            offsets,
-            frags,
-            members,
-            array_level,
-            dbs,
-            cbs,
-            hors,
-            bufs,
-            bbs,
-            caps,
-            bw_us,
-            bw4,
-            t_cdel_l,
-            idle_l,
-            qd,
-            acks_arr,
-            fins_arr,
-            subs_arr,
-            start_overrides,
-        )
-        i0 = i1_serial
-        if i0 < n:
-            for mi in range(nm):
-                col = cols[mi]
-                if col is not None:
-                    mlos[mi] = int(np.searchsorted(col.req, i0))
-            prior = fins_arr[:i0]
-            live_carry = prior[prior > clock].tolist()
-    # Final deferred-retirement catch-up: pop exactly what the serial
-    # engine's per-write retirement would have popped by its last
-    # buffer admission.  The admission itself sits at the deque's back
-    # and is never popped — the serial loop retires before appending.
-    for m, buf, lw, h, bb in zip(members, bufs, lastws, hors, bbs):
-        while len(buf) > 1 and buf[0][0] <= lw:
-            __, freed = buf.popleft()
-            bb -= freed
-        m._state_horizon = h
-        m._buffered_bytes = bb
-    starts_arr = acks_arr.copy()
-    for i, start in start_overrides:
-        starts_arr[i] = start
-    return subs_arr, acks_arr, starts_arr, fins_arr
 
 
 def replay_queue_depth_scalar(

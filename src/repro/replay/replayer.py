@@ -25,6 +25,26 @@ from .collector import TraceCollector
 __all__ = ["ReplayResult", "replay_with_idle", "replay_back_to_back"]
 
 
+def _validated_idle(n: int, idle_us: np.ndarray | None) -> np.ndarray:
+    """Checked idle periods for an ``n``-request replay.
+
+    The one idle validator every replay engine shares.  ``idle_us`` may
+    have length ``n - 1`` or ``n`` (the trailing entry is ignored);
+    ``None`` means no idle and yields ``n - 1`` zeros.  Negative or
+    non-finite periods raise ``ValueError`` before the device is
+    touched: a NaN or infinite think time would otherwise poison every
+    later stamp.
+    """
+    if idle_us is None:
+        return np.zeros(max(0, n - 1), dtype=np.float64)
+    idle_arr = np.asarray(idle_us, dtype=np.float64)
+    if len(idle_arr) not in (n - 1, n):
+        raise ValueError(f"idle array must have length {n - 1} (or {n}), got {len(idle_arr)}")
+    if not np.isfinite(idle_arr).all() or (idle_arr < 0).any():
+        raise ValueError("idle periods must be finite and non-negative")
+    return idle_arr
+
+
 class ReplayResult:
     """Outcome of a replay run, stamp columns in array form.
 
@@ -120,14 +140,7 @@ def replay_with_idle(
     n = len(old_trace)
     if n == 0:
         raise ValueError("cannot replay an empty trace")
-    if idle_us is not None:
-        idle_arr = np.asarray(idle_us, dtype=np.float64)
-        if len(idle_arr) not in (n - 1, n):
-            raise ValueError(f"idle array must have length {n - 1} (or {n}), got {len(idle_arr)}")
-        if np.any(idle_arr < 0):
-            raise ValueError("idle periods must be non-negative")
-    else:
-        idle_arr = np.zeros(max(0, n - 1), dtype=np.float64)
+    idle_arr = _validated_idle(n, idle_us)
     device.reset()
     collector = TraceCollector(
         name=old_trace.name,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,11 @@ class _RelService:
     die/channel striping pattern of a page extent depends only on
     ``first_page % total_dies`` and the page count, one relative
     computation serves every request with the same shape — the replay
-    hot path becomes a dict lookup plus a sparse state update.
+    hot path becomes a dict lookup plus a sparse state update.  Entries
+    are plain data: ``FlashSSD._service``, the queue-depth plan loop
+    (through :func:`_entry_idle_sparse` and :func:`_entry_commit`) and
+    the busy walks ``FlashSSD._busy_read``/``_busy_program`` all read
+    the same fields, so every engine prices a shape identically.
 
     Die and channel state is *slot-indexed* (die ``page % total_dies``,
     channel ``page % channels``), so the slots a shape touches form a
@@ -67,7 +71,6 @@ class _RelService:
         "svc", "drain_rel", "die_items", "chan_items", "horizon", "walk",
         "slot", "n_pages", "die_segs", "die_uval", "chan_segs", "chan_uval",
         "is_read", "nbytes", "buffered", "walk_pairs", "walk_op_us",
-        "busy_read_fn", "busy_prog_fn", "try_fn",
     )
 
     def __init__(
@@ -137,16 +140,6 @@ class _RelService:
         else:
             self.walk_pairs = None
             self.walk_op_us = None
-        # Specialised busy-walk closures (geometry constants bound);
-        # filled by ``FlashSSD._rel_entry``, ``None`` for shapes that
-        # stay on the method walks (no pairs, or columnar-sized).
-        # ``try_fn`` fuses probe + commit + busy walk into one call for
-        # the epoch engine's serial branch (reads and unbuffered
-        # writes; buffered writes keep the split path for the buffer
-        # bookkeeping between probe and commit).
-        self.busy_read_fn = None
-        self.busy_prog_fn = None
-        self.try_fn = None
 
 
 def _entry_idle_sparse(db: list, cb: list, e: _RelService, t_ready: float) -> bool:
@@ -201,507 +194,6 @@ def _entry_commit(db: list, cb: list, e: _RelService, t_ready: float) -> None:
             cb[c] = t_ready + rel
 
 
-def _make_entry_apply(e: _RelService):
-    """Specialised commit closure for one memo entry.
-
-    Stamps the same values on the same slots as :func:`_entry_commit`
-    (bitwise — same ``t_ready + rel`` operands), with the shape-
-    dependent dispatch resolved once at plan-build time instead of per
-    commit: narrow uniform spans (wrapped included) unroll to direct
-    item stores, wide ones keep the slice assignment, non-uniform
-    shapes fall back to :func:`_entry_commit`.  Entries are memoised
-    per unique request shape, so only a handful of closures exist per
-    plan.
-    """
-    du, cu = e.die_uval, e.chan_uval
-    if du is None or cu is None:
-
-        def apply(db: list, cb: list, t_ready: float) -> None:
-            _entry_commit(db, cb, e, t_ready)
-
-        return apply
-    a, b, b2 = e.die_segs
-    c, d, d2 = e.chan_segs
-    didx = tuple(range(a, b)) + tuple(range(b2))
-    cidx = tuple(range(c, d)) + tuple(range(d2))
-    if len(didx) == 1 and len(cidx) == 1:
-        di, ci = didx[0], cidx[0]
-
-        def apply(db: list, cb: list, t_ready: float) -> None:
-            db[di] = t_ready + du
-            cb[ci] = t_ready + cu
-
-        return apply
-    if len(didx) <= 4 and len(cidx) <= 4:
-
-        def apply(db: list, cb: list, t_ready: float) -> None:
-            v = t_ready + du
-            for i in didx:
-                db[i] = v
-            v = t_ready + cu
-            for j in cidx:
-                cb[j] = v
-
-        return apply
-    wd = b - a
-    wc = d - c
-
-    def apply(db: list, cb: list, t_ready: float) -> None:
-        v = t_ready + du
-        db[a:b] = [v] * wd
-        if b2:
-            db[:b2] = [v] * b2
-        v = t_ready + cu
-        cb[c:d] = [v] * wc
-        if d2:
-            cb[:d2] = [v] * d2
-
-    return apply
-
-
-def _make_entry_probe(e: _RelService):
-    """Specialised idle-probe closure for one memo entry.
-
-    Decides exactly :func:`_entry_idle_sparse` (``True`` iff no touched
-    die or channel is busy past the ready time — pure comparisons, so
-    no numeric-identity concerns), with the slot ranges resolved at
-    plan-build time: narrow spans unroll to direct item compares, wide
-    ones keep the ``max()``-over-slice form.
-    """
-    a, b, b2 = e.die_segs
-    c, d, d2 = e.chan_segs
-    didx = tuple(range(a, b)) + tuple(range(b2))
-    cidx = tuple(range(c, d)) + tuple(range(d2))
-    if len(didx) == 1 and len(cidx) == 1:
-        di, ci = didx[0], cidx[0]
-
-        def probe(db: list, cb: list, t_ready: float) -> bool:
-            return db[di] <= t_ready and cb[ci] <= t_ready
-
-        return probe
-    if len(didx) <= 4 and len(cidx) <= 4:
-
-        def probe(db: list, cb: list, t_ready: float) -> bool:
-            for i in didx:
-                if db[i] > t_ready:
-                    return False
-            for j in cidx:
-                if cb[j] > t_ready:
-                    return False
-            return True
-
-        return probe
-
-    def probe(db: list, cb: list, t_ready: float) -> bool:
-        if max(db[a:b]) > t_ready:
-            return False
-        if b2 and max(db[:b2]) > t_ready:
-            return False
-        if max(cb[c:d]) > t_ready:
-            return False
-        return not (d2 and max(cb[:d2]) > t_ready)
-
-    return probe
-
-
-def _make_busy_read(e: _RelService, xfer_us: float):
-    """Specialised busy-read walk for one memo entry.
-
-    Bitwise twin of :meth:`FlashSSD._busy_read`'s ``walk_pairs`` path
-    (same operands, same ``fl`` order), with the entry attributes, the
-    geometry transfer time, and the slice-fill lengths resolved once at
-    entry-memoisation time.  Single-page shapes unroll to the plain
-    two-step recurrence — for one page the exception bookkeeping and
-    the direct recurrence write the same stamps, so the unroll is an
-    identity.  Returns ``None`` for shapes the method walk must keep
-    (no uniform pairs, or columnar-kernel sized).
-    """
-    pairs = e.walk_pairs
-    if pairs is None or e.n_pages >= COLUMNAR_MIN_PAGES:
-        return None
-    op_us = e.walk_op_us
-    if len(pairs) == 1:
-        ch, slot = pairs[0]
-
-        def busy(db: list, cb: list, t_ready: float) -> float:
-            d = db[slot]
-            read_done = (t_ready if t_ready >= d else d) + op_us
-            c = cb[ch]
-            xfer_done = (read_done if read_done >= c else c) + xfer_us
-            db[slot] = read_done
-            cb[ch] = xfer_done
-            return xfer_done
-
-        return busy
-    pt = tuple(pairs)
-    da, dbnd, db2 = e.die_segs
-    ca, cbnd, cb2 = e.chan_segs
-    dn = dbnd - da
-    cn = cbnd - ca
-
-    def busy(db: list, cb: list, t_ready: float) -> float:
-        v1 = t_ready + op_us
-        w1 = v1 + xfer_us
-        finish = t_ready
-        die_over = None
-        chan_over = None
-        uniform = False
-        for ch, slot in pt:
-            d = db[slot]
-            c = cb[ch]
-            if d <= t_ready and c <= v1:
-                uniform = True
-                continue
-            read_done = (t_ready if t_ready >= d else d) + op_us
-            xfer_done = (read_done if read_done >= c else c) + xfer_us
-            if die_over is None:
-                die_over = []
-                chan_over = []
-            die_over.append((slot, read_done))
-            chan_over.append((ch, xfer_done))
-            if xfer_done > finish:
-                finish = xfer_done
-        if uniform and w1 > finish:
-            finish = w1
-        db[da:dbnd] = [v1] * dn
-        if db2:
-            db[:db2] = [v1] * db2
-        cb[ca:cbnd] = [w1] * cn
-        if cb2:
-            cb[:cb2] = [w1] * cb2
-        if die_over is not None:
-            for slot, v in die_over:
-                db[slot] = v
-            for ch, v in chan_over:
-                cb[ch] = v
-        return finish
-
-    return busy
-
-
-def _make_busy_program(e: _RelService, xfer_us: float):
-    """Specialised busy-program walk; bitwise twin of
-    :meth:`FlashSSD._busy_program`'s ``walk_pairs`` path (see
-    :func:`_make_busy_read` for the specialisation contract)."""
-    pairs = e.walk_pairs
-    if pairs is None or e.n_pages >= COLUMNAR_MIN_PAGES:
-        return None
-    op_us = e.walk_op_us
-    if len(pairs) == 1:
-        ch, slot = pairs[0]
-
-        def busy(db: list, cb: list, t_ready: float) -> float:
-            c = cb[ch]
-            xfer_done = (t_ready if t_ready >= c else c) + xfer_us
-            d = db[slot]
-            prog_done = (xfer_done if xfer_done >= d else d) + op_us
-            cb[ch] = xfer_done
-            db[slot] = prog_done
-            return prog_done
-
-        return busy
-    pt = tuple(pairs)
-    da, dbnd, db2 = e.die_segs
-    ca, cbnd, cb2 = e.chan_segs
-    dn = dbnd - da
-    cn = cbnd - ca
-
-    def busy(db: list, cb: list, t_ready: float) -> float:
-        v1 = t_ready + xfer_us
-        w1 = v1 + op_us
-        finish = t_ready
-        die_over = None
-        chan_over = None
-        uniform = False
-        for ch, slot in pt:
-            c = cb[ch]
-            d = db[slot]
-            if c <= t_ready:
-                if d <= v1:
-                    uniform = True
-                    continue
-                xfer_done = v1
-            else:
-                xfer_done = c + xfer_us
-                if chan_over is None:
-                    chan_over = []
-                chan_over.append((ch, xfer_done))
-            prog_done = (xfer_done if xfer_done >= d else d) + op_us
-            if die_over is None:
-                die_over = []
-            die_over.append((slot, prog_done))
-            if prog_done > finish:
-                finish = prog_done
-        if uniform and w1 > finish:
-            finish = w1
-        cb[ca:cbnd] = [v1] * cn
-        if cb2:
-            cb[:cb2] = [v1] * cb2
-        db[da:dbnd] = [w1] * dn
-        if db2:
-            db[:db2] = [w1] * db2
-        if chan_over is not None:
-            for ch, v in chan_over:
-                cb[ch] = v
-        if die_over is not None:
-            for slot, v in die_over:
-                db[slot] = v
-        return finish
-
-    return busy
-
-
-def _make_try_fn(e: _RelService, busy, xfer_us: float):
-    """Fused probe + commit + busy walk for the epoch serial branch.
-
-    One call replaces the probe/apply (or probe/busy-walk) pair the
-    wave loop would otherwise make per serial fragment: probes exactly
-    :func:`_make_entry_probe`'s condition, commits exactly
-    :func:`_make_entry_apply`'s stamps on a pass and returns ``0.0``,
-    or runs the entry's busy walk and returns its finish (every real
-    finish is positive, so truthiness is the pass/busy discriminator).
-    Single-page shapes additionally reuse the probed slot values inside
-    the inlined walk.  ``None`` when the entry has no specialised busy
-    closure or non-uniform stamps — the wave keeps the split path.
-    """
-    du, cu = e.die_uval, e.chan_uval
-    if busy is None or du is None or cu is None:
-        return None
-    a, b, b2 = e.die_segs
-    c, d, d2 = e.chan_segs
-    didx = tuple(range(a, b)) + tuple(range(b2))
-    cidx = tuple(range(c, d)) + tuple(range(d2))
-    if len(didx) == 1 and len(cidx) == 1:
-        di, ci = didx[0], cidx[0]
-        op_us = e.walk_op_us
-        if e.is_read:
-
-            def try_fn(db: list, cb: list, t_ready: float) -> float:
-                dv = db[di]
-                cv = cb[ci]
-                if dv <= t_ready and cv <= t_ready:
-                    db[di] = t_ready + du
-                    cb[ci] = t_ready + cu
-                    return 0.0
-                read_done = (t_ready if t_ready >= dv else dv) + op_us
-                xfer_done = (read_done if read_done >= cv else cv) + xfer_us
-                db[di] = read_done
-                cb[ci] = xfer_done
-                return xfer_done
-
-        else:
-
-            def try_fn(db: list, cb: list, t_ready: float) -> float:
-                dv = db[di]
-                cv = cb[ci]
-                if dv <= t_ready and cv <= t_ready:
-                    db[di] = t_ready + du
-                    cb[ci] = t_ready + cu
-                    return 0.0
-                xfer_done = (t_ready if t_ready >= cv else cv) + xfer_us
-                prog_done = (xfer_done if xfer_done >= dv else dv) + op_us
-                cb[ci] = xfer_done
-                db[di] = prog_done
-                return prog_done
-
-        return try_fn
-    if len(didx) <= 4 and len(cidx) <= 4:
-
-        def try_fn(db: list, cb: list, t_ready: float) -> float:
-            for i in didx:
-                if db[i] > t_ready:
-                    return busy(db, cb, t_ready)
-            for j in cidx:
-                if cb[j] > t_ready:
-                    return busy(db, cb, t_ready)
-            v = t_ready + du
-            for i in didx:
-                db[i] = v
-            v = t_ready + cu
-            for j in cidx:
-                cb[j] = v
-            return 0.0
-
-        return try_fn
-    wd = b - a
-    wc = d - c
-
-    def try_fn(db: list, cb: list, t_ready: float) -> float:
-        if (
-            max(db[a:b]) > t_ready
-            or (b2 and max(db[:b2]) > t_ready)
-            or max(cb[c:d]) > t_ready
-            or (d2 and max(cb[:d2]) > t_ready)
-        ):
-            return busy(db, cb, t_ready)
-        v = t_ready + du
-        db[a:b] = [v] * wd
-        if b2:
-            db[:b2] = [v] * b2
-        v = t_ready + cu
-        cb[c:d] = [v] * wc
-        if d2:
-            cb[:d2] = [v] * d2
-        return 0.0
-
-    return try_fn
-
-
-def _entries_apply_run(
-    db: list,
-    cb: list,
-    recs: list,
-    t_vals: list,
-    p: int,
-    s: int,
-    buf,
-    bb: int,
-    cap: int,
-) -> tuple[int, int]:
-    """Apply fragment positions ``[p, s)`` at ready times ``t_vals[p:s]``.
-
-    The epoch replay engine's gap loop: every fragment in the run is
-    provably idle at its ready time (ack at or above every horizon
-    bound), so reads and unbuffered writes commit their memoised stamps
-    (the ``apply`` slot of each ``recs`` record, see
-    :func:`_make_entry_apply`) back-to-back with no probes, and a
-    buffered write (whose record carries its ``(nbytes, drain_rel)``
-    in the ``wmeta`` slot, ``None`` for everything else) is fast as
-    soon as it fits the write buffer.  Buffer occupancy uses *deferred
-    retirement*: ``bb`` counts every admission but drains are only
-    popped when the conservative fit test ``bb + nbytes <= cap`` fails
-    (the tracked ``bb`` never undercounts the serial engine's, and
-    head-of-line pops at a later, larger ack free exactly the entries
-    the per-write pops would have — the deque is FIFO and acks are
-    non-decreasing — so the catch-up leaves deque and count in the
-    precise per-write state).  Returns ``(q, bb)``: ``q == s`` when the
-    run completed, else the position of a buffered write that does not
-    fit even after exact retirement and needs the slow admission path.
-    """
-    for q in range(p, s):
-        t_ready = t_vals[q]
-        r = recs[q]
-        wm = r[3]
-        if wm is not None:
-            nb, dr = wm
-            if bb + nb > cap:
-                while buf and buf[0][0] <= t_ready:
-                    __, freed = buf.popleft()
-                    bb -= freed
-                if bb + nb > cap:
-                    return q, bb
-            buf.append((t_ready + dr, nb))
-            bb += nb
-        r[2](db, cb, t_ready)
-    return s, bb
-
-
-class _MemberColumns:
-    """Member-major fragment columns for the epoch-batched replay engine.
-
-    One instance per member SSD, holding that member's fragments in the
-    exact (request-major) order the serial plan loop visits them —
-    request indices are therefore non-decreasing, which is what lets
-    the epoch engine slice a request range with ``searchsorted`` and
-    treat the gathered ack column as sorted.  The float columns are the
-    memo facts the vectorised fast/slow classification reads
-    (``entry.horizon`` and ``entry.svc``); ``wbuf`` lists the positions
-    of the buffered-write fragments, which the epoch engine uses to
-    find the last buffer admission of a wave (the threshold for the
-    final deferred-retirement catch-up).  ``applies`` holds the
-    per-position commit closures (:func:`_make_entry_apply`, shared per
-    unique entry), ``probes`` the idle-probe closures
-    (:func:`_make_entry_probe`), and ``wmeta`` the per-position
-    ``(nbytes, drain_rel)`` buffered-write facts (``None`` for reads
-    and unbuffered writes), so the hot loops never touch entry
-    attributes.  ``recs`` fuses the per-position facts into one record
-    list ``(kind, probe, apply, wmeta, entry, busy, try)`` — kind 0
-    read, 1 buffered write, 2 unbuffered write; ``busy`` the entry's
-    specialised busy-walk closure (:func:`_make_busy_read` /
-    :func:`_make_busy_program`) and ``try`` its fused
-    probe-commit-or-walk closure (:func:`_make_try_fn`), either
-    ``None`` when the shape stays on the method walks — so the wave
-    loop pays a single list slice and a single index per fragment.
-    """
-
-    __slots__ = ("req", "hor", "svc", "ents", "wbuf", "recs")
-
-    def __init__(
-        self,
-        req: np.ndarray,
-        hor: np.ndarray,
-        svc: np.ndarray,
-        ents: list,
-        wbuf: np.ndarray,
-        applies: list,
-        probes: list,
-        wmeta: list,
-    ) -> None:
-        self.req = req
-        self.hor = hor
-        self.svc = svc
-        self.ents = ents
-        self.wbuf = wbuf
-        kinds = [(0 if e.is_read else (1 if e.buffered else 2)) for e in ents]
-        busys = [e.busy_read_fn if e.is_read else e.busy_prog_fn for e in ents]
-        tries = [e.try_fn for e in ents]
-        self.recs = list(zip(kinds, probes, applies, wmeta, ents, busys, tries))
-
-
-def _build_member_columns(offsets: list[int], frags: list[tuple]) -> list:
-    """Member-major column split of a plan's request-major fragment list.
-
-    Returns one :class:`_MemberColumns` per member index (``None`` for
-    members that own no fragments).  Pure and deterministic — computed
-    once per plan and cached on the plan object, so repeated replays of
-    a cached plan skip the Python pass entirely.
-    """
-    n_members = 1 + max((mi for mi, __ in frags), default=0)
-    per: list[tuple[list, list, list, list]] = [([], [], [], []) for __ in range(n_members)]
-    for i in range(len(offsets) - 1):
-        for k in range(offsets[i], offsets[i + 1]):
-            mi, e = frags[k]
-            req_l, hor_l, svc_l, ents = per[mi]
-            req_l.append(i)
-            hor_l.append(e.horizon)
-            svc_l.append(e.svc)
-            ents.append(e)
-    cols: list = []
-    apply_cache: dict[int, object] = {}
-    for req_l, hor_l, svc_l, ents in per:
-        if not ents:
-            cols.append(None)
-            continue
-        wbuf = np.array(
-            [p for p, e in enumerate(ents) if not e.is_read and e.buffered],
-            dtype=np.int64,
-        )
-        applies = []
-        probes = []
-        wmeta = []
-        for e in ents:
-            fns = apply_cache.get(id(e))
-            if fns is None:
-                fns = (_make_entry_apply(e), _make_entry_probe(e))
-                apply_cache[id(e)] = fns
-            applies.append(fns[0])
-            probes.append(fns[1])
-            wmeta.append((e.nbytes, e.drain_rel) if not e.is_read and e.buffered else None)
-        cols.append(
-            _MemberColumns(
-                np.array(req_l, dtype=np.int64),
-                np.array(hor_l, dtype=np.float64),
-                np.array(svc_l, dtype=np.float64),
-                ents,
-                wbuf,
-                applies,
-                probes,
-                wmeta,
-            )
-        )
-    return cols
-
-
 @dataclass(frozen=True, slots=True)
 class FlashReplayPlan:
     """Precomputed per-request fragment columns for queue-depth replay.
@@ -709,13 +201,14 @@ class FlashReplayPlan:
     Built by :meth:`FlashSSD.replay_plan` / ``FlashArray.replay_plan``
     from the grouped shape kernels: request ``i`` owns fragments
     ``frags[offsets[i]:offsets[i + 1]]``, each a
-    ``(member_index, entry)`` pair ready for the event loop's inlined
-    fast paths (the per-fragment op/size facts — ``is_read``,
-    ``nbytes``, ``buffered`` — live on the shape-keyed entry).  Member
-    indices (not object references) keep the plan valid for *any*
-    device with the same fingerprint, so plans are shareable through
-    the content cache.  Construction is pure — no simulator state is
-    read or consumed.
+    ``(member_index, entry)`` pair ready for the inlined fast paths of
+    the queue-depth plan loop (``repro.replay.qdepth._qdepth_plan_events``,
+    the flash engine at every queue depth).  The per-fragment op/size
+    facts — ``is_read``, ``nbytes``, ``buffered`` — live on the
+    shape-keyed entry.  Member indices (not object references) keep
+    the plan valid for *any* device with the same fingerprint, so plans
+    are shareable through the content cache.  Construction is pure —
+    no simulator state is read or consumed.
     """
 
     offsets: list[int]
@@ -723,21 +216,10 @@ class FlashReplayPlan:
     #: ``True`` when fragments belong to an array (request start stamp
     #: is the array-level ready time, not a member's admission time).
     array_level: bool
-    #: Lazily built member-major columns (epoch engine); cached on the
-    #: plan so the one-time Python pass is amortised with the plan.
-    cols: list | None = field(default=None, compare=False, repr=False)
 
     def members_of(self, device) -> list:
         """Member SSD list the fragment indices refer to, for ``device``."""
         return device.ssds if self.array_level else [device]
-
-    def member_columns(self) -> list:
-        """Member-major fragment columns, built on first use and cached."""
-        cols = self.cols
-        if cols is None:
-            cols = _build_member_columns(self.offsets, self.frags)
-            object.__setattr__(self, "cols", cols)
-        return cols
 
 
 #: Content-keyed plan cache: (device fingerprint, stream digest) ->
@@ -1082,15 +564,6 @@ class FlashSSD(StorageDevice):
             entry.is_read = False
         entry.nbytes = nbytes
         entry.buffered = 0 < nbytes <= self._buffer_capacity
-        if op is OpType.READ:
-            entry.busy_read_fn = _make_busy_read(entry, self._xfer_us)
-            entry.try_fn = _make_try_fn(entry, entry.busy_read_fn, self._xfer_us)
-        else:
-            entry.busy_prog_fn = _make_busy_program(entry, self._xfer_us)
-            if not entry.buffered:
-                entry.try_fn = _make_try_fn(
-                    entry, entry.busy_prog_fn, self._xfer_us
-                )
         self._rel_cache[key] = entry
         return entry
 

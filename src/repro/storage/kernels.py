@@ -59,8 +59,6 @@ __all__ = [
     "group_shapes",
     "read_wave_kernel",
     "program_wave_kernel",
-    "exclusive_running_max",
-    "first_window_violation",
 ]
 
 #: Page count above which the wave kernels beat the scalar walk
@@ -128,51 +126,6 @@ def group_shapes(
     rows = np.column_stack([ops, slots, n_pages, sizes])
     uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
     return uniq, inverse.reshape(-1)
-
-
-def exclusive_running_max(values: np.ndarray, initial: float) -> np.ndarray:
-    """Exclusive prefix maximum folded with a starting value.
-
-    ``out[j] = max(initial, values[0], ..., values[j - 1])`` with
-    ``out[0] = initial`` — the epoch replay engine's optimistic horizon
-    column: entry ``j`` sees the horizon every *earlier* fragment would
-    leave behind if all of them took the fast path.  Exact (``max`` is
-    order-insensitive), no floating-point additions.
-    """
-    k = len(values)
-    out = np.empty(k, dtype=np.float64)
-    if k == 0:
-        return out
-    out[0] = initial
-    if k > 1:
-        run = np.maximum.accumulate(values[: k - 1])
-        np.maximum(run, initial, out=out[1:])
-    return out
-
-
-def first_window_violation(
-    finishes: np.ndarray, submits: np.ndarray, queue_depth: int, i0: int, i1: int
-) -> int:
-    """First ``j`` in ``[i0 - qd, i1 - qd)`` with ``fin[j] > submit[j + qd]``.
-
-    The epoch engine's no-bump certificate: when every request ``j``
-    finishes by the time request ``j + qd`` submits, the in-flight
-    window can never be full (submits are non-decreasing), so the
-    optimistically computed clock chain is exact and no heap work is
-    needed at all.  Returns ``-1`` when the certificate holds for the
-    epoch, else the first violating ``j`` — a *conservative* signal
-    (the real event loop may still absorb it without a clock bump), at
-    which point the caller falls back to the serial engine.
-    """
-    lo = max(0, i0 - queue_depth)
-    hi = i1 - queue_depth
-    if hi <= lo:
-        return -1
-    bad = finishes[lo:hi] > submits[lo + queue_depth : hi + queue_depth]
-    j = int(np.argmax(bad))
-    if not bad[j]:
-        return -1
-    return lo + j
 
 
 def _per_die_op_us(

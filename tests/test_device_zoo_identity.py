@@ -101,17 +101,17 @@ class TestQueueDepthIdentity:
     """Every queue-depth engine vs the scalar oracle, bitwise.
 
     Four differential columns per zoo entry: the scalar oracle is the
-    ground truth, and the generic event loop (``events``), the
-    per-event plan engine (``plan``), and the epoch-batched engine
-    (``epoch``) must each reproduce its stamps exactly.  Plan-less
-    devices route ``plan``/``epoch`` back to the event loop, so the
-    parametrisation is uniform over the whole zoo — fault wrappers
-    included.
+    ground truth, and the generic event loop (``events``), the plan
+    loop (``plan``), and the default selection (``auto``: FIFO chain,
+    plan loop, or event loop, whichever the device and depth allow)
+    must each reproduce its stamps exactly.  Plan-less devices route
+    ``plan`` back to the event loop, so the parametrisation is uniform
+    over the whole zoo — fault wrappers included.
     """
 
     @pytest.mark.parametrize("entry", sorted(ZOO))
     @pytest.mark.parametrize("queue_depth", [1, 3])
-    @pytest.mark.parametrize("engine", ["events", "plan", "epoch"])
+    @pytest.mark.parametrize("engine", ["events", "plan", "auto"])
     def test_qdepth_vs_scalar_oracle(self, entry, queue_depth, engine):
         trace, idle = _zoo_trace()
         fast = replay_queue_depth(
@@ -123,15 +123,14 @@ class TestQueueDepthIdentity:
         assert_replays_identical(fast, oracle)
 
     @pytest.mark.parametrize("entry", sorted(ZOO))
-    def test_epoch_identity_under_forced_bumps(self, entry):
-        """Zero idle everywhere: the window bumps constantly, so the
-        epoch engine's optimistic certificate fails and its rollback /
-        serial-fallback path must still land on the oracle's stamps."""
+    def test_auto_identity_under_forced_bumps(self, entry):
+        """Zero idle everywhere: the window fills on every request, so
+        the plan loop's ``clock_bumps`` and a standalone SSD's
+        ``start_overrides`` (buffered writes admitted late) must still
+        land on the oracle's stamps under the default engine."""
         trace, __ = _zoo_trace()
         idle = np.zeros(len(trace) - 1)
-        fast = replay_queue_depth(
-            trace, _build(entry), idle_us=idle, queue_depth=2, engine="epoch"
-        )
+        fast = replay_queue_depth(trace, _build(entry), idle_us=idle, queue_depth=2)
         oracle = replay_queue_depth_scalar(
             trace, _build(entry), idle_us=idle, queue_depth=2
         )

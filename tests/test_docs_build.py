@@ -40,11 +40,16 @@ def test_api_build_has_zero_warnings(build_docs, tmp_path: Path):
     assert "## class `StagedReconstructionPipeline`" in stages
 
 
-def test_committed_api_reference_is_present():
+def test_committed_api_reference_is_present(build_docs):
     committed = REPO_ROOT / "docs" / "api"
     assert (committed / "index.md").exists()
     assert (committed / "repro.campaign.spec.md").exists()
     assert (committed / "repro.trace.io.reader.md").exists()
+    # Exactly one page per current module plus the index: the builder
+    # never deletes the page of a removed module, and a stale committed
+    # page is invisible to a diff of the regenerated directory.
+    pages = {path.stem for path in committed.glob("*.md")}
+    assert pages == set(build_docs.iter_module_names()) | {"index"}
 
 
 def test_markdown_links_resolve(build_docs):

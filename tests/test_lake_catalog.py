@@ -26,6 +26,7 @@ import repro.campaign.engine as engine_mod
 from repro.campaign import CampaignEngine, CampaignSpec, DeviceSpec, expand
 from repro.campaign.cli import main as campaign_main
 from repro.lake import (
+    SCHEMA_VERSION,
     LakeCatalog,
     LakeError,
     default_lake_path,
@@ -641,6 +642,33 @@ class TestConcurrency:
         assert errors == []
         with LakeCatalog(db) as cat:
             assert cat.counts()["campaign_points"] == 80
+
+    def test_concurrent_first_open_of_fresh_file(self, tmp_path):
+        """Connections released together onto a missing file all open
+        it: neither the switch to WAL ("database is locked") nor the
+        schema-version row (UNIQUE constraint) may fail the loser."""
+        errors: list[Exception] = []
+        for k in range(20):
+            db = tmp_path / f"lake{k}.sqlite"
+            gate = threading.Barrier(6)
+
+            def open_once() -> None:
+                try:
+                    gate.wait()
+                    LakeCatalog(db).close()
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=open_once) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            with LakeCatalog(db) as cat:
+                assert cat._conn.execute(
+                    "SELECT value FROM lake_meta WHERE key='schema_version'"
+                ).fetchall() == [(str(SCHEMA_VERSION),)]
+        assert errors == []
 
 
 # ----------------------------------------------------------------------

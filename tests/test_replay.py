@@ -5,13 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.experiments.nodes import new_node, old_node
 from repro.replay import (
     detect_async_indices,
     replay_back_to_back,
+    replay_queue_depth,
+    replay_queue_depth_scalar,
     replay_with_idle,
+    replay_with_idle_batch,
     revive_async,
 )
 from repro.trace import BlockTrace, OpType
+from repro.workloads import collect_trace, generate_intents, get_spec
 
 
 def pattern_trace(n: int = 20) -> BlockTrace:
@@ -81,6 +86,31 @@ class TestReplayer:
         a = replay_with_idle(old, const_device, None).trace.timestamps
         b = replay_with_idle(old, const_device, None).trace.timestamps
         np.testing.assert_allclose(a, b)
+
+
+class TestNonFiniteIdleRejected:
+    """A NaN or infinite think time is refused up front by every engine.
+
+    Accepting one would poison every later stamp (the clock chain adds
+    it in); the scalar oracles used to fail late with an unrelated
+    stamp-order error, and the fast engines returned non-finite stamps.
+    """
+
+    @pytest.fixture(scope="class")
+    def dap(self) -> BlockTrace:
+        return collect_trace(generate_intents(get_spec("DAP").scaled(50)), old_node())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "replay",
+        [replay_with_idle, replay_with_idle_batch, replay_queue_depth, replay_queue_depth_scalar],
+    )
+    def test_rejected_by_every_entry_point(self, dap, replay, bad):
+        idle = np.full(len(dap) - 1, 250.0)
+        idle[10] = bad
+        for node in (new_node, old_node):
+            with pytest.raises(ValueError, match="idle periods must be finite and non-negative"):
+                replay(dap, node(), idle)
 
 
 class TestDetectAsync:
