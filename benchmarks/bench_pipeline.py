@@ -286,42 +286,6 @@ def bench_steepness(n_requests: int) -> dict[str, float]:
     return {"before_s": before, "after_s": after, "speedup": round(before / after, 2)}
 
 
-def bench_campaign_scheduling(n_points: int = 120, jobs: int = 2) -> dict[str, float]:
-    """Static round-robin shards vs the work-stealing chunk queue.
-
-    A deliberately *adversarial* skew for the static scheduler: point
-    costs alternate heavy/light along the plan, so round-robin
-    assignment piles every heavy point onto one shard and the campaign
-    waits for it.  The stealing scheduler drains the same grid as a
-    chunk queue, so the heavy points spread across whichever workers
-    are free.  The synthetic action burns deterministic CPU with no
-    traces or devices; both runs aggregate in memory (no checkpoint
-    I/O) and produce identical tables, so the stage times scheduling
-    and nothing else.
-    """
-    from repro.campaign import CampaignEngine, CampaignSpec, DeviceSpec
-
-    sizes: list[int] = []
-    for i in range(n_points // 2):
-        sizes.extend((2_000 + i, 50 + i))  # heavy, light, heavy, light...
-    spec = CampaignSpec(
-        name="bench-scheduling",
-        action="synthetic",
-        workloads=("MSNFS",),
-        devices=(DeviceSpec("new", "new-node"),),
-        methods=("revision",),
-        n_requests=tuple(sizes),
-        options={"iters_per_request": 40},
-    )
-
-    def run(scheduler: str) -> None:
-        CampaignEngine(spec, out_dir=None, jobs=jobs, scheduler=scheduler).run()
-
-    before = _best_of(lambda: run("static"))
-    after = _best_of(lambda: run("stealing"))
-    return {"before_s": before, "after_s": after, "speedup": round(before / after, 2)}
-
-
 def bench_checkpointing(n_points: int = 384) -> dict[str, float]:
     """Campaign checkpoint write+rescan: JSON-per-point vs segments."""
     keys = [f"{i:020d}" for i in range(n_points)]
@@ -488,7 +452,6 @@ def run_benchmarks(n_requests: int) -> dict:
         "fig09_interpolation": bench_interpolation(),
         "steepness_select": bench_steepness(n_requests),
         "campaign_checkpoint": bench_checkpointing(),
-        "campaign_scheduling": bench_campaign_scheduling(),
         "campaign_incremental_skip": bench_campaign_incremental_skip(),
         "streaming_reconstruct": bench_streaming_reconstruct(n_requests),
     }

@@ -14,19 +14,19 @@ layer that makes that practical at scale:
 - :mod:`~repro.campaign.plan` — deterministic cross-product expansion
   into :class:`RunPoint` grid points with stable, content-derived run
   keys (the unit of checkpointing and resumption);
-- :mod:`~repro.campaign.engine` — :class:`CampaignEngine`, which shards
-  the plan across the experiment runner's process pool, checkpoints
-  every completed run key to disk, and resumes interrupted campaigns
-  without recomputing anything;
+- :mod:`~repro.campaign.engine` — :class:`CampaignEngine`, which runs
+  the plan inline at ``jobs=1`` and across supervised worker processes
+  otherwise, checkpoints every completed run key to disk, and resumes
+  interrupted campaigns without recomputing anything;
 - :mod:`~repro.campaign.results` — :class:`ResultsTable`, the columnar
   aggregate consumed by the ``repro-campaign`` CLI and the reporting
   helpers;
 - :mod:`~repro.campaign.supervise` — the fault-tolerance substrate:
   retry/backoff policies with a transient-vs-permanent error taxonomy,
   per-point wall-clock timeouts, poison-point quarantine, the
-  heartbeat-and-lease :class:`SupervisedExecutor` behind the
-  ``supervised`` scheduler, and the deterministic chaos-injection
-  harness the ``tests/chaos`` suite drives.
+  heartbeat-and-lease :class:`SupervisedExecutor` behind every
+  multi-process run, and the deterministic chaos-injection harness the
+  ``tests/chaos`` suite drives.
 
 The paper figures that sweep the workload catalog
 (:func:`~repro.experiments.figures.fig13_intt_gap` and friends) are

@@ -3,11 +3,11 @@
 Three subcommands over the campaign engine:
 
 ``repro-campaign run <spec> [--out-dir D] [--jobs N] [--limit N] ...``
-    Execute a campaign spec (YAML/JSON), sharded over the process
-    pool, checkpointing every completed run key under
-    ``<out_dir>/runs/``.  Re-running the same command after an
-    interruption resumes from the checkpoints; the final table lands
-    in ``results.npz``/``results.csv``/``report.md``.
+    Execute a campaign spec (YAML/JSON) — inline with ``--jobs 1``,
+    across supervised worker processes otherwise — checkpointing every
+    completed run key under ``<out_dir>/runs/``.  Re-running the same
+    command after an interruption resumes from the checkpoints; the
+    final table lands in ``results.npz``/``results.csv``/``report.md``.
 
 ``repro-campaign plan <spec> [--limit N]``
     Print the expanded grid (one line per point with its run key)
@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from ..perf import PerfRecorder
-from .engine import CHECKPOINT_FORMATS, SCHEDULERS, CampaignEngine, _scan_checkpoints
+from .engine import CHECKPOINT_FORMATS, CampaignEngine, _scan_checkpoints
 from .plan import expand, run_key
 from .results import ResultsTable
 from .spec import CampaignSpec, load_spec
@@ -47,9 +47,9 @@ def _resilience_from_args(args: argparse.Namespace) -> "Resilience | None":
     """Build the engine's fault policy from the run flags.
 
     ``None`` (no resilience flags given) keeps the historical
-    raise-through contract.  ``--chaos`` forces the supervised
-    scheduler's worker isolation, so it implies a policy even when the
-    retry knobs are left at their defaults.
+    raise-through contract.  ``--chaos`` implies a policy even when the
+    retry knobs are left at their defaults: the injector lives in it,
+    and its workers run supervised even with ``--jobs 1``.
     """
     if (
         args.retries is None
@@ -72,12 +72,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else default_out_dir(spec)
     perf = PerfRecorder(enabled=args.perf)
     resilience = _resilience_from_args(args)
-    scheduler = args.scheduler
-    if args.chaos and scheduler != "supervised":
-        # Chaos kills workers; only the supervised scheduler survives
-        # that, so injecting into a bare pool would just crash the run.
-        scheduler = "supervised"
-        print("[campaign] --chaos forces --scheduler supervised", file=sys.stderr)
     engine = CampaignEngine(
         spec,
         out_dir=out_dir,
@@ -86,7 +80,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trace_store_dir=args.trace_store_dir,
         resume=not args.no_resume,
         checkpoint_format=args.checkpoint_format,
-        scheduler=scheduler,
         lake=args.lake,
         perf=perf,
         resilience=resilience,
@@ -200,7 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a campaign spec (resumes from checkpoints)")
     run.add_argument("spec", help="path to a .yaml/.json campaign spec")
     run.add_argument("--out-dir", default=None, help="output directory (default campaign-out/<name>)")
-    run.add_argument("--jobs", type=int, default=1, help="worker processes (default 1: inline)")
+    run.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes, supervised when more than one (default 1: inline)",
+    )
     run.add_argument("--limit", type=int, default=None, help="cap the grid at N points (smoke runs)")
     run.add_argument("--no-resume", action="store_true", help="ignore existing checkpoints")
     run.add_argument(
@@ -213,12 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--checkpoint-format", choices=CHECKPOINT_FORMATS, default="segments",
-        help="per-shard append-only segments (default) or one JSON file per point",
-    )
-    run.add_argument(
-        "--scheduler", choices=SCHEDULERS, default="stealing",
-        help="dynamic chunk queue pulled by idle workers (default), static "
-        "round-robin shards, or supervised (heartbeats, lease reclaim, respawn)",
+        help="per-worker append-only segments (default) or one JSON file per point",
     )
     run.add_argument(
         "--lake", default=None,
@@ -240,18 +231,20 @@ def build_parser() -> argparse.ArgumentParser:
         "a transient timeout and retries; enables the retry policy)",
     )
     run.add_argument(
-        "--hang-timeout", type=float, default=30.0,
-        help="supervised scheduler: heartbeat staleness (s) before a "
-        "worker is declared hung and its lease reclaimed (default 30)",
+        "--hang-timeout", type=float, default=None,
+        help="worker processes: heartbeat staleness (s) before a worker is "
+        "declared hung, killed and its lease reclaimed (default: no "
+        "deadline; dead workers are always reclaimed)",
     )
     run.add_argument(
         "--respawn-budget", type=int, default=None,
-        help="supervised scheduler: total replacement workers (default 2x jobs)",
+        help="worker processes: total replacement workers (default 2x jobs)",
     )
     run.add_argument(
         "--chaos", default=None, metavar="SPEC",
         help="deterministic fault injection, e.g. 'kill@3,hang@5,exc@2,"
-        "poison@7,corrupt@4' (kind@plan-index); forces --scheduler supervised",
+        "poison@7,corrupt@4' (kind@plan-index); runs supervised workers "
+        "even with --jobs 1, and a hang needs --hang-timeout or --point-timeout",
     )
     run.add_argument("--quiet", action="store_true", help="suppress progress logging")
     run.set_defaults(func=_cmd_run)

@@ -1,4 +1,4 @@
-"""Resumable, sharded execution of campaign plans.
+"""Resumable, parallel execution of campaign plans.
 
 :class:`CampaignEngine` turns a :class:`~repro.campaign.spec.
 CampaignSpec` into a :class:`~repro.campaign.results.ResultsTable`:
@@ -7,14 +7,16 @@ CampaignSpec` into a :class:`~repro.campaign.results.ResultsTable`:
    point's run key computed;
 2. keys already checkpointed under ``<out_dir>/runs/`` are loaded back
    instead of recomputed — an interrupted campaign resumes for free;
-3. the remaining points are split round-robin into shards and fanned
-   out across the experiment runner's process pool
-   (:meth:`~repro.experiments.runner.ParallelRunner.map`), sharing the
-   binary trace store so each catalog trace is materialised once and
+3. the remaining points run inline in this process at ``jobs=1`` with
+   no chaos injection, and otherwise as contiguous chunks pulled by
+   the worker processes of a
+   :class:`~repro.campaign.supervise.SupervisedExecutor` (heartbeats,
+   lease reclaim, respawn); either way the binary trace store is
+   shared, so each catalog trace is materialised once and
    memory-mapped by every worker;
-4. each worker checkpoints every completed point *as it finishes* (one
-   atomic JSON per run key), so a kill mid-shard loses at most the
-   points in flight;
+4. every completed point is checkpointed *as it finishes* (one flushed
+   segment line, or one atomic JSON, per run key), so a kill mid-run
+   loses at most the points in flight;
 5. rows are reassembled in plan order and aggregated column-wise; with
    an output directory set, ``results.npz``/``results.csv``/
    ``report.md`` are written alongside the checkpoints.
@@ -68,7 +70,6 @@ from .supervise import (
 
 __all__ = [
     "CHECKPOINT_FORMATS",
-    "SCHEDULERS",
     "CampaignEngine",
     "CampaignResult",
     "resolve_method",
@@ -273,14 +274,14 @@ def _action_reconstruct(spec: CampaignSpec, point: RunPoint) -> dict[str, Any]:
 
 
 def _action_synthetic(spec: CampaignSpec, point: RunPoint) -> dict[str, Any]:
-    """Deterministic spin action for scheduler benchmarks and tests.
+    """Deterministic spin action for execution benchmarks and tests.
 
     Burns CPU proportional to ``n_requests`` (``iters_per_request``
     option, default 50) and returns a value that depends only on the
     iteration count — no traces, no devices, no wall clock — so
-    scheduling experiments can build grids with *known, skewed* point
-    costs and still assert bitwise-equal results across schedulers,
-    job counts, and resume boundaries.
+    execution experiments can build grids with *known, skewed* point
+    costs and still assert bitwise-equal results across job counts,
+    execution paths, and resume boundaries.
     """
     iters = int(spec.options.get("iters_per_request", 50)) * point.n_requests
     acc = 0.0
@@ -311,9 +312,9 @@ def run_point(spec: CampaignSpec, point: RunPoint) -> dict[str, Any]:
 #
 # Two formats share the ``<out_dir>/runs/`` directory:
 #
-# - **segments** (default) — each shard worker appends completed points
-#   to its own ``segment-<pid>-<n>.jsonl`` file, one self-contained JSON
-#   line per point, flushed per line.  One open file per shard instead
+# - **segments** (default) — each worker appends completed points to
+#   its own ``segment-<pid>-<n>.jsonl`` file, one self-contained JSON
+#   line per point, flushed per line.  One open file per worker instead
 #   of a write+rename pair per point, which is what makes large grids'
 #   checkpoint overhead flat.  Crash-safe by construction: a kill can
 #   only tear the final line, and the resume scan skips any line that
@@ -328,12 +329,6 @@ def run_point(spec: CampaignSpec, point: RunPoint) -> dict[str, Any]:
 #: Valid values of ``CampaignEngine(checkpoint_format=...)``.
 CHECKPOINT_FORMATS = ("segments", "json")
 
-#: Valid values of ``CampaignEngine(scheduler=...)``.  ``"supervised"``
-#: is the stealing chunk queue run under worker supervision
-#: (:class:`~repro.campaign.supervise.SupervisedExecutor`): heartbeats,
-#: dead/hung-worker detection, lease reclaim, and respawn.
-SCHEDULERS = ("stealing", "static", "supervised")
-
 _SEGMENT_PREFIX = "segment-"
 _SEGMENT_SUFFIX = ".jsonl"
 
@@ -343,11 +338,11 @@ def _checkpoint_path(out_dir: Path, key: str) -> Path:
 
 
 class _SegmentWriter:
-    """Append-only checkpoint segment for one shard.
+    """Append-only checkpoint segment for one process.
 
     The file is created lazily on the first append, with an
     ``O_EXCL`` claim on the first free ``segment-<pid>-<n>.jsonl``
-    name, so concurrent shard workers (distinct pids) and sequential
+    name, so concurrent workers (distinct pids) and sequential
     resumed runs (same pid, bumped ``<n>``) never share a segment.
     Every appended line is flushed immediately: after a kill the file
     holds every completed point, at worst plus one torn final line the
@@ -505,7 +500,7 @@ def _scan_checkpoints_meta(
             try:
                 data = json.loads(line)
             except json.JSONDecodeError:
-                continue  # torn final line of a killed shard
+                continue  # torn final line of a killed worker
             parsed_any = True
             row = _valid_row(data)
             if row is None or data["key"] not in wanted:
@@ -558,7 +553,7 @@ def _write_checkpoint(
 
     Write-then-rename keeps readers (a resuming campaign, a concurrent
     ``repro-campaign report``) from ever seeing a torn file; the PID in
-    the temp name keeps parallel shard workers from clobbering each
+    the temp name keeps parallel workers from clobbering each
     other's in-flight writes.  ``wall_s`` rides along like the segment
     format's (:meth:`_SegmentWriter.append`).
     """
@@ -572,32 +567,26 @@ def _write_checkpoint(
     os.replace(tmp, path)
 
 
-def _load_checkpoint(out_dir: Path, key: str) -> dict[str, Any] | None:
-    """A previously checkpointed row, or ``None`` (missing/corrupt)."""
-    path = _checkpoint_path(out_dir, key)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    return _valid_row(data, key)
-
-
-#: Per-worker cache of open lake catalogs, keyed by database path.  A
-#: worker records every point it completes into one connection; the
-#: catalog runs WAL mode with a busy timeout, so concurrent workers
-#: (and concurrent campaigns) interleave their upserts safely.
-_WORKER_LAKES: dict[str, Any] = {}
+#: Per-process cache of open lake catalogs, keyed by (pid, database
+#: path).  A process records every point it completes into one
+#: connection; the catalog runs WAL mode with a busy timeout, so
+#: concurrent workers (and concurrent campaigns) interleave their
+#: upserts safely.  The pid keeps a forked worker from writing through
+#: a connection it inherited from its parent — SQLite forbids carrying
+#: an open connection across ``fork()``.
+_WORKER_LAKES: dict[tuple[int, str], Any] = {}
 
 
 def _worker_lake(lake_text: str | None):
-    """This worker's open lake catalog, or ``None`` when no lake is set."""
+    """This process's open lake catalog, or ``None`` when no lake is set."""
     if lake_text is None:
         return None
-    lake = _WORKER_LAKES.get(lake_text)
+    cache_key = (os.getpid(), lake_text)
+    lake = _WORKER_LAKES.get(cache_key)
     if lake is None:
         from ..lake.catalog import LakeCatalog
 
-        lake = _WORKER_LAKES.setdefault(lake_text, LakeCatalog(lake_text))
+        lake = _WORKER_LAKES.setdefault(cache_key, LakeCatalog(lake_text))
     return lake
 
 
@@ -641,110 +630,62 @@ def _record_into_lake(
         )
 
 
-def _unpack_context(
-    context: tuple[Any, ...],
-) -> tuple[dict[str, Any], str | None, str, str | None, Resilience | None]:
-    """``(spec dict, out dir, checkpoint format, lake path, resilience)``
-    from a worker context tuple; the lake and resilience slots are
-    optional for callers built before those layers existed."""
-    spec_dict, out_dir_text, checkpoint_format, *rest = context
-    lake_text = rest[0] if rest else None
-    resilience_dict = rest[1] if len(rest) > 1 else None
-    resilience = (
-        Resilience.from_dict(resilience_dict) if resilience_dict is not None else None
-    )
-    return spec_dict, out_dir_text, checkpoint_format, lake_text, resilience
-
-
-def _execute_point(
+def _complete_point(
     spec: CampaignSpec,
     plan: CampaignPlan,
     index: int,
     key: str,
+    out_dir: Path | None,
+    segment: _SegmentWriter | None,
+    lake: Any,
     resilience: Resilience | None,
     injector: Any,
-) -> tuple[dict[str, Any], float, bool]:
-    """Run one grid point under the worker's fault policy.
+) -> dict[str, Any]:
+    """Run one grid point to completion; returns its row.
 
-    Returns ``(row, wall_s, quarantined)``.  With no resilience
-    configured this is the historical behaviour — the point's exception
-    propagates and kills the shard.  With one, transient failures retry
+    The one per-point body, shared by the inline loop and the worker
+    entry.  With no resilience configured the point's exception
+    propagates and fails the run; with one, transient failures retry
     with backoff and exhausted/permanent failures come back as
     quarantine rows (see :func:`~repro.campaign.supervise.
-    run_point_resilient`).  ``run_point`` is resolved through the
-    module at call time so test instrumentation (and hot patching) of
-    ``engine.run_point`` is honoured.
+    run_point_resilient`).  The row is then checkpointed — appended to
+    ``segment``, or as its own atomic JSON under ``out_dir`` — the
+    post-checkpoint chaos hook fires, and the row is recorded with its
+    measured wall time into the lake (quarantine rows stay out).
+    ``run_point`` is resolved through the module at call time so test
+    instrumentation (and hot patching) of ``engine.run_point`` is
+    honoured.
     """
     start = time.perf_counter()
+    point = plan.points[index]
     if resilience is None:
-        row, quarantined = run_point(spec, plan.points[index]), False
+        row, quarantined = run_point(spec, point), False
     else:
         row, quarantined = run_point_resilient(
-            run_point, spec, plan.points[index], index, key, resilience, injector
+            run_point, spec, point, index, key, resilience, injector
         )
-    return row, round(time.perf_counter() - start, 6), quarantined
+    wall_s = round(time.perf_counter() - start, 6)
+    checkpoint_path: Path | None = None
+    if segment is not None:
+        segment.append(key, row, wall_s=wall_s)
+        checkpoint_path = segment.path
+    elif out_dir is not None:
+        _write_checkpoint(out_dir, key, row, wall_s=wall_s)
+        checkpoint_path = _checkpoint_path(out_dir, key)
+    if injector is not None:
+        injector.after_checkpoint(index, checkpoint_path)
+    if lake is not None and not quarantined:
+        checkpoint_file = checkpoint_path.name if checkpoint_path is not None else None
+        _record_into_lake(lake, spec, key, row, wall_s, out_dir, checkpoint_file)
+    return row
 
 
-def _run_shard(
-    context: tuple[Any, ...],
-    items: list[tuple[int, str]],
-) -> list[tuple[str, dict[str, Any]]]:
-    """Worker entry point: run one shard of (point index, run key) pairs.
-
-    Module-level (picklable) and self-contained: the campaign context
-    ``(spec dict, output dir, checkpoint format, lake path)`` arrives
-    once per worker through :meth:`~repro.experiments.runner.
-    ParallelRunner.map`'s initializer — not re-pickled per shard — and
-    the plan is re-expanded locally (expansion is deterministic, so
-    indices agree with the parent's plan).  Each completed point is
-    checkpointed immediately — appended to this shard's segment file,
-    or written as its own atomic JSON under the fallback format — and,
-    when a lake is configured, recorded into the catalog with its
-    measured wall time.
-    """
-    spec_dict, out_dir_text, checkpoint_format, lake_text, resilience = _unpack_context(context)
-    spec = CampaignSpec.from_dict(spec_dict)
-    plan = expand(spec)
-    out_dir = Path(out_dir_text) if out_dir_text else None
-    lake = _worker_lake(lake_text)
-    injector = resilience.injector() if resilience is not None else None
-    segment = _SegmentWriter(out_dir) if (
-        out_dir is not None and checkpoint_format == "segments"
-    ) else None
-    results: list[tuple[str, dict[str, Any]]] = []
-    try:
-        for index, key in items:
-            row, wall_s, quarantined = _execute_point(
-                spec, plan, index, key, resilience, injector
-            )
-            checkpoint_file: str | None = None
-            checkpoint_path: Path | None = None
-            if segment is not None:
-                segment.append(key, row, wall_s=wall_s)
-                checkpoint_path = segment.path
-                checkpoint_file = segment.path.name if segment.path else None
-            elif out_dir is not None:
-                _write_checkpoint(out_dir, key, row, wall_s=wall_s)
-                checkpoint_path = _checkpoint_path(out_dir, key)
-                checkpoint_file = f"{key}.json"
-            if injector is not None:
-                injector.after_checkpoint(index, checkpoint_path)
-            if lake is not None and not quarantined:
-                _record_into_lake(lake, spec, key, row, wall_s, out_dir, checkpoint_file)
-            results.append((key, row))
-    finally:
-        if segment is not None:
-            segment.close()
-    return results
-
-
-#: Worker-process caches for the stealing scheduler, keyed by the
-#: campaign context.  A worker runs many chunks of one campaign, so the
-#: expanded plan is computed once per worker (not once per chunk) and
-#: all of a worker's chunks append to *one* segment file — the same
-#: one-segment-per-worker layout the static shard path produces.
-#: Bounded by construction: a worker process serves one engine run at a
-#: time, and both caches are keyed by that run's context.
+#: Worker-process caches, keyed by the campaign context.  A worker runs
+#: many chunks of one campaign, so the expanded plan is computed once
+#: per worker (not once per chunk) and all of a worker's chunks append
+#: to *one* segment file.  Bounded by construction: a worker process
+#: serves one engine run at a time, and both caches are keyed by that
+#: run's context.
 _CHUNK_PLANS: dict[str, tuple[CampaignSpec, CampaignPlan]] = {}
 _CHUNK_SEGMENTS: dict[tuple[str, str], _SegmentWriter] = {}
 
@@ -753,18 +694,21 @@ def _run_chunk(
     context: tuple[Any, ...],
     items: list[tuple[int, str]],
 ) -> list[tuple[str, dict[str, Any]]]:
-    """Worker entry point for the stealing scheduler: run one chunk.
+    """Worker entry point: run one chunk of (point index, run key) pairs.
 
-    Same contract as :func:`_run_shard` — (point index, run key) pairs
-    in, checkpointed ``(key, row)`` pairs out — but built to be called
-    many times per worker: the spec expansion, the segment writer, and
-    the lake connection live in module-global per-worker caches, so a
-    hundred chunks cost one plan expansion and open one segment file.
-    Cached segments are never explicitly closed; every append is
-    flushed, so the handle is crash-equivalent to the shard path's and
-    the checkpoint is complete the moment the line hits the file.
+    Returns the checkpointed ``(key, row)`` pairs.  The context
+    ``(spec dict, output dir, checkpoint format, lake path,
+    resilience)`` is built once by the parent and inherited by the
+    forked workers; the plan is re-expanded locally (expansion is
+    deterministic, so indices agree with the parent's plan).  Built to
+    be called many times per worker: the spec expansion, the segment
+    writer, and the lake connection live in module-global per-worker
+    caches, so a hundred chunks cost one plan expansion and open one
+    segment file.  Cached segments are never explicitly closed; every
+    append is flushed, so the checkpoint is complete the moment the
+    line hits the file.
     """
-    spec_dict, out_dir_text, checkpoint_format, lake_text, resilience = _unpack_context(context)
+    spec_dict, out_dir_text, checkpoint_format, lake_text, resilience_dict = context
     spec_key = json.dumps(spec_dict, sort_keys=True)
     cached = _CHUNK_PLANS.get(spec_key)
     if cached is None:
@@ -774,35 +718,23 @@ def _run_chunk(
         _CHUNK_PLANS[spec_key] = cached
     spec, plan = cached
     out_dir = Path(out_dir_text) if out_dir_text else None
-    lake = _worker_lake(lake_text)
-    injector = resilience.injector() if resilience is not None else None
     segment = None
     if out_dir is not None and checkpoint_format == "segments":
         seg_key = (str(out_dir), checkpoint_format)
         segment = _CHUNK_SEGMENTS.get(seg_key)
         if segment is None:
             segment = _CHUNK_SEGMENTS.setdefault(seg_key, _SegmentWriter(out_dir))
-    results: list[tuple[str, dict[str, Any]]] = []
-    for index, key in items:
-        row, wall_s, quarantined = _execute_point(
-            spec, plan, index, key, resilience, injector
-        )
-        checkpoint_file: str | None = None
-        checkpoint_path: Path | None = None
-        if segment is not None:
-            segment.append(key, row, wall_s=wall_s)
-            checkpoint_path = segment.path
-            checkpoint_file = segment.path.name if segment.path else None
-        elif out_dir is not None:
-            _write_checkpoint(out_dir, key, row, wall_s=wall_s)
-            checkpoint_path = _checkpoint_path(out_dir, key)
-            checkpoint_file = f"{key}.json"
-        if injector is not None:
-            injector.after_checkpoint(index, checkpoint_path)
-        if lake is not None and not quarantined:
-            _record_into_lake(lake, spec, key, row, wall_s, out_dir, checkpoint_file)
-        results.append((key, row))
-    return results
+    lake = _worker_lake(lake_text)
+    resilience = (
+        Resilience.from_dict(resilience_dict) if resilience_dict is not None else None
+    )
+    injector = resilience.injector() if resilience is not None else None
+    return [
+        (key, _complete_point(
+            spec, plan, index, key, out_dir, segment, lake, resilience, injector
+        ))
+        for index, key in items
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -822,8 +754,9 @@ class CampaignResult:
     (points that exhausted their retry budget); ``n_degraded`` counts
     the ``degraded.log`` lines — failures the run absorbed (lake
     fallbacks, quarantined corrupt checkpoint files) instead of
-    raising.  ``supervision`` holds the supervised scheduler's
-    dead/hung/respawned/reclaimed counters (``None`` off that path).
+    raising.  ``supervision`` holds the supervised executor's
+    dead/hung/respawned/reclaimed counters (``None`` when the points
+    ran inline, or when nothing was left to compute).
     """
 
     table: ResultsTable
@@ -838,7 +771,21 @@ class CampaignResult:
 
 
 class CampaignEngine:
-    """Plans, shards, checkpoints, and aggregates one campaign.
+    """Plans, runs, checkpoints, and aggregates one campaign.
+
+    Pending points take one of two execution paths, chosen from the
+    inputs: inline in the calling process when ``jobs == 1`` and no
+    chaos injection is set, and the
+    :class:`~repro.campaign.supervise.SupervisedExecutor` otherwise.
+    The supervised path queues the points as small contiguous chunks
+    that idle workers pull, so a slow point delays only its own chunk;
+    every worker beats a heartbeat file at each point boundary, and the
+    parent reclaims a dead worker's leased chunk (salvaging its
+    checkpointed points) and respawns a replacement up to
+    ``respawn_budget``.  Chaos runs supervised even at ``jobs=1``, so
+    an injected kill never takes the parent down.  Both paths produce
+    identical rows and identical per-point checkpoints, so a campaign
+    resumes on either path (run keys do not know how points ran).
 
     Parameters
     ----------
@@ -849,8 +796,7 @@ class CampaignEngine:
         figure sweeps use) computes everything in memory with no disk
         traffic.
     jobs:
-        Worker processes; shards run across the experiment runner's
-        process pool when > 1.
+        Worker processes; more than one runs the supervised path.
     use_trace_store / trace_store_dir:
         Materialise catalog traces once into the binary trace store and
         memory-map them from every worker (same semantics as
@@ -868,40 +814,23 @@ class CampaignEngine:
         recorded back — campaigns become incremental across runs and
         directories, not just resumable within one.
     checkpoint_format:
-        ``"segments"`` (default) appends completed points to per-shard
-        ``segment-*.jsonl`` files — one open file per shard, flat
-        overhead on large grids; ``"json"`` writes the original one
-        atomic ``<key>.json`` per point.  Resume reads both, so the
-        formats mix freely across runs of one campaign.
-    scheduler:
-        ``"stealing"`` (default) queues the pending points as small
-        contiguous chunks that idle workers pull dynamically — a slow
-        point delays only its own chunk, so skewed grids finish at the
-        speed of the work, not of the unluckiest shard.  ``"static"``
-        is the original round-robin pre-assignment of one shard per
-        worker.  ``"supervised"`` is the stealing queue run under
-        worker supervision: every worker beats a heartbeat file at
-        each point boundary, and a supervisor loop in the parent
-        SIGKILLs hung workers, reclaims dead workers' leased chunks
-        (salvaging their checkpointed points), and respawns
-        replacements up to ``respawn_budget`` — and it always runs
-        workers out-of-process, even with ``jobs=1``, so a worker
-        death never takes the campaign down.  All three produce
-        identical rows and identical per-point checkpoints (resume is
-        scheduler-agnostic: run keys do not know how points were
-        dispatched); with ``jobs=1`` the first two run inline as a
-        single shard.
+        ``"segments"`` (default) appends completed points to
+        per-process ``segment-*.jsonl`` files — one open file per
+        worker, flat overhead on large grids; ``"json"`` writes the
+        original one atomic ``<key>.json`` per point.  Resume reads
+        both, so the formats mix freely across runs of one campaign.
     resilience:
         Optional :class:`~repro.campaign.supervise.Resilience` — the
         per-point fault policy (retry/backoff on transient failures,
         wall-clock point timeouts, poison-point quarantine, chaos
         injection).  ``None`` (default) keeps the historical contract:
-        a grid point's exception propagates and fails the run.
+        a grid point's exception propagates and fails the run, on
+        either path.
     hang_timeout_s / respawn_budget:
-        Supervised-scheduler knobs: the heartbeat staleness that
-        declares a worker hung (must exceed the slowest legitimate
-        point), and the total replacement workers the run may spawn
-        (default ``2 * jobs``).
+        Supervised-path knobs: the heartbeat staleness that declares a
+        worker hung (must exceed the slowest legitimate point; ``None``,
+        the default, sets no deadline), and the total replacement
+        workers the run may spawn (default ``2 * jobs``).
     perf:
         Optional :class:`~repro.perf.PerfRecorder`; when given, the
         engine times its ``plan``/``resume_scan``/``compute``/
@@ -917,11 +846,10 @@ class CampaignEngine:
         trace_store_dir: str | Path | None = None,
         resume: bool = True,
         checkpoint_format: str = "segments",
-        scheduler: str = "stealing",
         lake: "str | Path | None" = None,
         perf: "PerfRecorder | None" = None,
         resilience: "Resilience | None" = None,
-        hang_timeout_s: float = 30.0,
+        hang_timeout_s: float | None = None,
         respawn_budget: int | None = None,
     ) -> None:
         if jobs < 1:
@@ -930,10 +858,8 @@ class CampaignEngine:
             raise ValueError(
                 f"unknown checkpoint format {checkpoint_format!r}; use one of {CHECKPOINT_FORMATS}"
             )
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; use one of {SCHEDULERS}"
-            )
+        if hang_timeout_s is not None and hang_timeout_s <= 0:
+            raise ValueError("hang_timeout_s must be positive")
         self.spec = spec
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.jobs = jobs
@@ -941,7 +867,6 @@ class CampaignEngine:
         self.trace_store_dir = trace_store_dir
         self.resume = resume
         self.checkpoint_format = checkpoint_format
-        self.scheduler = scheduler
         self.lake = Path(lake) if lake is not None else None
         self.perf = perf if perf is not None else PerfRecorder(enabled=False)
         if (
@@ -953,6 +878,15 @@ class CampaignEngine:
                 raise ValueError(
                     "chaos injection needs an out_dir (fire-once markers live there)"
                 )
+            if (
+                any(kind == "hang" for kind, _ in resilience.chaos.injections)
+                and hang_timeout_s is None
+                and resilience.point_timeout_s is None
+            ):
+                raise ValueError(
+                    "chaos hang injection needs hang_timeout_s or a point timeout "
+                    "to recover from (the injected hang sleeps for an hour)"
+                )
             if resilience.chaos_dir is None:
                 from dataclasses import replace
 
@@ -960,19 +894,17 @@ class CampaignEngine:
                     resilience, chaos_dir=str(self.out_dir / ".chaos")
                 )
         self.resilience = resilience
-        if hang_timeout_s <= 0:
-            raise ValueError("hang_timeout_s must be positive")
         self.hang_timeout_s = hang_timeout_s
         self.respawn_budget = respawn_budget
 
     def run(self, log: TextIO | None = None) -> CampaignResult:
         """Execute the campaign; returns the aggregated results.
 
-        Raises whatever a grid point raises — by then every point that
-        finished before the failure is already checkpointed, so rerun
-        to resume.
+        Raises whatever a grid point raises, on either execution path
+        — by then every point that finished before the failure is
+        already checkpointed, so rerun to resume.
         """
-        from ..experiments.runner import ParallelRunner
+        from ..trace.io.cache import TraceStore, get_default_store, set_default_store
 
         with self.perf.stage("plan"):
             plan = expand(self.spec)
@@ -1002,7 +934,7 @@ class CampaignEngine:
             log.write(
                 f"[campaign] {self.spec.name}: {len(plan)} point(s), "
                 f"{n_resumed} checkpointed{lake_note}, {len(pending)} to compute "
-                f"(jobs={self.jobs}, scheduler={self.scheduler})\n"
+                f"(jobs={self.jobs})\n"
             )
         if self.out_dir is not None:
             # Even a zero-compute run (everything resumed or lake-hit)
@@ -1013,64 +945,36 @@ class CampaignEngine:
             self._write_spec_once()
         supervision: dict[str, int] | None = None
         if pending:
-            out_dir_text = str(self.out_dir) if self.out_dir is not None else None
-            lake_text = str(self.lake) if self.lake is not None else None
-            # The spec dict ships once per worker (map's context
-            # initializer), not once per shard task.
-            resilience_dict = (
-                self.resilience.to_dict() if self.resilience is not None else None
-            )
-            context = (
-                self.spec.to_dict(),
-                out_dir_text,
-                self.checkpoint_format,
-                lake_text,
-                resilience_dict,
-            )
-            if self.scheduler == "supervised":
-                start = time.perf_counter()
+            # The inline loop and the forked workers both read the
+            # default store, so installing it here shares it with both.
+            previous_store = get_default_store()
+            if self.use_trace_store:
+                set_default_store(TraceStore(root=self.trace_store_dir, enabled=True))
+            start = time.perf_counter()
+            try:
                 with self.perf.stage("compute"):
-                    supervision = self._run_supervised(plan, keys, pending, context, completed)
+                    if self.jobs == 1 and (
+                        self.resilience is None or self.resilience.injector() is None
+                    ):
+                        self._run_inline(plan, keys, pending, completed)
+                    else:
+                        supervision = self._run_supervised(plan, keys, pending, completed)
+            finally:
+                if self.use_trace_store:
+                    set_default_store(previous_store)
+            note = ""
+            if supervision is not None:
                 for name, value in supervision.items():
                     self.perf.count(f"supervise_{name}", value)
-                if log is not None:
-                    log.write(
-                        f"[campaign] computed {len(pending)} point(s) in "
-                        f"{time.perf_counter() - start:.1f}s "
-                        f"(dead={supervision['dead']}, hung={supervision['hung']}, "
-                        f"respawned={supervision['respawned']})\n"
-                    )
-            elif self.scheduler == "stealing" and self.jobs > 1:
-                # Many small contiguous chunks on the pool's task
-                # queue; idle workers pull the next chunk as they
-                # finish.  ~4 chunks per worker bounds the tail (the
-                # last chunk to start is at most 1/(4*jobs) of the
-                # grid) while the cap of 32 keeps the per-chunk
-                # dispatch overhead invisible on huge grids.
-                chunk = max(1, min(32, -(-len(pending) // (self.jobs * 4))))
-                parts = plan.chunks(chunk, indices=pending)
-                worker = _run_chunk
-            else:
-                n_shards = min(len(pending), self.jobs) if self.jobs > 1 else 1
-                parts = plan.shards(n_shards, indices=pending)
-                worker = _run_shard
-            if self.scheduler != "supervised":
-                tasks = [[(i, keys[i]) for i in part] for part in parts]
-                runner = ParallelRunner(
-                    jobs=self.jobs,
-                    use_cache=False,
-                    use_trace_store=self.use_trace_store,
-                    trace_store_dir=self.trace_store_dir,
+                note = (
+                    f" (dead={supervision['dead']}, hung={supervision['hung']}, "
+                    f"respawned={supervision['respawned']})"
                 )
-                start = time.perf_counter()
-                with self.perf.stage("compute"):
-                    for part_results in runner.map(worker, tasks, context=context):
-                        completed.update(part_results)
-                if log is not None:
-                    log.write(
-                        f"[campaign] computed {len(pending)} point(s) in "
-                        f"{time.perf_counter() - start:.1f}s\n"
-                    )
+            if log is not None:
+                log.write(
+                    f"[campaign] computed {len(pending)} point(s) in "
+                    f"{time.perf_counter() - start:.1f}s{note}\n"
+                )
         with self.perf.stage("aggregate"):
             table = ResultsTable.from_rows([completed[key] for key in keys])
             if self.out_dir is not None:
@@ -1098,58 +1002,78 @@ class CampaignEngine:
             supervision=supervision,
         )
 
+    def _run_inline(
+        self,
+        plan: CampaignPlan,
+        keys: list[str],
+        pending: list[int],
+        completed: dict[str, dict[str, Any]],
+    ) -> None:
+        """Compute the pending points one by one in this process."""
+        segment = (
+            _SegmentWriter(self.out_dir)
+            if self.out_dir is not None and self.checkpoint_format == "segments"
+            else None
+        )
+        lake = _worker_lake(str(self.lake) if self.lake is not None else None)
+        try:
+            for index in pending:
+                completed[keys[index]] = _complete_point(
+                    self.spec, plan, index, keys[index], self.out_dir, segment,
+                    lake, self.resilience, None,
+                )
+        finally:
+            if segment is not None:
+                segment.close()
+
     def _run_supervised(
         self,
         plan: CampaignPlan,
         keys: list[str],
         pending: list[int],
-        context: tuple[Any, ...],
         completed: dict[str, dict[str, Any]],
     ) -> dict[str, int]:
         """Execute the pending points under the supervised executor.
 
-        Chunking matches the stealing scheduler (so scheduler choice
-        never changes results, only failure behaviour); workers are
-        always real processes — even at ``jobs=1`` — so an injected or
-        organic worker death never takes the parent down with it.
-        Returns the executor's supervision counters.
+        ~4 contiguous chunks per worker bound the tail (the last chunk
+        to start is at most 1/(4*jobs) of the grid), while the cap of 32
+        keeps the per-chunk dispatch overhead invisible on huge grids.
+        Workers are always real processes — even at ``jobs=1`` — so an
+        injected or organic worker death never takes the parent down
+        with it.  Heartbeats live under ``<out_dir>/.supervise``, or in
+        a temporary directory removed when the run ends.  Returns the
+        executor's supervision counters.
         """
-        import functools
+        import contextlib
         import tempfile
-
-        from ..experiments.runner import _worker_init_trace_store
 
         chunk = max(1, min(32, -(-len(pending) // (self.jobs * 4))))
         parts = plan.chunks(chunk, indices=pending)
         tasks = [[(i, keys[i]) for i in part] for part in parts]
-        if self.out_dir is not None:
-            hearts_dir = self.out_dir / ".supervise"
-        else:
-            hearts_dir = Path(tempfile.mkdtemp(prefix="repro-supervise-"))
-        initializer = None
-        if self.use_trace_store:
-            store_dir = (
-                Path(self.trace_store_dir)
-                if self.trace_store_dir is not None
-                else None
-            )
-            if store_dir is None:
-                from ..trace.io.cache import default_trace_store_dir
-
-                store_dir = default_trace_store_dir()
-            initializer = functools.partial(_worker_init_trace_store, str(store_dir))
-        executor = SupervisedExecutor(
-            jobs=self.jobs,
-            worker_fn=_run_chunk,
-            context=context,
-            hearts_dir=hearts_dir,
-            hang_timeout_s=self.hang_timeout_s,
-            respawn_budget=self.respawn_budget,
-            reclaim=self._reclaim_chunk,
-            initializer=initializer,
+        context = (
+            self.spec.to_dict(),
+            str(self.out_dir) if self.out_dir is not None else None,
+            self.checkpoint_format,
+            str(self.lake) if self.lake is not None else None,
+            self.resilience.to_dict() if self.resilience is not None else None,
         )
-        for payload in executor.run(tasks):
-            completed.update(payload)
+        hearts = (
+            contextlib.nullcontext(self.out_dir / ".supervise")
+            if self.out_dir is not None
+            else tempfile.TemporaryDirectory(prefix="repro-supervise-")
+        )
+        with hearts as hearts_dir:
+            executor = SupervisedExecutor(
+                jobs=self.jobs,
+                worker_fn=_run_chunk,
+                context=context,
+                hearts_dir=hearts_dir,
+                hang_timeout_s=self.hang_timeout_s,
+                respawn_budget=self.respawn_budget,
+                reclaim=self._reclaim_chunk,
+            )
+            for payload in executor.run(tasks):
+                completed.update(payload)
         return dict(executor.stats)
 
     def _reclaim_chunk(

@@ -53,7 +53,7 @@ def resolve_workloads(selectors: tuple[str, ...]) -> tuple[str, ...]:
     ``"all"`` is the whole Table I catalog; ``"family:FIU"`` (or
     ``MSPS``/``MSRC``) one collection family; anything else must be a
     catalog name (validated eagerly so typos fail at planning time,
-    not three shards into a run).  Order is preserved, duplicates are
+    not three chunks into a run).  Order is preserved, duplicates are
     dropped.
     """
     out: list[str] = []
@@ -115,30 +115,15 @@ class CampaignPlan:
         """Run keys in plan order."""
         return [run_key(self.spec, point) for point in self.points]
 
-    def shards(self, n_shards: int, indices: list[int] | None = None) -> list[list[int]]:
-        """Split point indices into ``n_shards`` round-robin shards.
-
-        ``indices`` restricts the split to a subset (the engine passes
-        the still-pending points of a resumed campaign); the default is
-        every point.  Round-robin (rather than contiguous chunks)
-        spreads each workload's sizes across shards, which balances
-        wall-clock when axis values have very different costs.  Empty
-        shards are dropped.
-        """
-        if n_shards < 1:
-            raise ValueError("need at least one shard")
-        pool = list(range(len(self.points))) if indices is None else list(indices)
-        shards = [pool[i::n_shards] for i in range(n_shards)]
-        return [s for s in shards if s]
-
     def chunks(self, chunk_size: int, indices: list[int] | None = None) -> list[list[int]]:
         """Split point indices into contiguous chunks of ``chunk_size``.
 
-        The work-stealing scheduler's unit of dispatch: unlike
-        :meth:`shards`, which pre-assigns every point to a worker,
-        chunks are queued and pulled by whichever worker frees up
-        first, so one pathologically slow point delays only its own
-        chunk.  Contiguous (rather than strided) slicing keeps each
+        The supervised workers' unit of dispatch: chunks are queued and
+        pulled by whichever worker frees up first, so one
+        pathologically slow point delays only its own chunk.
+        ``indices`` restricts the split to a subset (the engine passes
+        the still-pending points of a resumed campaign); the default is
+        every point.  Contiguous (rather than strided) slicing keeps each
         chunk's points adjacent in plan order, which preserves the
         per-worker memo locality of actions like ``method_gap`` whose
         fastest-varying axis benefits from neighbouring points landing

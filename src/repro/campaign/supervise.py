@@ -28,14 +28,15 @@ the resilience substrate threaded through
   raising.  The row is checkpointed like any result, so a poison point
   costs its retries exactly once per campaign directory and never
   sinks the run.
-- **worker supervision** — :class:`SupervisedExecutor` replaces the
-  bare process pool for the ``supervised`` scheduler: every worker
-  process owns a heartbeat file it touches at each point boundary; the
-  supervisor loop in the parent detects dead workers (SIGKILL, OOM
-  kill) and hung workers (stale heartbeat past a deadline), reclaims
-  their leased chunks back onto the queue (salvaging any points the
-  dead worker already checkpointed), and respawns workers up to a
-  budget.
+- **worker supervision** — :class:`SupervisedExecutor` runs every
+  multi-process campaign: every worker process owns a heartbeat file
+  it touches at each point boundary; the supervisor loop in the parent
+  detects dead workers (SIGKILL, OOM kill) and, when a deadline is
+  set, hung workers (stale heartbeat), reclaims their leased chunks
+  back onto the queue (salvaging any points the dead worker already
+  checkpointed), and respawns workers up to a budget.  A point that
+  *raises* is not a death: the worker reports the exception and the
+  parent re-raises it.
 - **chaos harness** — :class:`ChaosSpec` describes deterministic fault
   injections (``kill@3,hang@5,exc@2,poison@7,corrupt@4`` — kind at
   plan index) that :class:`ChaosInjector` fires from inside the
@@ -52,9 +53,11 @@ monitor.
 from __future__ import annotations
 
 import os
+import pickle
 import queue
 import signal
 import time
+import traceback
 from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -310,16 +313,17 @@ def run_point_resilient(
     exhaust ``max_attempts``, quarantine — the returned row is the
     :func:`quarantine_row` and ``quarantined`` is ``True``.
     ``KeyboardInterrupt``/``SystemExit`` always propagate (the operator
-    outranks the policy).  ``sleep`` is injectable for deterministic
-    tests.
+    outranks the policy).  The point timeout also covers the chaos
+    hooks, so it interrupts an injected ``hang``.  ``sleep`` is
+    injectable for deterministic tests.
     """
     attempts = 0
     while True:
         attempts += 1
         try:
-            if injector is not None:
-                injector.before_point(index)
             with time_limit(resilience.point_timeout_s):
+                if injector is not None:
+                    injector.before_point(index)
                 return run_point_fn(spec, point), False
         except (KeyboardInterrupt, SystemExit):
             raise
@@ -350,6 +354,23 @@ class _WorkerHandle:
         self.lease: int | None = None  # chunk id currently leased, if any
 
 
+def _portable(exc: BaseException) -> BaseException:
+    """``exc`` ready to re-raise in the parent process.
+
+    The worker's traceback does not survive pickling, so its text rides
+    along as an exception note; an exception that cannot make the trip
+    at all is replaced by a ``RuntimeError`` naming it.
+    """
+    text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001 - any pickling failure
+        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+    if hasattr(exc, "add_note"):
+        exc.add_note(f"worker traceback:\n{text}")
+    return exc
+
+
 def _supervised_worker_main(
     worker_id: int,
     heartbeat: Path,
@@ -357,17 +378,16 @@ def _supervised_worker_main(
     result_queue: Any,
     worker_fn: Callable[[Any, list[Any]], list[Any]],
     context: Any,
-    initializer: Callable[[], None] | None,
 ) -> None:
     """Worker process body: beat, pull a chunk lease, run it point-wise.
 
     Each chunk item runs through ``worker_fn`` individually with a beat
     after every item, so the heartbeat's staleness bounds *point* (not
     chunk) duration and a mid-chunk death loses at most the in-flight
-    point.  A ``None`` lease is the shutdown sentinel.
+    point.  An exception from ``worker_fn`` ends the chunk and goes to
+    the parent in place of its results.  A ``None`` lease is the
+    shutdown sentinel.
     """
-    if initializer is not None:
-        initializer()
     write_heartbeat(heartbeat)
     while True:
         message = task_queue.get()
@@ -376,9 +396,13 @@ def _supervised_worker_main(
         chunk_id, items = message
         write_heartbeat(heartbeat)
         out: list[Any] = []
-        for item in items:
-            out.extend(worker_fn(context, [item]))
-            write_heartbeat(heartbeat)
+        try:
+            for item in items:
+                out.extend(worker_fn(context, [item]))
+                write_heartbeat(heartbeat)
+        except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
+            result_queue.put((worker_id, chunk_id, _portable(exc)))
+            continue
         result_queue.put((worker_id, chunk_id, out))
 
 
@@ -392,16 +416,20 @@ class SupervisedExecutor:
     worker_fn:
         ``worker_fn(context, [item]) -> list[result]`` — the campaign
         engine passes its chunk worker; called one item at a time so
-        heartbeats track point boundaries.
+        heartbeats track point boundaries.  An exception it raises is
+        re-raised by :meth:`run` after the workers shut down; it is not
+        retried on another worker.
     context:
         Opaque per-run state handed to every ``worker_fn`` call
-        (workers inherit it by fork; nothing is pickled).
+        (workers inherit it by fork, like the rest of the parent's
+        state, such as its default trace store; nothing is pickled).
     hearts_dir:
         Directory for the per-worker heartbeat files.
     hang_timeout_s:
         A leased worker whose heartbeat is older than this is declared
         hung, SIGKILLed, and its chunk reclaimed.  Must exceed the
-        worst legitimate single-point wall time.
+        worst legitimate single-point wall time.  ``None`` (default)
+        sets no deadline; dead workers are reclaimed either way.
     respawn_budget:
         Total replacement workers the run may spawn; exhausted + no
         live workers + pending work raises :class:`SupervisionError`.
@@ -411,9 +439,6 @@ class SupervisedExecutor:
         the dead worker already checkpointed) merge straight into the
         output; ``remaining`` items are re-queued.  Defaults to
         recomputing the whole chunk.
-    initializer:
-        Optional per-worker setup (the engine installs the shared
-        trace store here).
     poll_s:
         Supervisor loop cadence: how often results are drained and
         health is checked.
@@ -425,10 +450,9 @@ class SupervisedExecutor:
         worker_fn: Callable[[Any, list[Any]], list[Any]],
         context: Any,
         hearts_dir: str | Path,
-        hang_timeout_s: float = 30.0,
+        hang_timeout_s: float | None = None,
         respawn_budget: int | None = None,
         reclaim: Callable[[list[Any]], tuple[list[Any], list[Any]]] | None = None,
-        initializer: Callable[[], None] | None = None,
         poll_s: float = 0.1,
     ) -> None:
         if jobs < 1:
@@ -440,7 +464,6 @@ class SupervisedExecutor:
         self.hang_timeout_s = hang_timeout_s
         self.respawn_budget = respawn_budget if respawn_budget is not None else 2 * jobs
         self.reclaim = reclaim
-        self.initializer = initializer
         self.poll_s = poll_s
         #: Counters exposed for reporting/tests: deaths seen, hangs
         #: seen, workers respawned, chunks reclaimed, points salvaged.
@@ -458,7 +481,7 @@ class SupervisedExecutor:
             target=_supervised_worker_main,
             args=(
                 worker_id, heartbeat, task_queue, result_queue,
-                self.worker_fn, self.context, self.initializer,
+                self.worker_fn, self.context,
             ),
             daemon=True,
         )
@@ -480,11 +503,12 @@ class SupervisedExecutor:
         """Execute every chunk under supervision; yields result payloads.
 
         Output order is completion order (the campaign engine merges by
-        run key, so ordering is immaterial).  Raises
-        :class:`SupervisionError` only when every worker is gone, the
-        respawn budget is spent, and work is still pending — by which
-        point everything completed is already checkpointed by the
-        worker function itself.
+        run key, so ordering is immaterial).  Re-raises the first
+        exception a ``worker_fn`` call raises, once dispatch has stopped
+        and the workers are shut down.  Raises :class:`SupervisionError`
+        only when every worker is gone, the respawn budget is spent,
+        and work is still pending — by which point everything completed
+        is already checkpointed by the worker function itself.
         """
         import multiprocessing
 
@@ -517,6 +541,8 @@ class SupervisedExecutor:
                 except queue.Empty:
                     pass
                 else:
+                    if isinstance(payload, BaseException):
+                        raise payload
                     worker = workers.get(worker_id)
                     if worker is not None and worker.lease == chunk_id:
                         worker.lease = None
@@ -534,7 +560,11 @@ class SupervisedExecutor:
                             self.stats["dead"] += 1
                             del workers[worker_id]
                         continue
-                    hung = alive and heartbeat_age_s(worker.heartbeat, now) > self.hang_timeout_s
+                    hung = (
+                        alive
+                        and self.hang_timeout_s is not None
+                        and heartbeat_age_s(worker.heartbeat, now) > self.hang_timeout_s
+                    )
                     if alive and not hung:
                         continue
                     self.stats["hung" if hung else "dead"] += 1

@@ -120,30 +120,6 @@ def _worker_init_trace_store(root: str) -> None:
     set_default_store(TraceStore(root=root, enabled=True))
 
 
-#: Shared per-worker context installed by :func:`_worker_init_map`.
-#: Shipped once per worker process (via the pool initializer) instead
-#: of once per task, which is what spares the campaign engine from
-#: re-pickling its full spec dict for every shard.
-_MAP_CONTEXT: object = None
-
-
-def _worker_init_map(store_root: str | None, context: object) -> None:
-    """Initializer for :meth:`ParallelRunner.map` workers.
-
-    Installs the shared trace store (when enabled) and the caller's
-    context object exactly once per worker process.
-    """
-    global _MAP_CONTEXT
-    if store_root is not None:
-        _worker_init_trace_store(store_root)
-    _MAP_CONTEXT = context
-
-
-def _map_call(fn: Callable[[object, object], object], task: object) -> object:
-    """Worker-side trampoline: apply ``fn`` to (installed context, task)."""
-    return fn(_MAP_CONTEXT, task)
-
-
 def _compute_with_store_stats(exp_id: str, n_requests: int) -> tuple[object, int, int]:
     """Worker wrapper: result plus this call's store hit/miss deltas.
 
@@ -252,72 +228,6 @@ class ParallelRunner:
             pass  # caching is best-effort; the result is still returned
 
     # -- execution -----------------------------------------------------
-
-    def map(
-        self,
-        fn: Callable[..., object],
-        tasks: list[object],
-        context: object | None = None,
-    ) -> list[object]:
-        """Generic fan-out of picklable tasks over the runner's pool.
-
-        ``fn`` runs once per task — inline for ``jobs=1`` (or a single
-        task), across a :class:`~concurrent.futures.
-        ProcessPoolExecutor` otherwise — and results come back in task
-        order.  When the trace store is enabled, the parent and every
-        worker process share it exactly as :meth:`results` arranges,
-        so callers (the campaign engine shards through here) inherit
-        the materialise-once/mmap-everywhere behaviour.
-
-        ``context`` (when not ``None``) is a picklable object shipped
-        to each worker process exactly once, through the pool
-        initializer, and handed to ``fn`` as its first argument:
-        ``fn(context, task)``.  Use it for per-run state every task
-        needs (the campaign engine passes its expanded spec dict), so
-        large shared payloads are not re-pickled per task.
-        """
-        tasks = list(tasks)
-        previous_store = get_default_store()
-        if self.use_trace_store:
-            set_default_store(TraceStore(root=self.trace_store_dir, enabled=True))
-        try:
-            if self.jobs > 1 and len(tasks) > 1:
-                store_root = str(self.trace_store_dir) if self.use_trace_store else None
-                if context is not None:
-                    initializer: Callable[..., None] | None = _worker_init_map
-                    initargs: tuple = (store_root, context)
-                    call: Callable[[object], object] = functools.partial(_map_call, fn)
-                elif store_root is not None:
-                    initializer, initargs = _worker_init_trace_store, (store_root,)
-                    call = fn
-                else:
-                    initializer, initargs = None, ()
-                    call = fn
-                from concurrent.futures.process import BrokenProcessPool
-
-                try:
-                    with ProcessPoolExecutor(
-                        max_workers=min(self.jobs, len(tasks)),
-                        initializer=initializer,
-                        initargs=initargs,
-                    ) as pool:
-                        return list(pool.map(call, tasks))
-                except BrokenProcessPool as exc:
-                    # A SIGKILLed/OOM-killed worker takes the whole pool
-                    # down; the pool cannot say which task died, so all
-                    # this layer can add is the recovery pointer.
-                    raise BrokenProcessPool(
-                        f"{exc} — a worker process died abruptly (OOM killer?); "
-                        f"completed work is already checkpointed by the caller; "
-                        f"campaign runs can use scheduler='supervised' to "
-                        f"reclaim leases and respawn workers instead of failing"
-                    ) from exc
-            if context is not None:
-                return [fn(context, task) for task in tasks]
-            return [fn(task) for task in tasks]
-        finally:
-            if self.use_trace_store:
-                set_default_store(previous_store)
 
     def _selected(self) -> list[tuple[str, str]]:
         return [

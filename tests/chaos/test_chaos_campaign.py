@@ -95,7 +95,7 @@ def _run_chaos(
     out_dir: Path,
     chaos: str,
     jobs: int = 2,
-    hang_timeout_s: float = 2.0,
+    hang_timeout_s: float | None = 2.0,
     respawn_budget: int | None = None,
     point_timeout_s: float | None = None,
     n_points: int = 6,
@@ -104,7 +104,6 @@ def _run_chaos(
         _spec(n_points),
         out_dir=out_dir,
         jobs=jobs,
-        scheduler="supervised",
         resilience=Resilience(
             retry=_RETRY,
             point_timeout_s=point_timeout_s,
@@ -147,6 +146,25 @@ class TestChaosRecovery:
         assert result.n_quarantined == 0
         assert sorted(compute_log()) == sorted(expand(_spec()).keys())
 
+    def test_point_timeout_recovers_hang_without_deadline(
+        self, tmp_path: Path, oracle: ResultsTable, compute_log
+    ):
+        """With no heartbeat deadline, the point timeout interrupts the
+        injected hang and the retry finishes the point."""
+        result = _run_chaos(
+            tmp_path / "hang", "hang@0", hang_timeout_s=None, point_timeout_s=0.5
+        )
+        assert result.table == oracle
+        assert result.supervision["hung"] == 0
+        assert result.n_quarantined == 0
+        assert sorted(compute_log()) == sorted(expand(_spec()).keys())
+
+    def test_hang_without_any_deadline_rejected(self, tmp_path: Path):
+        """Nothing could recover the injected hour-long sleep, so the
+        engine refuses to start."""
+        with pytest.raises(ValueError, match="hang"):
+            _run_chaos(tmp_path / "hang", "hang@0", hang_timeout_s=None)
+
     def test_corrupt_checkpoint_tolerated_bit_identical(
         self, tmp_path: Path, oracle: ResultsTable, compute_log
     ):
@@ -171,6 +189,35 @@ class TestChaosRecovery:
         assert result.table == oracle
         assert result.n_quarantined == 0
         assert sorted(compute_log()) == sorted(expand(_spec()).keys())
+
+
+class TestRaiseThrough:
+    def test_point_exception_raises_through_workers(
+        self, tmp_path: Path, monkeypatch, compute_log
+    ):
+        """With no resilience policy, a point that raises in a worker
+        fails the run with its own exception, computed once — not
+        respawned and retried into a ``SupervisionError``."""
+        spec = _spec(12)
+        keys = expand(spec).keys()
+        bad = keys[7]
+        recording = engine_mod.run_point  # compute_log's recorder
+
+        def raising_run_point(spec, point):
+            row = recording(spec, point)  # logs the computation
+            if run_key(spec, point) == bad:
+                raise ValueError("bad point")
+            return row
+
+        monkeypatch.setattr(engine_mod, "run_point", raising_run_point)
+        out = tmp_path / "raise"
+        with pytest.raises(ValueError, match="bad point"):
+            CampaignEngine(spec, out_dir=out, jobs=2).run()
+        computed = compute_log()
+        assert computed.count(bad) == 1
+        checkpointed = _scan_checkpoints(out, keys)
+        assert bad not in checkpointed
+        assert set(computed) - {bad} == set(checkpointed)
 
 
 class TestPoisonQuarantine:

@@ -176,12 +176,6 @@ class TestPlan:
         opted = _grid_spec(options={"device_times": False})
         assert expand(opted).keys() != keys
 
-    def test_shards_cover_all_points(self):
-        plan = expand(_grid_spec())
-        shards = plan.shards(3)
-        flat = sorted(i for shard in shards for i in shard)
-        assert flat == list(range(len(plan)))
-
     def test_empty_expansion_rejected(self):
         with pytest.raises(ValueError, match="zero grid points"):
             expand(_grid_spec(exclude=({"workload": "MSNFS"}, {"workload": "ikki"})))
@@ -245,6 +239,18 @@ def _tiny_spec() -> CampaignSpec:
     )
 
 
+def _two_workload_spec() -> CampaignSpec:
+    """Two cheap trace-backed points, one per workload."""
+    return CampaignSpec(
+        name="pooled",
+        action="reconstruct",
+        workloads=("MSNFS", "ikki"),
+        devices=(DeviceSpec("new", "new-node"),),
+        methods=("revision",),
+        n_requests=(200,),
+    )
+
+
 class TestEngine:
     def test_in_process_run(self):
         table = run_campaign(_tiny_spec())
@@ -299,6 +305,33 @@ class TestEngine:
         bare = CampaignEngine(_tiny_spec(), out_dir=tmp_path / "c").run()
         assert bare.table == cold.table  # store hits reproduce misses
 
+    def test_trace_store_shared_with_workers(self, tmp_path: Path):
+        """Forked workers inherit the store the run installs, and the
+        caller's default store is back in place afterwards."""
+        from repro.trace.io.cache import get_default_store
+
+        spec = _two_workload_spec()
+        before = get_default_store()
+        store = tmp_path / "store"
+        pooled = CampaignEngine(
+            spec, out_dir=tmp_path / "a", jobs=2,
+            use_trace_store=True, trace_store_dir=store,
+        ).run()
+        assert get_default_store() is before
+        assert len(list(store.glob("*.npz"))) == 2  # one trace per workload
+        inline = CampaignEngine(spec, out_dir=tmp_path / "b").run()
+        assert pooled.table == inline.table
+
+    def test_in_memory_workers_leave_no_temp_dir(self, tmp_path: Path, monkeypatch):
+        """Heartbeats of a run without an out_dir live in a temporary
+        directory scoped to the run."""
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        result = CampaignEngine(_two_workload_spec(), out_dir=None, jobs=2).run()
+        assert result.supervision is not None  # the workers really ran
+        assert list(tmp_path.glob("repro-supervise-*")) == []
+
     def test_jobs_sharding_matches_inline(self, tmp_path: Path):
         spec = CampaignSpec(
             name="shards",
@@ -311,6 +344,7 @@ class TestEngine:
         inline = CampaignEngine(spec, out_dir=tmp_path / "a", jobs=1).run()
         sharded = CampaignEngine(spec, out_dir=tmp_path / "b", jobs=3).run()
         assert inline.table == sharded.table
+        assert inline.supervision is None and sharded.supervision is not None
 
 
 class TestCli:
@@ -378,10 +412,12 @@ class TestCliResilience:
         out = tmp_path / "out"
         assert cli_main(
             ["run", str(spec_path), "--out-dir", str(out), "--no-trace-store",
-             "--quiet", "--jobs", "2", "--chaos", "exc@1", "--retries", "3"]
+             "--chaos", "exc@1", "--retries", "3"]
         ) == 0
         captured = capsys.readouterr()
-        assert "[campaign] --chaos forces --scheduler supervised" in captured.err
+        # Supervision counters are logged only when workers ran, and
+        # chaos runs workers even at the default --jobs 1.
+        assert "(dead=0, hung=0, respawned=0)" in captured.err
         assert "3 point(s) (0 resumed, 3 computed)" in captured.out
         assert "quarantined" not in captured.out  # exc is transient: retried
 

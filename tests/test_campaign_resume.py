@@ -15,6 +15,7 @@ import pytest
 import repro.campaign.engine as engine_mod
 from repro.campaign import CampaignEngine, CampaignSpec, DeviceSpec, expand
 from repro.campaign.engine import _scan_checkpoints
+from repro.campaign.plan import run_key
 
 
 def _spec() -> CampaignSpec:
@@ -165,12 +166,13 @@ def _synthetic_spec(sizes: tuple[int, ...]) -> CampaignSpec:
 
 
 class TestWorkStealingResume:
-    """Stealing-scheduler checkpoints obey the same resume contract.
+    """Checkpoints of chunked worker runs obey the same resume contract.
 
     The chunk queue changes *which worker* computes a point, never the
     point's run key or checkpoint payload, so a campaign killed
-    mid-steal must resume under either scheduler with zero
-    recomputation and a table identical to an uninterrupted run's.
+    mid-steal must resume on either execution path (inline or worker
+    processes) with zero recomputation and a table identical to an
+    uninterrupted run's.
     """
 
     def test_kill_mid_steal_then_resume(self, tmp_path: Path):
@@ -188,7 +190,7 @@ class TestWorkStealingResume:
         # finishes... and the process dies before the queue drains.
         out = tmp_path / "killed"
         out.mkdir()
-        context = (spec.to_dict(), str(out), "segments")
+        context = (spec.to_dict(), str(out), "segments", None, None)
         chunks = plan.chunks(4)
         done: set[int] = set()
         try:
@@ -204,43 +206,52 @@ class TestWorkStealingResume:
             _CHUNK_SEGMENTS.clear()
         assert len(_scan_checkpoints(out, keys)) == len(done) == 12
 
-        resumed = CampaignEngine(
-            spec, out_dir=out, jobs=2, scheduler="stealing"
-        ).run()
+        resumed = CampaignEngine(spec, out_dir=out, jobs=2).run()
         assert resumed.n_resumed == len(done)
         assert resumed.n_computed == len(plan) - len(done)
         assert resumed.table == clean.table
 
     @pytest.mark.parametrize(
-        "first,second", [("stealing", "static"), ("static", "stealing")]
+        "first,second", [(1, 2), (2, 1)], ids=["inline-workers", "workers-inline"]
     )
-    def test_cross_scheduler_resume(
-        self, tmp_path: Path, counted_run_point, first: str, second: str
+    def test_cross_path_resume(
+        self, tmp_path: Path, monkeypatch, first: int, second: int
     ):
-        """Checkpoints written under one scheduler resume under the
-        other: run keys are scheduler-agnostic."""
+        """Checkpoints written on one execution path resume on the
+        other: run keys do not know how points ran.  Computations are
+        counted in an append-only log the forked workers share."""
         spec = _synthetic_spec(tuple(range(100, 112)))
-        n_points = len(expand(spec))
+        keys = expand(spec).keys()
+        clean = CampaignEngine(spec).run()
         out = tmp_path / "camp"
-        killer = counted_run_point(kill_after=5)
+        log = tmp_path / "computed.log"
+        original = engine_mod.run_point
+
+        def install(kill_at: int | None = None) -> None:
+            def logged_run_point(spec, point):
+                if point.n_requests == kill_at:
+                    raise KeyboardInterrupt("simulated kill")
+                row = original(spec, point)
+                with open(log, "a", encoding="utf-8") as handle:
+                    handle.write(run_key(spec, point) + "\n")
+                return row
+
+            monkeypatch.setattr(engine_mod, "run_point", logged_run_point)
+
+        install(kill_at=105)
         with pytest.raises(KeyboardInterrupt):
-            CampaignEngine(spec, out_dir=out, scheduler=first).run()
-        assert killer.calls == 5
+            CampaignEngine(spec, out_dir=out, jobs=first).run()
+        done = set(_scan_checkpoints(out, keys))
+        assert keys[5] not in done
+        assert done == set(log.read_text().splitlines())  # finished = checkpointed
 
-        counter = counted_run_point()
-        resumed = CampaignEngine(spec, out_dir=out, scheduler=second).run()
-        assert counter.calls == n_points - 5
-        assert resumed.n_resumed == 5 and resumed.n_computed == n_points - 5
-
-    def test_schedulers_produce_identical_tables(self, tmp_path: Path):
-        spec = _synthetic_spec(tuple(range(200, 215)))
-        static = CampaignEngine(
-            spec, out_dir=tmp_path / "static", jobs=2, scheduler="static"
-        ).run()
-        stealing = CampaignEngine(
-            spec, out_dir=tmp_path / "steal", jobs=2, scheduler="stealing"
-        ).run()
-        assert static.table == stealing.table
+        log.unlink()
+        install()
+        resumed = CampaignEngine(spec, out_dir=out, jobs=second).run()
+        assert sorted(log.read_text().splitlines()) == sorted(set(keys) - done)
+        assert resumed.n_resumed == len(done)
+        assert resumed.n_computed == len(keys) - len(done)
+        assert resumed.table == clean.table
 
 
 def test_grown_grid_resumes_shared_points(tmp_path: Path, counted_run_point):

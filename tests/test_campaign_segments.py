@@ -22,7 +22,6 @@ from repro.campaign.engine import (
     _SegmentWriter,
     _write_checkpoint,
 )
-from repro.experiments.runner import ParallelRunner
 
 
 def _spec(workloads=("MSNFS", "ikki")) -> CampaignSpec:
@@ -164,21 +163,3 @@ class TestEngineSegmentSemantics:
         # every point checkpointed exactly once, across worker segments
         keys = expand(spec).keys()
         assert set(_scan_checkpoints(tmp_path / "b", keys)) == set(keys)
-
-
-def _ctx_task(context, task):
-    return (context, task, os.getpid())
-
-
-class TestMapContext:
-    def test_inline_context_passed_per_task(self):
-        runner = ParallelRunner(jobs=1)
-        out = runner.map(_ctx_task, [1, 2, 3], context={"spec": "x"})
-        assert [(c, t) for c, t, _ in out] == [({"spec": "x"}, 1), ({"spec": "x"}, 2), ({"spec": "x"}, 3)]
-
-    def test_pool_context_installed_once_per_worker(self):
-        runner = ParallelRunner(jobs=2)
-        out = runner.map(_ctx_task, list(range(6)), context=("payload",))
-        assert [t for _, t, _ in out] == list(range(6))
-        assert all(c == ("payload",) for c, _, _ in out)
-        assert all(pid != os.getpid() for _, _, pid in out)  # ran in workers

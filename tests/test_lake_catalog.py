@@ -613,7 +613,7 @@ class TestConcurrency:
             use_trace_store=False, lake=serial_db,
         ).run()
         CampaignEngine(
-            spec, out_dir=tmp_path / "parallel", jobs=2, scheduler="stealing",
+            spec, out_dir=tmp_path / "parallel", jobs=2,
             use_trace_store=False, lake=parallel_db,
         ).run()
         with LakeCatalog(serial_db) as a, LakeCatalog(parallel_db) as b:
@@ -621,6 +621,36 @@ class TestConcurrency:
             parallel_rows = b.completed_rows(keys)
             assert len(serial_rows) == len(keys)
             assert parallel_rows == serial_rows
+
+    def test_forked_workers_open_their_own_connections(self, tmp_path, monkeypatch):
+        """An inline run caches a catalog in this process; the workers
+        of a later jobs=2 run over the same lake must open their own
+        instead of writing through the connection fork() copied."""
+        opens = tmp_path / "opens.log"
+        original = LakeCatalog.__init__
+
+        def recording_init(self, *args, **kwargs):
+            with open(opens, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LakeCatalog, "__init__", recording_init)
+        db = tmp_path / "lake.sqlite"
+        CampaignEngine(
+            _synthetic_spec((100, 101, 102)), out_dir=tmp_path / "inline",
+            use_trace_store=False, lake=db,
+        ).run()
+        opens.unlink()
+        spec = _synthetic_spec(tuple(range(200, 212)))
+        CampaignEngine(
+            spec, out_dir=tmp_path / "workers", jobs=2,
+            use_trace_store=False, lake=db,
+        ).run()
+        worker_pids = set(opens.read_text().split()) - {str(os.getpid())}
+        assert worker_pids
+        keys = expand(spec).keys()
+        with LakeCatalog(db) as cat:
+            assert len(cat.completed_rows(keys)) == len(keys)
 
     def test_interleaved_writer_connections(self, tmp_path):
         db = tmp_path / "lake.sqlite"
