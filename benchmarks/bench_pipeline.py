@@ -11,11 +11,8 @@ and campaigns run:
 - **engine stages** — hot paths that keep a scalar oracle around are
   timed under *both* engines and reported as before/after speedups:
   queue-depth replay (scalar loop vs plan/FIFO-window engine, on the
-  flash array and on the HDD), the device-model kernels (scalar
-  per-page occupancy walks vs the columnar wave kernel, and the
-  per-request ``_service_batch`` loops vs the grouped unique-shape
-  kernels, on the flash device and the array), the fig9 interpolation
-  kernels (knot-at-a-time slopes/grids vs vectorised), the Algorithm 1
+  flash array and on the HDD), the fig9 interpolation kernels
+  (knot-at-a-time slopes/grids vs vectorised), the Algorithm 1
   group scoring (per-group loop vs fused pass), campaign checkpointing
   (JSON-per-point vs append-only segments), the result lake's
   cross-run incremental skip (cold recompute vs warm catalog hits),
@@ -174,75 +171,6 @@ def bench_qdepth(n_requests: int, device_factory, label: str) -> dict[str, float
         start = time.perf_counter()
         replay_queue_depth(pair.old, device_factory(), idle_us=idle, queue_depth=8)
         after = min(after, time.perf_counter() - start)
-    return {"before_s": before, "after_s": after, "speedup": round(before / after, 2)}
-
-
-def bench_flash_read_pages(n_pages: int = 1024, reps_per_run: int = 50) -> dict[str, float]:
-    """Per-page occupancy walk vs the columnar wave kernel (large read).
-
-    1024 pages is an 8 MB extent on the default geometry — the
-    large-sequential regime where the wave decomposition engages
-    (``COLUMNAR_MIN_PAGES``); its advantage grows with extent size.
-    """
-    from repro.storage import FlashSSD
-    from repro.storage.kernels import read_wave_kernel
-
-    ssd = FlashSSD()
-    g = ssd.geometry
-    rng = np.random.default_rng(5)
-    die0 = rng.uniform(0.0, 500.0, g.total_dies).tolist()
-    chan0 = rng.uniform(0.0, 300.0, g.channels).tolist()
-
-    def scalar_run() -> None:
-        for _ in range(reps_per_run):
-            ssd._die_busy = list(die0)
-            ssd._chan_busy = list(chan0)
-            ssd._read_pages(range(7, 7 + n_pages), 100.0)
-
-    def columnar_run() -> None:
-        for _ in range(reps_per_run):
-            die = list(die0)
-            chan = list(chan0)
-            read_wave_kernel(
-                7, n_pages, 100.0, die, chan, g.channels, g.total_dies,
-                g.read_us, g.page_transfer_us, g.planes_per_die, True,
-            )
-
-    before = _best_of(scalar_run)
-    after = _best_of(columnar_run)
-    ssd.reset()
-    return {"before_s": before, "after_s": after, "speedup": round(before / after, 2)}
-
-
-def bench_flash_service_batch(n_requests: int = 4_000) -> dict[str, float]:
-    """Per-request ``_service_batch`` loop vs the grouped shape kernel.
-
-    Fixed stream size (like the other kernel stages): the grouped
-    kernel's advantage is amortisation over the stream, so the speedup
-    is a function of input scale, and the CI gate compares ratios.
-    """
-    from repro.storage import FlashSSD
-
-    pair = build_pair_for("DAP", n_requests=n_requests)
-    ops, lbas, sizes = pair.old.ops, pair.old.lbas, pair.old.sizes
-    ssd = FlashSSD()
-    ssd._service_batch_columnar(ops, lbas, sizes)  # warm the shape memo
-    before = _best_of(lambda: ssd._service_batch_scalar(ops, lbas, sizes))
-    after = _best_of(lambda: ssd._service_batch_columnar(ops, lbas, sizes))
-    return {"before_s": before, "after_s": after, "speedup": round(before / after, 2)}
-
-
-def bench_array_service_batch(n_requests: int = 4_000) -> dict[str, float]:
-    """Array fan-out: scalar fragment walk vs the columnar kernel.
-
-    Fixed stream size, see :func:`bench_flash_service_batch`.
-    """
-    pair = build_pair_for("DAP", n_requests=n_requests)
-    ops, lbas, sizes = pair.old.ops, pair.old.lbas, pair.old.sizes
-    array = new_node()
-    array._service_batch_columnar(ops, lbas, sizes)  # warm the shape memo
-    before = _best_of(lambda: array._service_batch_scalar(ops, lbas, sizes))
-    after = _best_of(lambda: array._service_batch_columnar(ops, lbas, sizes))
     return {"before_s": before, "after_s": after, "speedup": round(before / after, 2)}
 
 
@@ -446,9 +374,6 @@ def run_benchmarks(n_requests: int) -> dict:
         "qdepth_replay_degraded_raid": bench_qdepth(
             n_requests, _degraded_raid_node, "degraded-raid"
         ),
-        "flash_read_pages": bench_flash_read_pages(),
-        "flash_service_batch": bench_flash_service_batch(),
-        "array_service_batch": bench_array_service_batch(),
         "fig09_interpolation": bench_interpolation(),
         "steepness_select": bench_steepness(n_requests),
         "campaign_checkpoint": bench_checkpointing(),

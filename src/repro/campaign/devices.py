@@ -483,7 +483,7 @@ def device_zoo() -> dict[str, dict[str, Any]]:
     tiny geometries, and the differential identity harness
     (`tests/test_device_zoo_identity.py`) iterates it, so adding a kind
     here (the coverage test fails until it appears) automatically locks
-    the new model into the scalar/columnar bit-identity matrix.
+    the new model into the engine bit-identity matrix.
     """
     tiny_flash = {
         "channels": 3,

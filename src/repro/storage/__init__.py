@@ -18,7 +18,6 @@ from .faults import (
 )
 from .flash import FlashGeometry, FlashReplayPlan, FlashSSD
 from .hdd import HDDGeometry, HDDModel
-from .kernels import COLUMNAR_MIN_PAGES, columnar_enabled, set_force_scalar
 from .mq import MultiQueueDevice
 from .raid import Raid0, Raid1
 from .smr import SMRModel
@@ -27,9 +26,6 @@ from .tiered import TieredHybrid
 __all__ = [
     "FlashArray",
     "FlashReplayPlan",
-    "COLUMNAR_MIN_PAGES",
-    "columnar_enabled",
-    "set_force_scalar",
     "PCIE3_X4",
     "SATA_300",
     "SATA_600",

@@ -26,8 +26,8 @@ from .flash import (
     FlashSSD,
     _plan_cache_put,
     _stream_digest,
+    page_span,
 )
-from .kernels import columnar_enabled, group_shapes, page_span
 
 __all__ = ["FlashArray"]
 
@@ -149,14 +149,7 @@ class FlashArray(StorageDevice):
     def _service_batch(
         self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray
     ) -> np.ndarray:
-        if columnar_enabled():
-            return self._service_batch_columnar(ops, lbas, sizes)
-        return self._service_batch_scalar(ops, lbas, sizes)
-
-    def _service_batch_scalar(
-        self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray
-    ) -> np.ndarray:
-        """Retained per-request fragment walk — the columnar oracle."""
+        """Price each request as its slowest stripe fragment, in order."""
         # Fragments keep the global LBA (see _fragments) and every
         # member shares one geometry, so one member's relative-service
         # memo prices every fragment; the array latency is the slowest
@@ -212,44 +205,14 @@ class FlashArray(StorageDevice):
         member = frag_stripe % self.n_ssds
         return offsets, req, frag_start, frag_end - frag_start, member
 
-    def _service_batch_columnar(
-        self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray
-    ) -> np.ndarray:
-        """Grouped fan-out kernel: whole stream priced in one pass.
-
-        Decomposes every request into stripe fragments with index
-        arithmetic, evaluates each *unique* fragment shape once through
-        the member memo, and folds fragments back to per-request maxima
-        with one ``np.maximum.reduceat``.  Bit-identical to
-        :meth:`_service_batch_scalar` (same memo entries, and the
-        max-fold is order-insensitive).
-        """
-        member0 = self.ssds[0]
-        lbas = np.asarray(lbas, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        offsets, req, frag_start, frag_size, __ = self._fragment_columns(lbas, sizes)
-        first, n_pages = page_span(frag_start, frag_size, member0._page_sectors)
-        uniq, inverse = group_shapes(
-            np.asarray(ops)[req], first % member0._total_dies, n_pages, frag_size
-        )
-        rel_entry = member0._rel_entry
-        read, write = OpType.READ, OpType.WRITE
-        svc_u = np.empty(len(uniq), dtype=np.float64)
-        for j, (op, slot, npg, size) in enumerate(uniq.tolist()):
-            svc_u[j] = rel_entry(read if op == 0 else write, slot, npg, size).svc
-        return np.maximum.reduceat(svc_u[inverse], offsets[:-1])
-
     def replay_plan(self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray):
         """Fragment plan for the queue-depth event loop.
 
         Same fragment order as the scalar :meth:`_service` walk; every
         fragment carries its owning member SSD and memo entry so the
         event loop can run each member's fast paths inline.  Pure — no
-        simulator state is consumed.  ``None`` when the columnar
-        engines are disabled.
+        simulator state is consumed.
         """
-        if not columnar_enabled():
-            return None
         key = (self.fingerprint(), _stream_digest(ops, lbas, sizes))
         plan = _PLAN_CACHE.get(key)
         if plan is not None:

@@ -31,7 +31,7 @@ the fault transform with the same elementwise operations, and keeps its
 own FIFO busy-until stamp — so the synchronous, batch, and queue-depth
 replay engines all perform identical float operations and the
 differential identity harness (`tests/test_device_zoo_identity.py`)
-holds bitwise under both ``REPRO_SCALAR_KERNELS`` settings.
+holds bitwise.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import numpy as np
 from ..trace.record import OpType
 from .channel import InterfaceChannel
 from .device import StorageDevice
+from .raid import _mirror_streams
 
 __all__ = [
     "ServiceFaultWrapper",
@@ -442,52 +443,20 @@ class DegradedRaid1(StorageDevice):
 
     # -- batch path ----------------------------------------------------
     #
-    # The survivor fan-out is tiny (reads pick one member, writes hit
-    # them all), so the per-request stream builder is used under both
-    # engines — the REPRO_SCALAR_KERNELS seam's "fall back to scalar
-    # where vectorisation doesn't pay" case.  With rebuild traffic
-    # enabled the injected reads queue against host requests at real
-    # arrival instants, so the stream is not gap-invariant and the
-    # batch path is refused outright.
-
-    def _survivor_streams(
-        self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray, counter: int
-    ) -> list[tuple[list[int], list[int], list[int], list[int]]]:
-        """Per-survivor substreams (reads round-robin, writes broadcast)."""
-        n_survivors = len(self.survivors)
-        streams: list[tuple[list[int], list[int], list[int], list[int]]] = [
-            ([], [], [], []) for _ in range(n_survivors)
-        ]
-        ops_l = np.asarray(ops).tolist()
-        lbas_l = np.asarray(lbas, dtype=np.int64).tolist()
-        sizes_l = np.asarray(sizes, dtype=np.int64).tolist()
-        read = int(OpType.READ)
-        for i in range(len(ops_l)):
-            if ops_l[i] == read:
-                targets: tuple[int, ...] = (counter % n_survivors,)
-                counter += 1
-            else:
-                targets = tuple(range(n_survivors))
-            for slot in targets:
-                idx, f_ops, f_lbas, f_sizes = streams[slot]
-                idx.append(i)
-                f_ops.append(ops_l[i])
-                f_lbas.append(lbas_l[i])
-                f_sizes.append(sizes_l[i])
-        return streams
+    # The survivors are a healthy mirror set, so the batch path reuses
+    # Raid1's stream builder (reads round-robin, writes broadcast) over
+    # them.  With rebuild traffic enabled the injected reads queue
+    # against host requests at real arrival instants, so the stream is
+    # not gap-invariant and the batch path is refused outright.
 
     def supports_batch(self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray) -> bool:
         """Gap-invariant when rebuild is off and all survivors agree."""
         if self.rebuild_every:
             return False
-        streams = self._survivor_streams(ops, lbas, sizes, self._read_counter)
+        streams = _mirror_streams(ops, lbas, sizes, len(self.survivors), self._read_counter)
         return all(
-            member.supports_batch(
-                np.asarray(s[1], dtype=np.int8),
-                np.asarray(s[2], dtype=np.int64),
-                np.asarray(s[3], dtype=np.int64),
-            )
-            for member, s in zip(self.survivors, streams)
+            member.supports_batch(f_ops, f_lbas, f_sizes)
+            for member, (__, f_ops, f_lbas, f_sizes) in zip(self.survivors, streams)
         )
 
     def service_batch(
@@ -497,25 +466,16 @@ class DegradedRaid1(StorageDevice):
         # built once and state only advances once the stream is accepted.
         if self.rebuild_every:
             return None
-        streams = self._survivor_streams(ops, lbas, sizes, self._read_counter)
-        survivor_streams = [
-            (
-                s[0],
-                np.asarray(s[1], dtype=np.int8),
-                np.asarray(s[2], dtype=np.int64),
-                np.asarray(s[3], dtype=np.int64),
-            )
-            for s in streams
-        ]
+        streams = _mirror_streams(ops, lbas, sizes, len(self.survivors), self._read_counter)
         if not all(
             member.supports_batch(f_ops, f_lbas, f_sizes)
-            for member, (__, f_ops, f_lbas, f_sizes) in zip(self.survivors, survivor_streams)
+            for member, (__, f_ops, f_lbas, f_sizes) in zip(self.survivors, streams)
         ):
             return None
         self._read_counter += int(np.sum(np.asarray(ops) == int(OpType.READ)))
         out = np.zeros(len(np.asarray(ops)), dtype=np.float64)
         for index, member, (idx, f_ops, f_lbas, f_sizes) in zip(
-            self._survivor_indices, self.survivors, survivor_streams
+            self._survivor_indices, self.survivors, streams
         ):
             self.member_io_counts[index] += len(idx)
             if len(idx):

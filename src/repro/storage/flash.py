@@ -31,16 +31,55 @@ import numpy as np
 from ..trace.record import SECTOR_BYTES, OpType
 from .channel import PCIE3_X4, InterfaceChannel
 from .device import StorageDevice
-from .kernels import (
-    COLUMNAR_MIN_PAGES,
-    columnar_enabled,
-    group_shapes,
-    page_span,
-    program_wave_kernel,
-    read_wave_kernel,
-)
 
 __all__ = ["FlashGeometry", "FlashSSD", "FlashReplayPlan"]
+
+
+def page_span(lbas, sizes, page_sectors: int):
+    """``(first_page, n_pages)`` of the page extent touching a sector extent.
+
+    Works elementwise on arrays and on plain ints — the single
+    definition shared by the scalar ``_pages_of`` walk, batch pricing
+    and the replay plans, so they can never disagree on extent math.
+    """
+    first = lbas // page_sectors
+    n_pages = (lbas + sizes - 1) // page_sectors - first + 1
+    return first, n_pages
+
+
+def group_shapes(
+    ops: np.ndarray, slots: np.ndarray, n_pages: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group request rows by service shape ``(op, slot, n_pages, size)``.
+
+    Returns ``(uniq, inverse)`` where ``uniq`` is a ``(k, 4)`` int64
+    array of the distinct shapes and ``inverse`` maps each input row to
+    its shape index — how a replay plan resolves one memo entry per
+    distinct shape.  Shapes are packed into one int64 key when the
+    value ranges allow (the common case — one ``np.unique`` over a flat
+    array), falling back to row-wise ``np.unique`` otherwise.
+    """
+    ops = np.asarray(ops, dtype=np.int64)
+    slots = np.asarray(slots, dtype=np.int64)
+    n_pages = np.asarray(n_pages, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if len(ops) == 0:
+        return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.intp)
+    m_op = int(ops.max()) + 1
+    m_slot = int(slots.max()) + 1
+    m_np = int(n_pages.max()) + 1
+    m_size = int(sizes.max()) + 1
+    if float(m_op) * m_slot * m_np * m_size < 2**62:
+        packed = ((ops * m_slot + slots) * m_np + n_pages) * m_size + sizes
+        uniq_packed, inverse = np.unique(packed, return_inverse=True)
+        rest, u_sizes = np.divmod(uniq_packed, m_size)
+        rest, u_np = np.divmod(rest, m_np)
+        u_ops, u_slots = np.divmod(rest, m_slot)
+        uniq = np.column_stack([u_ops, u_slots, u_np, u_sizes])
+        return uniq, inverse
+    rows = np.column_stack([ops, slots, n_pages, sizes])
+    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+    return uniq, inverse.reshape(-1)
 
 
 class _RelService:
@@ -69,7 +108,7 @@ class _RelService:
 
     __slots__ = (
         "svc", "drain_rel", "die_items", "chan_items", "horizon", "walk",
-        "slot", "n_pages", "die_segs", "die_uval", "chan_segs", "chan_uval",
+        "die_segs", "die_uval", "chan_segs", "chan_uval",
         "is_read", "nbytes", "buffered", "walk_pairs", "walk_op_us",
     )
 
@@ -101,8 +140,6 @@ class _RelService:
         #: busy path can re-run the scalar recurrence without dict or
         #: geometry lookups.
         self.walk = walk
-        self.slot = slot
-        self.n_pages = n_pages
         # Touched-slot ranges: [a1, b1) and the wrapped [0, b2).
         k = n_pages if n_pages < total_dies else total_dies
         if slot + k <= total_dies:
@@ -357,9 +394,8 @@ class FlashSSD(StorageDevice):
         # multiple of channels, so the two stripings agree).  A page
         # extent therefore touches a contiguous circular slot range —
         # what lets the memoised entries describe their footprint as
-        # slices.  ``_map_ch`` caches slot -> channel for the scalar
-        # walks (list indexing beats a per-page modulo); the columnar
-        # kernels derive the mapping from ``channels`` themselves.
+        # slices.  ``_map_ch`` caches slot -> channel for the page
+        # walks (list indexing beats a per-page modulo).
         self._map_ch = (np.arange(self._total_dies, dtype=np.int64) % g.channels).tolist()
 
     @property
@@ -402,9 +438,8 @@ class FlashSSD(StorageDevice):
     def _read_pages(self, pages: range, t_ready: float) -> float:
         """Service a read: die array read, then channel transfer out.
 
-        Retained scalar walk — the oracle for the columnar read paths
-        (:func:`~repro.storage.kernels.read_wave_kernel` and the
-        memoised per-shape walks).
+        Retained scalar walk — the oracle for the memoised per-shape
+        walk :meth:`_busy_read` and for the memo's relative services.
         """
         g = self.geometry
         td = self._total_dies
@@ -431,9 +466,8 @@ class FlashSSD(StorageDevice):
     def _program_pages(self, pages: range, t_ready: float) -> float:
         """Drain writes to NAND: channel transfer in, then program.
 
-        Retained scalar walk — the oracle for the columnar program
-        paths (:func:`~repro.storage.kernels.program_wave_kernel` and
-        the memoised per-shape walks).
+        Retained scalar walk — the oracle for the memoised per-shape
+        walk :meth:`_busy_program` and for the memo's relative services.
         """
         g = self.geometry
         td = self._total_dies
@@ -671,14 +705,7 @@ class FlashSSD(StorageDevice):
     def _service_batch(
         self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray
     ) -> np.ndarray:
-        if columnar_enabled():
-            return self._service_batch_columnar(ops, lbas, sizes)
-        return self._service_batch_scalar(ops, lbas, sizes)
-
-    def _service_batch_scalar(
-        self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray
-    ) -> np.ndarray:
-        """Retained per-request loop — the grouped kernel's oracle."""
+        """Price each request through the relative-service memo, in order."""
         lbas = np.asarray(lbas, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
         first, n_pages = page_span(lbas, sizes, self._page_sectors)
@@ -692,33 +719,6 @@ class FlashSSD(StorageDevice):
             out[i] = rel_entry(read if op == 0 else write, fp, npg, size).svc
         return out
 
-    def _service_batch_columnar(
-        self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray
-    ) -> np.ndarray:
-        """Grouped service kernel: evaluate each distinct shape once.
-
-        A request's idle-state service depends only on its
-        ``(op, first_page % total_dies, n_pages, size)`` shape, so the
-        stream collapses to one memo evaluation per *unique* shape and
-        a scatter — subsuming the per-request ``_rel_entry`` loop (and
-        its dict lookups) for batch streams.  Bit-identical to
-        :meth:`_service_batch_scalar` because both read the same
-        memoised entries.
-        """
-        lbas = np.asarray(lbas, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        first, n_pages = page_span(lbas, sizes, self._page_sectors)
-        uniq, inverse = group_shapes(
-            np.asarray(ops), first % self._total_dies, n_pages, sizes
-        )
-        svc = np.empty(len(uniq), dtype=np.float64)
-        rel_entry = self._rel_entry
-        read = OpType.READ
-        write = OpType.WRITE
-        for j, (op, slot, npg, size) in enumerate(uniq.tolist()):
-            svc[j] = rel_entry(read if op == 0 else write, slot, npg, size).svc
-        return svc[inverse]
-
     # ------------------------------------------------------------------
     # replay-plan kernels (queue-depth event loop fast path)
     # ------------------------------------------------------------------
@@ -731,10 +731,8 @@ class FlashSSD(StorageDevice):
         device's fast paths without per-request key construction, dict
         lookups, or method dispatch.  Plans are content-cached: two
         devices with equal fingerprints replaying the same stream share
-        one plan.  ``None`` when the columnar engines are disabled.
+        one plan.
         """
-        if not columnar_enabled():
-            return None
         key = (self.fingerprint(), _stream_digest(ops, lbas, sizes))
         plan = _PLAN_CACHE.get(key)
         if plan is not None:
@@ -769,18 +767,11 @@ class FlashSSD(StorageDevice):
 
         Bit-identical to :meth:`_read_pages` (the retained oracle): the
         memoised walk replays the exact per-page recurrence with the
-        modulo/dict work resolved at shape-evaluation time.  Shapes
-        with independent pages compute only the exceptional busy
-        dies/channels and slice-fill the uniform remainder; large
-        extents hand off to the columnar wave kernel.
+        modulo/dict work resolved at shape-evaluation time, at every
+        extent size.  Shapes with independent pages compute only the
+        exceptional busy dies/channels and slice-fill the uniform
+        remainder.
         """
-        if entry.n_pages >= COLUMNAR_MIN_PAGES:
-            g = self.geometry
-            return read_wave_kernel(
-                entry.slot, entry.n_pages, t_ready, self._die_busy, self._chan_busy,
-                g.channels, self._total_dies,
-                g.read_us, g.page_transfer_us, g.planes_per_die, self.plane_interleave,
-            )
         xfer_us = self._xfer_us
         die_busy, chan_busy = self._die_busy, self._chan_busy
         pairs = entry.walk_pairs
@@ -839,13 +830,6 @@ class FlashSSD(StorageDevice):
 
     def _busy_program(self, entry: _RelService, t_ready: float) -> float:
         """Busy-state program walk; oracle is :meth:`_program_pages`."""
-        if entry.n_pages >= COLUMNAR_MIN_PAGES:
-            g = self.geometry
-            return program_wave_kernel(
-                entry.slot, entry.n_pages, t_ready, self._die_busy, self._chan_busy,
-                g.channels, self._total_dies,
-                g.program_us, g.page_transfer_us, g.planes_per_die, self.plane_interleave,
-            )
         xfer_us = self._xfer_us
         die_busy, chan_busy = self._die_busy, self._chan_busy
         pairs = entry.walk_pairs

@@ -1,44 +1,51 @@
-"""Bit-identity suite for the columnar device-model kernels.
+"""Bit-identity suite for the device-model fast paths.
 
-Every columnar kernel introduced by the storage-emulation overhaul must
-reproduce its retained scalar oracle *exactly* — same IEEE-754 doubles,
-same simulator state afterwards:
+Every fast path of the storage emulation layer must reproduce its
+retained scalar oracle *exactly* — same IEEE-754 doubles, same
+simulator state afterwards:
 
-- the wave kernels (:func:`repro.storage.kernels.read_wave_kernel` /
-  ``program_wave_kernel``) against the scalar per-page walks
-  ``FlashSSD._read_pages`` / ``_program_pages``;
 - the memoised busy walks (``FlashSSD._busy_read`` / ``_busy_program``,
-  including the exception/slice split) against the same oracles;
-- the grouped ``_service_batch`` kernels (flash and array) against the
-  retained per-request loops;
-- the RAID member-stream decomposition against the scalar builders;
+  including the exception/slice split) against the scalar per-page
+  walks ``FlashSSD._read_pages`` / ``_program_pages``, at every extent
+  size from one page to many waves over the dies;
+- ``service_batch`` pricing (flash and array) against the synchronous
+  scalar replay's stamps;
+- the RAID member-stream decomposition against the fan-out the scalar
+  ``_service`` performs request by request;
 - the plan-based queue-depth event loop against the scalar replay
   oracle, including *simulator-state equivalence* (die/channel busy
   stamps, write-buffer occupancy, horizons, RNG state where present)
-  and mixed batch/scalar use.
-
-CI runs this file twice: once with the columnar engines enabled and
-once with ``REPRO_SCALAR_KERNELS=1`` forcing the scalar paths, so the
-oracles cannot rot (see ``_forced_scalar`` below — when the engines are
-forced off the identity assertions compare the oracle with itself,
-which still exercises the toggle plumbing and the scalar paths).
+  and mixed batch/scalar use;
+- large extents (up to 300 pages) end to end through every replay
+  engine.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.replay import replay_queue_depth, replay_queue_depth_scalar
-from repro.storage import FlashArray, FlashGeometry, FlashSSD, HDDModel, Raid0, Raid1
-from repro.storage import kernels
-from repro.storage.kernels import (
-    COLUMNAR_MIN_PAGES,
-    group_shapes,
-    page_span,
-    program_wave_kernel,
-    read_wave_kernel,
+from repro.replay import (
+    replay_queue_depth,
+    replay_queue_depth_scalar,
+    replay_with_idle,
+    replay_with_idle_batch,
 )
+from repro.storage import (
+    SATA_600,
+    ConstantLatencyDevice,
+    DegradedRaid1,
+    FlashArray,
+    FlashGeometry,
+    FlashSSD,
+    HDDModel,
+    Raid0,
+    Raid1,
+)
+from repro.storage.flash import group_shapes, page_span
+from repro.storage.raid import _mirror_streams
 from repro.trace.record import OpType
 from repro.trace.trace import BlockTrace
 from test_replay_batch import DEVICE_FACTORIES, assert_replays_identical
@@ -69,8 +76,33 @@ def _clone_state(ssd):
     return list(ssd._die_busy), list(ssd._chan_busy)
 
 
+def _assert_busy_walk_matches(ssd, op, first_page, n_pages, t_ready):
+    """The memoised busy walk vs the page walk, from the SSD's current state."""
+    pages = range(first_page, first_page + n_pages)
+    entry = ssd._rel_entry(op, first_page, n_pages, n_pages * ssd.geometry.page_sectors)
+    d0, c0 = _clone_state(ssd)
+    if op is OpType.READ:
+        oracle = ssd._read_pages(pages, t_ready)
+        walk = ssd._busy_read
+    else:
+        oracle = ssd._program_pages(pages, t_ready)
+        walk = ssd._busy_program
+    d1, c1 = _clone_state(ssd)
+    ssd._die_busy, ssd._chan_busy = list(d0), list(c0)
+    assert walk(entry, t_ready) == oracle
+    assert ssd._die_busy == d1
+    assert ssd._chan_busy == c1
+
+
 class TestWaveKernels:
-    """Wave kernels vs the scalar page walks, all sizes and states."""
+    """Multi-wave extents: the memoised busy walks vs the page walks.
+
+    An extent of more than ``total_dies`` pages visits each die in
+    several waves.  The busy walks serve every extent size, so they are
+    held to the page walks on every geometry, with multi-plane
+    interleave on and off, from one page to several waves and past 64
+    pages.
+    """
 
     @pytest.mark.parametrize("geom_key", sorted(GEOMETRIES))
     @pytest.mark.parametrize("interleave", [True, False])
@@ -80,24 +112,13 @@ class TestWaveKernels:
         rng = np.random.default_rng(7)
         td = g.total_dies
         for n_pages in [1, 2, g.channels - 1, g.channels, g.channels + 1,
-                        td - 1, td, td + 1, 2 * td, 3 * td + 5]:
+                        td - 1, td, td + 1, 2 * td, 3 * td + 5, 67, 130]:
             if n_pages < 1:
                 continue
             for first_page in [0, 1, td - 1, 7 * td + 3]:
                 for t_ready in [0.0, 123.456]:
                     _random_state(rng, ssd)
-                    d0, c0 = _clone_state(ssd)
-                    oracle = ssd._read_pages(range(first_page, first_page + n_pages), t_ready)
-                    d1, c1 = _clone_state(ssd)
-                    ssd._die_busy, ssd._chan_busy = list(d0), list(c0)
-                    got = read_wave_kernel(
-                        first_page, n_pages, t_ready, ssd._die_busy, ssd._chan_busy,
-                        g.channels, td, g.read_us, g.page_transfer_us,
-                        g.planes_per_die, interleave,
-                    )
-                    assert got == oracle
-                    assert ssd._die_busy == d1
-                    assert ssd._chan_busy == c1
+                    _assert_busy_walk_matches(ssd, OpType.READ, first_page, n_pages, t_ready)
 
     @pytest.mark.parametrize("geom_key", sorted(GEOMETRIES))
     @pytest.mark.parametrize("interleave", [True, False])
@@ -106,30 +127,15 @@ class TestWaveKernels:
         ssd = FlashSSD(geometry=g, plane_interleave=interleave)
         rng = np.random.default_rng(11)
         td = g.total_dies
-        for n_pages in [1, 3, g.channels, g.channels + 2, td, td + 1, 2 * td + 3]:
+        for n_pages in [1, 3, g.channels, g.channels + 2, td, td + 1, 2 * td + 3, 67, 130]:
             for first_page in [0, td - 2, 5 * td + 1]:
-                if first_page < 0:
-                    continue
                 for t_ready in [0.0, 987.25]:
                     _random_state(rng, ssd)
-                    d0, c0 = _clone_state(ssd)
-                    oracle = ssd._program_pages(
-                        range(first_page, first_page + n_pages), t_ready
-                    )
-                    d1, c1 = _clone_state(ssd)
-                    ssd._die_busy, ssd._chan_busy = list(d0), list(c0)
-                    got = program_wave_kernel(
-                        first_page, n_pages, t_ready, ssd._die_busy, ssd._chan_busy,
-                        g.channels, td, g.program_us, g.page_transfer_us,
-                        g.planes_per_die, interleave,
-                    )
-                    assert got == oracle
-                    assert ssd._die_busy == d1
-                    assert ssd._chan_busy == c1
+                    _assert_busy_walk_matches(ssd, OpType.WRITE, first_page, n_pages, t_ready)
 
 
 class TestBusyWalks:
-    """Memoised busy walks (exception/slice split + wave dispatch)."""
+    """Memoised busy walks on entries keyed from sector extents."""
 
     @pytest.mark.parametrize("geom_key", sorted(GEOMETRIES))
     def test_busy_read_matches_oracle(self, geom_key):
@@ -137,7 +143,7 @@ class TestBusyWalks:
         ssd = FlashSSD(geometry=g)
         rng = np.random.default_rng(23)
         ps = g.page_sectors
-        for n_pages in [1, 2, g.channels, g.channels + 1, COLUMNAR_MIN_PAGES + 3]:
+        for n_pages in [1, 2, g.channels, g.channels + 1, 67, 130]:
             for lba_page in [0, 3, g.total_dies + 1]:
                 lba = lba_page * ps
                 size = n_pages * ps
@@ -159,7 +165,7 @@ class TestBusyWalks:
         ssd = FlashSSD(geometry=g)
         rng = np.random.default_rng(29)
         ps = g.page_sectors
-        for n_pages in [1, 2, g.channels, g.channels + 2, COLUMNAR_MIN_PAGES + 1]:
+        for n_pages in [1, 2, g.channels, g.channels + 2, 67, 130]:
             for lba_page in [0, 5]:
                 lba = lba_page * ps
                 size = n_pages * ps
@@ -177,50 +183,31 @@ class TestBusyWalks:
 
 
 class TestMultiPlaneInterleave:
-    """Satellite: ``_page_op_us`` edge cases, scalar vs columnar."""
+    """``_page_op_us`` edge cases: busy walks vs page walks."""
 
     def test_planes_per_die_one_no_speedup(self):
         g = FlashGeometry(channels=2, dies_per_channel=2, planes_per_die=1)
         ssd = FlashSSD(geometry=g)
         # Page count above the die count forces multi-visit waves.
         assert ssd._page_op_us(g.read_us, 3) == g.read_us
-        self._assert_kernels_match(g, plane_interleave=True)
+        self._assert_walks_match(g, plane_interleave=True)
 
     def test_interleave_disabled(self):
-        self._assert_kernels_match(FlashGeometry(), plane_interleave=False)
+        self._assert_walks_match(FlashGeometry(), plane_interleave=False)
 
     @pytest.mark.parametrize("n_pages_per_die", [1, 2, 3, 5])
     def test_page_count_around_plane_count(self, n_pages_per_die):
         # planes_per_die = 2: covers below (1), at (2), above (3, 5).
         g = FlashGeometry(channels=2, dies_per_channel=1, planes_per_die=2)
         ssd = FlashSSD(geometry=g)
-        n_pages = n_pages_per_die * g.total_dies
-        oracle = ssd._read_pages(range(0, n_pages), 0.0)
-        d1, c1 = list(ssd._die_busy), list(ssd._chan_busy)
-        ssd.reset()
-        got = read_wave_kernel(
-            0, n_pages, 0.0, ssd._die_busy, ssd._chan_busy,
-            g.channels, g.total_dies, g.read_us, g.page_transfer_us,
-            g.planes_per_die, True,
-        )
-        assert got == oracle
-        assert ssd._die_busy == d1 and ssd._chan_busy == c1
+        _assert_busy_walk_matches(ssd, OpType.READ, 0, n_pages_per_die * g.total_dies, 0.0)
 
     @staticmethod
-    def _assert_kernels_match(g, plane_interleave):
+    def _assert_walks_match(g, plane_interleave):
         ssd = FlashSSD(geometry=g, plane_interleave=plane_interleave)
         for n_pages in [1, g.planes_per_die, g.planes_per_die + 1, 2 * g.total_dies]:
             ssd.reset()
-            oracle = ssd._program_pages(range(3, 3 + n_pages), 10.0)
-            d1, c1 = list(ssd._die_busy), list(ssd._chan_busy)
-            ssd.reset()
-            got = program_wave_kernel(
-                3, n_pages, 10.0, ssd._die_busy, ssd._chan_busy,
-                g.channels, g.total_dies, g.program_us, g.page_transfer_us,
-                g.planes_per_die, plane_interleave,
-            )
-            assert got == oracle
-            assert ssd._die_busy == d1 and ssd._chan_busy == c1
+            _assert_busy_walk_matches(ssd, OpType.WRITE, 3, n_pages, 10.0)
 
 
 def _random_stream(rng, n, max_lba=1 << 22, max_size=600):
@@ -231,39 +218,61 @@ def _random_stream(rng, n, max_lba=1 << 22, max_size=600):
     )
 
 
+def _assert_prices_sync_replay(make, ops, lbas, sizes, seed):
+    """``service_batch`` on a cold device vs the synchronous scalar replay.
+
+    Sync replay submits each request after the previous one finished,
+    so every element of the batch price is that request's duration in
+    the scalar replay.  It is compared as ``start + svc == finish``, the
+    addition the device performs: ``finish - start`` would round.
+    """
+    svc = make().service_batch(ops, lbas, sizes)
+    assert svc is not None
+    n = len(ops)
+    trace = BlockTrace(
+        timestamps=np.arange(n, dtype=np.float64), lbas=lbas, sizes=sizes, ops=ops
+    )
+    idle = np.random.default_rng(seed).uniform(0.0, 500.0, n - 1)
+    rep = replay_with_idle(trace, make(), idle)
+    np.testing.assert_array_equal(rep.starts + svc, rep.finishes)
+
+
 class TestGroupedServiceBatch:
-    """Grouped unique-shape kernels vs the retained per-request loops."""
+    """Stream pricing, and the shape helpers replay plans are built from."""
 
     @pytest.mark.parametrize("geom_key", sorted(GEOMETRIES))
     def test_flash_service_batch_identical(self, geom_key):
-        g = GEOMETRIES[geom_key]
+        g = replace(GEOMETRIES[geom_key], write_buffer_kb=0)
         rng = np.random.default_rng(31)
         ops, lbas, sizes = _random_stream(rng, 300)
         ssd = FlashSSD(geometry=g)
         d0, c0 = _clone_state(ssd)
-        scalar = ssd._service_batch_scalar(ops, lbas, sizes)
-        columnar = ssd._service_batch_columnar(ops, lbas, sizes)
-        np.testing.assert_array_equal(scalar, columnar)
-        # Both paths are pure w.r.t. timing state.
+        ssd.service_batch(ops, lbas, sizes)
+        # Pricing is pure w.r.t. timing state.
         assert ssd._die_busy == d0 and ssd._chan_busy == c0
+        _assert_prices_sync_replay(lambda: FlashSSD(geometry=g), ops, lbas, sizes, 31)
 
     def test_array_service_batch_identical(self):
         rng = np.random.default_rng(37)
         ops, lbas, sizes = _random_stream(rng, 300)
-        arr = FlashArray()
-        scalar = arr._service_batch_scalar(ops, lbas, sizes)
-        columnar = arr._service_batch_columnar(ops, lbas, sizes)
-        np.testing.assert_array_equal(scalar, columnar)
+        g = FlashGeometry(write_buffer_kb=0)
+        _assert_prices_sync_replay(lambda: FlashArray(geometry=g), ops, lbas, sizes, 37)
 
     def test_array_service_batch_wide_extents(self):
-        # Extents spanning many stripes (fragment count above n_ssds).
-        arr = FlashArray(n_ssds=3, stripe_kb=8)
+        # Extents spanning more stripes than members revisit an SSD, so
+        # their latency is not the max of independent fragments: the
+        # array refuses to price them and replay drives _service.
         ops = np.zeros(40, dtype=np.int8)
         lbas = np.arange(40, dtype=np.int64) * 13
         sizes = np.full(40, 8 * 2 * 7, dtype=np.int64)  # 7 stripes each
-        np.testing.assert_array_equal(
-            arr._service_batch_scalar(ops, lbas, sizes),
-            arr._service_batch_columnar(ops, lbas, sizes),
+        assert FlashArray(n_ssds=3, stripe_kb=8).service_batch(ops, lbas, sizes) is None
+        trace = BlockTrace(
+            timestamps=np.arange(40, dtype=np.float64), lbas=lbas, sizes=sizes, ops=ops
+        )
+        idle = np.full(39, 50.0)
+        assert_replays_identical(
+            replay_with_idle_batch(trace, FlashArray(n_ssds=3, stripe_kb=8), idle),
+            replay_with_idle(trace, FlashArray(n_ssds=3, stripe_kb=8), idle),
         )
 
     def test_group_shapes_roundtrip(self):
@@ -288,73 +297,75 @@ class TestGroupedServiceBatch:
             assert pages.start == first and len(pages) == n_pages
 
 
-class TestRaidStreams:
-    """RAID fan-out: columnar member streams vs the scalar builders."""
+class _Recorder(ConstantLatencyDevice):
+    """RAID member that logs ``(request, op, lba, size)`` for each call."""
 
-    def _assert_streams_equal(self, got, expected):
-        assert (got is None) == (expected is None)
-        if expected is None:
-            return
-        assert len(got) == len(expected)
-        for g_s, e_s in zip(got, expected):
-            for col_g, col_e in zip(g_s, e_s):
-                np.testing.assert_array_equal(np.asarray(col_g), np.asarray(col_e))
+    def __init__(self, current: list[int]) -> None:
+        super().__init__(SATA_600)
+        self.current = current
+        self.log: list[tuple[int, int, int, int]] = []
+
+    def _service(self, op, lba, size, t_ready):
+        self.log.append((self.current[0], int(op), lba, size))
+        return super()._service(op, lba, size, t_ready)
+
+
+def _routed_by_service(raid, ops, lbas, sizes):
+    """Per-member rows as the scalar ``_service`` fan-out routes them."""
+    current = raid.members[0].current
+    for i, (op, lba, size) in enumerate(zip(ops.tolist(), lbas.tolist(), sizes.tolist())):
+        current[0] = i
+        raid._service(OpType(op), lba, size, 0.0)
+    return [m.log for m in raid.members]
+
+
+def _rows(streams):
+    """Per-member ``(request, op, lba, size)`` rows of built streams."""
+    return [list(zip(*(np.asarray(col).tolist() for col in s))) for s in streams]
+
+
+class TestRaidStreams:
+    """RAID fan-out: the stream builders vs the scalar ``_service`` routing."""
 
     def test_raid0_streams_identical(self):
         rng = np.random.default_rng(43)
-        raid = Raid0([HDDModel(seed=s) for s in (1, 2, 3)], stripe_kb=64)
-        ops, lbas, sizes = _random_stream(rng, 200, max_size=64 * 2 * 3)
-        self._assert_streams_equal(
-            raid._member_streams_columnar(ops, lbas, sizes),
-            raid._member_streams_scalar(ops, lbas, sizes),
-        )
+        current = [0]
+        raid = Raid0([_Recorder(current) for _ in range(3)], stripe_kb=64)
+        # At most 257 sectors: no extent spans more than 3 stripes.
+        ops, lbas, sizes = _random_stream(rng, 200, max_size=2 * 128 + 2)
+        streams = raid._member_streams(ops, lbas, sizes)
+        assert streams is not None
+        assert _rows(streams) == _routed_by_service(raid, ops, lbas, sizes)
 
     def test_raid0_wide_extent_rejected_by_both(self):
+        # Both the stream builder and the batch gate refuse the stream.
         raid = Raid0([HDDModel(seed=s) for s in (1, 2)], stripe_kb=8)
         ops = np.zeros(3, dtype=np.int8)
         lbas = np.array([0, 5, 10])
         sizes = np.array([8, 8 * 2 * 5, 8])  # middle spans > 2 stripes
-        assert raid._member_streams_scalar(ops, lbas, sizes) is None
-        assert raid._member_streams_columnar(ops, lbas, sizes) is None
+        assert raid._member_streams(ops, lbas, sizes) is None
+        assert not raid.supports_batch(ops, lbas, sizes)
+        assert raid.service_batch(ops, lbas, sizes) is None
 
     @pytest.mark.parametrize("counter", [0, 1, 5])
     def test_raid1_streams_identical(self, counter):
         rng = np.random.default_rng(47)
-        raid = Raid1([HDDModel(seed=s) for s in (1, 2)])
+        current = [0]
+        raid = Raid1([_Recorder(current) for _ in range(2)])
+        raid._read_counter = counter
         ops, lbas, sizes = _random_stream(rng, 150)
-        self._assert_streams_equal(
-            raid._member_streams_columnar(ops, lbas, sizes, counter),
-            raid._member_streams_scalar(ops, lbas, sizes, counter),
-        )
-
-    def test_raid1_custom_policy_uses_scalar(self):
-        raid = Raid1(
-            [HDDModel(seed=s) for s in (1, 2)],
-            read_policy=lambda lba, n: lba % n,
-        )
-        rng = np.random.default_rng(53)
-        ops, lbas, sizes = _random_stream(rng, 60)
-        streams = raid._member_streams(ops, lbas, sizes, 0)
-        expected = raid._member_streams_scalar(ops, lbas, sizes, 0)
-        self._assert_streams_equal(streams, expected)
+        streams = _mirror_streams(ops, lbas, sizes, 2, counter)
+        assert _rows(streams) == _routed_by_service(raid, ops, lbas, sizes)
 
     def test_raid_service_batch_end_to_end(self):
         rng = np.random.default_rng(59)
         for make in (
             lambda: Raid0([HDDModel(seed=s) for s in (1, 2, 3)], stripe_kb=64),
             lambda: Raid1([HDDModel(seed=s) for s in (1, 2)]),
+            lambda: DegradedRaid1([HDDModel(seed=s) for s in (1, 2, 3)], failed_index=1),
         ):
-            ops, lbas, sizes = _random_stream(rng, 120, max_size=64 * 2 * 3)
-            d1, d2 = make(), make()
-            got = d1.service_batch(ops, lbas, sizes)
-            kernels.set_force_scalar(True)
-            try:
-                expected = d2.service_batch(ops, lbas, sizes)
-            finally:
-                kernels.set_force_scalar(False)
-            assert (got is None) == (expected is None)
-            if got is not None:
-                np.testing.assert_array_equal(got, expected)
+            ops, lbas, sizes = _random_stream(rng, 120, max_size=2 * 128 + 2)
+            _assert_prices_sync_replay(make, ops, lbas, sizes, 59)
 
 
 def _flash_state(device):
@@ -409,14 +420,9 @@ class TestPlanReplayStateEquivalence:
             ops=np.zeros(n, dtype=np.int8),  # reads: batch-capable
         )
         d_fast, d_oracle = FlashArray(), FlashArray()
-        # Pure batch pricing consumes no timing state on either engine.
-        svc_fast = d_fast.service_batch(trace.ops, trace.lbas, trace.sizes)
-        kernels.set_force_scalar(True)
-        try:
-            svc_oracle = d_oracle.service_batch(trace.ops, trace.lbas, trace.sizes)
-        finally:
-            kernels.set_force_scalar(False)
-        np.testing.assert_array_equal(svc_fast, svc_oracle)
+        # Pure batch pricing consumes no timing state.
+        assert d_fast.service_batch(trace.ops, trace.lbas, trace.sizes) is not None
+        assert _flash_state(d_fast) == _flash_state(d_oracle)
         # Replay (plan engine vs oracle), then identical scalar submits.
         fast = replay_queue_depth(trace, d_fast, queue_depth=3)
         oracle = replay_queue_depth_scalar(trace, d_oracle, queue_depth=3)
@@ -432,6 +438,23 @@ class TestPlanReplayStateEquivalence:
             )
             t = c_fast.finish + 5.0
         assert _flash_state(d_fast) == _flash_state(d_oracle)
+
+    def test_replay_identical_under_both_engines(self):
+        """Default engine (plan loop) vs the forced heap event loop."""
+        rng = np.random.default_rng(73)
+        n = 80
+        trace = BlockTrace(
+            timestamps=np.arange(n, dtype=np.float64),
+            lbas=rng.integers(0, 1 << 22, n),
+            sizes=rng.integers(1, 600, n),
+            ops=rng.integers(0, 2, n).astype(np.int8),
+        )
+        idle = rng.uniform(0, 500.0, n - 1)
+        d1, d2 = FlashArray(), FlashArray()
+        auto = replay_queue_depth(trace, d1, idle_us=idle, queue_depth=4)
+        events = replay_queue_depth(trace, d2, idle_us=idle, queue_depth=4, engine="events")
+        assert_replays_identical(auto, events)
+        assert _flash_state(d1) == _flash_state(d2)
 
     def test_hdd_rng_state_unaffected(self):
         """Non-plan devices keep RNG lockstep (regression guard)."""
@@ -450,42 +473,53 @@ class TestPlanReplayStateEquivalence:
         assert d1._rng.uniform() == d2._rng.uniform()
 
 
-class TestForcedScalarToggle:
-    """The env toggle swaps engines without changing any result."""
+#: 1 KB pages: a 600-sector request spans 300 pages, over eight waves of
+#: the 36 dies (no catalog request spans more than 17 pages).
+_LARGE_PAGES = FlashGeometry(page_kb=1)
 
-    def test_replay_identical_under_both_engines(self):
-        rng = np.random.default_rng(73)
-        n = 80
-        trace = BlockTrace(
-            timestamps=np.arange(n, dtype=np.float64),
-            lbas=rng.integers(0, 1 << 22, n),
-            sizes=rng.integers(1, 600, n),
-            ops=rng.integers(0, 2, n).astype(np.int8),
+LARGE_EXTENT_DEVICES = {
+    "flash": lambda: FlashSSD(geometry=_LARGE_PAGES),
+    "array-2ssd": lambda: FlashArray(n_ssds=2, geometry=_LARGE_PAGES),
+}
+
+
+def _large_extent_trace() -> tuple[BlockTrace, np.ndarray]:
+    rng = np.random.default_rng(83)
+    n = 200
+    trace = BlockTrace(
+        timestamps=np.cumsum(rng.integers(1, 400, n)).astype(np.float64),
+        lbas=rng.integers(0, 1 << 22, n),
+        sizes=rng.integers(64, 601, n),
+        ops=rng.integers(0, 2, n).astype(np.int8),
+    )
+    return trace, rng.uniform(0.0, 2000.0, n - 1)
+
+
+class TestLargeExtents:
+    """Extents of 32–301 pages through every replay engine, end to end."""
+
+    @pytest.mark.parametrize("device_key", sorted(LARGE_EXTENT_DEVICES))
+    def test_sync_batch_vs_scalar(self, device_key):
+        make = LARGE_EXTENT_DEVICES[device_key]
+        trace, idle = _large_extent_trace()
+        assert_replays_identical(
+            replay_with_idle_batch(trace, make(), idle),
+            replay_with_idle(trace, make(), idle),
         )
-        idle = rng.uniform(0, 500.0, n - 1)
-        d1, d2 = FlashArray(), FlashArray()
-        columnar = replay_queue_depth(trace, d1, idle_us=idle, queue_depth=4)
-        kernels.set_force_scalar(True)
-        try:
-            assert d2.replay_plan(trace.ops, trace.lbas, trace.sizes) is None
-            forced = replay_queue_depth(trace, d2, idle_us=idle, queue_depth=4)
-        finally:
-            kernels.set_force_scalar(False)
-        assert_replays_identical(columnar, forced)
-        assert _flash_state(d1) == _flash_state(d2)
 
-    def test_toggle_reflects_environment(self, monkeypatch):
-        import importlib
-
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
-        state = kernels._FORCE_SCALAR
-        try:
-            importlib.reload(kernels)
-            assert not kernels.columnar_enabled()
-        finally:
-            monkeypatch.delenv("REPRO_SCALAR_KERNELS")
-            importlib.reload(kernels)
-            kernels.set_force_scalar(state)
+    @pytest.mark.parametrize("device_key", sorted(LARGE_EXTENT_DEVICES))
+    @pytest.mark.parametrize("queue_depth", [1, 3, 8])
+    @pytest.mark.parametrize("engine", ["auto", "events"])
+    def test_qdepth_vs_scalar_oracle(self, device_key, queue_depth, engine):
+        make = LARGE_EXTENT_DEVICES[device_key]
+        trace, idle = _large_extent_trace()
+        fast = replay_queue_depth(
+            trace, make(), idle_us=idle, queue_depth=queue_depth, engine=engine
+        )
+        oracle = replay_queue_depth_scalar(
+            trace, make(), idle_us=idle, queue_depth=queue_depth
+        )
+        assert_replays_identical(fast, oracle)
 
 
 class TestFastVsScalarPathPin:

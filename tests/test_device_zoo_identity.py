@@ -6,11 +6,12 @@ identical replay stamps under every engine pairing:
 - synchronous scalar replay vs the batch fast path;
 - the production queue-depth engine vs its retained scalar oracle, at
   queue depth 1 (FIFO fast path) and 3 (event loop / plan engine);
-- the columnar kernels vs the forced-scalar engines
-  (``REPRO_SCALAR_KERNELS`` seam, toggled via ``set_force_scalar``);
 - whole-stream ``service_batch`` pricing vs the same stream priced in
   two chunks (order-dependent state — stall ordinals, mirror round
   robin, SMR zone pointers — must advance identically).
+
+A cross-engine check also runs every entry on wide extents, which the
+mixed trace never reaches.
 
 The zoo itself (:func:`repro.campaign.devices.device_zoo`) is the
 parametrisation source, and the coverage test pins it to the registry:
@@ -30,26 +31,27 @@ from repro.replay import (
     replay_with_idle,
     replay_with_idle_batch,
 )
-from repro.storage import kernels
 from repro.trace.trace import BlockTrace
 from test_replay_batch import assert_replays_identical
 
 ZOO = device_zoo()
 
 
-def _zoo_trace(n: int = 60, seed: int = 17) -> tuple[BlockTrace, np.ndarray]:
+def _zoo_trace(
+    n: int = 60, seed: int = 17, sizes: tuple[int, int] = (1, 96)
+) -> tuple[BlockTrace, np.ndarray]:
     """Deterministic mixed read/write trace spanning the tiered split.
 
     LBAs range over [0, 20000) so the tiered zoo entries (flash tier
-    below 8192 sectors) route requests to both tiers, and sizes stay
-    below the flash write buffer often enough to exercise both the
-    buffered and media write paths.
+    below 8192 sectors) route requests to both tiers, and the default
+    sizes stay below the flash write buffer often enough to exercise
+    both the buffered and media write paths.
     """
     rng = np.random.default_rng(seed)
     trace = BlockTrace(
         timestamps=np.cumsum(rng.integers(1, 400, n)).astype(np.float64),
         lbas=rng.integers(0, 20_000, n),
-        sizes=rng.integers(1, 96, n),
+        sizes=rng.integers(*sizes, n),
         ops=rng.integers(0, 2, n).astype(np.int8),
     )
     idle = rng.uniform(0.0, 5_000.0, n - 1)
@@ -138,25 +140,29 @@ class TestQueueDepthIdentity:
 
 
 class TestCrossEngineIdentity:
-    """Columnar engines vs forced-scalar engines, bitwise."""
+    """Scalar paths vs the columnar ones on wide extents, compared directly.
+
+    The wide trace's requests span 8 to 76 of the zoo's 4 KB flash
+    pages — up to 13 waves over its 6 dies — where the mixed trace
+    stops at 13 pages.  Sync replay (scalar ``submit`` loop vs batch
+    pricing) and depth-3 queue-depth replay (the heap event loop that
+    ``engine="events"`` forces, which drives ``_service`` with no
+    replay plan, vs the default engine) must agree stamp for stamp.
+    """
 
     @pytest.mark.parametrize("entry", sorted(ZOO))
     def test_forced_scalar_matches_columnar(self, entry):
-        trace, idle = _zoo_trace()
-        columnar_sync = replay_with_idle_batch(trace, _build(entry), idle)
-        columnar_qd = replay_queue_depth(
-            trace, _build(entry), idle_us=idle, queue_depth=3
+        trace, idle = _zoo_trace(sizes=(64, 601))
+        assert_replays_identical(
+            replay_with_idle(trace, _build(entry), idle),
+            replay_with_idle_batch(trace, _build(entry), idle),
         )
-        kernels.set_force_scalar(True)
-        try:
-            forced_sync = replay_with_idle_batch(trace, _build(entry), idle)
-            forced_qd = replay_queue_depth(
-                trace, _build(entry), idle_us=idle, queue_depth=3
-            )
-        finally:
-            kernels.set_force_scalar(False)
-        assert_replays_identical(columnar_sync, forced_sync)
-        assert_replays_identical(columnar_qd, forced_qd)
+        assert_replays_identical(
+            replay_queue_depth(
+                trace, _build(entry), idle_us=idle, queue_depth=3, engine="events"
+            ),
+            replay_queue_depth(trace, _build(entry), idle_us=idle, queue_depth=3),
+        )
 
 
 class TestChunkedBatchPricing:

@@ -77,17 +77,6 @@ class TestRaid1:
         # Write completes when the slowest mirror does.
         assert c.device_time >= 500.0
 
-    def test_custom_read_policy(self):
-        picks = []
-
-        def policy(lba: int, n: int) -> int:
-            picks.append(lba)
-            return 1
-
-        raid = Raid1(members(2), read_policy=policy)
-        raid.submit(OpType.READ, 42, 8, 0.0)
-        assert picks == [42]
-
     def test_needs_two_members(self):
         with pytest.raises(ValueError):
             Raid1(members(1))
