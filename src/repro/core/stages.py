@@ -25,12 +25,21 @@ objects, each a small callable with one responsibility:
   (parse buffers, per-gap extraction arrays, replay state) is bounded
   by the chunk size; only the reconstructed output columns accumulate.
 
-Streaming note: each chunk's replay starts from a cold target device,
-so order-dependent simulator state (head position, write-buffer fill)
-does not flow across chunk boundaries.  For gap-invariant devices the
-chunked and whole-trace reconstructions agree to float rounding; for
-gap-sensitive devices they differ exactly as two independent cold runs
-would.
+Streaming notes:
+
+- Each chunk's replay starts from a cold target device, so
+  order-dependent simulator state (head position, write-buffer fill)
+  does not flow across chunk boundaries.  For gap-invariant devices
+  the chunked and whole-trace reconstructions agree to float rounding;
+  for gap-sensitive devices they differ exactly as two independent
+  cold runs would.
+- A stream has one latency model, because the model describes the
+  old device, not a window of it.  Chunks without device stamps are
+  decomposed by a fit of their own only during a warm-up of
+  :attr:`StreamingReconstructionSession.WARMUP_FITS` fits; the
+  coefficient-wise median of those fits is then frozen and decomposes
+  every later chunk.  A chunk too short to fit alone borrows the
+  median of the fits made before it.
 """
 
 from __future__ import annotations
@@ -41,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..inference.decompose import InferenceConfig
-from ..inference.idle import IdleExtraction, extract_idle
+from ..inference.idle import IdleExtraction, extract_idle, extract_idle_with_model
+from ..inference.model import LatencyModel
 from ..replay.batch import replay_with_idle_batch
 from ..replay.postprocess import detect_async_indices, revive_async
 from ..replay.replayer import ReplayResult
@@ -104,8 +114,17 @@ class InferStage:
     config: InferenceConfig | None = None
     prefer_measured: bool = True
 
-    def run(self, old_trace: BlockTrace) -> IdleExtraction:
-        """Decompose every inter-arrival gap of ``old_trace``."""
+    def run(self, old_trace: BlockTrace, model: LatencyModel | None = None) -> IdleExtraction:
+        """Decompose every inter-arrival gap of ``old_trace``.
+
+        Measured device times win when ``prefer_measured`` is set and
+        the trace carries them.  Otherwise ``model`` decomposes the
+        gaps when given; with no model, one is inferred from
+        ``old_trace`` itself.
+        """
+        measured = self.prefer_measured and old_trace.has_device_times
+        if model is not None and not measured:
+            return extract_idle_with_model(old_trace, model)
         return extract_idle(
             old_trace, config=self.config, prefer_measured=self.prefer_measured
         )
@@ -302,6 +321,14 @@ def _trace_from_state(state: dict | None) -> BlockTrace | None:
     )
 
 
+def _median_model(fits: list[LatencyModel]) -> LatencyModel:
+    """The coefficient-wise median of ``fits``."""
+    columns = [fit.describe() for fit in fits]
+    return LatencyModel(
+        **{key: float(np.median([c[key] for c in columns])) for key in columns[0]}
+    )
+
+
 class StreamingReconstructionSession:
     """Chunk-at-a-time reconstruction with checkpointable state.
 
@@ -315,16 +342,29 @@ class StreamingReconstructionSession:
     path computes — bit-identical, because the operations are the same
     ones in the same order.
 
-    The whole cross-chunk state is the carried request plus a handful
-    of scalars; :meth:`state_dict` serialises it to a JSON-able dict
-    and :meth:`load_state` restores it, so a process SIGKILLed between
-    chunks resumes with output bit-identical to an uninterrupted run.
-    State commits only after a chunk fully reconstructs — a chunk that
-    raises mid-flight leaves the session unchanged and retryable.
+    **One latency model per stream.**  The inferred model describes the
+    old device, not a chunk.  So the session fits a model to each chunk
+    that needs inference only until it holds :attr:`WARMUP_FITS` fits
+    (the warm-up).  It then freezes the coefficient-wise median of
+    those fits and decomposes every later chunk with it.  A warm-up
+    chunk whose own fit fails (no request group large enough) is
+    decomposed with the median of the fits made so far and adds no
+    fit; with no fit yet, the error stands.  Chunks with device stamps
+    take the measured path throughout.
+
+    The whole cross-chunk state is the carried request, the warm-up
+    fits, the frozen model and a handful of scalars; :meth:`state_dict`
+    serialises it to a JSON-able dict and :meth:`load_state` restores
+    it, so a process SIGKILLed between chunks resumes with output
+    bit-identical to an uninterrupted run.  State commits only after a
+    chunk fully reconstructs — a chunk that raises mid-flight leaves
+    the session unchanged and retryable.
     """
 
     #: Version stamp carried by :meth:`state_dict` documents.
-    STATE_VERSION = 1
+    STATE_VERSION = 2
+    #: Chunk fits whose coefficient-wise median becomes the frozen model.
+    WARMUP_FITS = 16
 
     def __init__(
         self, pipeline: StagedReconstructionPipeline, target: StorageDevice
@@ -343,6 +383,8 @@ class StreamingReconstructionSession:
         self._n_requests = 0
         self._out_start: float | None = None
         self._out_last: float | None = None
+        self._fits: list[LatencyModel] = []
+        self._model: LatencyModel | None = None
 
     # -- driving -------------------------------------------------------
 
@@ -352,7 +394,9 @@ class StreamingReconstructionSession:
         Returns ``None`` for empty chunks and while the stream head is
         still a single request (folded into the next chunk).  The
         returned piece is final — already shifted to its splice point —
-        and is never revised by later chunks.
+        and is never revised by later chunks.  The chunk's gaps are
+        decomposed by its own fit during warm-up and by the frozen
+        model after it (see the class docstring).
         """
         if len(chunk) == 0:
             return None
@@ -371,7 +415,7 @@ class StreamingReconstructionSession:
             self._old_duration = old_duration
             self._pending = work
             return None
-        extraction = self.pipeline.infer.run(work)
+        extraction, fits = self._extract(work)
         async_indices = detect_async_indices(extraction.tintt_us, extraction.tsdev_us)
         replay = self.pipeline.emulate.run(work, self.target, extraction.tidle_us)
         new_work = replay.trace
@@ -398,8 +442,26 @@ class StreamingReconstructionSession:
         self._used_measured = self._used_measured and extraction.used_measured_tsdev
         self._splice_at = float(piece.timestamps[-1])
         self._carry = chunk.select(slice(-1, None))
+        self._fits = fits
+        if self._model is None and len(fits) >= self.WARMUP_FITS:
+            self._model = _median_model(fits)
         self._record_piece(piece)
         return piece
+
+    def _extract(self, work: BlockTrace) -> tuple[IdleExtraction, list[LatencyModel]]:
+        """Decompose ``work``'s gaps; return the extraction and the fits after it."""
+        infer = self.pipeline.infer
+        if self._model is not None:
+            return infer.run(work, model=self._model), self._fits
+        try:
+            extraction = infer.run(work)
+        except ValueError:
+            if not self._fits:
+                raise
+            return infer.run(work, model=_median_model(self._fits)), self._fits
+        if extraction.report is None:  # measured device times: nothing was fitted
+            return extraction, self._fits
+        return extraction, [*self._fits, extraction.report.model]
 
     def finish(self) -> BlockTrace | None:
         """Flush a stream that ended while still a single request.
@@ -479,10 +541,16 @@ class StreamingReconstructionSession:
             "n_requests": self._n_requests,
             "out_start": self._out_start,
             "out_last": self._out_last,
+            "fits": [fit.describe() for fit in self._fits],
+            "model": None if self._model is None else self._model.describe(),
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot onto this session."""
+        """Restore a :meth:`state_dict` snapshot onto this session.
+
+        Raises ``ValueError`` for a document of another
+        :attr:`STATE_VERSION` and ``KeyError`` for one missing a field.
+        """
         if state.get("version") != self.STATE_VERSION:
             raise ValueError(
                 f"unsupported stream-session state version {state.get('version')!r}"
@@ -499,3 +567,5 @@ class StreamingReconstructionSession:
         self._n_requests = int(state["n_requests"])
         self._out_start = None if state["out_start"] is None else float(state["out_start"])
         self._out_last = None if state["out_last"] is None else float(state["out_last"])
+        self._fits = [LatencyModel(**fit) for fit in state["fits"]]
+        self._model = None if state["model"] is None else LatencyModel(**state["model"])

@@ -24,7 +24,9 @@ then write the checkpoint via temp-file + ``fsync`` + ``os.replace``
 
 A checkpoint that fails to parse is quarantined aside as
 ``checkpoint.json.corrupt`` and treated as absent: the stream restarts
-from scratch, consistent by construction (sink truncates to zero).
+from scratch, consistent by construction (sink truncates to zero).  A
+checkpoint that parses but carries a session state of another version
+is not corrupt: the daemon fails on it, leaving every file in place.
 """
 
 from __future__ import annotations

@@ -35,7 +35,9 @@ unsplicable by the carry invariant — are quarantined as ``order``
 records.  Source hiccups retry forever with the capped deterministic
 backoff of :class:`~repro.resilience.RetryPolicy`; only *permanent*
 failures (the taxonomy of :func:`~repro.resilience.classify_error`)
-take the daemon down, loudly, through the ``failed`` state.
+take the daemon down, loudly, through the ``failed`` state — as does
+a checkpoint whose session state this version cannot load, which
+stays on disk with the sink and the dead-letter file untouched.
 
 **Drain semantics.**  SIGTERM/SIGINT stop ingest, let every chunk
 already in the queue reconstruct and commit, and exit in ``stopped``
@@ -323,11 +325,22 @@ class StreamingReconstructionService:
         self.workdir.mkdir(parents=True, exist_ok=True)
         self._write_status()
         session = self.tracker.stream_session(self.target)
-        self._session = session
 
         cp = load_checkpoint(self.checkpoint_path)
         if cp is not None:
-            session.load_state(cp.session_state)
+            try:
+                session.load_state(cp.session_state)
+            except (ValueError, KeyError, TypeError) as exc:
+                # A session state of another version.  Starting over
+                # would truncate the committed output, so fail with
+                # every file left as it is.
+                self._fatal = (
+                    f"cannot resume {self.checkpoint_path.name}: {type(exc).__name__}: {exc}"
+                )
+                with self._state_lock:
+                    self._state = "failed"
+                self._write_status()
+                return None
             self._header = cp.header
             self._rebase_offset = cp.rebase_offset
             self._last_old_ts = cp.last_old_ts
@@ -342,6 +355,7 @@ class StreamingReconstructionService:
         else:
             self._sink.open(0)
             self._quarantine.open(0)
+        self._session = session
         self.source.open(cp.source_cursor if cp is not None else None)
 
         previous_handlers: dict[int, Any] = {}

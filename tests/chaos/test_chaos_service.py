@@ -6,7 +6,9 @@ byte-/bit-identical to an undisturbed batch-oracle run — zero
 duplicated and zero lost requests.  Kill points are chosen at random
 chunk boundaries from a seeded RNG (the chaos-harness style of
 tests/chaos/test_chaos_campaign.py: real processes, real signals,
-deterministic schedule).
+deterministic schedule).  A stream without device stamps is killed
+once while the session is still fitting a model per chunk and once
+after it has frozen the stream's model.
 """
 
 from __future__ import annotations
@@ -22,12 +24,16 @@ import numpy as np
 import pytest
 
 from repro import TraceTracker
+from repro.core import StreamingReconstructionSession
 from repro.storage import ConstantLatencyDevice, HDDModel, SATA_600
 from repro.trace import TraceReader, dump_trace, load_trace
 from repro.workloads import collect_trace, generate_intents, get_spec
 
 CHUNK = 50
 N_REQUESTS = 600
+#: The bare stream: 20 default-size chunks and an 80-row tail.
+BARE_CHUNK = 256
+N_BARE = 20 * BARE_CHUNK + 80
 
 
 def device():
@@ -46,17 +52,38 @@ def stream_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def oracle(stream_file, tmp_path_factory):
-    base = tmp_path_factory.mktemp("chaos-oracle")
+def bare_stream_file(tmp_path_factory):
+    base = tmp_path_factory.mktemp("chaos-bare-stream")
+    old = collect_trace(
+        generate_intents(get_spec("MSNFS").scaled(N_BARE)), HDDModel(), record_device_times=False
+    )
+    src = base / "old.csv"
+    dump_trace(old, src, fmt="internal")
+    return src
+
+
+def stream_oracle(src, chunk, base):
     result = TraceTracker().pipeline.run_stream(
-        TraceReader(stream_file, chunk_requests=CHUNK), device()
+        TraceReader(src, chunk_requests=chunk), device()
     )
     out = base / "out.csv"
     dump_trace(result.trace, out, fmt="internal")
     return {"bytes": out.read_bytes(), "metrics": result.metrics}
 
 
-def serve_file(src, workdir):
+@pytest.fixture(scope="module")
+def oracle(stream_file, tmp_path_factory):
+    return stream_oracle(stream_file, CHUNK, tmp_path_factory.mktemp("chaos-oracle"))
+
+
+@pytest.fixture(scope="module")
+def bare_oracle(bare_stream_file, tmp_path_factory):
+    return stream_oracle(
+        bare_stream_file, BARE_CHUNK, tmp_path_factory.mktemp("chaos-bare-oracle")
+    )
+
+
+def serve_file(src, workdir, chunk=CHUNK):
     """Child-process entry: run the daemon to completion over a file."""
     from repro.service import FileTailSource, ServiceConfig, StreamingReconstructionService
 
@@ -64,7 +91,7 @@ def serve_file(src, workdir):
         FileTailSource(src),
         device(),
         workdir,
-        ServiceConfig(chunk_requests=CHUNK, until_idle_s=0.3),
+        ServiceConfig(chunk_requests=chunk, until_idle_s=0.3),
     )
     service.run()
 
@@ -113,23 +140,52 @@ def assert_exactly_once(workdir, oracle):
     }
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_sigkill_at_random_chunk_boundaries(stream_file, oracle, tmp_path, seed):
-    """Kill the daemon twice at seeded random progress points, then finish."""
+@pytest.mark.parametrize(
+    "seed, bare", [(0, False), (1, False), (2, True)], ids=["0", "1", "bare"]
+)
+def test_sigkill_at_random_chunk_boundaries(request, tmp_path, seed, bare):
+    """Kill the daemon twice at seeded random progress points, then finish.
+
+    The bare stream is killed once in the first few chunks, while the
+    session fits a model per chunk, and once after the freeze.
+    """
     ctx = multiprocessing.get_context("fork")
     workdir = tmp_path / "wd"
     rng = np.random.default_rng(seed)
-    kill_points = sorted(
-        rng.choice(np.arange(1, N_REQUESTS // CHUNK), size=2, replace=False) * CHUNK
-    )
+    if bare:
+        src, oracle, chunk = (
+            request.getfixturevalue("bare_stream_file"),
+            request.getfixturevalue("bare_oracle"),
+            BARE_CHUNK,
+        )
+        warm = StreamingReconstructionSession.WARMUP_FITS
+        kill_points = [
+            rng.integers(1, 4) * chunk,
+            rng.integers(warm + 1, N_BARE // chunk) * chunk,
+        ]
+    else:
+        src, oracle, chunk = (
+            request.getfixturevalue("stream_file"),
+            request.getfixturevalue("oracle"),
+            CHUNK,
+        )
+        kill_points = sorted(
+            rng.choice(np.arange(1, N_REQUESTS // chunk), size=2, replace=False) * chunk
+        )
+    frozen_at_kill = []
     for threshold in kill_points:
-        proc = ctx.Process(target=serve_file, args=(stream_file, workdir))
+        proc = ctx.Process(target=serve_file, args=(src, workdir, chunk))
         proc.start()
         wait_rows_consumed(workdir / "checkpoint.json", int(threshold))
         os.kill(proc.pid, signal.SIGKILL)
         proc.join(timeout=30.0)
         assert proc.exitcode == -signal.SIGKILL
-    proc = ctx.Process(target=serve_file, args=(stream_file, workdir))
+        if bare:
+            state = json.loads((workdir / "checkpoint.json").read_text())["session_state"]
+            frozen_at_kill.append(state["model"] is not None)
+    if bare:
+        assert frozen_at_kill == [False, True]  # one kill in warm-up, one after it
+    proc = ctx.Process(target=serve_file, args=(src, workdir, chunk))
     proc.start()
     proc.join(timeout=180.0)
     assert proc.exitcode == 0

@@ -16,9 +16,13 @@ import socket
 import threading
 import time
 
+from dataclasses import replace
+
 import pytest
 
 from repro import TraceTracker
+from repro.core import StreamingReconstructionSession
+from repro.experiments.nodes import old_node
 from repro.storage import ConstantLatencyDevice, HDDModel, SATA_600
 from repro.trace import BlockTrace, TraceReader, dump_trace, write_csv
 from repro.workloads import collect_trace, generate_intents, get_spec
@@ -27,8 +31,11 @@ from repro.service import (
     FileTailSource,
     ServiceConfig,
     SocketLineSource,
+    StreamCheckpoint,
     StreamingReconstructionService,
+    save_checkpoint,
 )
+from repro.service import cli as serve_cli
 from repro.service.daemon import _CsvSink
 
 CHUNK = 60
@@ -398,3 +405,124 @@ class TestDrainAndStatus:
         assert service.outcome == "failed"
         status = json.loads((workdir / "status.json").read_text())
         assert "shrank" in status["fatal"]
+
+
+def bare_msnfs(n_requests: int, seed: int) -> BlockTrace:
+    """An MSNFS trace without device stamps: every chunk needs inference."""
+    spec = replace(get_spec("MSNFS").scaled(n_requests), seed=seed)
+    return collect_trace(generate_intents(spec), old_node(), record_device_times=False)
+
+
+class TestShortTail:
+    """Bare streams ending in an 80-row chunk finish, in parity with the oracle.
+
+    The 80-row tail is too short to fit a model of its own.  After 8
+    whole 256-row chunks the warm-up fallback decomposes it; after 20,
+    the frozen model does.
+    """
+
+    @pytest.mark.parametrize(
+        "n_requests, seed",
+        [(2_128, s) for s in (2, 3, 5, 7)] + [(5_200, s) for s in (1, 2, 3, 5)],
+    )
+    def test_short_final_chunk(self, tmp_path, n_requests, seed):
+        src = tmp_path / "old.csv"
+        dump_trace(bare_msnfs(n_requests, seed), src, fmt="internal")
+        chunk = ServiceConfig().chunk_requests
+        assert n_requests % chunk == 80
+        oracle = TraceTracker().reconstruct_stream(
+            TraceReader(src, chunk_requests=chunk), device()
+        )
+        service, metrics = run_service(
+            FileTailSource(src), tmp_path / "wd", chunk_requests=chunk
+        )
+        assert service.outcome == "finished"
+        assert (tmp_path / "wd" / "out.csv").read_bytes() == csv_bytes(oracle.trace)
+        assert metrics == oracle.metrics
+        assert metrics.n_requests == n_requests
+        assert metrics.n_chunks == -(-n_requests // chunk)
+        state = json.loads((tmp_path / "wd" / "checkpoint.json").read_text())["session_state"]
+        warm = StreamingReconstructionSession.WARMUP_FITS
+        assert len(state["fits"]) == min(n_requests // chunk, warm)  # the tail fit nothing
+        assert (state["model"] is not None) == (n_requests // chunk >= warm)
+
+
+#: A version-1 session state, as the daemon checkpointed it before the
+#: warm-up fits and the frozen model joined the state.
+V1_SESSION_STATE = {
+    "version": 1,
+    "carry": {
+        "timestamps": [98765.5],
+        "lbas": [4096],
+        "sizes": [8],
+        "ops": [0],
+        "issues": [98770.25],
+        "completes": [98901.0],
+        "syncs": None,
+        "name": "stream",
+        "metadata": {},
+    },
+    "pending": None,
+    "splice_at": 61234.75,
+    "old_duration": 98765.5,
+    "old_start": 0.0,
+    "slept": 40321.0,
+    "n_async": 7,
+    "used_measured": True,
+    "n_chunks": 1,
+    "n_requests": 60,
+    "out_start": 0.0,
+    "out_last": 61234.75,
+}
+
+
+class TestUnloadableSessionState:
+    """A checkpoint whose session state cannot load fails the daemon loudly."""
+
+    @pytest.mark.parametrize(
+        "state, cause",
+        [
+            (V1_SESSION_STATE, "ValueError: unsupported stream-session state version 1"),
+            ({**V1_SESSION_STATE, "version": 2}, "KeyError: 'fits'"),
+        ],
+        ids=["version-1", "missing-key"],
+    )
+    def test_fails_with_files_untouched(self, oracle, tmp_path, state, cause):
+        workdir = tmp_path / "wd"
+        workdir.mkdir()
+        head = oracle["bytes"][: oracle["bytes"].index(b"\n", 2_000) + 1]
+        (workdir / "out.csv").write_bytes(head)
+        dead = b'{"kind": "parse", "line": "bad"}\n'
+        (workdir / "quarantine.jsonl").write_bytes(dead)
+        save_checkpoint(
+            workdir / "checkpoint.json",
+            StreamCheckpoint(
+                source_cursor=1_234,
+                session_state=state,
+                sink_bytes=len(head),
+                quarantine_bytes=len(dead),
+                header=oracle["src"].read_text().splitlines()[0],
+                rows_consumed=60,
+                rows_out=60,
+                n_quarantined=1,
+            ),
+        )
+        names = ("checkpoint.json", "out.csv", "quarantine.jsonl")
+        before = {name: (workdir / name).read_bytes() for name in names}
+        code = serve_cli.main(
+            [
+                "run",
+                "--source", f"file:{oracle['src']}",
+                "--workdir", str(workdir),
+                "--device", "hdd",
+                "--until-idle", "0.2",
+            ]
+        )
+        assert code == 1
+        status = json.loads((workdir / "status.json").read_text())
+        assert status["state"] == "failed"
+        assert status["fatal"] == f"cannot resume checkpoint.json: {cause}"
+        assert status["session"] == {"n_chunks": 0, "n_requests": 0}  # nothing resumed
+        assert {name: (workdir / name).read_bytes() for name in names} == before
+        assert not (workdir / "checkpoint.json.corrupt").exists()
+        assert not (workdir / "metrics.json").exists()
