@@ -365,7 +365,7 @@ def run_benchmarks(n_requests: int) -> dict:
         # (service_batch + FIFO window) engine on the OLD node; the
         # flash array cannot take that path at depth > 1 (its latencies
         # are state-dependent under overlap), so its stage tracks the
-        # plan-based event engine, whose win is bounded by the
+        # streaming flash loop, whose win is bounded by the
         # irreducible per-fragment state bookkeeping the scalar oracle
         # shares (see docs/architecture.md, "Device-model kernels").
         "qdepth_replay": bench_qdepth(n_requests, old_node, "hdd"),

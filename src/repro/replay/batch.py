@@ -2,7 +2,7 @@
 
 :func:`replay_with_idle_batch` produces results identical to the scalar
 :func:`~repro.replay.replayer.replay_with_idle` while avoiding its
-per-request Python overhead.  Two regimes:
+per-request Python overhead.  Three regimes:
 
 1. **Vector path** — when the target device can price the whole request
    stream up front (``device.service_batch`` returns an array: the
@@ -21,13 +21,20 @@ per-request Python overhead.  Two regimes:
    ``np.cumsum`` performs the same left-to-right chain of IEEE-754
    additions, so the stamps are *bit-identical* to the scalar loop's.
 
-2. **Fast fallback** — devices whose latencies depend on real
-   submission instants (e.g. a flash array with a write-back buffer
-   draining in the background) return ``None`` from ``service_batch``.
-   The engine then drives ``device._service`` directly through a tight
-   loop that performs the same arithmetic as ``StorageDevice.submit``
-   with the validation hoisted out and the trace assembled from columns
-   instead of per-row appends.
+2. **Streaming flash loop** — flash SSDs and flash arrays whose
+   latencies depend on real submission instants (a write-back buffer
+   draining in the background) return ``None`` from
+   ``service_batch``.  Devices with a ``flash_layout`` then run
+   :func:`repro.replay.qdepth._flash_loop` with the synchronous think
+   rule: the queue-depth engine's loop, which walks stripe fragments
+   inline and runs the member SSDs' memoised fast paths without
+   per-request dispatch.
+
+3. **Fast fallback** — every other gap-sensitive device (fault
+   wrappers, RAID, multi-queue, tiered) is driven through
+   ``device._service`` in a tight loop that performs the same
+   arithmetic as ``StorageDevice.submit`` with the validation hoisted
+   out and the trace assembled from columns instead of per-row appends.
 
 Either way the produced :class:`~repro.replay.replayer.ReplayResult`
 matches the scalar engine's stamps exactly; the property suite
@@ -41,7 +48,8 @@ import numpy as np
 from ..storage.device import StorageDevice
 from ..trace.record import OpType
 from ..trace.trace import BlockTrace
-from .replayer import ReplayResult, _validated_idle
+from .qdepth import _flash_loop
+from .replayer import ReplayResult, _check_requests, _validated_idle
 
 __all__ = ["replay_with_idle_batch", "replay_back_to_back_batch"]
 
@@ -72,13 +80,13 @@ def replay_with_idle_batch(
     if n == 0:
         raise ValueError("cannot replay an empty trace")
     idle = _normalized_idle(n, idle_us)
-    if np.any(old_trace.lbas < 0):
-        raise ValueError("lba must be non-negative")
+    _check_requests(old_trace)
     device.reset()
     svc = device.service_batch(old_trace.ops, old_trace.lbas, old_trace.sizes)
     metadata = _replay_metadata(old_trace, device, method)
+    t_cdel = device.channel.delay_batch_us(old_trace.ops, old_trace.sizes)
+    layout = device.flash_layout() if svc is None else None
     if svc is not None:
-        t_cdel = device.channel.delay_batch_us(old_trace.ops, old_trace.sizes)
         # One interleaved running sum reproduces the scalar clock chain
         # addition-for-addition (see module docstring).
         increments = np.empty(3 * n, dtype=np.float64)
@@ -92,8 +100,10 @@ def replay_with_idle_batch(
         submits[0] = 0.0
         submits[1:] = cum[2::3][:-1]
         starts = acks
+    elif layout is not None:
+        submits, acks, starts, finishes = _flash_loop(layout, old_trace, t_cdel, idle)
     else:
-        submits, acks, starts, finishes = _replay_scalar_fast(old_trace, device, idle)
+        submits, acks, starts, finishes = _replay_scalar_fast(old_trace, device, t_cdel, idle)
     trace = BlockTrace(
         timestamps=submits,
         lbas=old_trace.lbas,
@@ -115,9 +125,9 @@ def replay_with_idle_batch(
 
 
 def _replay_scalar_fast(
-    old_trace: BlockTrace, device: StorageDevice, idle: np.ndarray
+    old_trace: BlockTrace, device: StorageDevice, t_cdel: np.ndarray, idle: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Tight scalar loop for gap-sensitive devices.
+    """Tight scalar loop for gap-sensitive devices without a flash layout.
 
     Performs the exact per-request arithmetic of ``device.submit`` —
     channel delay, then ``_service`` — with conversions hoisted out of
@@ -129,7 +139,7 @@ def _replay_scalar_fast(
     lbas = old_trace.lbas.tolist()
     sizes = old_trace.sizes.tolist()
     idle_list = idle.tolist()
-    t_cdel = device.channel.delay_batch_us(old_trace.ops, old_trace.sizes).tolist()
+    t_cdel = t_cdel.tolist()
     service = device._service
     submits = np.empty(n, dtype=np.float64)
     acks = np.empty(n, dtype=np.float64)

@@ -26,14 +26,13 @@ one of three engines, all bit-identical to the oracle:
   in-flight set of a FIFO device is always the trailing ``qd``
   requests, so "wait for the oldest outstanding completion" is one
   comparison against ``finishes[i - qd]``.
-- the *plan loop* (:func:`_qdepth_plan_events`), for devices with
-  internal parallelism that provide a replay plan
-  (``device.replay_plan``: flash and flash arrays).  Fragment fan-out
-  and memoised relative-service entries are resolved for the whole
-  stream up front by the columnar device kernels, and the event loop
-  runs each member's fast paths inline — no per-request key
-  construction, memo lookups, or method dispatch, and busy-state page
-  walks run from the shape's prefetched occupancy walk.
+- the *streaming flash loop* (:func:`_flash_loop`), for devices with a
+  ``flash_layout`` (flash SSDs and flash arrays).  It walks each
+  request's stripe fragments inline, looks each fragment's
+  relative-service entry up in the members' shared memo, and runs the
+  members' fast paths without method dispatch.  The synchronous
+  engine (:func:`~repro.replay.batch.replay_with_idle_batch`) runs the
+  same loop with the sync think rule.
 - the *heap event loop* (:func:`_qdepth_events`), for every other
   device: it drives ``device._service`` directly with the per-request
   conversions hoisted out.
@@ -51,6 +50,7 @@ is allowed genuine overlap).
 from __future__ import annotations
 
 import heapq
+from array import array
 
 import numpy as np
 
@@ -59,9 +59,15 @@ from ..storage.flash import _entry_commit, _entry_idle_sparse
 from ..trace.record import OpType
 from ..trace.trace import BlockTrace
 from .collector import TraceCollector
-from .replayer import ReplayResult, _validated_idle
+from .replayer import ReplayResult, _check_requests, _validated_idle
 
 __all__ = ["replay_queue_depth", "replay_queue_depth_scalar"]
+
+#: Rows of input columns the streaming flash loop turns into Python
+#: lists at a time.  Bounds the per-row Python objects it holds to one
+#: block, whatever the trace length (as ``CSV_BLOCK_ROWS`` does for the
+#: CSV writer).
+FLASH_BLOCK_ROWS = 4096
 
 
 def _qdepth_metadata(old_trace: BlockTrace, device: StorageDevice, method: str, qd: int) -> dict:
@@ -98,12 +104,12 @@ def replay_queue_depth(
     docstring for how each engine achieves that.
 
     ``engine`` selects the execution strategy: ``"auto"`` (default)
-    takes the FIFO chain where the device allows it, else the plan loop
-    for plan-capable devices, else the heap event loop; ``"plan"`` skips
-    the FIFO chain and ``"events"`` forces the heap event loop (used by
-    the differential identity suite — all three produce bit-identical
-    stamps).  Devices without a plan fall back to the heap event loop
-    under every setting.
+    takes the FIFO chain where the device allows it, else the streaming
+    flash loop for devices with a ``flash_layout``, else the heap event
+    loop; ``"plan"`` skips the FIFO chain and ``"events"`` forces the
+    heap event loop (used by the differential identity suite — all
+    three produce bit-identical stamps).  On a device without a flash
+    layout, ``"plan"`` runs the heap event loop.
 
     Returns the same :class:`ReplayResult` shape as the synchronous
     replayer.
@@ -116,8 +122,7 @@ def replay_queue_depth(
     if queue_depth < 1:
         raise ValueError("queue depth must be at least 1")
     idle_arr = _validated_idle(n, idle_us)
-    if np.any(old_trace.lbas < 0):
-        raise ValueError("lba must be non-negative")
+    _check_requests(old_trace)
     device.reset()
     # The precomputed-service regime needs gap-invariant durations for
     # the actual arrival pattern.  ``service_batch`` guarantees them for
@@ -130,16 +135,16 @@ def replay_queue_depth(
         svc = device.service_batch(old_trace.ops, old_trace.lbas, old_trace.sizes)
     metadata = _qdepth_metadata(old_trace, device, method, queue_depth)
     t_cdel = device.channel.delay_batch_us(old_trace.ops, old_trace.sizes)
-    plan = None
+    layout = None
     if svc is None and engine != "events":
-        plan = device.replay_plan(old_trace.ops, old_trace.lbas, old_trace.sizes)
+        layout = device.flash_layout()
     if svc is not None:
         submits, acks, starts, finishes = _qdepth_fifo_fast(
             t_cdel, svc, idle_arr, queue_depth
         )
-    elif plan is not None:
-        submits, acks, starts, finishes = _qdepth_plan_events(
-            device, plan, t_cdel, idle_arr, queue_depth
+    elif layout is not None:
+        submits, acks, starts, finishes = _flash_loop(
+            layout, old_trace, t_cdel, idle_arr, queue_depth
         )
     else:
         submits, acks, starts, finishes = _qdepth_events(
@@ -259,42 +264,62 @@ def _qdepth_events(
     return submits, acks, starts, finishes
 
 
-def _qdepth_plan_events(
-    device: StorageDevice,
-    plan,
+def _flash_loop(
+    layout: tuple[list, int | None],
+    old_trace: BlockTrace,
     t_cdel: np.ndarray,
     idle_arr: np.ndarray,
-    queue_depth: int,
+    queue_depth: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Event loop over a precomputed device plan (flash / flash array).
+    """Streaming replay over flash members, synchronous or queue-depth.
 
-    Request ``i`` owns fragments ``plan.frags[offsets[i]:offsets[i+1]]``
-    in the exact order the scalar fragment walk visits them; each
-    fragment carries its member index and memoised relative-service
-    entry.  The loop body inlines ``FlashSSD._service`` branch for
-    branch — horizon check, slot-range idle probe, slot-range commit,
-    write-buffer admission — so every stamp and every piece of member
-    state (busy stamps, buffer occupancy, horizon) is bit-identical to
-    driving ``_service`` per request, with the per-request key
-    construction, memo lookups, and method dispatch all hoisted into
-    plan construction and the per-die loops collapsed into list-slice
-    operations (see ``repro.storage.flash._entry_commit``).
+    ``layout`` is the device's ``flash_layout()``: its member SSDs and
+    the stripe unit in sectors (``None`` for a standalone SSD).  Each
+    request is cut into stripe fragments with the arithmetic of
+    ``FlashArray._service``; each fragment's ``_RelService`` comes from
+    the members' shared relative-service memo (``_rel_entry`` on a
+    miss).  The body inlines ``FlashSSD._service`` branch for branch —
+    horizon check, slot-range idle probe, slot-range commit,
+    write-buffer admission, and the ``_busy_read``/``_busy_program``
+    walks when the touched slots are busy — so every stamp and every
+    piece of member state (busy stamps, buffer occupancy, horizon) is
+    bit-identical to driving ``device._service`` per request.
+
+    The two replay modes differ only in the think rule.  Synchronous
+    replay (``queue_depth=None``) submits the next request ``idle``
+    after this one *finishes*.  Queue-depth replay submits it ``idle``
+    after this one's *ack*, but no earlier than a slot frees in the
+    window of ``queue_depth`` outstanding requests.
+
+    No per-request Python object lives for the whole stream: input
+    columns become lists ``FLASH_BLOCK_ROWS`` rows at a time, and ack
+    and finish stamps go straight into ``array('d')`` buffers.  Submits
+    are derived afterwards from the think rule elementwise (the same
+    additions the loop performs) and starts equal acks, each overridden
+    at the rows recorded in compact index/value buffers: window-full
+    waits, and a standalone SSD's buffered write admitted late.
     """
-    offsets = plan.offsets
-    frags = plan.frags
-    array_level = plan.array_level
-    members = plan.members_of(device)
-    n = len(offsets) - 1
-    t_cdel_l = t_cdel.tolist()
-    idle_l = idle_arr.tolist()
+    members, stripe = layout
+    array_level = stripe is not None
+    # A standalone SSD is a one-member array whose stripe unit no int64
+    # extent crosses, so each of its requests is one fragment.
+    ss = stripe if array_level else 1 << 64
+    n_members = len(members)
+    memo = members[0]._rel_cache  # one geometry, one shared memo
+    rel_entry = members[0]._rel_entry
+    ps = members[0]._page_sectors
+    td = members[0]._total_dies
+    window = queue_depth is not None
+    qd = queue_depth
+    n = len(old_trace)
     heappush, heappop = heapq.heappush, heapq.heappop
     in_flight: list[float] = []
-    acks: list[float] = []
-    finishes: list[float] = []
-    #: Rare per-request deviations recorded as (index, value) pairs;
-    #: the dense submit/start columns are derived vectorised afterwards.
-    clock_bumps: list[tuple[int, float]] = []
-    start_overrides: list[tuple[int, float]] = []
+    acks = array("d")
+    finishes = array("d")
+    append_ack = acks.append
+    append_finish = finishes.append
+    bump_rows, bump_clocks = array("q"), array("d")
+    late_rows, late_starts = array("q"), array("d")
     # Per-member state mirrored into locals: busy lists are shared
     # objects (mutated in place, so the member's own slow paths stay
     # coherent), horizons and buffer byte counts are plain floats/ints
@@ -309,99 +334,121 @@ def _qdepth_plan_events(
     bw_us = [m.geometry.buffer_write_us for m in members]
     bw4 = [m.channel.bandwidth_mb_s * 4 for m in members]
     clock = 0.0
-    qd = queue_depth
-    for i in range(n):
-        if len(in_flight) >= qd:
-            while in_flight and in_flight[0] <= clock:
-                heappop(in_flight)
-            if len(in_flight) >= qd:
-                clock = heappop(in_flight)
-                clock_bumps.append((i, clock))
-        ack = clock + t_cdel_l[i]
-        finish = ack
-        for k in range(offsets[i], offsets[i + 1]):
-            mi, e = frags[k]
-            db = dbs[mi]
-            cb = cbs[mi]
-            if e.is_read:
-                if ack >= hors[mi] or _entry_idle_sparse(db, cb, e, ack):
-                    _entry_commit(db, cb, e, ack)
-                    h = ack + e.horizon
-                    if h > hors[mi]:
-                        hors[mi] = h
-                    f = ack + e.svc
+    for b0 in range(0, n, FLASH_BLOCK_ROWS):
+        b1 = min(b0 + FLASH_BLOCK_ROWS, n)
+        idle_l = idle_arr[b0:b1].tolist()
+        if len(idle_l) < b1 - b0:
+            idle_l.append(0.0)  # the last request's think time is never used
+        for i, op, lba, size, tc, idle in zip(
+            range(b0, b1),
+            old_trace.ops[b0:b1].tolist(),
+            old_trace.lbas[b0:b1].tolist(),
+            old_trace.sizes[b0:b1].tolist(),
+            t_cdel[b0:b1].tolist(),
+            idle_l,
+        ):
+            if window and len(in_flight) >= qd:
+                while in_flight and in_flight[0] <= clock:
+                    heappop(in_flight)
+                if len(in_flight) >= qd:
+                    clock = heappop(in_flight)
+                    bump_rows.append(i)
+                    bump_clocks.append(clock)
+            ack = clock + tc
+            finish = ack
+            cursor = lba
+            remaining = size
+            while remaining > 0:
+                stripe_i = cursor // ss
+                chunk = ss - (cursor - stripe_i * ss)
+                if chunk > remaining:
+                    chunk = remaining
+                mi = stripe_i % n_members
+                first = cursor // ps
+                n_pages = (cursor + chunk - 1) // ps - first + 1
+                e = memo.get((op, first % td, n_pages, chunk))
+                if e is None:
+                    e = rel_entry(OpType(op), first, n_pages, chunk)
+                cursor += chunk
+                remaining -= chunk
+                db = dbs[mi]
+                cb = cbs[mi]
+                if e.is_read:
+                    if ack >= hors[mi] or _entry_idle_sparse(db, cb, e, ack):
+                        _entry_commit(db, cb, e, ack)
+                        h = ack + e.horizon
+                        if h > hors[mi]:
+                            hors[mi] = h
+                        f = ack + e.svc
+                    else:
+                        f = members[mi]._busy_read(e, ack)
+                        if f > hors[mi]:
+                            hors[mi] = f
+                elif e.buffered:
+                    nbytes = e.nbytes
+                    buf = bufs[mi]
+                    bb = bbs[mi]
+                    while buf and buf[0][0] <= ack:
+                        __, freed = buf.popleft()
+                        bb -= freed
+                    if bb + nbytes <= caps[mi] and (
+                        ack >= hors[mi] or _entry_idle_sparse(db, cb, e, ack)
+                    ):
+                        buf.append((ack + e.drain_rel, nbytes))
+                        bbs[mi] = bb + nbytes
+                        _entry_commit(db, cb, e, ack)
+                        h = ack + e.horizon
+                        if h > hors[mi]:
+                            hors[mi] = h
+                        f = ack + e.svc
+                    else:
+                        ssd = members[mi]
+                        ssd._buffered_bytes = bb
+                        start = ssd._buffer_admit(nbytes, ack)
+                        ack_done = start + bw_us[mi] + nbytes / bw4[mi]
+                        drain = ssd._busy_program(e, ack_done)
+                        buf.append((drain, nbytes))
+                        bbs[mi] = ssd._buffered_bytes + nbytes
+                        if drain > hors[mi]:
+                            hors[mi] = drain
+                        f = ack_done
+                        if not array_level:
+                            late_rows.append(i)
+                            late_starts.append(start)
                 else:
-                    f = members[mi]._busy_read(e, ack)
-                    if f > hors[mi]:
-                        hors[mi] = f
-            elif e.buffered:
-                nbytes = e.nbytes
-                buf = bufs[mi]
-                bb = bbs[mi]
-                while buf and buf[0][0] <= ack:
-                    __, freed = buf.popleft()
-                    bb -= freed
-                if bb + nbytes <= caps[mi] and (
-                    ack >= hors[mi] or _entry_idle_sparse(db, cb, e, ack)
-                ):
-                    buf.append((ack + e.drain_rel, nbytes))
-                    bbs[mi] = bb + nbytes
-                    _entry_commit(db, cb, e, ack)
-                    h = ack + e.horizon
-                    if h > hors[mi]:
-                        hors[mi] = h
-                    f = ack + e.svc
-                else:
-                    ssd = members[mi]
-                    ssd._buffered_bytes = bb
-                    start = ssd._buffer_admit(nbytes, ack)
-                    ack_done = start + bw_us[mi] + nbytes / bw4[mi]
-                    drain = ssd._busy_program(e, ack_done)
-                    buf.append((drain, nbytes))
-                    bbs[mi] = ssd._buffered_bytes + nbytes
-                    if drain > hors[mi]:
-                        hors[mi] = drain
-                    f = ack_done
-                    if not array_level:
-                        start_overrides.append((i, start))
+                    if ack >= hors[mi] or _entry_idle_sparse(db, cb, e, ack):
+                        _entry_commit(db, cb, e, ack)
+                        h = ack + e.horizon
+                        if h > hors[mi]:
+                            hors[mi] = h
+                        f = ack + e.svc
+                    else:
+                        f = members[mi]._busy_program(e, ack)
+                        if f > hors[mi]:
+                            hors[mi] = f
+                if f > finish:
+                    finish = f
+            append_ack(ack)
+            append_finish(finish)
+            if window:
+                heappush(in_flight, finish)
+                clock = ack + idle
             else:
-                if ack >= hors[mi] or _entry_idle_sparse(db, cb, e, ack):
-                    _entry_commit(db, cb, e, ack)
-                    h = ack + e.horizon
-                    if h > hors[mi]:
-                        hors[mi] = h
-                    f = ack + e.svc
-                else:
-                    f = members[mi]._busy_program(e, ack)
-                    if f > hors[mi]:
-                        hors[mi] = f
-            if f > finish:
-                finish = f
-        heappush(in_flight, finish)
-        acks.append(ack)
-        finishes.append(finish)
-        if i < n - 1:
-            clock = ack + idle_l[i]
+                clock = finish + idle
     for m, h, bb in zip(members, hors, bbs):
         m._state_horizon = h
         m._buffered_bytes = bb
-    acks_arr = np.array(acks, dtype=np.float64)
-    finishes_arr = np.array(finishes, dtype=np.float64)
-    # Submit column: the clock chain is ack + idle elementwise (same
-    # operands the loop added), overridden where the window-full pops
-    # bumped the clock.
-    submits_arr = np.empty(n, dtype=np.float64)
-    submits_arr[0] = 0.0
-    if n > 1:
-        submits_arr[1:] = acks_arr[:-1] + idle_arr[: n - 1]
-    for i, bumped in clock_bumps:
-        submits_arr[i] = bumped
-    # Start column: the device admits at the ready time everywhere
-    # except a standalone SSD's buffered-write slow path.
-    starts_arr = acks_arr.copy()
-    for i, start in start_overrides:
-        starts_arr[i] = start
-    return submits_arr, acks_arr, starts_arr, finishes_arr
+    acks_arr = np.frombuffer(acks, dtype=np.float64)
+    finishes_arr = np.frombuffer(finishes, dtype=np.float64)
+    submits = np.empty(n, dtype=np.float64)
+    submits[0] = 0.0
+    np.add(
+        (acks_arr if window else finishes_arr)[: n - 1], idle_arr[: n - 1], out=submits[1:]
+    )
+    submits[np.frombuffer(bump_rows, dtype=np.int64)] = np.frombuffer(bump_clocks)
+    starts = acks_arr.copy()
+    starts[np.frombuffer(late_rows, dtype=np.int64)] = np.frombuffer(late_starts)
+    return submits, acks_arr, starts, finishes_arr
 
 
 def replay_queue_depth_scalar(

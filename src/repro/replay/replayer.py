@@ -45,6 +45,24 @@ def _validated_idle(n: int, idle_us: np.ndarray | None) -> np.ndarray:
     return idle_arr
 
 
+def _check_requests(old_trace: BlockTrace) -> None:
+    """Reject request rows the scalar oracles refuse, before any device state changes.
+
+    The one request-column check both fast replay entry points share.
+    They never call ``submit`` and read op codes as "0 is a read,
+    anything else a write", so without it a negative LBA or a code
+    outside :class:`~repro.trace.record.OpType` would replay where
+    :func:`replay_with_idle` and ``replay_queue_depth_scalar`` raise.
+    The errors are the oracles' own, for the first offending row.
+    """
+    if np.any(old_trace.lbas < 0):
+        raise ValueError("lba must be non-negative")
+    ops = old_trace.ops
+    if ops.min() < OpType.READ or ops.max() > OpType.WRITE:
+        bad = ops[(ops < OpType.READ) | (ops > OpType.WRITE)]
+        raise ValueError(f"{int(bad[0])} is not a valid OpType")
+
+
 class ReplayResult:
     """Outcome of a replay run, stamp columns in array form.
 

@@ -16,7 +16,7 @@ from .faults import (
     ServiceFaultWrapper,
     TransientStalls,
 )
-from .flash import FlashGeometry, FlashReplayPlan, FlashSSD
+from .flash import FlashGeometry, FlashSSD
 from .hdd import HDDGeometry, HDDModel
 from .mq import MultiQueueDevice
 from .raid import Raid0, Raid1
@@ -25,7 +25,6 @@ from .tiered import TieredHybrid
 
 __all__ = [
     "FlashArray",
-    "FlashReplayPlan",
     "PCIE3_X4",
     "SATA_300",
     "SATA_600",

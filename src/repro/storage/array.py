@@ -19,15 +19,7 @@ import numpy as np
 from ..trace.record import OpType
 from .channel import PCIE3_X4, InterfaceChannel
 from .device import StorageDevice
-from .flash import (
-    _PLAN_CACHE,
-    FlashGeometry,
-    FlashReplayPlan,
-    FlashSSD,
-    _plan_cache_put,
-    _stream_digest,
-    page_span,
-)
+from .flash import FlashGeometry, FlashSSD
 
 __all__ = ["FlashArray"]
 
@@ -124,6 +116,14 @@ class FlashArray(StorageDevice):
             remaining -= chunk
         return t_ready, finish
 
+    def flash_layout(self) -> tuple[list[FlashSSD], int]:
+        """Member SSDs and stripe unit (see ``StorageDevice.flash_layout``).
+
+        Every member shares one geometry, so one relative-service memo
+        prices all their fragments.
+        """
+        return self.ssds, self.stripe_sectors
+
     def _expected_service(self, op: OpType, size: int, sequential: bool) -> float:
         """Nominal latency: the slowest fragment of an even striping."""
         n_frags = min(self.n_ssds, max(1, (size + self.stripe_sectors - 1) // self.stripe_sectors))
@@ -179,52 +179,3 @@ class FlashArray(StorageDevice):
                 remaining -= chunk
             out[i] = svc
         return out
-
-    def _fragment_columns(
-        self, lbas: np.ndarray, sizes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Stripe fan-out as index arithmetic, no per-request Python.
-
-        Returns ``(offsets, request_index, frag_start, frag_size,
-        member)`` flat fragment columns in exactly the order the scalar
-        cursor walk emits them: request-major, stripe-minor.  Fragment
-        ``j`` of request ``i`` lives at ``offsets[i] + j``.
-        """
-        ss = self.stripe_sectors
-        n = len(lbas)
-        stripe0 = lbas // ss
-        spans = (lbas + sizes - 1) // ss - stripe0 + 1
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(spans, out=offsets[1:])
-        total = int(offsets[-1])
-        req = np.repeat(np.arange(n, dtype=np.int64), spans)
-        k = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], spans)
-        frag_stripe = stripe0[req] + k
-        frag_start = np.maximum(lbas[req], frag_stripe * ss)
-        frag_end = np.minimum((lbas + sizes)[req], (frag_stripe + 1) * ss)
-        member = frag_stripe % self.n_ssds
-        return offsets, req, frag_start, frag_end - frag_start, member
-
-    def replay_plan(self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray):
-        """Fragment plan for the queue-depth event loop.
-
-        Same fragment order as the scalar :meth:`_service` walk; every
-        fragment carries its owning member SSD and memo entry so the
-        event loop can run each member's fast paths inline.  Pure — no
-        simulator state is consumed.
-        """
-        key = (self.fingerprint(), _stream_digest(ops, lbas, sizes))
-        plan = _PLAN_CACHE.get(key)
-        if plan is not None:
-            return plan
-        member0 = self.ssds[0]
-        ops = np.asarray(ops)
-        lbas = np.asarray(lbas, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        offsets, req, frag_start, frag_size, member = self._fragment_columns(lbas, sizes)
-        first, n_pages = page_span(frag_start, frag_size, member0._page_sectors)
-        entries = member0._entries_for(ops[req], first, n_pages, frag_size)
-        frags = list(zip(member.tolist(), entries))
-        plan = FlashReplayPlan(offsets.tolist(), frags, array_level=True)
-        _plan_cache_put(key, plan)
-        return plan

@@ -159,16 +159,16 @@ class StorageDevice(abc.ABC):
         """
         return False
 
-    def replay_plan(self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray):
-        """Precomputed per-request service columns for event-loop replay.
+    def flash_layout(self) -> tuple[list, int | None] | None:
+        """Member SSDs and stripe unit for the streaming flash replay loop.
 
-        Devices with internal parallelism (flash, flash arrays) return
-        a plan object that resolves every request's fragment fan-out
-        and memoised relative-service entries up front, letting the
-        queue-depth event loop run the device fast paths inline without
-        per-request dispatch.  Must be *pure* (no simulator state
-        consumed).  The default is ``None``: the event loop falls back
-        to driving :meth:`_service` request by request.
+        Flash SSDs and flash arrays return ``(members, stripe_sectors)``:
+        their member :class:`~repro.storage.flash.FlashSSD` list and the
+        stripe unit in sectors (``None`` for a standalone SSD).  The
+        replay engines then run the members' fast paths inline
+        (``repro.replay.qdepth._flash_loop``).  Every other device,
+        wrappers included, keeps this default ``None`` and is driven
+        through :meth:`_service` request by request.
         """
         return None
 

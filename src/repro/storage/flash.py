@@ -22,7 +22,6 @@ channel-first interleaving.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass
 
@@ -32,54 +31,19 @@ from ..trace.record import SECTOR_BYTES, OpType
 from .channel import PCIE3_X4, InterfaceChannel
 from .device import StorageDevice
 
-__all__ = ["FlashGeometry", "FlashSSD", "FlashReplayPlan"]
+__all__ = ["FlashGeometry", "FlashSSD"]
 
 
 def page_span(lbas, sizes, page_sectors: int):
     """``(first_page, n_pages)`` of the page extent touching a sector extent.
 
     Works elementwise on arrays and on plain ints — the single
-    definition shared by the scalar ``_pages_of`` walk, batch pricing
-    and the replay plans, so they can never disagree on extent math.
+    definition shared by the scalar ``_pages_of`` walk and batch
+    pricing, so they can never disagree on extent math.
     """
     first = lbas // page_sectors
     n_pages = (lbas + sizes - 1) // page_sectors - first + 1
     return first, n_pages
-
-
-def group_shapes(
-    ops: np.ndarray, slots: np.ndarray, n_pages: np.ndarray, sizes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group request rows by service shape ``(op, slot, n_pages, size)``.
-
-    Returns ``(uniq, inverse)`` where ``uniq`` is a ``(k, 4)`` int64
-    array of the distinct shapes and ``inverse`` maps each input row to
-    its shape index — how a replay plan resolves one memo entry per
-    distinct shape.  Shapes are packed into one int64 key when the
-    value ranges allow (the common case — one ``np.unique`` over a flat
-    array), falling back to row-wise ``np.unique`` otherwise.
-    """
-    ops = np.asarray(ops, dtype=np.int64)
-    slots = np.asarray(slots, dtype=np.int64)
-    n_pages = np.asarray(n_pages, dtype=np.int64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if len(ops) == 0:
-        return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.intp)
-    m_op = int(ops.max()) + 1
-    m_slot = int(slots.max()) + 1
-    m_np = int(n_pages.max()) + 1
-    m_size = int(sizes.max()) + 1
-    if float(m_op) * m_slot * m_np * m_size < 2**62:
-        packed = ((ops * m_slot + slots) * m_np + n_pages) * m_size + sizes
-        uniq_packed, inverse = np.unique(packed, return_inverse=True)
-        rest, u_sizes = np.divmod(uniq_packed, m_size)
-        rest, u_np = np.divmod(rest, m_np)
-        u_ops, u_slots = np.divmod(rest, m_slot)
-        uniq = np.column_stack([u_ops, u_slots, u_np, u_sizes])
-        return uniq, inverse
-    rows = np.column_stack([ops, slots, n_pages, sizes])
-    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return uniq, inverse.reshape(-1)
 
 
 class _RelService:
@@ -90,10 +54,15 @@ class _RelService:
     ``first_page % total_dies`` and the page count, one relative
     computation serves every request with the same shape — the replay
     hot path becomes a dict lookup plus a sparse state update.  Entries
-    are plain data: ``FlashSSD._service``, the queue-depth plan loop
-    (through :func:`_entry_idle_sparse` and :func:`_entry_commit`) and
-    the busy walks ``FlashSSD._busy_read``/``_busy_program`` all read
-    the same fields, so every engine prices a shape identically.
+    are plain data keyed by ``(op, first_page % total_dies, n_pages,
+    size)`` in the shared memo: ``FlashSSD._service``, the streaming
+    flash loop of the sync and queue-depth replay engines
+    (``repro.replay.qdepth._flash_loop``, through
+    :func:`_entry_idle_sparse` and :func:`_entry_commit`) and the busy
+    walks ``FlashSSD._busy_read``/``_busy_program`` all read the same
+    fields, so every engine prices a shape identically.  The loop keys
+    its own lookups, fragment by fragment, and calls
+    ``FlashSSD._rel_entry`` on a miss.
 
     Die and channel state is *slot-indexed* (die ``page % total_dies``,
     channel ``page % channels``), so the slots a shape touches form a
@@ -101,7 +70,7 @@ class _RelService:
     most two ``[a, b)`` segments plus, when every touched die (channel)
     lands on the same relative stamp — true for any extent of at most
     ``channels`` pages, i.e. every single-wave shape — the shared
-    *uniform* value.  The replay engine's idle probe then collapses to
+    *uniform* value.  The streaming loop's idle probe then collapses to
     ``max()`` over a list slice and its commit to a slice assignment,
     replacing the per-die Python loops that dominated flash replay.
     """
@@ -158,7 +127,7 @@ class _RelService:
         self.chan_uval = (
             chan_vals[0] if chan_vals.count(chan_vals[0]) == len(chan_vals) else None
         )
-        # Request-shape flags the replay engine needs per fragment;
+        # Request-shape flags the streaming loop needs per fragment;
         # the shape key includes op and size, so they are entry facts.
         # Filled by ``FlashSSD._rel_entry``.
         self.is_read = True
@@ -183,7 +152,8 @@ def _entry_idle_sparse(db: list, cb: list, e: _RelService, t_ready: float) -> bo
     """Exact sparse idle probe over the entry's contiguous slot ranges.
 
     Equivalent to ``FlashSSD._state_idle_for`` with the horizon tier
-    already checked by the caller: ``True`` iff no touched die or
+    already checked by the caller (the streaming flash loop, which
+    keeps member horizons in locals): ``True`` iff no touched die or
     channel is busy past ``t_ready``.  ``max()`` over a list slice is
     the same comparison set as the scalar per-item loop.
     """
@@ -206,8 +176,8 @@ def _entry_commit(db: list, cb: list, e: _RelService, t_ready: float) -> None:
     Uniform single-wave shapes commit with slice assignments (the
     shared stamp ``t_ready + v`` equals what the per-item loop writes,
     same operands); non-uniform shapes fall back to the item loop.
-    The caller owns the horizon update (the replay engine mirrors
-    member horizons into locals).
+    The caller owns the horizon update (the streaming flash loop
+    mirrors member horizons into locals and writes them back once).
     """
     u = e.die_uval
     if u is not None:
@@ -229,58 +199,6 @@ def _entry_commit(db: list, cb: list, e: _RelService, t_ready: float) -> None:
     else:
         for c, rel in e.chan_items:
             cb[c] = t_ready + rel
-
-
-@dataclass(frozen=True, slots=True)
-class FlashReplayPlan:
-    """Precomputed per-request fragment columns for queue-depth replay.
-
-    Built by :meth:`FlashSSD.replay_plan` / ``FlashArray.replay_plan``
-    from the grouped shape kernels: request ``i`` owns fragments
-    ``frags[offsets[i]:offsets[i + 1]]``, each a
-    ``(member_index, entry)`` pair ready for the inlined fast paths of
-    the queue-depth plan loop (``repro.replay.qdepth._qdepth_plan_events``,
-    the flash engine at every queue depth).  The per-fragment op/size
-    facts — ``is_read``, ``nbytes``, ``buffered`` — live on the
-    shape-keyed entry.  Member indices (not object references) keep
-    the plan valid for *any* device with the same fingerprint, so plans
-    are shareable through the content cache.  Construction is pure —
-    no simulator state is read or consumed.
-    """
-
-    offsets: list[int]
-    frags: list[tuple]
-    #: ``True`` when fragments belong to an array (request start stamp
-    #: is the array-level ready time, not a member's admission time).
-    array_level: bool
-
-    def members_of(self, device) -> list:
-        """Member SSD list the fragment indices refer to, for ``device``."""
-        return device.ssds if self.array_level else [device]
-
-
-#: Content-keyed plan cache: (device fingerprint, stream digest) ->
-#: plan.  Entries are geometry-relative (member indices + shared memo
-#: entries), so every fingerprint-equal device can consume them.
-_PLAN_CACHE: dict[tuple, FlashReplayPlan] = {}
-_PLAN_CACHE_MAX = 16
-
-
-def _plan_cache_put(key: tuple, plan: FlashReplayPlan) -> None:
-    """Insert with crude FIFO eviction (plans are cheap to rebuild)."""
-    if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
-        _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-    _PLAN_CACHE[key] = plan
-
-
-def _stream_digest(ops, lbas, sizes) -> bytes:
-    """Content hash of a request stream (the plan-cache key half)."""
-    h = hashlib.blake2b(digest_size=16)
-    for col in (ops, lbas, sizes):
-        arr = np.ascontiguousarray(np.asarray(col))
-        h.update(str(arr.dtype).encode())
-        h.update(arr.tobytes())
-    return h.digest()
 
 
 #: Relative services depend only on (geometry, plane interleave,
@@ -720,47 +638,12 @@ class FlashSSD(StorageDevice):
         return out
 
     # ------------------------------------------------------------------
-    # replay-plan kernels (queue-depth event loop fast path)
+    # streaming replay loop support (repro.replay.qdepth._flash_loop)
     # ------------------------------------------------------------------
 
-    def replay_plan(self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray):
-        """Fragment plan for the queue-depth event loop (one frag/request).
-
-        Pure — resolves every request's memoised relative-service entry
-        up front (grouped by shape) so the event loop can run the
-        device's fast paths without per-request key construction, dict
-        lookups, or method dispatch.  Plans are content-cached: two
-        devices with equal fingerprints replaying the same stream share
-        one plan.
-        """
-        key = (self.fingerprint(), _stream_digest(ops, lbas, sizes))
-        plan = _PLAN_CACHE.get(key)
-        if plan is not None:
-            return plan
-        ops = np.asarray(ops)
-        lbas = np.asarray(lbas, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        n = len(lbas)
-        first, n_pages = page_span(lbas, sizes, self._page_sectors)
-        entries = self._entries_for(ops, first, n_pages, sizes)
-        frags = list(zip([0] * n, entries))
-        plan = FlashReplayPlan(list(range(n + 1)), frags, array_level=False)
-        _plan_cache_put(key, plan)
-        return plan
-
-    def _entries_for(
-        self, ops: np.ndarray, first: np.ndarray, n_pages: np.ndarray, sizes: np.ndarray
-    ) -> list[_RelService]:
-        """Per-row memo entries, evaluated once per unique shape."""
-        uniq, inverse = group_shapes(ops, first % self._total_dies, n_pages, sizes)
-        rel_entry = self._rel_entry
-        read = OpType.READ
-        write = OpType.WRITE
-        uniq_entries = [
-            rel_entry(read if op == 0 else write, slot, npg, size)
-            for op, slot, npg, size in uniq.tolist()
-        ]
-        return [uniq_entries[j] for j in inverse.tolist()]
+    def flash_layout(self) -> tuple[list["FlashSSD"], None]:
+        """This SSD as the one member, unstriped (see ``StorageDevice.flash_layout``)."""
+        return [self], None
 
     def _busy_read(self, entry: _RelService, t_ready: float) -> float:
         """Busy-state read walk with the shape's striping prefetched.

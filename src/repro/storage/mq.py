@@ -95,14 +95,6 @@ class MultiQueueDevice(StorageDevice):
             self._index += len(np.asarray(ops))
         return svc
 
-    def replay_plan(self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray):
-        """Always ``None``: the fragment-plan event loop cannot express
-        the per-queue gate (a request's ready time depends on a prior
-        completion chosen by queue index, not window order), so
-        queue-depth replay drives :meth:`_service` directly.
-        """
-        return None
-
     def _expected_service(self, op: OpType, size: int, sequential: bool) -> float:
         """Wrapped device's analytic mean (queues add no service time)."""
         return self.inner.service_time_us(op, size, sequential)

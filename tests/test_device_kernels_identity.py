@@ -12,10 +12,10 @@ simulator state afterwards:
   scalar replay's stamps;
 - the RAID member-stream decomposition against the fan-out the scalar
   ``_service`` performs request by request;
-- the plan-based queue-depth event loop against the scalar replay
-  oracle, including *simulator-state equivalence* (die/channel busy
-  stamps, write-buffer occupancy, horizons, RNG state where present)
-  and mixed batch/scalar use;
+- the streaming flash loop, in sync and queue-depth replay, against
+  the scalar replay oracles, including *simulator-state equivalence*
+  (die/channel busy stamps, write-buffer occupancy, horizons, RNG
+  state where present) and mixed batch/scalar use;
 - large extents (up to 300 pages) end to end through every replay
   engine.
 """
@@ -33,6 +33,7 @@ from repro.replay import (
     replay_with_idle,
     replay_with_idle_batch,
 )
+from repro.replay.qdepth import _flash_loop
 from repro.storage import (
     SATA_600,
     ConstantLatencyDevice,
@@ -44,7 +45,7 @@ from repro.storage import (
     Raid0,
     Raid1,
 )
-from repro.storage.flash import group_shapes, page_span
+from repro.storage.flash import page_span
 from repro.storage.raid import _mirror_streams
 from repro.trace.record import OpType
 from repro.trace.trace import BlockTrace
@@ -238,7 +239,7 @@ def _assert_prices_sync_replay(make, ops, lbas, sizes, seed):
 
 
 class TestGroupedServiceBatch:
-    """Stream pricing, and the shape helpers replay plans are built from."""
+    """Stream pricing, and the page-span helper it shares with ``_pages_of``."""
 
     @pytest.mark.parametrize("geom_key", sorted(GEOMETRIES))
     def test_flash_service_batch_identical(self, geom_key):
@@ -274,19 +275,6 @@ class TestGroupedServiceBatch:
             replay_with_idle_batch(trace, FlashArray(n_ssds=3, stripe_kb=8), idle),
             replay_with_idle(trace, FlashArray(n_ssds=3, stripe_kb=8), idle),
         )
-
-    def test_group_shapes_roundtrip(self):
-        rng = np.random.default_rng(41)
-        ops = rng.integers(0, 2, 500)
-        slots = rng.integers(0, 36, 500)
-        n_pages = rng.integers(1, 40, 500)
-        sizes = rng.integers(1, 1 << 40, 500)  # forces the row-unique fallback
-        uniq, inverse = group_shapes(ops, slots, n_pages, sizes)
-        rebuilt = uniq[inverse]
-        np.testing.assert_array_equal(rebuilt[:, 0], ops)
-        np.testing.assert_array_equal(rebuilt[:, 1], slots)
-        np.testing.assert_array_equal(rebuilt[:, 2], n_pages)
-        np.testing.assert_array_equal(rebuilt[:, 3], sizes)
 
     def test_page_span_matches_pages_of(self):
         ssd = FlashSSD()
@@ -383,24 +371,30 @@ def _flash_state(device):
     ]
 
 
-class TestPlanReplayStateEquivalence:
-    """Plan event loop: stamps AND simulator state match the oracle."""
+#: The flash-family entries of the device zoo: the streaming loop's devices.
+FLASH_DEVICE_KEYS = ["flash-buffered", "flash-nobuffer", "array-default", "array-nobuffer"]
 
-    @pytest.mark.parametrize(
-        "device_key", ["flash-buffered", "flash-nobuffer", "array-default", "array-nobuffer"]
+
+def _state_trace(idle_max: float) -> tuple[BlockTrace, np.ndarray]:
+    rng = np.random.default_rng(61)
+    n = 120
+    trace = BlockTrace(
+        timestamps=np.cumsum(rng.integers(1, 200, n)).astype(np.float64),
+        lbas=rng.integers(0, 1 << 22, n),
+        sizes=rng.integers(1, 600, n),
+        ops=rng.integers(0, 2, n).astype(np.int8),
     )
+    return trace, rng.uniform(0, idle_max, n - 1)
+
+
+class TestPlanReplayStateEquivalence:
+    """Streaming flash loop: stamps AND simulator state match the oracle."""
+
+    @pytest.mark.parametrize("device_key", FLASH_DEVICE_KEYS)
     @pytest.mark.parametrize("queue_depth", [2, 4, 9])
     def test_state_after_replay(self, device_key, queue_depth):
         make = DEVICE_FACTORIES[device_key]
-        rng = np.random.default_rng(61)
-        n = 120
-        trace = BlockTrace(
-            timestamps=np.cumsum(rng.integers(1, 200, n)).astype(np.float64),
-            lbas=rng.integers(0, 1 << 22, n),
-            sizes=rng.integers(1, 600, n),
-            ops=rng.integers(0, 2, n).astype(np.int8),
-        )
-        idle = rng.uniform(0, 800.0, n - 1)
+        trace, idle = _state_trace(800.0)
         fast_dev, oracle_dev = make(), make()
         fast = replay_queue_depth(trace, fast_dev, idle_us=idle, queue_depth=queue_depth)
         oracle = replay_queue_depth_scalar(
@@ -408,6 +402,30 @@ class TestPlanReplayStateEquivalence:
         )
         assert_replays_identical(fast, oracle)
         assert _flash_state(fast_dev) == _flash_state(oracle_dev)
+
+    @pytest.mark.parametrize("device_key", FLASH_DEVICE_KEYS)
+    def test_state_after_sync_replay(self, device_key):
+        """Sync replay: stamps, and the member horizons and buffered
+        bytes the streaming loop writes back.
+
+        ``replay_with_idle_batch`` prices a bufferless stream up front
+        (``service_batch``), which leaves timing state unspecified, so
+        the loop also runs directly in its sync mode on every key.
+        """
+        make = DEVICE_FACTORIES[device_key]
+        # Short think times keep the busy and late-admission paths hot.
+        trace, idle = _state_trace(300.0)
+        oracle_dev, batch_dev, loop_dev = make(), make(), make()
+        oracle = replay_with_idle(trace, oracle_dev, idle)
+        assert_replays_identical(replay_with_idle_batch(trace, batch_dev, idle), oracle)
+        if make().service_batch(trace.ops, trace.lbas, trace.sizes) is None:
+            assert _flash_state(batch_dev) == _flash_state(oracle_dev)
+        t_cdel = loop_dev.channel.delay_batch_us(trace.ops, trace.sizes)
+        stamps = _flash_loop(loop_dev.flash_layout(), trace, t_cdel, idle)
+        expected = (oracle.submits, oracle.acks, oracle.starts, oracle.finishes)
+        for got, want in zip(stamps, expected):
+            np.testing.assert_array_equal(got, want)
+        assert _flash_state(loop_dev) == _flash_state(oracle_dev)
 
     def test_state_after_mixed_batch_and_scalar_use(self):
         """Batch pricing, replay, then scalar submits — state stays lockstep."""
@@ -423,7 +441,7 @@ class TestPlanReplayStateEquivalence:
         # Pure batch pricing consumes no timing state.
         assert d_fast.service_batch(trace.ops, trace.lbas, trace.sizes) is not None
         assert _flash_state(d_fast) == _flash_state(d_oracle)
-        # Replay (plan engine vs oracle), then identical scalar submits.
+        # Replay (streaming loop vs oracle), then identical scalar submits.
         fast = replay_queue_depth(trace, d_fast, queue_depth=3)
         oracle = replay_queue_depth_scalar(trace, d_oracle, queue_depth=3)
         assert_replays_identical(fast, oracle)
@@ -440,7 +458,7 @@ class TestPlanReplayStateEquivalence:
         assert _flash_state(d_fast) == _flash_state(d_oracle)
 
     def test_replay_identical_under_both_engines(self):
-        """Default engine (plan loop) vs the forced heap event loop."""
+        """Default engine (streaming flash loop) vs the forced heap event loop."""
         rng = np.random.default_rng(73)
         n = 80
         trace = BlockTrace(
@@ -457,7 +475,7 @@ class TestPlanReplayStateEquivalence:
         assert _flash_state(d1) == _flash_state(d2)
 
     def test_hdd_rng_state_unaffected(self):
-        """Non-plan devices keep RNG lockstep (regression guard)."""
+        """Devices without a flash layout keep RNG lockstep (regression guard)."""
         rng = np.random.default_rng(71)
         n = 40
         trace = BlockTrace(
@@ -528,8 +546,9 @@ class TestFastVsScalarPathPin:
     The memoised fast path sums *relative* offsets before adding
     ``t_ready``; the seed-era scalar walk added ``t_ready`` first.  The
     two can differ at rounding level for multi-wave shapes — but batch,
-    plan-replay, and scalar engines (which all share the memoised
-    ``_service``) must agree with each other with tolerance zero.
+    streaming-loop and scalar engines (which all read the same memoised
+    relative-service entries) must agree with each other with tolerance
+    zero.
     This test pins that contract across the zoo.
     """
 

@@ -5,7 +5,7 @@ identical replay stamps under every engine pairing:
 
 - synchronous scalar replay vs the batch fast path;
 - the production queue-depth engine vs its retained scalar oracle, at
-  queue depth 1 (FIFO fast path) and 3 (event loop / plan engine);
+  queue depth 1 (FIFO fast path) and 3 (event loop / flash loop);
 - whole-stream ``service_batch`` pricing vs the same stream priced in
   two chunks (order-dependent state — stall ordinals, mirror round
   robin, SMR zone pointers — must advance identically).
@@ -103,12 +103,13 @@ class TestQueueDepthIdentity:
     """Every queue-depth engine vs the scalar oracle, bitwise.
 
     Four differential columns per zoo entry: the scalar oracle is the
-    ground truth, and the generic event loop (``events``), the plan
-    loop (``plan``), and the default selection (``auto``: FIFO chain,
-    plan loop, or event loop, whichever the device and depth allow)
-    must each reproduce its stamps exactly.  Plan-less devices route
-    ``plan`` back to the event loop, so the parametrisation is uniform
-    over the whole zoo — fault wrappers included.
+    ground truth, and the generic event loop (``events``), the streaming
+    flash loop (``plan``), and the default selection (``auto``: FIFO
+    chain, flash loop, or event loop, whichever the device and depth
+    allow) must each reproduce its stamps exactly.  Devices without a
+    flash layout route ``plan`` back to the event loop, so the
+    parametrisation is uniform over the whole zoo — fault wrappers
+    included.
     """
 
     @pytest.mark.parametrize("entry", sorted(ZOO))
@@ -127,9 +128,9 @@ class TestQueueDepthIdentity:
     @pytest.mark.parametrize("entry", sorted(ZOO))
     def test_auto_identity_under_forced_bumps(self, entry):
         """Zero idle everywhere: the window fills on every request, so
-        the plan loop's ``clock_bumps`` and a standalone SSD's
-        ``start_overrides`` (buffered writes admitted late) must still
-        land on the oracle's stamps under the default engine."""
+        the flash loop's submit overrides (window-full waits) and start
+        overrides (a standalone SSD's buffered writes admitted late)
+        must still land on the oracle's stamps under the default engine."""
         trace, __ = _zoo_trace()
         idle = np.zeros(len(trace) - 1)
         fast = replay_queue_depth(trace, _build(entry), idle_us=idle, queue_depth=2)
@@ -147,7 +148,7 @@ class TestCrossEngineIdentity:
     stops at 13 pages.  Sync replay (scalar ``submit`` loop vs batch
     pricing) and depth-3 queue-depth replay (the heap event loop that
     ``engine="events"`` forces, which drives ``_service`` with no
-    replay plan, vs the default engine) must agree stamp for stamp.
+    flash loop, vs the default engine) must agree stamp for stamp.
     """
 
     @pytest.mark.parametrize("entry", sorted(ZOO))

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.experiments.nodes import new_node, old_node
+from repro.experiments.pairs import build_pair_for
 from repro.replay import (
     detect_async_indices,
     replay_back_to_back,
@@ -15,8 +18,17 @@ from repro.replay import (
     replay_with_idle_batch,
     revive_async,
 )
+from repro.storage import FlashSSD
 from repro.trace import BlockTrace, OpType
 from repro.workloads import collect_trace, generate_intents, get_spec
+
+#: The four replay entry points: two scalar oracles, two fast engines.
+ENTRY_POINTS = [
+    replay_with_idle,
+    replay_with_idle_batch,
+    replay_queue_depth,
+    replay_queue_depth_scalar,
+]
 
 
 def pattern_trace(n: int = 20) -> BlockTrace:
@@ -101,16 +113,85 @@ class TestNonFiniteIdleRejected:
         return collect_trace(generate_intents(get_spec("DAP").scaled(50)), old_node())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize(
-        "replay",
-        [replay_with_idle, replay_with_idle_batch, replay_queue_depth, replay_queue_depth_scalar],
-    )
+    @pytest.mark.parametrize("replay", ENTRY_POINTS)
     def test_rejected_by_every_entry_point(self, dap, replay, bad):
         idle = np.full(len(dap) - 1, 250.0)
         idle[10] = bad
         for node in (new_node, old_node):
             with pytest.raises(ValueError, match="idle periods must be finite and non-negative"):
                 replay(dap, node(), idle)
+
+
+class TestInvalidOpCodeRejected:
+    """An op code outside ``OpType`` is refused by every engine on every node.
+
+    A ``.npz`` trace carries any int8 op code through ``dump_trace`` and
+    ``TraceReader``.  The scalar oracles raise on it; the fast engines
+    read codes as "0 is a read, else a write", so they must check the
+    column up front or replay such a row as a write.
+    """
+
+    @pytest.fixture(scope="class")
+    def dap(self) -> BlockTrace:
+        return collect_trace(generate_intents(get_spec("DAP").scaled(50)), old_node())
+
+    @pytest.mark.parametrize("code", [2, -1])
+    @pytest.mark.parametrize("replay", ENTRY_POINTS)
+    def test_rejected_by_every_entry_point(self, dap, replay, code):
+        ops = dap.ops.copy()
+        ops[10] = code
+        trace = BlockTrace(dap.timestamps, dap.lbas, dap.sizes, ops)
+        idle = np.full(len(trace) - 1, 250.0)
+        for node in (new_node, FlashSSD, old_node):
+            with pytest.raises(ValueError, match=f"{code} is not a valid OpType"):
+                replay(trace, node(), idle)
+
+
+class TestReplayMemory:
+    """Flash replay keeps no per-request Python object for the whole stream.
+
+    Traced allocation on 20 000 DAP requests replayed on the NEW node,
+    after a warm-up replay has memoised every request shape: the peak
+    stays below 128 B/request (the four stamp columns, the trace's copy
+    of the submit column, the channel delays and transient
+    temporaries), and nothing stays allocated once the result is
+    dropped — no cache may keep per-stream data alive.
+    """
+
+    N_REQUESTS = 20_000
+
+    @pytest.fixture(scope="class")
+    def dap(self) -> BlockTrace:
+        trace = build_pair_for("DAP", n_requests=self.N_REQUESTS).old
+        # Warm-up: fragment shapes do not depend on timing, so one sync
+        # replay memoises every shape either engine will look up.
+        replay_with_idle_batch(trace, new_node(), np.full(len(trace) - 1, 250.0))
+        return trace
+
+    @pytest.mark.parametrize(
+        "replay",
+        [
+            lambda trace, device, idle: replay_queue_depth(
+                trace, device, idle_us=idle, queue_depth=8
+            ),
+            replay_with_idle_batch,
+        ],
+        ids=["qdepth-8", "sync"],
+    )
+    def test_bytes_per_request(self, dap, replay):
+        n = len(dap)
+        idle = np.full(n - 1, 250.0)
+        device = new_node()
+        tracemalloc.start()
+        try:
+            result = replay(dap, device, idle)
+            __, peak = tracemalloc.get_traced_memory()
+            del result
+            retained, __ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 128
+        assert retained / n < 1
 
 
 class TestDetectAsync:
