@@ -326,13 +326,6 @@ def bench_streaming_reconstruct(n_requests: int, n_chunks: int = 8) -> dict[str,
 # ----------------------------------------------------------------------
 
 
-def _nvme_mq_node():
-    """A multi-queue NVMe device at bench scale (fresh instance)."""
-    from repro.campaign.devices import build_device
-
-    return build_device("nvme_mq", {"n_queues": 4})
-
-
 def _degraded_raid_node():
     """A rebuilding RAID-1 of HDDs at bench scale (fresh instance)."""
     from repro.campaign.devices import build_device
@@ -370,7 +363,6 @@ def run_benchmarks(n_requests: int) -> dict:
         # shares (see docs/architecture.md, "Device-model kernels").
         "qdepth_replay": bench_qdepth(n_requests, old_node, "hdd"),
         "qdepth_replay_flash_array": bench_qdepth(n_requests, new_node, "flash-array"),
-        "qdepth_replay_nvme_mq": bench_qdepth(n_requests, _nvme_mq_node, "nvme-mq"),
         "qdepth_replay_degraded_raid": bench_qdepth(
             n_requests, _degraded_raid_node, "degraded-raid"
         ),

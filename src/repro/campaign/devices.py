@@ -20,17 +20,6 @@ StorageDevice` instances.  Kinds:
     Raid1` over ``n`` members described by a nested ``member`` dict
     (any other kind); HDD members get distinct derived seeds so their
     rotational phases are independent.
-``nvme_mq``
-    :class:`~repro.storage.mq.MultiQueueDevice` — ``n_queues``
-    round-robin FIFO submission queues fronting a flash die array
-    (flash-geometry knobs apply).
-``tiered``
-    :class:`~repro.storage.tiered.TieredHybrid` — ``flash_mb`` of
-    flash front tier (nested ``flash`` dict for its geometry) spilling
-    to disk (nested ``hdd`` dict).
-``smr``
-    :class:`~repro.storage.smr.SMRModel` — HDD geometry knobs plus
-    ``zone_mb`` and ``append_penalty_us``.
 
 Fault parameters (:data:`FAULT_PARAMS`) degrade a device declaratively:
 ``latency_factor``/``latency_extra_us`` and ``stall_every``/``stall_us``
@@ -69,12 +58,9 @@ from ..storage import (
     HDDModel,
     LatencyInflation,
     MidTraceSwitch,
-    MultiQueueDevice,
     Raid0,
     Raid1,
-    SMRModel,
     StorageDevice,
-    TieredHybrid,
     TransientStalls,
 )
 
@@ -108,13 +94,10 @@ _KIND_PARAMS: dict[str, tuple[str, ...]] = {
     "flash_array": ("n_ssds", "stripe_kb") + _FLASH_GEOMETRY_KEYS + ("channel",),
     "raid0": ("n", "stripe_kb", "member"),
     "raid1": ("n", "member"),
-    "nvme_mq": ("n_queues",) + _FLASH_GEOMETRY_KEYS + ("channel",),
-    "tiered": ("flash_mb", "flash", "hdd", "channel"),
-    "smr": _HDD_GEOMETRY_KEYS + ("channel", "seed", "zone_mb", "append_penalty_us"),
 }
 
 _ALL_KINDS = frozenset(_KIND_PARAMS)
-_FLASH_FAMILY = frozenset({"flash", "flash_array", "nvme_mq"})
+_FLASH_FAMILY = frozenset({"flash", "flash_array"})
 
 #: Fault parameter -> the registry kinds that understand it.  The
 #: service injectors wrap any device; the structural faults need the
@@ -305,21 +288,6 @@ def _build_flash_array(params: dict[str, Any]) -> StorageDevice:
     )
 
 
-def _build_nvme_mq(params: dict[str, Any]) -> MultiQueueDevice:
-    fault = _pop_flash_faults("nvme_mq", params)
-    n_queues = int(params.pop("n_queues", 8))
-    geometry = _throttled_geometry(_flash_geometry(params), fault)
-    channel = _channel(params, PCIE3_X4)
-    _reject_unknown("nvme_mq", params)
-    # The mid-trace switch sits *inside* the queue front-end so the
-    # per-queue FIFO gate spans the reconfiguration — which is what
-    # keeps completions within a queue ordered across the fault.
-    inner = _with_offline_switch(
-        lambda g: FlashSSD(geometry=g, channel=channel), geometry, fault
-    )
-    return MultiQueueDevice(inner, n_queues=n_queues)
-
-
 def _resolve_member(member: dict[str, Any]) -> tuple[str, dict[str, Any]]:
     """Resolve a nested member description's preset down to a base kind."""
     member_kind = member.pop("kind", "hdd")
@@ -335,7 +303,7 @@ def _build_members(member_kind: str, member: dict[str, Any], n: int) -> list[Sto
     members: list[StorageDevice] = []
     for i in range(n):
         desc = dict(member)
-        if member_kind in ("hdd", "smr"):
+        if member_kind == "hdd":
             # Distinct rotational-phase seeds per spindle.
             desc["seed"] = int(desc.get("seed", 42)) + i
         members.append(build_device(member_kind, desc))
@@ -376,49 +344,12 @@ def _build_raid1(params: dict[str, Any]) -> StorageDevice:
     )
 
 
-def _build_tiered(params: dict[str, Any]) -> TieredHybrid:
-    flash_mb = int(params.pop("flash_mb", 1024))
-    flash_desc = dict(params.pop("flash", {}) or {})
-    hdd_desc = dict(params.pop("hdd", {}) or {})
-    channel = _channel(params, PCIE3_X4)
-    _reject_unknown("tiered", params)
-    if flash_mb <= 0:
-        raise ValueError("tiered flash capacity must be positive")
-    # Tiers go through build_device so nested descriptions may carry
-    # their own fault parameters (e.g. a throttled flash front tier).
-    return TieredHybrid(
-        build_device("flash", flash_desc),
-        build_device("hdd", hdd_desc),
-        flash_sectors=flash_mb * 2048,
-        channel=channel,
-    )
-
-
-def _build_smr(params: dict[str, Any]) -> SMRModel:
-    geometry_kwargs = {k: params.pop(k) for k in _HDD_GEOMETRY_KEYS if k in params}
-    channel = _channel(params, SATA_300)
-    seed = int(params.pop("seed", 42))
-    zone_mb = int(params.pop("zone_mb", 256))
-    penalty = float(params.pop("append_penalty_us", 15000.0))
-    _reject_unknown("smr", params)
-    return SMRModel(
-        geometry=HDDGeometry(**geometry_kwargs),
-        channel=channel,
-        seed=seed,
-        zone_mb=zone_mb,
-        append_penalty_us=penalty,
-    )
-
-
 DEVICE_KINDS = {
     "hdd": _build_hdd,
     "flash": _build_flash,
     "flash_array": _build_flash_array,
     "raid0": _build_raid0,
     "raid1": _build_raid1,
-    "nvme_mq": _build_nvme_mq,
-    "tiered": _build_tiered,
-    "smr": _build_smr,
 }
 
 
@@ -500,15 +431,10 @@ def device_zoo() -> dict[str, dict[str, Any]]:
         "flash-nobuf": {"kind": "flash", **tiny_flash, "write_buffer_kb": 0},
         "flash-array": {"kind": "flash_array", "n_ssds": 2, "stripe_kb": 16, **tiny_flash},
         "raid0": {"kind": "raid0", "n": 2, "stripe_kb": 16, "member": {"kind": "hdd"}},
-        "raid1": {"kind": "raid1", "n": 2, "member": {"kind": "hdd"}},
-        "nvme-mq": {"kind": "nvme_mq", "n_queues": 3, **tiny_flash},
-        "tiered": {
-            "kind": "tiered",
-            "flash_mb": 4,
-            "flash": dict(tiny_flash),
-            "hdd": {"seed": 5},
+        "raid0-flash": {
+            "kind": "raid0", "n": 2, "stripe_kb": 16, "member": {"kind": "flash", **tiny_flash},
         },
-        "smr": {"kind": "smr", "zone_mb": 1, "append_penalty_us": 4000.0, "seed": 9},
+        "raid1": {"kind": "raid1", "n": 2, "member": {"kind": "hdd"}},
         # -- degraded shapes ------------------------------------------
         "flash-slow": {"kind": "flash", **tiny_flash, "latency_factor": 2.5, "latency_extra_us": 40.0},
         "flash-stall": {"kind": "flash", **tiny_flash, "stall_every": 7, "stall_us": 1500.0},
@@ -518,10 +444,6 @@ def device_zoo() -> dict[str, dict[str, Any]]:
             "kind": "flash_array", "n_ssds": 2, "stripe_kb": 16, **tiny_flash,
             "offline_at": 16, "offline_channels": 1,
         },
-        "nvme-mq-offline": {
-            "kind": "nvme_mq", "n_queues": 3, **tiny_flash,
-            "offline_at": 20, "offline_channels": 1,
-        },
         "raid1-failed": {"kind": "raid1", "n": 2, "member": {"kind": "hdd"}, "failed_member": 0},
         "raid1-rebuild": {
             "kind": "raid1", "n": 3, "member": {"kind": "hdd"},
@@ -530,10 +452,5 @@ def device_zoo() -> dict[str, dict[str, Any]]:
         "raid0-slow": {
             "kind": "raid0", "n": 2, "stripe_kb": 16, "member": {"kind": "hdd"},
             "latency_extra_us": 120.0,
-        },
-        "smr-slow": {"kind": "smr", "zone_mb": 1, "seed": 9, "latency_factor": 1.5},
-        "tiered-stall": {
-            "kind": "tiered", "flash_mb": 4, "flash": dict(tiny_flash), "hdd": {"seed": 5},
-            "stall_every": 5, "stall_us": 900.0,
         },
     }

@@ -1155,7 +1155,7 @@ class CampaignEngine:
             return
         import sqlite3
 
-        from ..lake.catalog import LakeCatalog
+        from ..lake.catalog import LakeCatalog, LakeError
 
         try:
             with LakeCatalog(self.lake) as lake:
@@ -1168,7 +1168,7 @@ class CampaignEngine:
                             ref=f"campaign:{self.spec.name}",
                             meta={"campaign": self.spec.name},
                         )
-        except (sqlite3.Error, OSError):
+        except (LakeError, sqlite3.Error, OSError):
             pass
 
 

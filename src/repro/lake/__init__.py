@@ -1,4 +1,4 @@
-"""Content-addressed result lake: catalog, features, similarity, CLI.
+"""Content-addressed result lake: catalog, ingestion, CLI.
 
 The lake turns the repository's flat per-directory artifacts — binary
 trace-store entries, campaign checkpoint directories, results tables —
@@ -8,10 +8,6 @@ into one queryable, deduplicated system:
   content fingerprints → artifacts, plus every completed campaign grid
   point.  The catalog is a *rebuildable index*; the flat files remain
   the source of truth.
-- :mod:`~repro.lake.features` — deterministic per-trace workload
-  feature vectors.
-- :mod:`~repro.lake.similarity` — exact, deterministic nearest-
-  neighbour search over the cataloged vectors.
 - :mod:`~repro.lake.ingest` — directory-tree ingestion, including the
   full ``--rescan`` rebuild.
 - :mod:`~repro.lake.cli` — the ``repro-lake`` command.
@@ -25,25 +21,16 @@ within one directory).
 """
 
 from .catalog import SCHEMA_VERSION, LakeCatalog, LakeError, default_lake_path, spec_fingerprint
-from .features import FEATURES_VERSION, feature_dict, feature_names, trace_feature_vector
 from .ingest import IngestReport, ingest_campaign_dir, ingest_tree, record_campaign_point
-from .similarity import Neighbor, nearest_neighbors, similar_traces
 
 __all__ = [
     "SCHEMA_VERSION",
-    "FEATURES_VERSION",
     "LakeCatalog",
     "LakeError",
     "default_lake_path",
     "spec_fingerprint",
-    "feature_names",
-    "feature_dict",
-    "trace_feature_vector",
     "IngestReport",
     "ingest_tree",
     "ingest_campaign_dir",
     "record_campaign_point",
-    "Neighbor",
-    "nearest_neighbors",
-    "similar_traces",
 ]

@@ -7,7 +7,7 @@ every row the catalog holds is derivable from them, which is what makes
 ``repro-lake ingest --rescan`` a full recovery path (and the migration
 path for pre-lake directories).
 
-Schema v1, four tables:
+Schema v2, three tables:
 
 - ``artifacts`` — one row per distinct *content* (``fingerprint`` =
   file SHA-256), holding kind, canonical path, and size.  Ingesting the
@@ -15,10 +15,6 @@ Schema v1, four tables:
 - ``artifact_refs`` — the references pointing at a content row (store
   keys, campaign labels, extra paths); dedup means one artifact row
   with many refs.
-- ``trace_features`` — the deterministic workload-feature vector of
-  every cataloged trace (:mod:`repro.lake.features`), stored as raw
-  float64 bytes plus the feature-schema version, the input to
-  :mod:`repro.lake.similarity`.
 - ``campaign_points`` — one row per completed campaign grid point,
   keyed by the engine's run key, carrying the spec fingerprint, axis
   values, the result row as canonical JSON, the checkpoint file that
@@ -32,6 +28,11 @@ contention (exponential backoff), and all writes are idempotent upserts
 — a process killed mid-ingest leaves only committed rows, and
 re-running the ingest (or a full ``--rescan``) converges to the same
 row set.
+
+A file this build cannot open as a catalog — another schema version,
+or bytes that are not an SQLite database — raises :class:`LakeError`
+naming the rescan; ``repro-lake ingest --rescan`` moves such a file
+aside to ``<db>.bad`` and rebuilds at the original path.
 """
 
 from __future__ import annotations
@@ -44,12 +45,9 @@ import time
 from pathlib import Path
 from typing import Any, Callable, TypeVar
 
-import numpy as np
-
 from ..campaign.results import canonical_row_json
 from ..trace.io.fingerprint import file_sha256
 from ..trace.trace import BlockTrace
-from .features import FEATURES_VERSION, feature_names, trace_feature_vector
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -73,7 +71,10 @@ def default_lake_path() -> Path:
 #: Bump on any incompatible change to the table layout.  Stored in the
 #: ``lake_meta`` table; opening a catalog with a different stamp raises
 #: (rebuild with ``repro-lake ingest --rescan``).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+#: The tables holding catalog rows (``lake_meta`` holds the stamp).
+_TABLES = ("artifacts", "artifact_refs", "campaign_points")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS lake_meta (
@@ -92,12 +93,6 @@ CREATE TABLE IF NOT EXISTS artifact_refs (
     fingerprint TEXT NOT NULL,
     ref         TEXT NOT NULL,
     PRIMARY KEY (fingerprint, ref)
-);
-CREATE TABLE IF NOT EXISTS trace_features (
-    fingerprint      TEXT PRIMARY KEY,
-    features_version INTEGER NOT NULL,
-    names_json       TEXT NOT NULL,
-    vector           BLOB NOT NULL
 );
 CREATE TABLE IF NOT EXISTS campaign_points (
     run_key          TEXT PRIMARY KEY,
@@ -186,7 +181,7 @@ class LakeCatalog:
     Parameters
     ----------
     path:
-        Database file (created with the v1 schema when missing).
+        Database file (created with the current schema when missing).
     timeout_s:
         SQLite busy timeout — concurrent writers (parallel campaign
         workers recording points) wait this long for the lock instead
@@ -197,6 +192,28 @@ class LakeCatalog:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(str(self.path), timeout=timeout_s)
+        try:
+            version = self._open_schema(timeout_s)
+        except sqlite3.OperationalError:
+            # Lock contention and I/O failures: a rebuild cures neither.
+            self.close()
+            raise
+        except sqlite3.DatabaseError as exc:
+            self.close()
+            raise LakeError(
+                f"{self.path} is not a lake catalog ({exc}); rebuild with "
+                f"'repro-lake ingest --rescan'"
+            ) from exc
+        if int(version) != SCHEMA_VERSION:
+            self.close()
+            raise LakeError(
+                f"{self.path} has lake schema version {version}; this build "
+                f"reads version {SCHEMA_VERSION} — rebuild with "
+                f"'repro-lake ingest --rescan'"
+            )
+
+    def _open_schema(self, timeout_s: float) -> str:
+        """Set the connection pragmas, create missing tables; the stored stamp."""
         # Connections opening a fresh file together race twice: SQLite
         # answers the switch to WAL with "locked" without waiting, and
         # each may find no version row yet.  So both steps retry, and
@@ -217,13 +234,7 @@ class LakeCatalog:
                     "SELECT value FROM lake_meta WHERE key='schema_version'"
                 ).fetchone()[0]
 
-        version = _write_with_retry(_init_schema)
-        if int(version) != SCHEMA_VERSION:
-            raise LakeError(
-                f"{self.path} has lake schema version {version}; this build "
-                f"reads version {SCHEMA_VERSION} — rebuild with "
-                f"'repro-lake ingest --rescan'"
-            )
+        return _write_with_retry(_init_schema)
 
     def close(self) -> None:
         """Close the underlying connection (idempotent)."""
@@ -264,10 +275,10 @@ class LakeCatalog:
         the same row the live producers wrote.
 
         Rows whose canonical path equals this one but whose content
-        differs are **superseded** (dropped with their refs and feature
-        vectors): the file was rewritten, the old bytes are gone, and
-        keeping the stale row would make a live-recorded catalog
-        diverge from a rescan of the same tree.
+        differs are **superseded** (dropped with their refs): the file
+        was rewritten, the old bytes are gone, and keeping the stale
+        row would make a live-recorded catalog diverge from a rescan of
+        the same tree.
         """
         p = Path(path).resolve()
         if fingerprint is None:
@@ -288,9 +299,6 @@ class LakeCatalog:
                     self._conn.execute("DELETE FROM artifacts WHERE fingerprint = ?", (old,))
                     self._conn.execute(
                         "DELETE FROM artifact_refs WHERE fingerprint = ?", (old,)
-                    )
-                    self._conn.execute(
-                        "DELETE FROM trace_features WHERE fingerprint = ?", (old,)
                     )
                 self._conn.execute(
                     """
@@ -355,56 +363,15 @@ class LakeCatalog:
     def record_trace(
         self, path: str | Path, trace: BlockTrace, ref: str | None = None
     ) -> str:
-        """Catalog one stored trace: artifact row + feature vector.
+        """Catalog one stored trace as a ``trace`` artifact row.
 
         ``trace`` must be the decoded contents of ``path`` (the
-        producers hold it in hand; the rescan path loads it).  Returns
-        the content fingerprint.
+        producers hold it in hand; the rescan path loads it); its name
+        and length become the row's meta.  Returns the content
+        fingerprint.
         """
-        vector = trace_feature_vector(trace)
         meta = {"name": trace.name, "n_requests": int(len(trace))}
-        fingerprint = self.record_artifact("trace", path, ref=ref, meta=meta)
-
-        def _write() -> None:
-            with self._conn:
-                self._conn.execute(
-                    """
-                    INSERT INTO trace_features (fingerprint, features_version, names_json, vector)
-                    VALUES (?, ?, ?, ?)
-                    ON CONFLICT(fingerprint) DO UPDATE SET
-                        features_version = excluded.features_version,
-                        names_json = excluded.names_json,
-                        vector = excluded.vector
-                    """,
-                    (
-                        fingerprint,
-                        FEATURES_VERSION,
-                        _canonical_json(list(feature_names())),
-                        vector.astype(np.float64).tobytes(),
-                    ),
-                )
-
-        _write_with_retry(_write)
-        return fingerprint
-
-    def feature_matrix(self) -> tuple[list[str], np.ndarray]:
-        """Every trace's feature vector, fingerprint-sorted.
-
-        Returns ``(fingerprints, matrix)`` with one row per trace; the
-        deterministic row order is what keeps similarity results stable
-        across processes and rescans.  Rows written under a different
-        :data:`~repro.lake.features.FEATURES_VERSION` are skipped.
-        """
-        rows = self._conn.execute(
-            "SELECT fingerprint, vector FROM trace_features "
-            "WHERE features_version = ? ORDER BY fingerprint",
-            (FEATURES_VERSION,),
-        ).fetchall()
-        if not rows:
-            return [], np.empty((0, len(feature_names())), dtype=np.float64)
-        fingerprints = [r[0] for r in rows]
-        matrix = np.vstack([np.frombuffer(r[1], dtype=np.float64) for r in rows])
-        return fingerprints, matrix
+        return self.record_artifact("trace", path, ref=ref, meta=meta)
 
     # -- campaign points -----------------------------------------------
 
@@ -558,25 +525,23 @@ class LakeCatalog:
 
     def counts(self) -> dict[str, int]:
         """Row counts per table (the ``repro-lake stats`` payload)."""
-        out = {}
-        for table in ("artifacts", "artifact_refs", "trace_features", "campaign_points"):
-            out[table] = int(
-                self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-            )
-        return out
+        return {
+            table: int(self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0])
+            for table in _TABLES
+        }
 
     def clear(self) -> None:
         """Drop every row (``ingest --rescan`` rebuilds from the tree)."""
         with self._conn:
-            for table in ("artifacts", "artifact_refs", "trace_features", "campaign_points"):
+            for table in _TABLES:
                 self._conn.execute(f"DELETE FROM {table}")
 
     def gc(self) -> dict[str, int]:
         """Drop rows whose backing files no longer exist.
 
-        Artifacts (with their refs and feature vectors) whose ``path``
-        is gone, and campaign points whose checkpoint file under
-        ``source_dir`` is gone, are removed in one transaction.
+        Artifacts (with their refs) whose ``path`` is gone, and
+        campaign points whose checkpoint file under ``source_dir`` is
+        gone, are removed in one transaction.
         Returns ``{"artifacts": n, "campaign_points": m}``.
         """
         dead_artifacts = [
@@ -596,7 +561,6 @@ class LakeCatalog:
             for fp in dead_artifacts:
                 self._conn.execute("DELETE FROM artifacts WHERE fingerprint = ?", (fp,))
                 self._conn.execute("DELETE FROM artifact_refs WHERE fingerprint = ?", (fp,))
-                self._conn.execute("DELETE FROM trace_features WHERE fingerprint = ?", (fp,))
             for key in dead_points:
                 self._conn.execute("DELETE FROM campaign_points WHERE run_key = ?", (key,))
         return {"artifacts": len(dead_artifacts), "campaign_points": len(dead_points)}
@@ -621,13 +585,6 @@ class LakeCatalog:
             list(r)
             for r in self._conn.execute(
                 "SELECT fingerprint, ref FROM artifact_refs ORDER BY fingerprint, ref"
-            )
-        ]
-        doc["trace_features"] = [
-            [r[0], r[1], r[2], r[3].hex()]
-            for r in self._conn.execute(
-                "SELECT fingerprint, features_version, names_json, vector "
-                "FROM trace_features ORDER BY fingerprint"
             )
         ]
         doc["campaign_points"] = [

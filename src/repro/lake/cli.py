@@ -1,23 +1,21 @@
 """The ``repro-lake`` command line interface.
 
-Five subcommands over one catalog database (``--db``, defaulting to
+Four subcommands over one catalog database (``--db``, defaulting to
 ``$REPRO_LAKE_DB`` or ``~/.cache/repro-tracetracker/lake.sqlite``):
 
 ``repro-lake ingest <path>... [--rescan]``
     Walk directory trees (or single ``.npz`` files) and catalog every
     campaign directory and trace-store entry found.  ``--rescan``
     clears the catalog first — the full rebuild that recovers a
-    deleted/corrupt catalog from the flat files, and the migration
-    path for pre-lake directories.
+    deleted catalog from the flat files, and the migration path for
+    pre-lake directories.  A catalog it cannot open (another schema
+    version, or not a database) it moves to ``<db>.bad``, with its
+    ``-wal``/``-shm`` siblings, warns, and rebuilds at ``<db>``.
 
 ``repro-lake query [--workload W] [--device-kind K] [--min-qd N] ...``
     Cross-campaign point queries ("all flash_array runs at qd≥8
     touching workload X"), rendered as markdown or CSV through the
     campaign results table.
-
-``repro-lake similar (--fingerprint F | --trace PATH) [-k N]``
-    Exact nearest-neighbour workload matching: the named trace's
-    closest already-characterised workloads, before any replay runs.
 
 ``repro-lake gc``
     Drop rows whose backing files no longer exist.
@@ -25,22 +23,21 @@ Five subcommands over one catalog database (``--db``, defaulting to
 ``repro-lake stats``
     Row counts per table.
 
-Exit status is non-zero on unknown paths, bad databases, or an empty
-``similar`` query.
+Exit status is 2 on unknown paths and, outside ``ingest --rescan``, on
+a catalog of another schema version or a file that is not a database;
+it is 1 on an empty ``query``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 from ..campaign.results import ResultsTable
-from ..trace.io.store import TraceStoreError, load_trace_npz
 from .catalog import LakeCatalog, LakeError, default_lake_path
-from .features import trace_feature_vector
 from .ingest import ingest_tree
-from .similarity import similar_traces
 
 __all__ = ["main"]
 
@@ -49,8 +46,27 @@ def _open(args: argparse.Namespace) -> LakeCatalog:
     return LakeCatalog(args.db)
 
 
+def _open_quarantining(db: Path) -> LakeCatalog:
+    """Open ``db``; an unopenable catalog is first moved to ``<db>.bad``.
+
+    The SQLite ``-wal``/``-shm`` siblings move with it, so the
+    quarantined copy stays one database for diagnosis.
+    """
+    try:
+        return LakeCatalog(db)
+    except LakeError as exc:
+        bad = db.with_name(db.name + ".bad")
+        for suffix in ("", "-wal", "-shm"):
+            source = db.with_name(db.name + suffix)
+            if source.exists():
+                os.replace(source, bad.with_name(bad.name + suffix))
+        print(f"warning: moved {db} to {bad}: {exc}", file=sys.stderr)
+    return LakeCatalog(db)
+
+
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    with _open(args) as catalog:
+    catalog = _open_quarantining(Path(args.db)) if args.rescan else _open(args)
+    with catalog:
         if args.rescan:
             catalog.clear()
         totals: dict[str, int] = {}
@@ -90,33 +106,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_similar(args: argparse.Namespace) -> int:
-    with _open(args) as catalog:
-        if args.trace is not None:
-            try:
-                trace = load_trace_npz(args.trace)
-            except TraceStoreError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            query: object = trace_feature_vector(trace)
-        else:
-            query = args.fingerprint
-        try:
-            neighbors = similar_traces(catalog, query, k=args.k)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        if not neighbors:
-            print("catalog holds no trace feature vectors", file=sys.stderr)
-            return 1
-        for n in neighbors:
-            artifact = catalog.artifact(n.fingerprint)
-            name = artifact["meta"].get("name", "") if artifact else ""
-            path = artifact["path"] if artifact else ""
-            print(f"{n.distance:10.4f}  {n.fingerprint[:16]}  {name:<12}  {path}")
-    return 0
-
-
 def _cmd_gc(args: argparse.Namespace) -> int:
     with _open(args) as catalog:
         removed = catalog.gc()
@@ -137,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``repro-lake`` argument parser (exposed for docs/tests)."""
     parser = argparse.ArgumentParser(
         prog="repro-lake",
-        description="Content-addressed result lake: catalog, query, similarity search.",
+        description="Content-addressed result lake: ingest, query and maintain the catalog.",
     )
     parser.add_argument(
         "--db",
@@ -151,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument(
         "--rescan",
         action="store_true",
-        help="clear the catalog first and rebuild it from the tree",
+        help="clear the catalog first and rebuild it from the tree "
+        "(an unopenable catalog is moved to <db>.bad)",
     )
     ingest.set_defaults(func=_cmd_ingest)
 
@@ -168,13 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("--format", choices=("md", "csv"), default="md")
     query.set_defaults(func=_cmd_query)
-
-    similar = sub.add_parser("similar", help="nearest already-characterised workloads")
-    source = similar.add_mutually_exclusive_group(required=True)
-    source.add_argument("--fingerprint", default=None, help="cataloged trace fingerprint")
-    source.add_argument("--trace", default=None, help="a trace-store .npz to match")
-    similar.add_argument("-k", type=int, default=5, help="neighbours to return")
-    similar.set_defaults(func=_cmd_similar)
 
     gc = sub.add_parser("gc", help="drop rows whose backing files are gone")
     gc.set_defaults(func=_cmd_gc)

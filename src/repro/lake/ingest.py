@@ -134,9 +134,9 @@ def ingest_tree(catalog: LakeCatalog, root: str | Path) -> IngestReport:
 
     Directories holding a ``spec.json`` ingest as campaigns; every
     other ``.npz`` that loads as a trace-store file ingests as a trace
-    artifact (with its feature vector).  Unreadable or foreign files
-    are counted as ``skipped``, never fatal — a lake directory tree
-    routinely holds reports, logs, and half-written temp files.
+    artifact.  Unreadable or foreign files are counted as ``skipped``,
+    never fatal — a lake directory tree routinely holds reports, logs,
+    and half-written temp files.
     """
     root = Path(root)
     report = IngestReport(campaigns=0, points=0, results=0, traces=0, skipped=0)

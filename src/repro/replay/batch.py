@@ -31,7 +31,7 @@ per-request Python overhead.  Three regimes:
    per-request dispatch.
 
 3. **Fast fallback** — every other gap-sensitive device (fault
-   wrappers, RAID, multi-queue, tiered) is driven through
+   wrappers, RAID) is driven through
    ``device._service`` in a tight loop that performs the same
    arithmetic as ``StorageDevice.submit`` with the validation hoisted
    out and the trace assembled from columns instead of per-row appends.

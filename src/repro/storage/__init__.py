@@ -2,13 +2,14 @@
 
 The paper's hardware half replays traces on real devices; here the
 devices are simulators with the same observable surface (submit a block
-request, get ack and completion stamps back).
+request, get ack and completion stamps back).  Besides the three device
+models there are RAID-0/RAID-1 over arbitrary members and the fault
+wrappers that degrade any of them.
 """
 
 from .array import FlashArray
 from .channel import PCIE3_X4, SATA_300, SATA_600, InterfaceChannel
 from .device import Completion, ConstantLatencyDevice, StorageDevice
-from .events import Event, EventQueue, Simulation
 from .faults import (
     DegradedRaid1,
     LatencyInflation,
@@ -18,10 +19,7 @@ from .faults import (
 )
 from .flash import FlashGeometry, FlashSSD
 from .hdd import HDDGeometry, HDDModel
-from .mq import MultiQueueDevice
 from .raid import Raid0, Raid1
-from .smr import SMRModel
-from .tiered import TieredHybrid
 
 __all__ = [
     "FlashArray",
@@ -35,14 +33,8 @@ __all__ = [
     "DegradedRaid1",
     "LatencyInflation",
     "MidTraceSwitch",
-    "MultiQueueDevice",
     "ServiceFaultWrapper",
-    "SMRModel",
-    "TieredHybrid",
     "TransientStalls",
-    "Event",
-    "EventQueue",
-    "Simulation",
     "FlashGeometry",
     "FlashSSD",
     "HDDGeometry",

@@ -60,9 +60,10 @@ class TraceStore:
     lake:
         Optional result-lake catalog database path.  When set, every
         entry the store *materialises* (a build miss) is registered in
-        the lake with its workload feature vector, making it findable
-        via ``repro-lake similar``/``query``.  Registration is
-        best-effort: a broken lake never fails the build.
+        the lake as a ``trace`` artifact row with a ``store:<key>`` ref,
+        the same row ``repro-lake ingest`` derives from the file.
+        Registration is best-effort: a broken lake never fails the
+        build.
     """
 
     def __init__(
@@ -172,8 +173,9 @@ class TraceStore:
         """Best-effort lake registration of a freshly materialised entry.
 
         Mirrors what ``repro-lake ingest`` derives from the same file
-        (content fingerprint, feature vector, ``store:<key>`` ref), so
-        live registration and a rescan converge on identical rows.
+        (content fingerprint, name and length meta, ``store:<key>``
+        ref), so live registration and a rescan converge on identical
+        rows.
         """
         if self.lake is None or not self.enabled:
             return

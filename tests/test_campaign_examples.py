@@ -2,11 +2,13 @@
 
 Documented commands must not rot: every ``examples/*.yaml`` spec must
 parse, expand to a non-empty grid (the device sweep to its advertised
->= 24 points), and the cheap ones must execute end-to-end.
+>= 24 points) of pinned run keys, and the cheap ones must execute
+end-to-end.
 """
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,32 @@ def test_spec_loads_and_expands(path: Path):
     # Every device description resolves to a concrete simulator.
     for device in spec.devices:
         assert device.build().fingerprint()
+
+
+#: Per spec: the number of run keys it plans, and the first 16 hex
+#: digits of the SHA-1 of its sorted keys joined by newlines.  Run keys
+#: name checkpoints and lake rows, so a change here orphans every
+#: result recorded under the old keys; change them only on purpose.
+PINNED_RUN_KEYS = {
+    "degraded_flash_sweep": (8, "b38e24a9712be050"),
+    "degraded_raid_ab": (6, "b25c064e2a8b0acb"),
+    "device_workload_sweep": (24, "9147da404719d6ef"),
+    "fig14_target_diff": (31, "b83c6e44525ec2ba"),
+    "fig16_idle": (31, "a061b23ee821eef9"),
+    "method_grid": (14, "69595004950b1001"),
+    "raid_width_sweep": (8, "fb563584619447e8"),
+}
+
+
+def test_every_example_has_pinned_keys():
+    assert sorted(p.stem for p in SPEC_PATHS) == sorted(PINNED_RUN_KEYS)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUN_KEYS))
+def test_run_keys_pinned(name: str):
+    keys = sorted(expand(load_spec(EXAMPLES_DIR / f"{name}.yaml")).keys())
+    digest = hashlib.sha1("\n".join(keys).encode("utf-8")).hexdigest()[:16]
+    assert (len(keys), digest) == PINNED_RUN_KEYS[name]
 
 
 def test_device_sweep_is_at_least_24_points():

@@ -8,7 +8,7 @@ identical replay stamps under every engine pairing:
   queue depth 1 (FIFO fast path) and 3 (event loop / flash loop);
 - whole-stream ``service_batch`` pricing vs the same stream priced in
   two chunks (order-dependent state — stall ordinals, mirror round
-  robin, SMR zone pointers — must advance identically).
+  robin, HDD RNG draws — must advance identically).
 
 A cross-engine check also runs every entry on wide extents, which the
 mixed trace never reaches.
@@ -40,12 +40,13 @@ ZOO = device_zoo()
 def _zoo_trace(
     n: int = 60, seed: int = 17, sizes: tuple[int, int] = (1, 96)
 ) -> tuple[BlockTrace, np.ndarray]:
-    """Deterministic mixed read/write trace spanning the tiered split.
+    """Deterministic mixed read/write trace over many stripe units.
 
-    LBAs range over [0, 20000) so the tiered zoo entries (flash tier
-    below 8192 sectors) route requests to both tiers, and the default
-    sizes stay below the flash write buffer often enough to exercise
-    both the buffered and media write paths.
+    LBAs range over [0, 20000), hundreds of the zoo's 16 KB stripe
+    units, so striped entries (flash arrays, RAID-0 over disks or
+    SSDs) route requests to every member and some straddle a stripe
+    boundary; the default sizes stay below the flash write buffer
+    often enough to exercise both the buffered and media write paths.
     """
     rng = np.random.default_rng(seed)
     trace = BlockTrace(
@@ -171,8 +172,8 @@ class TestChunkedBatchPricing:
 
     Splitting a stream across two batch calls must price identically to
     one call — the order-dependent fault state (stall ordinals, mirror
-    read counters, mid-trace switch indices, SMR append pointers, HDD
-    RNG draws) has to advance by exactly the consumed prefix.
+    read counters, mid-trace switch indices, HDD RNG draws) has to
+    advance by exactly the consumed prefix.
     """
 
     @pytest.mark.parametrize("entry", sorted(ZOO))

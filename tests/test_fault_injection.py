@@ -3,17 +3,14 @@
 Three layers of coverage for the degraded-mode device zoo:
 
 - **unit behaviour** of each fault model — inflation arithmetic, stall
-  periodicity, mid-trace switch routing, SMR append pointers, tiered
-  address routing, the multi-queue FIFO gate, and the degraded mirror's
-  I/O accounting;
+  periodicity, mid-trace switch routing, and the degraded mirror's I/O
+  accounting;
 - **registry and spec validation** — unknown kinds and parameters are
   rejected with messages naming the valid alternatives, and fault
   parameters on kinds that do not support them die at spec-load time;
 - **property tests** (hypothesis) for the headline invariants: a
   degraded device is never faster than its healthy twin on the same
-  trace, completions within one submission queue never reorder (even
-  across a mid-trace reconfiguration), and rebuild traffic conserves
-  total member I/O.
+  trace, and rebuild traffic conserves total member I/O.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from repro.campaign.devices import (
     fault_params_for,
     valid_params_for,
 )
-from repro.replay import replay_queue_depth, replay_with_idle
+from repro.replay import replay_with_idle
 from repro.storage import (
     SATA_600,
     ConstantLatencyDevice,
@@ -39,9 +36,6 @@ from repro.storage import (
     HDDModel,
     LatencyInflation,
     MidTraceSwitch,
-    MultiQueueDevice,
-    SMRModel,
-    TieredHybrid,
     TransientStalls,
 )
 from repro.trace.record import OpType
@@ -170,109 +164,8 @@ class TestMidTraceSwitch:
 
 
 # ----------------------------------------------------------------------
-# new device models
+# degraded redundancy
 # ----------------------------------------------------------------------
-
-
-class TestSMRModel:
-    def test_append_at_pointer_is_free(self):
-        smr = SMRModel(zone_mb=1, append_penalty_us=5000.0)
-        zone = smr.zone_sectors
-        plain = HDDModel(seed=42)
-        # Sequential appends from the zone base: no penalty, identical
-        # to the conventional disk.
-        t = 0.0
-        for lba in (0, 64, 128):
-            __, f_smr = smr._service(OpType.WRITE, lba, 64, t)
-            __, f_hdd = plain._service(OpType.WRITE, lba, 64, t)
-            assert f_smr == f_hdd
-            t = f_smr + 10.0
-        assert smr._zone_append[0] == 192
-        # Rewriting inside the shingled zone pays the penalty.
-        __, f_smr = smr._service(OpType.WRITE, 0, 64, t)
-        __, f_hdd = plain._service(OpType.WRITE, 0, 64, t)
-        assert f_smr - f_hdd == pytest.approx(5000.0)
-        assert smr._zone_append == {0: 64}
-        # A fresh zone's pointer starts at its base.
-        __, f2 = smr._service(OpType.WRITE, 2 * zone, 32, t + 1e6)
-        assert smr._zone_append[2] == 2 * zone + 32
-
-    def test_reads_never_pay(self):
-        smr = SMRModel(zone_mb=1, append_penalty_us=5000.0, seed=3)
-        plain = HDDModel(seed=3)
-        __, f_smr = smr._service(OpType.READ, 777, 32, 0.0)
-        __, f_hdd = plain._service(OpType.READ, 777, 32, 0.0)
-        assert f_smr == f_hdd
-        assert smr._zone_append == {}
-
-    def test_reset_rewinds_append_pointers(self):
-        smr = SMRModel(zone_mb=1)
-        smr._service(OpType.WRITE, 0, 64, 0.0)
-        assert smr._zone_append
-        smr.reset()
-        assert smr._zone_append == {}
-
-    def test_write_back_cache_always_disabled(self):
-        assert SMRModel().write_back_cache_kb == 0
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError, match="zone size"):
-            SMRModel(zone_mb=0)
-        with pytest.raises(ValueError, match="penalty"):
-            SMRModel(append_penalty_us=-1.0)
-
-
-class TestTieredHybrid:
-    def test_routes_by_start_lba(self):
-        device = TieredHybrid(_const(read_us=5.0), _const(read_us=500.0), flash_sectors=1000)
-        __, fast = device._service(OpType.READ, 999, 8, 0.0)
-        __, slow = device._service(OpType.READ, 1000, 8, 0.0)
-        assert fast == 5.0 and slow == 500.0
-        # A straddler goes entirely to its start tier.
-        __, straddle = device._service(OpType.READ, 998, 64, 1000.0)
-        assert straddle - 1000.0 == 5.0
-
-    def test_batch_routing_matches_scalar(self):
-        device = TieredHybrid(_const(read_us=5.0), _const(read_us=500.0), flash_sectors=1000)
-        lbas = np.array([0, 2000, 500, 1500], dtype=np.int64)
-        svc = device.service_batch(
-            np.zeros(4, dtype=np.int8), lbas, np.full(4, 8)
-        )
-        np.testing.assert_array_equal(svc, [5.0, 500.0, 5.0, 500.0])
-
-    def test_rejects_empty_flash_tier(self):
-        with pytest.raises(ValueError, match="positive"):
-            TieredHybrid(_const(), _const(), flash_sectors=0)
-
-
-class TestMultiQueueDevice:
-    def test_round_robin_gate(self):
-        # Inner takes 100us; 2 queues.  Four simultaneous arrivals:
-        # requests 2 and 3 must wait for their queue predecessors even
-        # though the inner const device would serialise anyway.
-        device = MultiQueueDevice(_const(read_us=100.0, write_us=100.0), n_queues=2)
-        finishes = [device._service(OpType.READ, 0, 8, 0.0)[1] for __ in range(4)]
-        # Per-queue completions are monotone in submission order.
-        assert finishes[2] >= finishes[0] and finishes[3] >= finishes[1]
-
-    def test_queue_count_validated(self):
-        with pytest.raises(ValueError, match="at least one queue"):
-            MultiQueueDevice(_const(), n_queues=0)
-
-    def test_no_plan_engine(self):
-        # The streaming flash loop cannot express the per-queue gate (a
-        # request's ready time depends on a prior completion chosen by
-        # queue index), so the wrapper keeps the default hook and
-        # replays through _service.
-        device = MultiQueueDevice(FlashSSD(geometry=TINY_FLASH), n_queues=2)
-        assert device.flash_layout() is None
-
-    def test_expected_service_delegates(self):
-        inner = FlashSSD(geometry=TINY_FLASH)
-        device = MultiQueueDevice(FlashSSD(geometry=TINY_FLASH), n_queues=4)
-        assert device.service_time_us(OpType.READ, 16, False) == inner.service_time_us(
-            OpType.READ, 16, False
-        )
 
 
 class TestDegradedRaid1:
@@ -334,21 +227,24 @@ class TestRegistryErrors:
         with pytest.raises(ValueError, match="unknown device kind") as excinfo:
             build_device("floppy")
         message = str(excinfo.value)
-        for kind in ("hdd", "flash_array", "nvme_mq", "smr", "tiered", "old-node"):
-            assert kind in message
+        for kind in (
+            "hdd", "flash", "flash_array", "raid0", "raid1",
+            "old-node", "new-node", "calibration-disk",
+        ):
+            assert repr(kind) in message
 
     def test_unknown_parameter_names_valid_parameters(self):
         with pytest.raises(ValueError, match="unknown parameter") as excinfo:
-            build_device("smr", {"rpm": 7200.0, "shingle_overlap": 3})
+            build_device("hdd", {"rpm": 7200.0, "shingle_overlap": 3})
         message = str(excinfo.value)
         assert "valid parameters" in message
-        assert "zone_mb" in message and "latency_factor" in message
+        assert "write_back_cache_kb" in message and "latency_factor" in message
 
     def test_fault_param_on_unsupported_kind(self):
         with pytest.raises(ValueError, match="does not support fault parameter") as excinfo:
             build_device("hdd", {"offline_at": 10})
         message = str(excinfo.value)
-        assert "flash" in message and "nvme_mq" in message
+        assert "supported by kinds: ['flash', 'flash_array']" in message
 
     def test_fault_param_dependencies(self):
         with pytest.raises(ValueError, match="'stall_us' requires 'stall_every'"):
@@ -368,7 +264,7 @@ class TestRegistryErrors:
         assert fault_params_for("hdd") == [
             "latency_extra_us", "latency_factor", "stall_every", "stall_us",
         ]
-        assert "offline_at" in fault_params_for("nvme_mq")
+        assert "offline_at" in fault_params_for("flash")
         assert "failed_member" in fault_params_for("raid1")
         # Presets resolve to their base kind.
         assert "offline_at" in fault_params_for("new-node")
@@ -391,23 +287,26 @@ class TestSpecValidation:
             CampaignSpec.from_dict(
                 {
                     "name": "bad",
-                    "devices": [{"name": "d", "kind": "smr", "failed_member": 0}],
+                    "devices": [{"name": "d", "kind": "raid0", "failed_member": 0}],
                 }
             )
 
-    def test_spec_rejects_unknown_kind_up_front(self):
-        with pytest.raises(ValueError, match="unknown device kind"):
-            CampaignSpec.from_dict({"name": "bad", "devices": ["warp-drive"]})
+    # The three kinds removed from the registry fail like any other typo.
+    @pytest.mark.parametrize("kind", ["warp-drive", "nvme_mq", "tiered", "smr"])
+    def test_spec_rejects_unknown_kind_up_front(self, kind):
+        with pytest.raises(ValueError, match=f"unknown device kind '{kind}'"):
+            CampaignSpec.from_dict({"name": "bad", "devices": [kind]})
 
     def test_valid_degraded_specs_accepted(self):
         spec = CampaignSpec.from_dict(
             {
                 "name": "ok",
                 "devices": [
-                    {"name": "mq", "kind": "nvme_mq", "offline_at": 10, "offline_channels": 2},
+                    {"name": "array", "kind": "flash_array", "offline_at": 10,
+                     "offline_channels": 2},
                     {"name": "mirror", "kind": "raid1", "failed_member": 0,
                      "rebuild_every": 8, "rebuild_chunk": 64},
-                    {"name": "slow-smr", "kind": "smr", "latency_factor": 2.0},
+                    {"name": "slow-hdd", "kind": "hdd", "latency_factor": 2.0},
                 ],
             }
         )
@@ -472,42 +371,6 @@ class TestDegradedNeverFaster:
                 (degraded.finishes - degraded.submits)
                 >= (healthy.finishes - healthy.submits) - slack
             )
-
-
-class TestQueueOrderInvariant:
-    """Completions within one submission queue never reorder."""
-
-    @staticmethod
-    def _assert_queues_monotone(result, n_queues: int):
-        for queue in range(n_queues):
-            per_queue = result.finishes[queue::n_queues]
-            assert np.all(np.diff(per_queue) >= 0)
-
-    @given(trace=block_traces(min_n=4, max_n=40), data=st.data())
-    @settings(max_examples=20, deadline=None)
-    def test_mq_per_queue_monotone(self, trace, data):
-        n_queues = data.draw(st.integers(min_value=1, max_value=4))
-        queue_depth = data.draw(st.integers(min_value=2, max_value=6))
-        device = MultiQueueDevice(FlashSSD(geometry=TINY_FLASH), n_queues=n_queues)
-        result = replay_queue_depth(trace, device, queue_depth=queue_depth)
-        self._assert_queues_monotone(result, n_queues)
-
-    @given(trace=block_traces(min_n=4, max_n=40), data=st.data())
-    @settings(max_examples=20, deadline=None)
-    def test_mq_monotone_across_mid_trace_switch(self, trace, data):
-        """The offline fault must not reorder a queue's completions."""
-        at = data.draw(st.integers(min_value=0, max_value=len(trace)))
-        inner = MidTraceSwitch(
-            FlashSSD(geometry=TINY_FLASH),
-            FlashSSD(geometry=FlashGeometry(
-                channels=2, dies_per_channel=2, planes_per_die=2,
-                page_kb=4, write_buffer_kb=32,
-            )),
-            at_request=at,
-        )
-        device = MultiQueueDevice(inner, n_queues=3)
-        result = replay_queue_depth(trace, device, queue_depth=4)
-        self._assert_queues_monotone(result, 3)
 
 
 class TestRebuildConservation:

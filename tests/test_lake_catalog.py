@@ -165,20 +165,15 @@ class TestCatalogBasics:
             assert cat.refs(old) == []
             assert cat.counts()["artifacts"] == 1
 
-    def test_record_trace_stores_feature_vector(self, tmp_path):
-        from repro.lake import FEATURES_VERSION, trace_feature_vector
-
+    def test_record_trace_writes_named_trace_artifact(self, tmp_path):
         trace = make_trace(seed=1)
         path = save_trace_npz(trace, tmp_path / "t.npz")
         with LakeCatalog(tmp_path / "lake.sqlite") as cat:
             fp = cat.record_trace(path, trace, ref="store:abc")
-            fingerprints, matrix = cat.feature_matrix()
-            assert fingerprints == [fp]
-            np.testing.assert_array_equal(matrix[0], trace_feature_vector(trace))
-            row = cat._conn.execute(
-                "SELECT features_version FROM trace_features"
-            ).fetchone()
-            assert row[0] == FEATURES_VERSION
+            row = cat.artifact(fp)
+            assert row["kind"] == "trace" and row["path"] == str(path.resolve())
+            assert row["meta"] == {"name": "trace-1", "n_requests": 64}
+            assert cat.refs(fp) == ["store:abc"]
 
     def test_record_point_upsert_last_writer_wins(self, tmp_path):
         with LakeCatalog(tmp_path / "lake.sqlite") as cat:
@@ -232,7 +227,6 @@ class TestCatalogBasics:
             assert cat.counts() == {
                 "artifacts": 1,
                 "artifact_refs": 1,
-                "trace_features": 1,
                 "campaign_points": 1,
             }
             cat.clear()
@@ -474,7 +468,7 @@ class TestRescan:
             )
         with LakeCatalog(db) as cat:
             live = cat.dump_rows()
-            assert cat.counts()["trace_features"] == 3
+            assert len(cat.artifacts("trace")) == 3
             fp = cat.artifacts("trace")[0]["fingerprint"]
             assert cat.refs(fp)[0].startswith("store:")
         with LakeCatalog(tmp_path / "rebuild.sqlite") as cat:
@@ -728,23 +722,69 @@ class TestLakeCli:
         assert lake_main(["--db", str(db), "query", "--format", "csv"]) == 0
         assert "workload" in capsys.readouterr().out
 
-    def test_similar_against_stored_trace(self, tmp_path, capsys):
-        db = tmp_path / "lake.sqlite"
-        paths = {}
-        with LakeCatalog(db) as cat:
-            for seed in range(3):
-                trace = make_trace(seed)
-                path = save_trace_npz(trace, tmp_path / f"t{seed}.npz")
-                paths[seed] = path
-                cat.record_trace(path, trace)
-        assert lake_main(["--db", str(db), "similar", "--trace", str(paths[0]), "-k", "2"]) == 0
-        assert len(capsys.readouterr().out.strip().splitlines()) == 2
-        assert lake_main(["--db", str(db), "similar", "--fingerprint", "no-such"]) == 2
-
     def test_ingest_unknown_path_errors(self, tmp_path, capsys):
         rc = lake_main(["--db", str(tmp_path / "db"), "ingest", str(tmp_path / "nope")])
         assert rc == 2
         assert "no such path" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Unopenable catalogs: the rescan is the way out
+# ----------------------------------------------------------------------
+
+
+def _unopenable_catalog(tmp_path: Path, shape: str) -> Path:
+    """A catalog file this build refuses: a foreign schema stamp, or noise."""
+    db = tmp_path / "lake.sqlite"
+    if shape == "stamp-99":
+        with LakeCatalog(db) as cat:
+            cat.record_point("k", "fp", "c", "a", _point_row(0), "hdd")
+            cat._conn.execute("UPDATE lake_meta SET value='99' WHERE key='schema_version'")
+            cat._conn.commit()
+    else:
+        db.write_bytes(np.random.default_rng(5).bytes(4096))
+    return db
+
+
+class TestUnopenableCatalog:
+    """A catalog stamped with another schema version, or bytes that are
+    no SQLite database: every subcommand fails with one line naming the
+    rescan, and ``ingest --rescan`` moves the file aside and rebuilds."""
+
+    @pytest.mark.parametrize("shape", ["stamp-99", "random-bytes"])
+    def test_subcommands_exit_2_naming_the_rescan(self, tmp_path, capsys, shape):
+        db = _unopenable_catalog(tmp_path, shape)
+        before = db.read_bytes()
+        for argv in (["stats"], ["query"], ["gc"], ["ingest", str(tmp_path)]):
+            assert lake_main(["--db", str(db), *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "repro-lake ingest --rescan" in err
+        # Only the rescan moves a catalog aside.
+        assert db.read_bytes() == before
+        assert not db.with_name(db.name + ".bad").exists()
+
+    @pytest.mark.parametrize("shape", ["stamp-99", "random-bytes"])
+    def test_rescan_quarantines_and_rebuilds(self, tmp_path, capsys, shape):
+        tree = tmp_path / "tree"
+        CampaignEngine(
+            _synthetic_spec((60, 80)), out_dir=tree / "run", use_trace_store=False
+        ).run()
+        save_trace_npz(make_trace(seed=4), tree / "t.npz")
+        db = _unopenable_catalog(tmp_path, shape)
+        before = db.read_bytes()
+        assert lake_main(["--db", str(db), "ingest", str(tree), "--rescan"]) == 0
+        bad = db.with_name(db.name + ".bad")
+        assert bad.read_bytes() == before
+        assert f"warning: moved {db} to {bad}: " in capsys.readouterr().err
+        fresh = tmp_path / "fresh.sqlite"
+        assert lake_main(["--db", str(fresh), "ingest", str(tree), "--rescan"]) == 0
+        with LakeCatalog(db) as rebuilt, LakeCatalog(fresh) as reference:
+            assert rebuilt.dump_rows() == reference.dump_rows()
+            # The trace plus results.npz/.csv, both referenced by the campaign.
+            assert rebuilt.counts() == {
+                "artifacts": 3, "artifact_refs": 2, "campaign_points": 2,
+            }
 
 
 # ----------------------------------------------------------------------

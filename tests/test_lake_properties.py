@@ -1,332 +1,22 @@
-"""Property tests (hypothesis) for lake feature vectors and similarity.
+"""Content dedup in the lake catalog.
 
-The contracts pinned here are what make the catalog's stored vectors
-trustworthy: feature extraction is a pure function of the trace's
-columns (bit-equal across copies, store round-trips, chunked column
-assembly, and processes), every cataloged trace is its own nearest
-neighbour, rankings are total and insertion-order-invariant, and
-content dedup yields one artifact row with many refs.
+Identical bytes reached through two paths are one piece of content:
+the catalog keeps one artifact row for them, with a reference edge per
+path.
 """
 
 from __future__ import annotations
 
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from repro.lake import (
-    LakeCatalog,
-    feature_dict,
-    feature_names,
-    nearest_neighbors,
-    trace_feature_vector,
-)
-from repro.lake.features import _qdepth_profile
+from repro.lake import LakeCatalog
 from repro.trace import BlockTrace, load_trace_npz, save_trace_npz
-
-REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-
-# ----------------------------------------------------------------------
-# strategies
-# ----------------------------------------------------------------------
-
-
-@st.composite
-def block_traces(draw, min_n: int = 1, max_n: int = 60, with_dev: bool = False):
-    """Random valid BlockTrace with non-decreasing timestamps."""
-    n = draw(st.integers(min_value=min_n, max_value=max_n))
-    gaps = draw(
-        hnp.arrays(
-            dtype=np.float64,
-            shape=max(n - 1, 0),
-            elements=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-        )
-    )
-    ts = np.concatenate([[0.0], np.cumsum(gaps)])
-    lbas = draw(
-        hnp.arrays(dtype=np.int64, shape=n, elements=st.integers(min_value=0, max_value=10**9))
-    )
-    sizes = draw(
-        hnp.arrays(dtype=np.int64, shape=n, elements=st.integers(min_value=1, max_value=2048))
-    )
-    ops = draw(hnp.arrays(dtype=np.int8, shape=n, elements=st.sampled_from([0, 1])))
-    if with_dev:
-        dev = draw(
-            hnp.arrays(
-                dtype=np.float64,
-                shape=n,
-                elements=st.floats(min_value=0.1, max_value=1e5, allow_nan=False),
-            )
-        )
-        return BlockTrace(ts, lbas, sizes, ops, issues=ts, completes=ts + dev)
-    return BlockTrace(ts, lbas, sizes, ops)
-
-
-def _copy_trace(trace: BlockTrace) -> BlockTrace:
-    """The same columns, freshly copied arrays."""
-    return BlockTrace(
-        timestamps=trace.timestamps.copy(),
-        lbas=trace.lbas.copy(),
-        sizes=trace.sizes.copy(),
-        ops=trace.ops.copy(),
-        issues=None if trace.issues is None else trace.issues.copy(),
-        completes=None if trace.completes is None else trace.completes.copy(),
-    )
-
-
-def _chunked_trace(trace: BlockTrace, split: int) -> BlockTrace:
-    """The trace rebuilt by concatenating two column chunks — the shape
-    a chunked/streaming parser produces."""
-    def cat(column):
-        if column is None:
-            return None
-        return np.concatenate([column[:split], column[split:]])
-
-    return BlockTrace(
-        timestamps=cat(trace.timestamps),
-        lbas=cat(trace.lbas),
-        sizes=cat(trace.sizes),
-        ops=cat(trace.ops),
-        issues=cat(trace.issues),
-        completes=cat(trace.completes),
-    )
-
-
-# ----------------------------------------------------------------------
-# feature-vector determinism
-# ----------------------------------------------------------------------
-
-
-class TestFeatureDeterminism:
-    @settings(max_examples=50)
-    @given(block_traces(with_dev=True))
-    def test_vector_is_pure_function_of_columns(self, trace):
-        first = trace_feature_vector(trace)
-        second = trace_feature_vector(_copy_trace(trace))
-        np.testing.assert_array_equal(first, second)  # bit-equal, not approx
-
-    @settings(max_examples=50)
-    @given(block_traces())
-    def test_vector_shape_and_finiteness(self, trace):
-        vector = trace_feature_vector(trace)
-        assert vector.shape == (len(feature_names()),)
-        assert vector.dtype == np.float64
-        assert np.all(np.isfinite(vector))
-
-    @settings(max_examples=30)
-    @given(block_traces(min_n=2, with_dev=True), st.data())
-    def test_chunked_assembly_is_invariant(self, trace, data):
-        split = data.draw(st.integers(min_value=0, max_value=len(trace)))
-        np.testing.assert_array_equal(
-            trace_feature_vector(trace), trace_feature_vector(_chunked_trace(trace, split))
-        )
-
-    @settings(max_examples=20)
-    @given(block_traces(with_dev=True))
-    def test_store_round_trip_is_bit_equal(self, tmp_path_factory, trace):
-        path = tmp_path_factory.mktemp("lake-prop") / "t.npz"
-        save_trace_npz(trace, path)
-        np.testing.assert_array_equal(
-            trace_feature_vector(trace), trace_feature_vector(load_trace_npz(path))
-        )
-
-    @settings(max_examples=30)
-    @given(block_traces())
-    def test_name_and_metadata_never_affect_the_vector(self, trace):
-        renamed = _copy_trace(trace)
-        renamed.name = "something-else"
-        renamed.metadata = {"category": "X", "note": "ignored"}
-        np.testing.assert_array_equal(
-            trace_feature_vector(trace), trace_feature_vector(renamed)
-        )
-
-    def test_vectors_identical_across_processes(self, tmp_path):
-        paths = []
-        for seed in range(3):
-            rng = np.random.default_rng(seed)
-            n = 80
-            ts = np.cumsum(rng.random(n) * 50.0)
-            trace = BlockTrace(
-                timestamps=ts - ts[0],
-                lbas=rng.integers(0, 1 << 30, n),
-                sizes=rng.integers(1, 128, n),
-                ops=rng.integers(0, 2, n).astype(np.int8),
-                issues=ts,
-                completes=ts + rng.random(n) * 10,
-            )
-            paths.append(save_trace_npz(trace, tmp_path / f"t{seed}.npz"))
-        script = (
-            "import sys; sys.path.insert(0, {src!r})\n"
-            "from repro.lake import trace_feature_vector\n"
-            "from repro.trace import load_trace_npz\n"
-            "for p in {paths!r}:\n"
-            "    print(trace_feature_vector(load_trace_npz(p)).tobytes().hex())\n"
-        ).format(src=REPO_SRC, paths=[str(p) for p in paths])
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, check=True
-        )
-        theirs = proc.stdout.split()
-        ours = [
-            trace_feature_vector(load_trace_npz(p)).tobytes().hex() for p in paths
-        ]
-        assert theirs == ours
-
-    def test_single_request_trace_has_defined_features(self):
-        trace = BlockTrace(
-            timestamps=np.array([0.0]),
-            lbas=np.array([100]),
-            sizes=np.array([8]),
-            ops=np.array([0], dtype=np.int8),
-        )
-        d = feature_dict(trace)
-        assert d["log10_n_requests"] == 0.0
-        assert d["seq_fraction"] == 0.0 and d["lba_jump_log_mean"] == 0.0
-        assert d["qdepth_mean"] == 0.0 and d["qdepth_max"] == 0.0
-
-    def test_qdepth_profile_hand_computed(self):
-        # +1@0, +1@1, -1@2, -1@3: depths 1,2,1 over unit widths, span 3.
-        trace = BlockTrace(
-            timestamps=np.array([0.0, 1.0]),
-            lbas=np.array([0, 8]),
-            sizes=np.array([8, 8]),
-            ops=np.array([0, 0], dtype=np.int8),
-            issues=np.array([0.0, 1.0]),
-            completes=np.array([2.0, 3.0]),
-        )
-        mean, peak = _qdepth_profile(trace)
-        assert peak == 2.0
-        assert mean == pytest.approx(4.0 / 3.0)
-
-    def test_qdepth_without_device_times_is_zero(self):
-        trace = BlockTrace(
-            timestamps=np.array([0.0, 1.0]),
-            lbas=np.array([0, 8]),
-            sizes=np.array([8, 8]),
-            ops=np.array([0, 0], dtype=np.int8),
-        )
-        assert _qdepth_profile(trace) == (0.0, 0.0)
-
-
-# ----------------------------------------------------------------------
-# similarity invariants
-# ----------------------------------------------------------------------
-
-
-def _matrix_from_traces(traces) -> tuple[list[str], np.ndarray]:
-    vectors = [trace_feature_vector(t) for t in traces]
-    fingerprints = [f"fp{i:02d}" for i in range(len(vectors))]
-    return fingerprints, np.vstack(vectors)
-
-
-class TestSimilarityInvariants:
-    @settings(max_examples=30)
-    @given(st.lists(block_traces(min_n=2, with_dev=True), min_size=2, max_size=6))
-    def test_every_trace_is_its_own_nearest_neighbour(self, traces):
-        fingerprints, matrix = _matrix_from_traces(traces)
-        for i, fp in enumerate(fingerprints):
-            hits = nearest_neighbors(fingerprints, matrix, matrix[i], k=len(matrix))
-            # A trace always measures distance 0 to itself; other rows
-            # may legitimately tie at 0 (duplicate vectors, or raw
-            # differences tiny enough that the squared term underflows),
-            # in which case the tie breaks by ascending fingerprint.
-            zero = [n.fingerprint for n in hits if n.distance == 0.0]
-            assert fp in zero
-            assert hits[0].fingerprint == min(zero)
-
-    @settings(max_examples=20)
-    @given(
-        st.lists(block_traces(min_n=2, with_dev=True), min_size=3, max_size=6),
-        st.randoms(use_true_random=False),
-    )
-    def test_ranking_is_row_order_invariant(self, traces, rnd):
-        fingerprints, matrix = _matrix_from_traces(traces)
-        order = list(range(len(fingerprints)))
-        rnd.shuffle(order)
-        shuffled_fps = [fingerprints[i] for i in order]
-        shuffled = matrix[order]
-        query = matrix[0]
-        a = nearest_neighbors(fingerprints, matrix, query, k=len(fingerprints))
-        b = nearest_neighbors(shuffled_fps, shuffled, query, k=len(fingerprints))
-        assert [(n.fingerprint, round(n.distance, 9)) for n in a] == [
-            (n.fingerprint, round(n.distance, 9)) for n in b
-        ]
-
-    @settings(max_examples=50)
-    @given(
-        hnp.arrays(
-            dtype=np.float64,
-            shape=st.tuples(st.integers(3, 8), st.just(len(feature_names()))),
-            elements=st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
-        ),
-        st.floats(min_value=0.5, max_value=100.0, allow_nan=False),
-        st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
-    )
-    def test_per_dimension_affine_rescaling_preserves_ranking(
-        self, matrix, scale, shift
-    ):
-        """Z-scoring makes distances invariant to a positive affine
-        transform applied to any one dimension of matrix and query —
-        provided the dimension has spread (constant columns are left
-        unstandardised by design, so they carry raw offsets).  The
-        transform cancels exactly in real arithmetic but only to ~1 ulp
-        in floats, so rows whose distances are (near-)tied can legally
-        swap — the ranking assertion skips such examples and the
-        distance assertion below still pins the invariant for them."""
-        from hypothesis import assume
-
-        assume(float(matrix[:, 3].std()) > 1e-6)
-        fingerprints = [f"fp{i:02d}" for i in range(len(matrix))]
-        query = matrix[0] + 0.1
-        transformed = matrix.copy()
-        transformed[:, 3] = transformed[:, 3] * scale + shift
-        tq = query.copy()
-        tq[3] = tq[3] * scale + shift
-        a = nearest_neighbors(fingerprints, matrix, query, k=len(fingerprints))
-        b = nearest_neighbors(fingerprints, transformed, tq, k=len(fingerprints))
-        distances = sorted(n.distance for n in a)
-        gaps = [y - x for x, y in zip(distances, distances[1:])]
-        if not gaps or min(gaps) > 1e-6 * (1.0 + distances[-1]):
-            assert [n.fingerprint for n in a] == [n.fingerprint for n in b]
-        for x, y in zip(a, b):
-            assert x.distance == pytest.approx(y.distance, rel=1e-9, abs=1e-9)
-
-    def test_ties_break_by_fingerprint_ascending(self):
-        vector = np.arange(len(feature_names()), dtype=np.float64)
-        matrix = np.vstack([vector, vector, vector + 1.0])
-        hits = nearest_neighbors(["bb", "aa", "cc"], matrix, vector, k=3)
-        assert [n.fingerprint for n in hits] == ["aa", "bb", "cc"]
-
-    def test_exclude_drops_only_the_named_row(self):
-        vector = np.zeros(len(feature_names()))
-        matrix = np.vstack([vector, vector + 1.0])
-        hits = nearest_neighbors(["aa", "bb"], matrix, vector, k=5, exclude="aa")
-        assert [n.fingerprint for n in hits] == ["bb"]
-
-    def test_validation_errors(self):
-        matrix = np.zeros((2, len(feature_names())))
-        with pytest.raises(ValueError, match="fingerprints"):
-            nearest_neighbors(["only-one"], matrix, matrix[0])
-        with pytest.raises(ValueError, match="shape"):
-            nearest_neighbors(["a", "b"], matrix, np.zeros(3))
-        assert nearest_neighbors([], np.empty((0, 16)), np.zeros(16)) == []
-
-
-# ----------------------------------------------------------------------
-# dedup property
-# ----------------------------------------------------------------------
 
 
 class TestDedupProperty:
-    def test_same_bytes_two_paths_one_row_two_refs_one_vector(self, tmp_path):
+    def test_same_bytes_two_paths_one_row_two_refs(self, tmp_path):
         """Ingesting one trace's bytes from two locations yields exactly
-        one artifact row, one feature row, and both reference edges."""
+        one artifact row and both reference edges."""
         rng = np.random.default_rng(11)
         n = 50
         ts = np.cumsum(rng.random(n))
@@ -344,7 +34,5 @@ class TestDedupProperty:
             fp1 = cat.record_trace(a, load_trace_npz(a), ref="store:aaa")
             fp2 = cat.record_trace(b, load_trace_npz(b), ref="store:bbb")
             assert fp1 == fp2
-            counts = cat.counts()
-            assert counts["artifacts"] == 1
-            assert counts["trace_features"] == 1
+            assert cat.counts()["artifacts"] == 1
             assert cat.refs(fp1) == ["store:aaa", "store:bbb"]
