@@ -17,7 +17,8 @@ Three subcommands over the campaign engine:
     Re-render the aggregated table of a finished (or partial) campaign
     directory.
 
-Exit status is non-zero on bad specs, unknown paths, or a grid point
+Exit status is non-zero on bad specs, unknown paths, a ``--lake``
+catalog it cannot use (2, with one ``error:`` line), or a grid point
 failure (already-completed points stay checkpointed).
 """
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sqlite3
 import sys
 from pathlib import Path
 
@@ -269,6 +271,18 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except sqlite3.Error as exc:
+        # A lake path SQLite cannot open at all (a directory, say).
+        print(f"error: cannot use the lake catalog: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        # The lake package loads only when a campaign uses a lake.
+        from ..lake.catalog import LakeError
+
+        if not isinstance(exc, LakeError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)  # it names 'repro-lake ingest --rescan'
         return 2
 
 

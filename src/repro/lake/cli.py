@@ -23,15 +23,18 @@ Four subcommands over one catalog database (``--db``, defaulting to
 ``repro-lake stats``
     Row counts per table.
 
-Exit status is 2 on unknown paths and, outside ``ingest --rescan``, on
-a catalog of another schema version or a file that is not a database;
-it is 1 on an empty ``query``.
+Exit status is 2 on unknown paths, on a catalog SQLite cannot open at
+all (a directory, an unreadable file: ``--rescan`` moves nothing
+aside), and, outside ``ingest --rescan``, on a catalog of another
+schema version or a file that is not a database; it is 1 on an empty
+``query``.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import sqlite3
 import sys
 from pathlib import Path
 
@@ -175,6 +178,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (LakeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except sqlite3.Error as exc:
+        # Lock and I/O failures (a directory at --db, say) reach here
+        # unwrapped: a rescan cures neither, so nothing is moved aside.
+        print(f"error: cannot use the lake catalog {args.db}: {exc}", file=sys.stderr)
         return 2
 
 

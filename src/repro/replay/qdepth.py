@@ -1,50 +1,60 @@
-"""Queue-depth replay: asynchronous replay with bounded outstanding I/O.
+"""One submission rule for trace collection and replay.
 
-The paper's emulation issues synchronously and repairs asynchrony in
-post-processing.  An alternative (and the natural extension once the
-sync flags are *known*, as they are for synthetic traces) is to replay
-with a bounded submission window, the way ``fio`` drives a device at
-``iodepth > 1``: up to ``queue_depth`` requests may be in flight; a new
-request is submitted as soon as a slot frees *and* its think time has
-elapsed.
+A host sends a request stream to a device in three ways: to collect a
+trace from an intent stream (:func:`repro.workloads.generator.
+collect_trace`), to replay an old trace synchronously
+(:func:`~repro.replay.batch.replay_with_idle_batch`), and to replay it
+behind a queue-depth window (:func:`replay_queue_depth`).  All three
+follow one rule.  The clock starts at ``lead``; request ``i`` is
+submitted at the clock, crosses the channel (``ack = clock + T_cdel``)
+and is serviced; then
 
-:func:`replay_queue_depth_scalar` is the original discrete-event loop
-over :meth:`~repro.storage.device.StorageDevice.submit`, kept as the
-readable specification and the bit-identity oracle for the test suite.
-Its in-flight window is a plain list it re-filters per request
-(O(n·qd) comprehensions), and every request pays the full
-``submit``/``Completion``/collector overhead.
+.. math::
 
-:func:`replay_queue_depth` is the production entry point.  It picks
-one of three engines, all bit-identical to the oracle:
+   clock \\leftarrow (finish_i \\text{ if } wait_i \\text{ else } ack_i) + gap_i
 
-- the *FIFO chain* (:func:`_qdepth_fifo_fast`).  When the device
-  prices the whole stream up front (``service_batch``) *and* queueing
-  is a single FIFO server (``fifo_single_server``, or trivially at
-  ``queue_depth == 1``), the window recurrence collapses to scalar
-  arithmetic over precomputed channel-delay and service columns: the
-  in-flight set of a FIFO device is always the trailing ``qd``
-  requests, so "wait for the oldest outstanding completion" is one
-  comparison against ``finishes[i - qd]``.
+and, with a window, no request is submitted while ``queue_depth``
+earlier ones are outstanding.  The three callers differ only in the
+parameters:
+
+- synchronous replay: ``lead = 0``, ``gap = idle``, every request waits,
+  no window;
+- queue-depth replay: ``lead = 0``, ``gap = idle``, no request waits (think
+  time runs from the ack, the asynchronous interpretation), a window of
+  ``queue_depth``;
+- collection: ``lead = 0 + thinks[0]``, ``gap[i] = thinks[i + 1]``, ``wait``
+  is the intent stream's sync flags, no window.
+
+:func:`submit_stream` is the one dispatcher.  It picks one loop per
+device family, each bit-identical to driving ``device.submit`` request
+by request:
+
+- the *interleaved cumulative sum* (:func:`_cumsum_chain`), when
+  ``service_batch`` prices the stream, there is no window and every
+  request waits: the clock chain is then one running sum;
+- the *priced FIFO loop* (:func:`_fifo_loop`), when ``service_batch``
+  prices the stream and either the device is one FIFO server
+  (``fifo_single_server``) or no two requests can overlap (a window of
+  one): ``start = max(ack, previous finish)`` over the priced column;
 - the *streaming flash loop* (:func:`_flash_loop`), for devices with a
-  ``flash_layout`` (flash SSDs and flash arrays).  It walks each
-  request's stripe fragments inline, looks each fragment's
-  relative-service entry up in the members' shared memo, and runs the
-  members' fast paths without method dispatch.  The synchronous
-  engine (:func:`~repro.replay.batch.replay_with_idle_batch`) runs the
-  same loop with the sync think rule.
-- the *heap event loop* (:func:`_qdepth_events`), for every other
+  ``flash_layout`` (flash SSDs and flash arrays): it walks each
+  request's stripe fragments inline and runs the members' memoised fast
+  paths without method dispatch;
+- the *heap event loop* (:func:`_service_loop`), for every other
   device: it drives ``device._service`` directly with the per-request
   conversions hoisted out.
 
-Both event engines keep the in-flight window in a binary heap with
-expiry batched per completion wave: expired completions are only swept
-when the window *looks* full, so a replay that never saturates the
-window pays one length check per request instead of a pop scan.
+The window of the flash and event loops is a binary heap with expiry
+batched per completion wave: expired completions are only swept when
+the window *looks* full, so a replay that never saturates the window
+pays one length check per request instead of a pop scan.
 
-Used by tests and available to studies that want target-load
-sensitivity (e.g. how reconstruction fidelity changes when the replayer
-is allowed genuine overlap).
+:func:`replay_queue_depth_scalar` is the original discrete-event loop
+over :meth:`~repro.storage.device.StorageDevice.submit`, kept as the
+readable specification and the bit-identity oracle for queue-depth
+replay.  Queue-depth replay is available to studies that want
+target-load sensitivity (e.g. how reconstruction fidelity changes when
+the replayer is allowed genuine overlap).
 """
 
 from __future__ import annotations
@@ -61,7 +71,7 @@ from ..trace.trace import BlockTrace
 from .collector import TraceCollector
 from .replayer import ReplayResult, _check_requests, _validated_idle
 
-__all__ = ["replay_queue_depth", "replay_queue_depth_scalar"]
+__all__ = ["submit_stream", "replay_queue_depth", "replay_queue_depth_scalar"]
 
 #: Rows of input columns the streaming flash loop turns into Python
 #: lists at a time.  Bounds the per-row Python objects it holds to one
@@ -69,209 +79,181 @@ __all__ = ["replay_queue_depth", "replay_queue_depth_scalar"]
 #: CSV writer).
 FLASH_BLOCK_ROWS = 4096
 
-
-def _qdepth_metadata(old_trace: BlockTrace, device: StorageDevice, method: str, qd: int) -> dict:
-    return {
-        **old_trace.metadata,
-        "method": method,
-        "replayed_on": device.name,
-        "queue_depth": qd,
-    }
+Stamps = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def replay_queue_depth(
-    old_trace: BlockTrace,
+def submit_stream(
     device: StorageDevice,
-    idle_us: np.ndarray | None = None,
-    queue_depth: int = 4,
-    method: str = "qdepth-replay",
-    engine: str = "auto",
-) -> ReplayResult:
-    """Replay with up to ``queue_depth`` requests in flight.
+    ops: np.ndarray,
+    lbas: np.ndarray,
+    sizes: np.ndarray,
+    gap: np.ndarray,
+    lead: float = 0.0,
+    wait: bool | np.ndarray = True,
+    queue_depth: int | None = None,
+) -> Stamps:
+    """Reset ``device`` and send it the stream under the submission rule.
 
-    Submission rule: request ``i + 1`` becomes *ready* ``idle_us[i]``
-    after request ``i`` was submitted (think time runs from submission,
-    not completion — the asynchronous interpretation), and is submitted
-    at ``max(ready, slot_free)`` where ``slot_free`` is when the oldest
-    in-flight request completes, window-style.
-
-    With ``queue_depth=1`` this degenerates to the synchronous replay of
-    :func:`repro.replay.replayer.replay_with_idle` (think measured from
-    completion).
-
-    Stamps are bit-identical to :func:`replay_queue_depth_scalar`
-    (property-tested across every device type); see the module
-    docstring for how each engine achieves that.
-
-    ``engine`` selects the execution strategy: ``"auto"`` (default)
-    takes the FIFO chain where the device allows it, else the streaming
-    flash loop for devices with a ``flash_layout``, else the heap event
-    loop; ``"plan"`` skips the FIFO chain and ``"events"`` forces the
-    heap event loop (used by the differential identity suite — all
-    three produce bit-identical stamps).  On a device without a flash
-    layout, ``"plan"`` runs the heap event loop.
-
-    Returns the same :class:`ReplayResult` shape as the synchronous
-    replayer.
+    ``gap`` holds one think time per request (the last is never used);
+    ``wait`` is one flag for every request or a flag per request;
+    ``queue_depth`` is the window, ``None`` for none.  Returns the
+    ``(submits, acks, starts, finishes)`` stamp columns.  The caller
+    validates the columns; see the module docstring for the loops.
     """
-    if engine not in ("auto", "plan", "events"):
-        raise ValueError(f"unknown engine {engine!r}")
-    n = len(old_trace)
-    if n == 0:
-        raise ValueError("cannot replay an empty trace")
-    if queue_depth < 1:
-        raise ValueError("queue depth must be at least 1")
-    idle_arr = _validated_idle(n, idle_us)
-    _check_requests(old_trace)
     device.reset()
-    # The precomputed-service regime needs gap-invariant durations for
-    # the actual arrival pattern.  ``service_batch`` guarantees them for
-    # idle-at-arrival streams, which queue_depth == 1 produces; for
-    # deeper windows a request can arrive while the device is busy, and
-    # only a single-FIFO-server device (``fifo_single_server``) keeps
-    # its durations order-determined under queued arrivals.
+    t_cdel = device.channel.delay_batch_us(ops, sizes)
+    # ``service_batch`` prices each request as if it arrived at an idle
+    # device.  That holds when no two requests can overlap — every
+    # request waits with no window, or the window holds one — and on a
+    # single FIFO server under any arrivals, whose service order is the
+    # request order.
+    sync = queue_depth is None and np.ndim(wait) == 0 and bool(wait)
     svc = None
-    if engine == "auto" and (queue_depth == 1 or device.fifo_single_server):
-        svc = device.service_batch(old_trace.ops, old_trace.lbas, old_trace.sizes)
-    metadata = _qdepth_metadata(old_trace, device, method, queue_depth)
-    t_cdel = device.channel.delay_batch_us(old_trace.ops, old_trace.sizes)
-    layout = None
-    if svc is None and engine != "events":
-        layout = device.flash_layout()
+    if sync or queue_depth == 1 or device.fifo_single_server:
+        svc = device.service_batch(ops, lbas, sizes)
+    if svc is not None and sync:
+        return _cumsum_chain(t_cdel, svc, lead, gap)
+    waits = np.broadcast_to(np.asarray(wait, dtype=bool), (len(ops),))
     if svc is not None:
-        submits, acks, starts, finishes = _qdepth_fifo_fast(
-            t_cdel, svc, idle_arr, queue_depth
-        )
-    elif layout is not None:
-        submits, acks, starts, finishes = _flash_loop(
-            layout, old_trace, t_cdel, idle_arr, queue_depth
-        )
-    else:
-        submits, acks, starts, finishes = _qdepth_events(
-            old_trace, device, t_cdel, idle_arr, queue_depth
-        )
-    trace = BlockTrace(
-        timestamps=submits,
-        lbas=old_trace.lbas,
-        sizes=old_trace.sizes,
-        ops=old_trace.ops,
-        issues=submits.copy(),  # driver-level stamp, as the collector records
-        completes=finishes,
-        name=old_trace.name,
-        metadata=metadata,
-    )
-    return ReplayResult(
-        trace=trace,
-        device_name=device.name,
-        submits=submits,
-        acks=acks,
-        starts=starts,
-        finishes=finishes,
-    )
+        return _fifo_loop(t_cdel, svc, lead, gap, waits, queue_depth)
+    layout = device.flash_layout()
+    if layout is not None:
+        return _flash_loop(layout, ops, lbas, sizes, t_cdel, lead, gap, waits, queue_depth)
+    return _service_loop(device, ops, lbas, sizes, t_cdel, lead, gap, waits, queue_depth)
 
 
-def _qdepth_fifo_fast(
-    t_cdel: np.ndarray, svc: np.ndarray, idle_arr: np.ndarray, queue_depth: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Window recurrence over precomputed channel/service columns.
+def _cumsum_chain(t_cdel: np.ndarray, svc: np.ndarray, lead: float, gap: np.ndarray) -> Stamps:
+    """Every request waits, no window, services priced: one running sum.
 
-    For a FIFO single-server device, finishes are non-decreasing, so
-    the in-flight set after filtering is always the trailing window and
-    "the oldest outstanding completion" is ``finishes[i - qd]``.  The
-    per-request arithmetic is exactly the scalar engine's chain —
-    ``clock → ack = clock + t_cdel → start = max(ack, busy) →
-    finish = start + svc`` — performed on Python floats (same IEEE-754
-    doubles, same operation order, so the stamps are bit-identical).
+    The clock chain ``ack = clock + T_cdel``, ``finish = ack + svc``,
+    ``clock = finish + gap`` is a running sum over the interleaved
+    sequence ``[lead + T_cdel_0, svc_0, gap_0, T_cdel_1, svc_1, ...]``,
+    and ``np.cumsum`` performs the same left-to-right chain of IEEE-754
+    additions, so the stamps are bit-identical to a loop's.  Every
+    request arrives at an idle device, so it starts at its ack.
     """
     n = len(svc)
+    increments = np.empty(3 * n, dtype=np.float64)
+    increments[0::3] = t_cdel
+    increments[1::3] = svc
+    increments[2::3] = gap
+    increments[:1] += lead
+    cum = np.cumsum(increments)
+    acks = cum[0::3]
+    finishes = cum[1::3]
     submits = np.empty(n, dtype=np.float64)
-    acks = np.empty(n, dtype=np.float64)
-    starts = np.empty(n, dtype=np.float64)
-    finishes = np.empty(n, dtype=np.float64)
-    t_cdel_l = t_cdel.tolist()
-    svc_l = svc.tolist()
-    idle_l = idle_arr.tolist()
-    finishes_l: list[float] = []
-    append_finish = finishes_l.append
-    clock = 0.0
-    prev_finish = 0.0
-    qd = queue_depth
-    for i in range(n):
-        if i >= qd and finishes_l[i - qd] > clock:
-            clock = finishes_l[i - qd]
-        ack = clock + t_cdel_l[i]
-        start = ack if ack >= prev_finish else prev_finish
-        finish = start + svc_l[i]
-        submits[i] = clock
-        acks[i] = ack
-        starts[i] = start
-        finishes[i] = finish
-        append_finish(finish)
-        prev_finish = finish
-        if i < n - 1:
-            clock = ack + idle_l[i]
-    return submits, acks, starts, finishes
+    submits[:1] = lead  # an empty stream has no first submit
+    submits[1:] = cum[2::3][:-1]
+    return submits, acks, acks, finishes
 
 
-def _qdepth_events(
-    old_trace: BlockTrace,
-    device: StorageDevice,
+def _fifo_loop(
     t_cdel: np.ndarray,
-    idle_arr: np.ndarray,
-    queue_depth: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Heap-based discrete-event loop for gap-sensitive devices.
+    svc: np.ndarray,
+    lead: float,
+    gap: np.ndarray,
+    waits: np.ndarray,
+    queue_depth: int | None,
+) -> Stamps:
+    """The submission rule over priced services on one FIFO server.
+
+    Per request: ``ack = clock + T_cdel``, ``start = max(ack, previous
+    finish)``, ``finish = start + svc`` — the exact arithmetic of a
+    single-server ``_service`` with the order-determined service times
+    ``service_batch`` priced up front, on Python floats (same IEEE-754
+    doubles, same operation order).  A FIFO server finishes in order,
+    so the oldest outstanding request of a full window is always
+    request ``i - queue_depth``.  The loop records submits and
+    finishes; acks and starts follow elementwise from them with the
+    same additions and comparisons.
+    """
+    n = len(svc)
+    submits, finishes = array("d"), array("d")
+    append_submit, append_finish = submits.append, finishes.append
+    window = queue_depth is not None
+    qd = queue_depth
+    clock = lead
+    finish = 0.0
+    for i, tc, s, g, w in zip(
+        range(n), t_cdel.tolist(), svc.tolist(), gap.tolist(), waits.tolist()
+    ):
+        if window and i >= qd and finishes[i - qd] > clock:
+            clock = finishes[i - qd]
+        ack = clock + tc
+        finish = (ack if ack >= finish else finish) + s
+        append_submit(clock)
+        append_finish(finish)
+        clock = (finish if w else ack) + g
+    submits_arr = np.frombuffer(submits, dtype=np.float64)
+    finishes_arr = np.frombuffer(finishes, dtype=np.float64)
+    acks = submits_arr + t_cdel
+    starts = np.maximum(acks, np.concatenate(([0.0], finishes_arr[:-1])))
+    return submits_arr, acks, starts, finishes_arr
+
+
+def _service_loop(
+    device: StorageDevice,
+    ops: np.ndarray,
+    lbas: np.ndarray,
+    sizes: np.ndarray,
+    t_cdel: np.ndarray,
+    lead: float,
+    gap: np.ndarray,
+    waits: np.ndarray,
+    queue_depth: int | None,
+) -> Stamps:
+    """The submission rule over ``device._service``, request by request.
 
     Performs the exact per-request arithmetic of ``device.submit`` with
-    the validation and conversions hoisted out; the in-flight window
-    lives in a binary heap with lazy expiry (completions at or before
-    the clock are popped on demand), replacing the scalar engine's
-    O(n·qd) list re-filtering.
+    the validation and conversions hoisted out.  The window lives in a
+    binary heap with lazy expiry (completions at or before the clock
+    are popped on demand), replacing the scalar oracle's O(n·qd) list
+    re-filtering.
     """
-    n = len(old_trace)
-    ops = [OpType.READ if op == 0 else OpType.WRITE for op in old_trace.ops.tolist()]
-    lbas = old_trace.lbas.tolist()
-    sizes = old_trace.sizes.tolist()
-    t_cdel_l = t_cdel.tolist()
-    idle_l = idle_arr.tolist()
+    op_types = [OpType.READ if op == 0 else OpType.WRITE for op in ops.tolist()]
     service = device._service
     heappush, heappop = heapq.heappush, heapq.heappop
     in_flight: list[float] = []
-    submits = np.empty(n, dtype=np.float64)
-    acks = np.empty(n, dtype=np.float64)
-    starts = np.empty(n, dtype=np.float64)
-    finishes = np.empty(n, dtype=np.float64)
-    clock = 0.0
-    for i in range(n):
+    window = queue_depth is not None
+    qd = queue_depth
+    submits, acks, starts, finishes = array("d"), array("d"), array("d"), array("d")
+    clock = lead
+    for op, lba, size, tc, g, w in zip(
+        op_types, lbas.tolist(), sizes.tolist(), t_cdel.tolist(), gap.tolist(), waits.tolist()
+    ):
         # Expired completions are swept only when the window looks
         # full — the heap may carry stale entries, but the blocking
         # decision (and hence every stamp) is unchanged: after the
         # sweep the live count is exactly what eager expiry would see.
-        if len(in_flight) >= queue_depth:
+        if window and len(in_flight) >= qd:
             while in_flight and in_flight[0] <= clock:
                 heappop(in_flight)
-            if len(in_flight) >= queue_depth:
+            if len(in_flight) >= qd:
                 clock = heappop(in_flight)
-        ack = clock + t_cdel_l[i]
-        start, finish = service(ops[i], lbas[i], sizes[i], ack)
-        heappush(in_flight, finish)
-        submits[i] = clock
-        acks[i] = ack
-        starts[i] = start
-        finishes[i] = finish
-        if i < n - 1:
-            clock = ack + idle_l[i]
-    return submits, acks, starts, finishes
+        ack = clock + tc
+        start, finish = service(op, lba, size, ack)
+        if window:
+            heappush(in_flight, finish)
+        submits.append(clock)
+        acks.append(ack)
+        starts.append(start)
+        finishes.append(finish)
+        clock = (finish if w else ack) + g
+    return tuple(np.frombuffer(col, dtype=np.float64) for col in (submits, acks, starts, finishes))
 
 
 def _flash_loop(
     layout: tuple[list, int | None],
-    old_trace: BlockTrace,
+    ops: np.ndarray,
+    lbas: np.ndarray,
+    sizes: np.ndarray,
     t_cdel: np.ndarray,
-    idle_arr: np.ndarray,
-    queue_depth: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Streaming replay over flash members, synchronous or queue-depth.
+    lead: float,
+    gap: np.ndarray,
+    waits: np.ndarray,
+    queue_depth: int | None,
+) -> Stamps:
+    """The submission rule over flash members, fragment by fragment.
 
     ``layout`` is the device's ``flash_layout()``: its member SSDs and
     the stripe unit in sectors (``None`` for a standalone SSD).  Each
@@ -285,19 +267,13 @@ def _flash_loop(
     piece of member state (busy stamps, buffer occupancy, horizon) is
     bit-identical to driving ``device._service`` per request.
 
-    The two replay modes differ only in the think rule.  Synchronous
-    replay (``queue_depth=None``) submits the next request ``idle``
-    after this one *finishes*.  Queue-depth replay submits it ``idle``
-    after this one's *ack*, but no earlier than a slot frees in the
-    window of ``queue_depth`` outstanding requests.
-
     No per-request Python object lives for the whole stream: input
     columns become lists ``FLASH_BLOCK_ROWS`` rows at a time, and ack
     and finish stamps go straight into ``array('d')`` buffers.  Submits
-    are derived afterwards from the think rule elementwise (the same
-    additions the loop performs) and starts equal acks, each overridden
-    at the rows recorded in compact index/value buffers: window-full
-    waits, and a standalone SSD's buffered write admitted late.
+    are derived afterwards from the rule elementwise (the same additions
+    the loop performs) and starts equal acks, each overridden at the
+    rows recorded in compact index/value buffers: window-full waits,
+    and a standalone SSD's buffered write admitted late.
     """
     members, stripe = layout
     array_level = stripe is not None
@@ -311,7 +287,7 @@ def _flash_loop(
     td = members[0]._total_dies
     window = queue_depth is not None
     qd = queue_depth
-    n = len(old_trace)
+    n = len(ops)
     heappush, heappop = heapq.heappush, heapq.heappop
     in_flight: list[float] = []
     acks = array("d")
@@ -333,19 +309,17 @@ def _flash_loop(
     caps = [m._buffer_capacity for m in members]
     bw_us = [m.geometry.buffer_write_us for m in members]
     bw4 = [m.channel.bandwidth_mb_s * 4 for m in members]
-    clock = 0.0
+    clock = lead
     for b0 in range(0, n, FLASH_BLOCK_ROWS):
         b1 = min(b0 + FLASH_BLOCK_ROWS, n)
-        idle_l = idle_arr[b0:b1].tolist()
-        if len(idle_l) < b1 - b0:
-            idle_l.append(0.0)  # the last request's think time is never used
-        for i, op, lba, size, tc, idle in zip(
+        for i, op, lba, size, tc, g, w in zip(
             range(b0, b1),
-            old_trace.ops[b0:b1].tolist(),
-            old_trace.lbas[b0:b1].tolist(),
-            old_trace.sizes[b0:b1].tolist(),
+            ops[b0:b1].tolist(),
+            lbas[b0:b1].tolist(),
+            sizes[b0:b1].tolist(),
             t_cdel[b0:b1].tolist(),
-            idle_l,
+            gap[b0:b1].tolist(),
+            waits[b0:b1].tolist(),
         ):
             if window and len(in_flight) >= qd:
                 while in_flight and in_flight[0] <= clock:
@@ -432,23 +406,103 @@ def _flash_loop(
             append_finish(finish)
             if window:
                 heappush(in_flight, finish)
-                clock = ack + idle
-            else:
-                clock = finish + idle
+            clock = (finish if w else ack) + g
     for m, h, bb in zip(members, hors, bbs):
         m._state_horizon = h
         m._buffered_bytes = bb
     acks_arr = np.frombuffer(acks, dtype=np.float64)
     finishes_arr = np.frombuffer(finishes, dtype=np.float64)
     submits = np.empty(n, dtype=np.float64)
-    submits[0] = 0.0
-    np.add(
-        (acks_arr if window else finishes_arr)[: n - 1], idle_arr[: n - 1], out=submits[1:]
-    )
+    submits[:1] = lead  # an empty stream has no first submit
+    np.copyto(submits[1:], acks_arr[:-1])
+    np.copyto(submits[1:], finishes_arr[:-1], where=waits[:-1])
+    submits[1:] += gap[:-1]
     submits[np.frombuffer(bump_rows, dtype=np.int64)] = np.frombuffer(bump_clocks)
     starts = acks_arr.copy()
     starts[np.frombuffer(late_rows, dtype=np.int64)] = np.frombuffer(late_starts)
     return submits, acks_arr, starts, finishes_arr
+
+
+def _padded_idle(n: int, idle_us: np.ndarray | None) -> np.ndarray:
+    """Validated idle periods, one per request (the last one is zero)."""
+    padded = np.zeros(n, dtype=np.float64)
+    padded[: n - 1] = _validated_idle(n, idle_us)[: n - 1]
+    return padded
+
+
+def _qdepth_metadata(old_trace: BlockTrace, device: StorageDevice, method: str, qd: int) -> dict:
+    return {
+        **old_trace.metadata,
+        "method": method,
+        "replayed_on": device.name,
+        "queue_depth": qd,
+    }
+
+
+def _replay_result(
+    old_trace: BlockTrace, device: StorageDevice, metadata: dict, stamps: Stamps
+) -> ReplayResult:
+    """The replayed trace and its stamps, as both replay entry points return them."""
+    submits, acks, starts, finishes = stamps
+    trace = BlockTrace(
+        timestamps=submits,
+        lbas=old_trace.lbas,
+        sizes=old_trace.sizes,
+        ops=old_trace.ops,
+        issues=submits.copy(),  # driver-level stamp, as the collector records
+        completes=finishes,
+        name=old_trace.name,
+        metadata=metadata,
+    )
+    return ReplayResult(
+        trace=trace,
+        device_name=device.name,
+        submits=submits,
+        acks=acks,
+        starts=starts,
+        finishes=finishes,
+    )
+
+
+def replay_queue_depth(
+    old_trace: BlockTrace,
+    device: StorageDevice,
+    idle_us: np.ndarray | None = None,
+    queue_depth: int = 4,
+    method: str = "qdepth-replay",
+) -> ReplayResult:
+    """Replay with up to ``queue_depth`` requests in flight.
+
+    Submission rule: request ``i + 1`` becomes *ready* ``idle_us[i]``
+    after request ``i``'s channel ack (think time runs from the ack,
+    not from completion — the asynchronous interpretation), and is
+    submitted at ``max(ready, slot_free)`` where ``slot_free`` is when
+    the oldest in-flight request completes, window-style.
+
+    With ``queue_depth=1`` the next request is submitted at
+    ``max(ack[i] + idle[i], finish[i])``.  That is the synchronous
+    pacing of :func:`repro.replay.replayer.replay_with_idle`
+    (``finish[i] + idle[i]``) only when the idle periods are zero.
+
+    Stamps are bit-identical to :func:`replay_queue_depth_scalar`
+    (property-tested across every device type); :func:`submit_stream`
+    picks the loop.  Returns the same :class:`ReplayResult` shape as
+    the synchronous replayer.
+    """
+    n = len(old_trace)
+    if n == 0:
+        raise ValueError("cannot replay an empty trace")
+    if queue_depth < 1:
+        raise ValueError("queue depth must be at least 1")
+    idle = _padded_idle(n, idle_us)
+    _check_requests(old_trace)
+    stamps = submit_stream(
+        device, old_trace.ops, old_trace.lbas, old_trace.sizes, idle,
+        wait=False, queue_depth=queue_depth,
+    )
+    return _replay_result(
+        old_trace, device, _qdepth_metadata(old_trace, device, method, queue_depth), stamps
+    )
 
 
 def replay_queue_depth_scalar(

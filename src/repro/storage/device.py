@@ -136,15 +136,15 @@ class StorageDevice(abc.ABC):
     # ------------------------------------------------------------------
 
     #: ``True`` for devices whose queueing is a single FIFO server whose
-    #: state is fully described by one "busy until" stamp.  Such devices
-    #: admit a closed-form collection recurrence (see
-    #: :func:`repro.workloads.generator.collect_trace`).  Combined with
-    #: :meth:`service_batch`, the flag also licenses replay under
-    #: *queued* arrivals: the single server serialises requests, so
+    #: state is fully described by one "busy until" stamp.  Combined
+    #: with :meth:`service_batch`, the flag licenses pricing a stream
+    #: whose requests *overlap*: the single server serialises them, so
     #: ``_service(t_ready)`` is exactly ``start = max(t_ready, busy);
     #: finish = start + svc`` with the order-determined ``svc`` the
-    #: batch call returns — which is what lets the queue-depth replay
-    #: engine precompute services for windows deeper than one.
+    #: batch call returns.  That is what lets
+    #: :func:`repro.replay.qdepth.submit_stream` run the priced FIFO
+    #: loop for collection with asynchronous requests and for
+    #: queue-depth windows deeper than one.
     fifo_single_server: bool = False
 
     def supports_batch(self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray) -> bool:
@@ -164,8 +164,8 @@ class StorageDevice(abc.ABC):
 
         Flash SSDs and flash arrays return ``(members, stripe_sectors)``:
         their member :class:`~repro.storage.flash.FlashSSD` list and the
-        stripe unit in sectors (``None`` for a standalone SSD).  The
-        replay engines then run the members' fast paths inline
+        stripe unit in sectors (``None`` for a standalone SSD).
+        Collection and replay then run the members' fast paths inline
         (``repro.replay.qdepth._flash_loop``).  Every other device,
         wrappers included, keeps this default ``None`` and is driven
         through :meth:`_service` request by request.

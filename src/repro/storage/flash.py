@@ -56,7 +56,7 @@ class _RelService:
     hot path becomes a dict lookup plus a sparse state update.  Entries
     are plain data keyed by ``(op, first_page % total_dies, n_pages,
     size)`` in the shared memo: ``FlashSSD._service``, the streaming
-    flash loop of the sync and queue-depth replay engines
+    flash loop that collection and both replay modes run
     (``repro.replay.qdepth._flash_loop``, through
     :func:`_entry_idle_sparse` and :func:`_entry_commit`) and the busy
     walks ``FlashSSD._busy_read``/``_busy_program`` all read the same

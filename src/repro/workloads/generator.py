@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..replay.qdepth import submit_stream
 from ..storage.device import StorageDevice
 from ..trace.record import OpType
 from ..trace.trace import BlockTrace
@@ -265,53 +266,30 @@ def collect_trace(
 
     The device is reset before collection so runs are reproducible.
 
-    Devices that are single-FIFO servers with gap-invariant service
-    times (``fifo_single_server`` and a successful ``service_batch``)
-    are collected through a closed-form clock recurrence over the
-    pre-priced stream — bit-identical stamps at a fraction of the cost.
-    Other devices take the request-by-request ``submit`` path.
+    This is the replay engines' submission rule with the intent
+    stream's sync flags as the per-request wait flags (see
+    :mod:`repro.replay.qdepth`): the clock starts at the first think
+    time and each later think time is the gap after its predecessor.
+    :func:`~repro.replay.qdepth.submit_stream` picks the loop, so
+    collection takes the same per-device loop as replay — the priced
+    FIFO loop on single-FIFO-server devices that price the stream up
+    front, the streaming flash loop on flash devices, and the event loop
+    over ``device._service`` otherwise.
     """
-    device.reset()
     metadata = {
         "category": intents.spec.category,
         "collected_on": device.name,
         "n_user_idles": intents.idle_count(),
         "total_user_idle_us": intents.total_idle_us(),
     }
-    trace_name = name if name is not None else intents.spec.name
-    svc = (
-        device.service_batch(intents.ops, intents.lbas, intents.sizes)
-        if device.fifo_single_server
-        else None
+    thinks = intents.thinks
+    # The host is free at time 0 and thinks before its first request.
+    lead = 0.0 + float(thinks[0]) if len(thinks) else 0.0
+    gap = np.zeros(len(thinks), dtype=np.float64)
+    gap[:-1] = thinks[1:]
+    submits, __, __, finishes = submit_stream(
+        device, intents.ops, intents.lbas, intents.sizes, gap, lead=lead, wait=intents.syncs
     )
-    if svc is not None:
-        return _collect_fifo(
-            intents, device, svc, record_device_times, record_sync_flags, trace_name, metadata
-        )
-    # Request-by-request path for gap-sensitive devices: the same
-    # arithmetic StorageDevice.submit performs (channel hand-off, then
-    # _service), with per-request conversions hoisted out of the loop.
-    n = len(intents)
-    ops = [OpType.READ if op == 0 else OpType.WRITE for op in intents.ops.tolist()]
-    lbas = intents.lbas.tolist()
-    sizes = intents.sizes.tolist()
-    thinks = intents.thinks.tolist()
-    syncs = intents.syncs.tolist()
-    t_cdel = device.channel.delay_batch_us(intents.ops, intents.sizes).tolist()
-    service = device._service
-    submits = np.empty(n, dtype=np.float64)
-    finishes = np.empty(n, dtype=np.float64)
-    host_free = 0.0
-    for i in range(n):
-        op = ops[i]
-        # Driver-level issue stamp (MSPS/MSRC tracing semantics): the
-        # recorded device time includes channel + queueing.
-        submit = host_free + thinks[i]
-        ack = submit + t_cdel[i]
-        __, finish = service(op, lbas[i], sizes[i], ack)
-        submits[i] = submit
-        finishes[i] = finish
-        host_free = finish if syncs[i] else ack
     return BlockTrace(
         timestamps=submits,
         lbas=intents.lbas,
@@ -320,53 +298,6 @@ def collect_trace(
         issues=submits.copy() if record_device_times else None,
         completes=finishes if record_device_times else None,
         syncs=intents.syncs if record_sync_flags else None,
-        name=trace_name,
-        metadata=metadata,
-    )
-
-
-def _collect_fifo(
-    intents: IntentStream,
-    device: StorageDevice,
-    svc: np.ndarray,
-    record_device_times: bool,
-    record_sync_flags: bool,
-    name: str,
-    metadata: dict,
-) -> BlockTrace:
-    """Clock recurrence for single-FIFO, gap-invariant devices.
-
-    Per request: ``ack = submit + T_cdel``, ``start = max(ack, busy)``,
-    ``finish = start + svc`` — the exact arithmetic ``submit``/
-    ``_service`` performs on such devices, with the service times priced
-    up front by ``service_batch``.
-    """
-    n = len(intents)
-    t_cdel = device.channel.delay_batch_us(intents.ops, intents.sizes).tolist()
-    thinks = intents.thinks.tolist()
-    syncs = intents.syncs.tolist()
-    svc_list = svc.tolist()
-    submits = np.empty(n, dtype=np.float64)
-    finishes = np.empty(n, dtype=np.float64)
-    host_free = 0.0
-    busy = 0.0
-    for i in range(n):
-        submit = host_free + thinks[i]
-        ack = submit + t_cdel[i]
-        start = ack if ack >= busy else busy
-        finish = start + svc_list[i]
-        submits[i] = submit
-        finishes[i] = finish
-        busy = finish
-        host_free = finish if syncs[i] else ack
-    return BlockTrace(
-        timestamps=submits,
-        lbas=intents.lbas,
-        sizes=intents.sizes,
-        ops=intents.ops,
-        issues=submits.copy() if record_device_times else None,
-        completes=finishes if record_device_times else None,
-        syncs=intents.syncs if record_sync_flags else None,
-        name=name,
+        name=name if name is not None else intents.spec.name,
         metadata=metadata,
     )

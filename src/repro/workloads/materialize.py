@@ -32,24 +32,36 @@ from .generator import IntentStream, WorkloadSpec, collect_trace, generate_inten
 __all__ = ["spec_key", "generation_fingerprint", "collect_trace_cached"]
 
 
+def _generation_sources() -> list[Path]:
+    """The source files whose code determines a collected trace's bytes.
+
+    The generator, the submission loops collection runs through
+    (:mod:`repro.replay.qdepth`), the trace containers and every storage
+    model.
+    """
+    package_root = Path(__file__).resolve().parents[1]
+    named = ("workloads/generator.py", "replay/qdepth.py", "trace/record.py", "trace/trace.py")
+    return [package_root / relative for relative in named] + sorted(
+        (package_root / "storage").glob("*.py")
+    )
+
+
 @functools.cache
 def generation_fingerprint() -> str:
     """Content hash of the code that determines a collected trace's bytes.
 
     The spec and device fingerprints capture *parameters*; this
-    captures *semantics* — the generator and the device models.  It is
-    folded into every cache key so a behaviour change in
-    ``generate_intents``/``collect_trace`` or any storage model can
-    never be papered over by a stale store entry, while edits to
-    unrelated layers (figures, analysis, metrics) leave the store warm.
+    captures *semantics* — the generator, the submission loops and the
+    device models.  It is folded into every cache key so a behaviour
+    change in ``generate_intents``/``collect_trace``, a loop or any
+    storage model can never be papered over by a stale store entry,
+    while edits to unrelated layers (figures, analysis, metrics) leave
+    the store warm.
     """
     package_root = Path(__file__).resolve().parents[1]
     digest = hashlib.sha1()
-    for relative in ("workloads/generator.py", "trace/record.py", "trace/trace.py"):
-        digest.update(relative.encode())
-        digest.update((package_root / relative).read_bytes())
-    for path in sorted((package_root / "storage").glob("*.py")):
-        digest.update(path.name.encode())
+    for path in _generation_sources():
+        digest.update(path.relative_to(package_root).as_posix().encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()[:12]
 

@@ -17,7 +17,7 @@ simulator state afterwards:
   (die/channel busy stamps, write-buffer occupancy, horizons, RNG
   state where present) and mixed batch/scalar use;
 - large extents (up to 300 pages) end to end through every replay
-  engine.
+  loop.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.replay import (
     replay_with_idle,
     replay_with_idle_batch,
 )
-from repro.replay.qdepth import _flash_loop
+from repro.replay.qdepth import _flash_loop, _padded_idle
 from repro.storage import (
     SATA_600,
     ConstantLatencyDevice,
@@ -49,7 +49,7 @@ from repro.storage.flash import page_span
 from repro.storage.raid import _mirror_streams
 from repro.trace.record import OpType
 from repro.trace.trace import BlockTrace
-from test_replay_batch import DEVICE_FACTORIES, assert_replays_identical
+from test_replay_batch import DEVICE_FACTORIES, assert_replays_identical, replay_through_loop
 
 #: Geometries covering the default device, a tiny array-shaped layout,
 #: single-plane dies, and a buffer-less configuration.
@@ -421,7 +421,10 @@ class TestPlanReplayStateEquivalence:
         if make().service_batch(trace.ops, trace.lbas, trace.sizes) is None:
             assert _flash_state(batch_dev) == _flash_state(oracle_dev)
         t_cdel = loop_dev.channel.delay_batch_us(trace.ops, trace.sizes)
-        stamps = _flash_loop(loop_dev.flash_layout(), trace, t_cdel, idle)
+        stamps = _flash_loop(
+            loop_dev.flash_layout(), trace.ops, trace.lbas, trace.sizes, t_cdel,
+            0.0, _padded_idle(len(trace), idle), np.ones(len(trace), dtype=bool), None,
+        )
         expected = (oracle.submits, oracle.acks, oracle.starts, oracle.finishes)
         for got, want in zip(stamps, expected):
             np.testing.assert_array_equal(got, want)
@@ -458,7 +461,7 @@ class TestPlanReplayStateEquivalence:
         assert _flash_state(d_fast) == _flash_state(d_oracle)
 
     def test_replay_identical_under_both_engines(self):
-        """Default engine (streaming flash loop) vs the forced heap event loop."""
+        """The dispatcher's pick (streaming flash loop) vs the heap event loop."""
         rng = np.random.default_rng(73)
         n = 80
         trace = BlockTrace(
@@ -470,7 +473,7 @@ class TestPlanReplayStateEquivalence:
         idle = rng.uniform(0, 500.0, n - 1)
         d1, d2 = FlashArray(), FlashArray()
         auto = replay_queue_depth(trace, d1, idle_us=idle, queue_depth=4)
-        events = replay_queue_depth(trace, d2, idle_us=idle, queue_depth=4, engine="events")
+        events = replay_through_loop("events", trace, d2, idle, 4)
         assert_replays_identical(auto, events)
         assert _flash_state(d1) == _flash_state(d2)
 
@@ -514,7 +517,7 @@ def _large_extent_trace() -> tuple[BlockTrace, np.ndarray]:
 
 
 class TestLargeExtents:
-    """Extents of 32–301 pages through every replay engine, end to end."""
+    """Extents of 32–301 pages through every replay loop, end to end."""
 
     @pytest.mark.parametrize("device_key", sorted(LARGE_EXTENT_DEVICES))
     def test_sync_batch_vs_scalar(self, device_key):
@@ -527,13 +530,11 @@ class TestLargeExtents:
 
     @pytest.mark.parametrize("device_key", sorted(LARGE_EXTENT_DEVICES))
     @pytest.mark.parametrize("queue_depth", [1, 3, 8])
-    @pytest.mark.parametrize("engine", ["auto", "events"])
-    def test_qdepth_vs_scalar_oracle(self, device_key, queue_depth, engine):
+    @pytest.mark.parametrize("loop", ["auto", "events"])
+    def test_qdepth_vs_scalar_oracle(self, device_key, queue_depth, loop):
         make = LARGE_EXTENT_DEVICES[device_key]
         trace, idle = _large_extent_trace()
-        fast = replay_queue_depth(
-            trace, make(), idle_us=idle, queue_depth=queue_depth, engine=engine
-        )
+        fast = replay_through_loop(loop, trace, make(), idle, queue_depth)
         oracle = replay_queue_depth_scalar(
             trace, make(), idle_us=idle, queue_depth=queue_depth
         )

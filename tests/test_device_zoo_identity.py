@@ -1,16 +1,18 @@
 """Differential identity harness over the whole device zoo.
 
 Every registry kind — healthy and degraded — must produce bitwise
-identical replay stamps under every engine pairing:
+identical stamps whichever submission loop serves it:
 
-- synchronous scalar replay vs the batch fast path;
-- the production queue-depth engine vs its retained scalar oracle, at
-  queue depth 1 (FIFO fast path) and 3 (event loop / flash loop);
+- synchronous scalar replay vs the batch entry point;
+- queue-depth replay vs its retained scalar oracle, at queue depth 1
+  and 3, through the dispatcher and through each loop driven directly;
+- trace collection vs a per-request ``submit`` reference, with sync
+  and async requests mixed;
 - whole-stream ``service_batch`` pricing vs the same stream priced in
   two chunks (order-dependent state — stall ordinals, mirror round
   robin, HDD RNG draws — must advance identically).
 
-A cross-engine check also runs every entry on wide extents, which the
+A cross-loop check also runs every entry on wide extents, which the
 mixed trace never reaches.
 
 The zoo itself (:func:`repro.campaign.devices.device_zoo`) is the
@@ -31,8 +33,10 @@ from repro.replay import (
     replay_with_idle,
     replay_with_idle_batch,
 )
+from repro.trace.record import OpType
 from repro.trace.trace import BlockTrace
-from test_replay_batch import assert_replays_identical
+from repro.workloads.generator import IntentStream, WorkloadSpec, collect_trace
+from test_replay_batch import assert_replays_identical, replay_through_loop
 
 ZOO = device_zoo()
 
@@ -101,26 +105,25 @@ class TestSyncReplayIdentity:
 
 
 class TestQueueDepthIdentity:
-    """Every queue-depth engine vs the scalar oracle, bitwise.
+    """Every submission loop vs the queue-depth scalar oracle, bitwise.
 
     Four differential columns per zoo entry: the scalar oracle is the
-    ground truth, and the generic event loop (``events``), the streaming
-    flash loop (``plan``), and the default selection (``auto``: FIFO
-    chain, flash loop, or event loop, whichever the device and depth
-    allow) must each reproduce its stamps exactly.  Devices without a
-    flash layout route ``plan`` back to the event loop, so the
-    parametrisation is uniform over the whole zoo — fault wrappers
-    included.
+    ground truth, and the heap event loop (``events``), the streaming
+    flash loop (``plan``), and :func:`replay_queue_depth` (``auto``:
+    the dispatcher picks the priced FIFO loop, the flash loop or the
+    event loop, whichever the device and depth allow) must each
+    reproduce its stamps exactly.  The first two are driven directly,
+    bypassing the dispatcher; devices without a flash layout route
+    ``plan`` to the event loop, so the parametrisation is uniform over
+    the whole zoo — fault wrappers included.
     """
 
     @pytest.mark.parametrize("entry", sorted(ZOO))
     @pytest.mark.parametrize("queue_depth", [1, 3])
-    @pytest.mark.parametrize("engine", ["events", "plan", "auto"])
-    def test_qdepth_vs_scalar_oracle(self, entry, queue_depth, engine):
+    @pytest.mark.parametrize("loop", ["events", "plan", "auto"])
+    def test_qdepth_vs_scalar_oracle(self, entry, queue_depth, loop):
         trace, idle = _zoo_trace()
-        fast = replay_queue_depth(
-            trace, _build(entry), idle_us=idle, queue_depth=queue_depth, engine=engine
-        )
+        fast = replay_through_loop(loop, trace, _build(entry), idle, queue_depth)
         oracle = replay_queue_depth_scalar(
             trace, _build(entry), idle_us=idle, queue_depth=queue_depth
         )
@@ -131,7 +134,7 @@ class TestQueueDepthIdentity:
         """Zero idle everywhere: the window fills on every request, so
         the flash loop's submit overrides (window-full waits) and start
         overrides (a standalone SSD's buffered writes admitted late)
-        must still land on the oracle's stamps under the default engine."""
+        must still land on the oracle's stamps through the dispatcher."""
         trace, __ = _zoo_trace()
         idle = np.zeros(len(trace) - 1)
         fast = replay_queue_depth(trace, _build(entry), idle_us=idle, queue_depth=2)
@@ -146,10 +149,10 @@ class TestCrossEngineIdentity:
 
     The wide trace's requests span 8 to 76 of the zoo's 4 KB flash
     pages — up to 13 waves over its 6 dies — where the mixed trace
-    stops at 13 pages.  Sync replay (scalar ``submit`` loop vs batch
-    pricing) and depth-3 queue-depth replay (the heap event loop that
-    ``engine="events"`` forces, which drives ``_service`` with no
-    flash loop, vs the default engine) must agree stamp for stamp.
+    stops at 13 pages.  Sync replay (scalar ``submit`` loop vs the
+    batch entry point) and depth-3 queue-depth replay (the heap event
+    loop over ``_service``, driven directly, vs the dispatcher's pick)
+    must agree stamp for stamp.
     """
 
     @pytest.mark.parametrize("entry", sorted(ZOO))
@@ -160,11 +163,81 @@ class TestCrossEngineIdentity:
             replay_with_idle_batch(trace, _build(entry), idle),
         )
         assert_replays_identical(
-            replay_queue_depth(
-                trace, _build(entry), idle_us=idle, queue_depth=3, engine="events"
-            ),
+            replay_through_loop("events", trace, _build(entry), idle, 3),
             replay_queue_depth(trace, _build(entry), idle_us=idle, queue_depth=3),
         )
+
+
+def _zoo_intents(n: int = 120, seed: int = 29) -> IntentStream:
+    """The zoo trace's requests as an intent stream, sync and async mixed.
+
+    Think times are short against the zoo's service times, so the
+    asynchronous requests overlap their successors; the first request
+    carries a think time of its own, so collection cannot start at zero.
+    """
+    trace, __ = _zoo_trace(n=n, seed=seed)
+    rng = np.random.default_rng(seed)
+    thinks = rng.uniform(0.0, 400.0, n)
+    is_idle = thinks > 300.0
+    return IntentStream(
+        ops=trace.ops,
+        lbas=trace.lbas,
+        sizes=trace.sizes,
+        thinks=thinks,
+        is_idle=is_idle,
+        syncs=rng.random(n) >= 0.4,
+        spec=WorkloadSpec(name="zoo-intents", category="zoo"),
+    )
+
+
+def _collect_reference(intents: IntentStream, device) -> tuple[np.ndarray, np.ndarray]:
+    """Per-request ``submit`` collection: the host is free at the finish
+    of a synchronous request and at the ack of an asynchronous one, and
+    submits its next request a think time later."""
+    device.reset()
+    submits, finishes = [], []
+    host_free = 0.0
+    for op, lba, size, think, sync in zip(
+        intents.ops.tolist(),
+        intents.lbas.tolist(),
+        intents.sizes.tolist(),
+        intents.thinks.tolist(),
+        intents.syncs.tolist(),
+    ):
+        completion = device.submit(OpType(op), lba, size, host_free + think)
+        submits.append(completion.submit)
+        finishes.append(completion.finish)
+        host_free = completion.finish if sync else completion.ack
+    return np.array(submits), np.array(finishes)
+
+
+class TestCollectionIdentity:
+    """``collect_trace`` vs a per-request ``submit`` reference, bitwise.
+
+    Collection follows the replay engines' submission rule with the
+    intent stream's sync flags deciding, request by request, whether
+    the host waits for the finish or only for the ack — so every zoo
+    entry must collect the stamps the reference loop records.
+    """
+
+    @pytest.mark.parametrize("entry", sorted(ZOO))
+    def test_collect_matches_submit_reference(self, entry):
+        intents = _zoo_intents()
+        device = _build(entry)
+        trace = collect_trace(
+            intents, device, record_device_times=True, record_sync_flags=True
+        )
+        submits, finishes = _collect_reference(intents, _build(entry))
+        np.testing.assert_array_equal(trace.timestamps, submits)
+        np.testing.assert_array_equal(trace.issues, submits)
+        np.testing.assert_array_equal(trace.completes, finishes)
+        np.testing.assert_array_equal(trace.syncs, intents.syncs)
+        assert trace.metadata == {
+            "category": "zoo",
+            "collected_on": device.name,
+            "n_user_idles": intents.idle_count(),
+            "total_user_idle_us": intents.total_idle_us(),
+        }
 
 
 class TestChunkedBatchPricing:

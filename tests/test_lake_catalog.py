@@ -787,6 +787,40 @@ class TestUnopenableCatalog:
             }
 
 
+    def test_directory_db_exits_2_and_is_never_moved(self, tmp_path, capsys):
+        """SQLite cannot open a directory at all: every subcommand, the
+        rescan included, prints one ``error:`` line and exits 2, and the
+        directory stays where and what it was."""
+        db = tmp_path / "lake.sqlite"
+        db.mkdir()
+        (db / "keep.txt").write_text("x")
+        for argv in (["stats"], ["query"], ["gc"], ["ingest", str(tmp_path), "--rescan"]):
+            assert lake_main(["--db", str(db), *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert str(db) in err
+        assert sorted(p.name for p in db.iterdir()) == ["keep.txt"]
+        assert not db.with_name(db.name + ".bad").exists()
+
+    def test_campaign_run_on_unopenable_lake_exits_2_naming_the_rescan(
+        self, tmp_path, capsys
+    ):
+        db = _unopenable_catalog(tmp_path, "random-bytes")
+        before = db.read_bytes()
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(_grid_spec().to_dict()))
+        argv = [
+            "run", str(spec_path), "--limit", "1", "--quiet", "--no-trace-store",
+            "--out-dir", str(tmp_path / "out"), "--lake", str(db),
+        ]
+        assert campaign_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "repro-lake ingest --rescan" in err
+        assert db.read_bytes() == before
+        assert not db.with_name(db.name + ".bad").exists()
+
+
 # ----------------------------------------------------------------------
 # Lock-contention retry + multi-process write hammering (ISSUE 9)
 # ----------------------------------------------------------------------

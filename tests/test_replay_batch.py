@@ -15,7 +15,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.replay import replay_back_to_back, replay_back_to_back_batch, replay_with_idle, replay_with_idle_batch
+from repro.replay import (
+    replay_back_to_back,
+    replay_back_to_back_batch,
+    replay_queue_depth,
+    replay_with_idle,
+    replay_with_idle_batch,
+)
+from repro.replay.qdepth import (
+    _cumsum_chain,
+    _fifo_loop,
+    _flash_loop,
+    _padded_idle,
+    _qdepth_metadata,
+    _replay_result,
+    _service_loop,
+    submit_stream,
+)
 from repro.storage import (
     SATA_600,
     ConstantLatencyDevice,
@@ -26,6 +42,7 @@ from repro.storage import (
     Raid0,
     Raid1,
 )
+from repro.trace.record import OpType
 from repro.workloads import collect_trace, generate_intents, get_spec
 from test_properties import block_traces
 
@@ -66,6 +83,35 @@ def assert_replays_identical(a, b):
     np.testing.assert_array_equal(a.trace.ops, b.trace.ops)
     assert a.trace.metadata == b.trace.metadata
     assert a.device_name == b.device_name
+
+
+def replay_through_loop(loop, trace, device, idle_us=None, queue_depth=4):
+    """Queue-depth replay through one named submission loop.
+
+    ``"auto"`` is :func:`replay_queue_depth`, whose dispatcher picks the
+    loop.  The others bypass the dispatcher: ``"events"`` runs the heap
+    event loop over ``device._service`` on every device, and ``"plan"``
+    runs the streaming flash loop on devices with a ``flash_layout``
+    and the event loop on the rest.
+    """
+    if loop == "auto":
+        return replay_queue_depth(trace, device, idle_us=idle_us, queue_depth=queue_depth)
+    device.reset()
+    n = len(trace)
+    rule = (
+        device.channel.delay_batch_us(trace.ops, trace.sizes),
+        0.0,
+        _padded_idle(n, idle_us),
+        np.zeros(n, dtype=bool),
+        queue_depth,
+    )
+    layout = device.flash_layout() if loop == "plan" else None
+    if layout is not None:
+        stamps = _flash_loop(layout, trace.ops, trace.lbas, trace.sizes, *rule)
+    else:
+        stamps = _service_loop(device, trace.ops, trace.lbas, trace.sizes, *rule)
+    metadata = _qdepth_metadata(trace, device, "qdepth-replay", queue_depth)
+    return _replay_result(trace, device, metadata, stamps)
 
 
 class TestBatchScalarEquivalence:
@@ -128,6 +174,59 @@ class TestBatchScalarEquivalence:
         assert device.service_batch(np.ones(n, dtype=np.int8), lbas, sizes) is None
         device.reset()
         assert device.service_batch(np.zeros(n, dtype=np.int8), lbas, sizes) is not None
+
+
+class TestLoopsAgreeOnTheRule:
+    """Every submission loop applies the rule with a nonzero lead alike.
+
+    On a bufferless SSD whose host waits for every finish, all four
+    loops can serve the stream (it is priced, the SSD has a flash
+    layout, and ``_service`` drives it), so each must reproduce a
+    per-request ``submit`` loop that starts its clock at the lead.
+    """
+
+    def test_all_four_loops_match_submit(self):
+        rng = np.random.default_rng(41)
+        n = 40
+        ops = rng.integers(0, 2, n).astype(np.int8)
+        lbas = rng.integers(0, 1 << 20, n)
+        sizes = rng.integers(1, 64, n)
+        gap = rng.uniform(0.0, 300.0, n)
+        lead = 123.25
+        make = lambda: FlashSSD(geometry=FlashGeometry(write_buffer_kb=0))  # noqa: E731
+        device = make()
+        submits, acks, starts, finishes = [], [], [], []
+        clock = lead
+        for op, lba, size, g in zip(ops.tolist(), lbas.tolist(), sizes.tolist(), gap.tolist()):
+            c = device.submit(OpType(op), lba, size, clock)
+            submits.append(c.submit)
+            acks.append(c.ack)
+            starts.append(c.start)
+            finishes.append(c.finish)
+            clock = c.finish + g
+        expected = (submits, acks, starts, finishes)
+        waits = np.ones(n, dtype=bool)
+        runs = {}
+        for name, run in {
+            "cumsum": lambda d, t: _cumsum_chain(t, d.service_batch(ops, lbas, sizes), lead, gap),
+            "fifo": lambda d, t: _fifo_loop(
+                t, d.service_batch(ops, lbas, sizes), lead, gap, waits, None
+            ),
+            "flash": lambda d, t: _flash_loop(
+                d.flash_layout(), ops, lbas, sizes, t, lead, gap, waits, None
+            ),
+            "events": lambda d, t: _service_loop(
+                d, ops, lbas, sizes, t, lead, gap, waits, None
+            ),
+        }.items():
+            d = make()
+            runs[name] = run(d, d.channel.delay_batch_us(ops, sizes))
+        for name, stamps in runs.items():
+            for got, want in zip(stamps, expected):
+                np.testing.assert_array_equal(got, want, err_msg=name)
+        np.testing.assert_array_equal(
+            submit_stream(make(), ops, lbas, sizes, gap, lead=lead)[0], submits
+        )
 
 
 class TestBatchValidation:

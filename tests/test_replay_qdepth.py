@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.replay import replay_queue_depth, replay_with_idle
-from repro.storage import ConstantLatencyDevice, FlashArray, SATA_600
+from repro.storage import ConstantLatencyDevice, FlashArray, HDDModel, SATA_600
 from repro.trace import BlockTrace
 
 
@@ -24,6 +24,35 @@ class TestQueueDepthReplay:
         sync = replay_with_idle(old, device2, None)
         # Same completion-driven pacing (identical durations).
         assert qd.trace.duration == pytest.approx(sync.trace.duration, rel=0.05)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ConstantLatencyDevice(SATA_600, read_us=200.0, write_us=200.0),
+            HDDModel,
+            FlashArray,
+        ],
+        ids=["const", "hdd", "flash-array"],
+    )
+    def test_depth_one_paces_from_ack_plus_idle_or_finish(self, make):
+        """At depth 1 think time still runs from the ack: the next request
+        is submitted at ``max(ack + idle, finish)``, not ``finish + idle``."""
+        old = pattern(10)
+        idle = np.full(9, 50.0)
+        result = replay_queue_depth(old, make(), idle_us=idle, queue_depth=1)
+        np.testing.assert_array_equal(
+            result.submits[1:], np.maximum(result.acks[:-1] + idle, result.finishes[:-1])
+        )
+
+    def test_depth_one_is_not_sync_replay_with_idle(self):
+        """With nonzero idle, depth 1 hides each think time behind the
+        service: 50 µs of idle within 200 µs services saves 9 × 50 µs."""
+        old = pattern(10)
+        idle = np.full(9, 50.0)
+        make = lambda: ConstantLatencyDevice(SATA_600, read_us=200.0, write_us=200.0)  # noqa: E731
+        qd = replay_queue_depth(old, make(), idle_us=idle, queue_depth=1)
+        sync = replay_with_idle(old, make(), idle)
+        assert sync.trace.duration - qd.trace.duration == pytest.approx(9 * 50.0)
 
     def test_deeper_queue_is_faster(self):
         old = pattern(60)

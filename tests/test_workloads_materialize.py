@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.storage import ConstantLatencyDevice, HDDModel, SATA_600
+from repro.storage import (
+    SATA_600,
+    ConstantLatencyDevice,
+    FlashArray,
+    FlashSSD,
+    HDDModel,
+    LatencyInflation,
+    Raid1,
+)
 from repro.trace import TraceStore
 from repro.workloads import (
     WorkloadSpec,
@@ -90,6 +101,38 @@ class TestCaching:
         )
         collect_trace_cached(spec, ConstantLatencyDevice(SATA_600), store=store)
         assert store.misses == 2 and store.hits == 0
+
+    def test_fingerprint_hashes_every_module_collection_runs(self, spec):
+        """A source file whose code runs while a trace is generated and
+        collected must be hashed into the store key, or an edit to it
+        would keep serving stale entries.  Collection runs through the
+        replay package's submission loops, one per device family."""
+        devices = [
+            HDDModel(seed=5),
+            FlashSSD(),
+            FlashArray(),
+            Raid1([HDDModel(seed=s) for s in (1, 2)]),
+            LatencyInflation(FlashSSD(), factor=2.0),
+        ]
+        ran: set[str] = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                ran.add(frame.f_code.co_filename)
+
+        sys.setprofile(profile)
+        try:
+            intents = generate_intents(spec)
+            for device in devices:
+                collect_trace(intents, device)
+        finally:
+            sys.setprofile(None)
+        package_root = Path(materialize_module.__file__).resolve().parents[1]
+        ran_in_package = {
+            Path(name).resolve() for name in ran if Path(name).resolve().is_relative_to(package_root)
+        }
+        assert package_root / "replay" / "qdepth.py" in ran_in_package
+        assert ran_in_package <= set(materialize_module._generation_sources())
 
     def test_disabled_store_collects_directly(self, spec, tmp_path):
         disabled = TraceStore(root=tmp_path / "none", enabled=False)
