@@ -5,13 +5,19 @@ writes it in every supported text dialect plus the binary ``.npz``
 store, and times:
 
 - the line-by-line oracle parsers (``engine="line"``),
-- the vectorised bulk parsers (``engine="bulk"``),
+- the block parser, through ``load_trace`` (``engine="bulk"``) and
+  through ``TraceReader(path, fmt).read()``,
 - binary store save, load, and memory-mapped load.
 
-Results (requests/second, plus bulk-over-line speedups) go to stdout
-and, with ``--out``, to a JSON file the CI workflow uploads as
-``BENCH_parse.json``.  Not a pytest file on purpose: parser throughput
-is a scalar worth tracking as an artifact, not a pass/fail assertion.
+For both whole-file block-parser reads it also reports the
+``tracemalloc`` peak and the bytes still allocated when the read
+returns, per request.
+
+Results (requests/second, bulk-over-line speedups, bytes/request) go
+to stdout and, with ``--out``, to a JSON file the CI workflow uploads
+as ``BENCH_parse.json``.  Not a pytest file on purpose: parser
+throughput is a scalar worth tracking as an artifact, not a pass/fail
+assertion.
 
 Usage::
 
@@ -25,11 +31,19 @@ import json
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from repro.trace import BlockTrace, load_trace, load_trace_npz, save_trace_npz, write_csv
+from repro.trace import (
+    BlockTrace,
+    TraceReader,
+    load_trace,
+    load_trace_npz,
+    save_trace_npz,
+    write_csv,
+)
 
 #: Timing repetitions; the best of N is reported (steady-state figure).
 _REPS = 3
@@ -100,6 +114,18 @@ def best_of(fn) -> float:
     return best
 
 
+def traced_bytes(fn, n: int) -> tuple[float, float]:
+    """(peak, retained) traced allocation of one call, in bytes/request."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return round(peak / n, 1), round(retained / n, 1)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--requests", type=int, default=150_000)
@@ -122,17 +148,32 @@ def main(argv: list[str] | None = None) -> int:
         root = Path(tmp)
         files = write_dialects(trace, root)
         for fmt, path in files.items():
+            whole_file_reads = {
+                "bulk": lambda: load_trace(path, fmt=fmt, engine="bulk"),
+                "reader": lambda: TraceReader(path, fmt).read(),
+            }
             line_s = best_of(lambda: load_trace(path, fmt=fmt, engine="line"))
-            bulk_s = best_of(lambda: load_trace(path, fmt=fmt, engine="bulk"))
+            bulk_s = best_of(whole_file_reads["bulk"])
+            reader_s = best_of(whole_file_reads["reader"])
+            bulk_peak, bulk_retained = traced_bytes(whole_file_reads["bulk"], n)
+            reader_peak, reader_retained = traced_bytes(whole_file_reads["reader"], n)
             entry = {
                 "line_requests_per_s": round(n / line_s),
                 "bulk_requests_per_s": round(n / bulk_s),
                 "speedup": round(line_s / bulk_s, 2),
+                "reader_requests_per_s": round(n / reader_s),
+                "bulk_peak_bytes_per_request": bulk_peak,
+                "bulk_retained_bytes_per_request": bulk_retained,
+                "reader_peak_bytes_per_request": reader_peak,
+                "reader_retained_bytes_per_request": reader_retained,
             }
             results["dialects"][fmt] = entry  # type: ignore[index]
             print(
                 f"{fmt:9s} line {n / line_s:>12,.0f} req/s   "
-                f"bulk {n / bulk_s:>12,.0f} req/s   {line_s / bulk_s:.1f}x"
+                f"bulk {n / bulk_s:>12,.0f} req/s   {line_s / bulk_s:.1f}x   "
+                f"reader {n / reader_s:>12,.0f} req/s   "
+                f"peak/retained B/req: bulk {bulk_peak}/{bulk_retained}, "
+                f"reader {reader_peak}/{reader_retained}"
             )
         npz = root / "bench.npz"
         save_s = best_of(lambda: save_trace_npz(trace, npz))

@@ -84,23 +84,25 @@ def revive_async(
         raise ValueError("min_gap_us must be a scalar or a per-gap array")
     if floor.ndim == 1 and len(floor) != n - 1:
         raise ValueError(f"per-gap floors must have length {n - 1}, got {len(floor)}")
-    gaps = new_trace.inter_arrival_times()
-    tsdev_new = new_trace.device_times()[:-1]
-    adjusted = gaps.copy()
+    assert new_trace.issues is not None and new_trace.completes is not None
+    # One full-length array: the gaps, adjusted at the async indices
+    # (the only rows whose device times are needed).
+    adjusted = np.diff(new_trace.timestamps)
+    gaps_at_idx = adjusted[idx]
     floor_at_idx = floor[idx] if floor.ndim == 1 else floor
     if old_gaps_us is not None:
         old_arr = np.asarray(old_gaps_us, dtype=np.float64)
         if len(old_arr) != n - 1:
             raise ValueError(f"old gaps must have length {n - 1}, got {len(old_arr)}")
-        adjusted[idx] = np.clip(old_arr[idx], floor_at_idx, gaps[idx])
+        adjusted[idx] = np.clip(old_arr[idx], floor_at_idx, gaps_at_idx)
     else:
-        adjusted[idx] = np.maximum(gaps[idx] - tsdev_new[idx], floor_at_idx)
+        tsdev_at_idx = new_trace.completes[idx] - new_trace.issues[idx]
+        adjusted[idx] = np.maximum(gaps_at_idx - tsdev_at_idx, floor_at_idx)
     new_ts = np.empty(n, dtype=np.float64)
     new_ts[0] = new_trace.timestamps[0]
     np.cumsum(adjusted, out=new_ts[1:])
     new_ts[1:] += new_ts[0]
     delta = new_ts - new_trace.timestamps
-    assert new_trace.issues is not None and new_trace.completes is not None
     return BlockTrace(
         timestamps=new_ts,
         lbas=new_trace.lbas,

@@ -273,7 +273,8 @@ def _flash_loop(
     are derived afterwards from the rule elementwise (the same additions
     the loop performs) and starts equal acks, each overridden at the
     rows recorded in compact index/value buffers: window-full waits,
-    and a standalone SSD's buffered write admitted late.
+    and a standalone SSD's buffered write admitted late.  With no late
+    row, ``starts`` is the acks array itself.
     """
     members, stripe = layout
     array_level = stripe is not None
@@ -418,8 +419,10 @@ def _flash_loop(
     np.copyto(submits[1:], finishes_arr[:-1], where=waits[:-1])
     submits[1:] += gap[:-1]
     submits[np.frombuffer(bump_rows, dtype=np.int64)] = np.frombuffer(bump_clocks)
-    starts = acks_arr.copy()
-    starts[np.frombuffer(late_rows, dtype=np.int64)] = np.frombuffer(late_starts)
+    starts = acks_arr
+    if late_rows:  # only a standalone SSD admits a buffered write late
+        starts = acks_arr.copy()
+        starts[np.frombuffer(late_rows, dtype=np.int64)] = np.frombuffer(late_starts)
     return submits, acks_arr, starts, finishes_arr
 
 
@@ -449,7 +452,7 @@ def _replay_result(
         lbas=old_trace.lbas,
         sizes=old_trace.sizes,
         ops=old_trace.ops,
-        issues=submits.copy(),  # driver-level stamp, as the collector records
+        issues=submits,  # driver-level stamp, as the collector records
         completes=finishes,
         name=old_trace.name,
         metadata=metadata,

@@ -66,8 +66,7 @@ from ..core.pipeline import TraceTracker
 from ..core.stages import ReconstructionMetrics, StreamingReconstructionSession
 from ..resilience import RetryPolicy, classify_error, retry_call, write_heartbeat
 from ..storage.device import StorageDevice
-from ..trace.io.bulk import BULK_PARSERS
-from ..trace.io.reader import _REBASED_FORMATS
+from ..trace.io.bulk import _REBASED_FORMATS, BULK_PARSERS
 from ..trace.parsers import TraceParseError
 from ..trace.trace import BlockTrace
 from ..trace.writers import iter_csv_rows

@@ -1,13 +1,15 @@
-"""Columnar trace I/O: bulk parsers, binary store, cache, streaming reader.
+"""Columnar trace I/O: block parser, binary store, cache, streaming reader.
 
 This package is the high-throughput counterpart to the row-wise
 :mod:`repro.trace.parsers`.  Four pieces:
 
-- :mod:`~repro.trace.io.bulk` — vectorised whole-file parsers for the
-  MSRC/FIU/MSPS/internal dialects.  Same results as the line-by-line
-  parsers (which remain as the correctness oracle), several times
-  faster: the file is read once and split into column arrays by
-  NumPy's C tokenizer instead of per-line ``str.split`` + appends.
+- :mod:`~repro.trace.io.bulk` — the block parser every text read of
+  the MSRC/FIU/MSPS/internal dialects goes through.  Same results as
+  the line-by-line parsers (which remain as the correctness oracle),
+  several times faster: the file is read in bounded text blocks, and
+  NumPy's C tokenizer splits each block into column arrays instead of
+  per-line ``str.split`` + appends.  A read never holds the whole file
+  as text.
 - :mod:`~repro.trace.io.store` — a versioned ``.npz`` binary trace
   format with optional memory-mapped reads, so a parsed or generated
   trace is materialised to columns once and loaded back without any
@@ -17,7 +19,8 @@ This package is the high-throughput counterpart to the row-wise
   public traces are built once per content key).
 - :mod:`~repro.trace.io.reader` — :class:`TraceReader`, a chunked
   reader that yields :class:`~repro.trace.trace.BlockTrace` segments
-  so traces larger than memory stream through
+  of ``chunk_requests`` rows, parsed by the same block parser, so
+  traces larger than memory stream through
   parse → filter → infer → replay without full materialisation.
 - :mod:`~repro.trace.io.fingerprint` — the shared content-identity
   helpers: the blake2b column digest (inference memo keys) and the

@@ -2,23 +2,30 @@
 
 :class:`TraceReader` turns a trace file — any text dialect, or a
 binary store ``.npz`` — into an iterator of
-:class:`~repro.trace.trace.BlockTrace` chunks of at most
-``chunk_requests`` rows, so traces larger than memory can stream
-through parse → filter → infer → replay without full materialisation.
+:class:`~repro.trace.trace.BlockTrace` chunks of exactly
+``chunk_requests`` rows (the last one may be shorter), so traces
+larger than memory can stream through parse → filter → infer → replay
+without full materialisation.  Text dialects go through the block
+parser of :mod:`~repro.trace.io.bulk`, the same one
+``load_trace`` uses: the file is read one bounded text block at a time,
+so neither a whole file nor a whole chunk is ever held as text.
 
 Chunked and whole-file reads agree exactly: concatenating the yielded
 chunks reproduces ``load_trace(path, fmt)`` column-for-column.  That
 parity needs the file to be *chunk-sorted* — rows may be out of order
-within a chunk (each chunk is stably sorted, exactly as the whole-file
-parsers sort), but a later chunk must not start before an earlier one
-ended, because a streaming reader cannot sort across segments it has
-already emitted.  Files that violate this raise
+within a chunk (each chunk is stably sorted as a whole, exactly as the
+whole-file parsers sort), but a later chunk must not start before an
+earlier one ended, because a streaming reader cannot sort across
+segments it has already emitted.  Files that violate this raise
 :class:`TraceStreamError`; real trace collections are written in
 submission order and stream fine.
 
 Dialects that rebase (MSRC/FIU/MSPS) are rebased against the *first*
-chunk's start, so later chunks keep their absolute placement on the
-stream's timeline.
+chunk's sorted start, so later chunks keep their absolute placement on
+the stream's timeline.
+
+A malformed row raises :class:`~repro.trace.parsers.TraceParseError`
+with its line number in the file, whatever the chunk size.
 
 ``tail=True`` hardens the reader against a file that is still being
 written: only newline-terminated lines are parsed, so a torn partial
@@ -34,15 +41,9 @@ from pathlib import Path
 from typing import IO
 
 from ..trace import BlockTrace
-from .bulk import BULK_PARSERS
+from .bulk import BULK_PARSERS, _iter_traces, _text_blocks
 
 __all__ = ["TraceReader", "TraceStreamError", "iter_complete_lines"]
-
-#: Text dialects whose whole-file parsers rebase to a 0 start.
-_REBASED_FORMATS = frozenset({"msrc", "fiu", "msps"})
-
-#: Read granularity for the complete-line iterator.
-_READ_BLOCK = 1 << 16
 
 
 class TraceStreamError(ValueError):
@@ -55,8 +56,7 @@ def iter_complete_lines(handle: IO[str]) -> Iterator[str]:
     The tail-safe line discipline: a trailing fragment with no newline
     is held back, never yielded, because a concurrently-appending
     writer may be mid-write — emitting the torn prefix would either
-    fail to parse or, worse, parse *successfully* into a wrong row
-    (``"123456.000,80"`` is a valid prefix of ``"123456.000,8000,…"``).
+    fail to parse or, worse, parse *successfully* into a wrong row.
     If the writer completes the line while this pass is still reading,
     the whole line is delivered exactly once; a fragment still torn at
     end of file is left for the next pass (the streaming service's
@@ -64,16 +64,8 @@ def iter_complete_lines(handle: IO[str]) -> Iterator[str]:
 
     Yielded lines carry no trailing newline.
     """
-    pending = ""
-    while True:
-        block = handle.read(_READ_BLOCK)
-        if not block:
-            return
-        pending += block
-        if "\n" not in pending:
-            continue
-        complete, pending = pending.rsplit("\n", 1)
-        yield from complete.split("\n")
+    for text, _ in _text_blocks(handle, tail=True):
+        yield from text[:-1].split("\n")
 
 
 class TraceReader:
@@ -88,8 +80,8 @@ class TraceReader:
     name:
         Workload name; defaults to the file stem.
     chunk_requests:
-        Maximum rows per yielded chunk (the streaming pipeline's
-        working-set knob).
+        Rows per yielded chunk; only the last one may hold fewer (the
+        streaming pipeline's working-set knob).
     tail:
         Treat the file as possibly still being written: parse only
         newline-terminated lines, holding a torn trailing fragment
@@ -124,87 +116,35 @@ class TraceReader:
         self.tail = tail
 
     def __iter__(self) -> Iterator[BlockTrace]:
-        if self.fmt == "npz":
-            yield from self._iter_npz()
-        else:
-            yield from self._iter_text()
+        return (chunk for chunk in self._chunks() if len(chunk))
 
     def read(self) -> BlockTrace:
         """Materialise the whole file (chunk-concatenation parity path)."""
-        chunks = list(self)
-        if not chunks:
-            # Delegate the empty-file representation to the parsers so
-            # whole-file and chunked reads stay indistinguishable.
-            if self.fmt == "npz":
-                from .store import load_trace_npz
+        return BlockTrace.concat_all(list(self._chunks()))
 
-                return load_trace_npz(self.path)
-            return BULK_PARSERS[self.fmt]("", name=self.name)
-        return BlockTrace.concat_all(chunks)
+    def _chunks(self) -> Iterator[BlockTrace]:
+        """Time-ordered chunks; a file with no rows gives one empty trace."""
+        if self.fmt == "npz":
+            from .store import load_trace_npz
 
-    # -- npz -----------------------------------------------------------
-
-    def _iter_npz(self) -> Iterator[BlockTrace]:
-        from .store import load_trace_npz
-
-        trace = load_trace_npz(self.path, mmap=True)
-        for start in range(0, len(trace), self.chunk_requests):
-            yield trace.select(slice(start, start + self.chunk_requests))
-
-    # -- text dialects -------------------------------------------------
-
-    def _iter_text(self) -> Iterator[BlockTrace]:
-        parse = BULK_PARSERS[self.fmt]
-        rebase = self.fmt in _REBASED_FORMATS
-        offset: float | None = None
-        previous_end: float | None = None
-        chunk_index = 0
+            trace = load_trace_npz(self.path, mmap=True)
+            # An empty store still yields its one (empty) chunk.
+            for start in range(0, max(len(trace), 1), self.chunk_requests):
+                yield trace.select(slice(start, start + self.chunk_requests))
+            return
+        previous_end = 0.0
         with self.path.open("r", encoding="utf-8") as handle:
-            raw_lines: Iterator[str] = iter_complete_lines(handle) if self.tail else iter(handle)
-            header = self._read_internal_header(raw_lines) if self.fmt == "internal" else None
-            while True:
-                lines = self._next_chunk_lines(raw_lines)
-                if not lines:
-                    break
-                body = "\n".join(lines)
-                if header is not None:
-                    body = header + "\n" + body
-                chunk = parse(body, name=self.name, rebase=False)
-                if len(chunk) == 0:
-                    continue
-                if rebase:
-                    if offset is None:
-                        offset = float(chunk.timestamps[0])
-                    chunk = chunk.shifted(-offset)
-                first = float(chunk.timestamps[0])
-                if previous_end is not None and first < previous_end:
+            blocks = _text_blocks(handle, tail=self.tail)
+            for index, chunk in enumerate(
+                _iter_traces(self.fmt, blocks, self.name, self.chunk_requests)
+            ):
+                if index and chunk.timestamps[0] < previous_end:
                     raise TraceStreamError(
-                        f"{self.path}: chunk {chunk_index} starts at {first:.3f}us, "
+                        f"{self.path}: chunk {index} starts at {chunk.timestamps[0]:.3f}us, "
                         f"before the previous chunk ended ({previous_end:.3f}us); "
                         "chunked reading requires time-sorted input — "
                         "load the whole file instead"
                     )
-                previous_end = float(chunk.timestamps[-1])
-                chunk_index += 1
+                if len(chunk):
+                    previous_end = float(chunk.timestamps[-1])
                 yield chunk
-
-    @staticmethod
-    def _read_internal_header(raw_lines: Iterator[str]) -> str:
-        """Consume lines up to and including the internal CSV header."""
-        for raw in raw_lines:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                return line
-        return ""
-
-    def _next_chunk_lines(self, raw_lines: Iterator[str]) -> list[str]:
-        """Up to ``chunk_requests`` content lines (comments/blanks dropped)."""
-        lines: list[str] = []
-        for raw in raw_lines:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            lines.append(line)
-            if len(lines) >= self.chunk_requests:
-                break
-        return lines

@@ -176,6 +176,17 @@ def parse_msps(lines: Iterable[str], name: str = "msps", rebase: bool = True) ->
     return trace.rebased() if rebase else trace
 
 
+def _header_columns(header: str, lineno: int) -> list[str]:
+    """Column names of an internal CSV header found on line ``lineno``."""
+    columns = [c.strip() for c in header.split(",")]
+    required = ["timestamp_us", "lba", "size_sectors", "op"]
+    if columns[: len(required)] != required:
+        raise TraceParseError(lineno, header, f"header must start with {','.join(required)}")
+    if "issue_us" in columns and "complete_us" not in columns:
+        raise TraceParseError(lineno, header, "header has issue_us but no complete_us")
+    return columns
+
+
 def parse_internal(lines: Iterable[str], name: str = "") -> BlockTrace:
     """Parse this library's CSV format (see :func:`repro.trace.writers.write_csv`).
 
@@ -184,16 +195,11 @@ def parse_internal(lines: Iterable[str], name: str = "") -> BlockTrace:
     """
     rows = _content_lines(lines)
     try:
-        _, header = next(iter(rows))
+        header_lineno, header = next(iter(rows))
     except StopIteration:
         return BlockTrace([], [], [], [], name=name)
-    columns = [c.strip() for c in header.split(",")]
-    required = ["timestamp_us", "lba", "size_sectors", "op"]
-    if columns[: len(required)] != required:
-        raise TraceParseError(1, header, f"header must start with {','.join(required)}")
+    columns = _header_columns(header, header_lineno)
     has_dev = "issue_us" in columns
-    if has_dev and "complete_us" not in columns:
-        raise TraceParseError(1, header, "header has issue_us but no complete_us")
     has_sync = "sync" in columns
     builder = TraceBuilder(name=name, metadata={"format": "internal"})
     index = {c: i for i, c in enumerate(columns)}
@@ -202,10 +208,11 @@ def parse_internal(lines: Iterable[str], name: str = "") -> BlockTrace:
         if len(parts) != len(columns):
             raise TraceParseError(lineno, line, f"expected {len(columns)} fields")
         try:
+            size = int(parts[index["size_sectors"]])
             builder.append(
                 timestamp=float(parts[index["timestamp_us"]]),
                 lba=int(parts[index["lba"]]),
-                size=int(parts[index["size_sectors"]]),
+                size=size,
                 op=OpType.from_str(parts[index["op"]]),
                 issue=float(parts[index["issue_us"]]) if has_dev else None,
                 complete=float(parts[index["complete_us"]]) if has_dev else None,
@@ -213,6 +220,8 @@ def parse_internal(lines: Iterable[str], name: str = "") -> BlockTrace:
             )
         except ValueError as exc:
             raise TraceParseError(lineno, line, str(exc)) from exc
+        if size <= 0:
+            raise TraceParseError(lineno, line, "non-positive request size")
     return builder.build(sort=True)
 
 
@@ -244,10 +253,11 @@ def load_trace(
         Workload name; defaults to the file stem (ignored for
         ``"npz"``, which stores its name).
     engine:
-        ``"bulk"`` (default) parses through the vectorised whole-file
-        reader in :mod:`repro.trace.io.bulk`; ``"line"`` uses the
-        row-wise parsers in this module.  Results are identical; bulk
-        is several times faster on large files.
+        ``"bulk"`` (default) parses through the block parser in
+        :mod:`repro.trace.io.bulk`, which tokenizes the file one
+        bounded text block at a time; ``"line"`` uses the row-wise
+        parsers in this module.  Results are identical; bulk is several
+        times faster on large files.
     """
     if fmt == "npz":
         from .io.store import load_trace_npz

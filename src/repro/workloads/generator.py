@@ -80,16 +80,15 @@ class SizeMix:
         buckets_kb = np.array([4.0, 8.0, 32.0, 128.0])
         # Weights: geometric with ratio r; solve r for the mean.  Ratios
         # below 1 give 4 KB-dominated mixes, above 1 large-transfer-heavy
-        # ones (the mean spans ~4.6 KB to ~116 KB over this sweep).
-        best = None
-        for r in np.geomspace(0.01, 12.0, 600):
-            w = r ** np.arange(len(buckets_kb), dtype=np.float64)
-            mean = float(np.dot(buckets_kb, w) / w.sum())
-            err = abs(mean - avg_kb)
-            if best is None or err < best[0]:
-                best = (err, w)
-        assert best is not None
-        weights = best[1] / best[1].sum()
+        # ones (the mean spans ~4.6 KB to ~116 KB over this sweep).  The
+        # grid is searched at once (argmin keeps the first minimum); the
+        # chosen ratio's weights are then computed as a scalar.
+        powers = np.arange(len(buckets_kb), dtype=np.float64)
+        grid = np.geomspace(0.01, 12.0, 600)
+        w = grid[:, None] ** powers
+        err = np.abs(w @ buckets_kb / w.sum(axis=1) - avg_kb)
+        w = grid[int(np.argmin(err))] ** powers
+        weights = w / w.sum()
         return cls(
             sizes=tuple(int(kb * 2) for kb in buckets_kb),
             weights=tuple(float(x) for x in weights),
@@ -283,6 +282,12 @@ def collect_trace(
         "total_user_idle_us": intents.total_idle_us(),
     }
     thinks = intents.thinks
+    bad = np.flatnonzero(~np.isfinite(thinks) | (thinks < 0))
+    if bad.size:
+        # As the replay entry points refuse such idle: a NaN think
+        # would poison every later stamp, a negative one go unseen.
+        i = int(bad[0])
+        raise ValueError(f"think times must be finite and non-negative; think {i} is {thinks[i]}")
     # The host is free at time 0 and thinks before its first request.
     lead = 0.0 + float(thinks[0]) if len(thinks) else 0.0
     gap = np.zeros(len(thinks), dtype=np.float64)
@@ -295,7 +300,7 @@ def collect_trace(
         lbas=intents.lbas,
         sizes=intents.sizes,
         ops=intents.ops,
-        issues=submits.copy() if record_device_times else None,
+        issues=submits if record_device_times else None,
         completes=finishes if record_device_times else None,
         syncs=intents.syncs if record_sync_flags else None,
         name=name if name is not None else intents.spec.name,

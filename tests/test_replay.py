@@ -152,8 +152,8 @@ class TestReplayMemory:
 
     Traced allocation on 20 000 DAP requests replayed on the NEW node,
     after a warm-up replay has memoised every request shape: the peak
-    stays below 128 B/request (the four stamp columns, the trace's copy
-    of the submit column, the channel delays and transient
+    stays below 128 B/request (the stamp columns, which the trace shares
+    rather than copies, the channel delays and transient
     temporaries), and nothing stays allocated once the result is
     dropped — no cache may keep per-stream data alive.
     """

@@ -200,21 +200,27 @@ class TestFastPathStaysFast:
 
     The public parsers fall back silently on data-shaped errors, so a
     broken fast path would make every parity test vacuously compare
-    the oracle to itself; pinning the private fast functions directly
-    keeps the >=5x ingestion speedup observable in CI.
+    the oracle to itself; disabling the per-block oracle while the
+    public parsers run keeps the >=5x ingestion speedup observable in
+    CI.
     """
 
-    def test_fast_paths_parse_canonical_inputs(self):
+    def test_fast_paths_parse_canonical_inputs(self, monkeypatch):
         from repro.trace.io import bulk
 
+        def no_oracle(lines):
+            raise AssertionError("the fast path fell back to the oracle")
+
+        for fmt, dialect in bulk._DIALECTS.items():
+            monkeypatch.setitem(bulk._DIALECTS, fmt, dialect._replace(oracle=no_oracle))
         msrc = "1000,host,0,Read,4096,8192,1200\n2000,host,0,Write,0,512,10\n"
-        assert len(bulk._parse_msrc_fast(msrc, "m", True)) == 2
+        assert len(parse_msrc_bulk(msrc, "m", True)) == 2
         fiu = "1.0 1 p 0 8 R 8 1\n2.0 1 p 8 8 W 8 1 md5\n"
-        assert len(bulk._parse_fiu_fast(fiu, "f", True)) == 2
+        assert len(parse_fiu_bulk(fiu, "f", True)) == 2
         msps = "0.0 150.0 R 0 8\n200.0 900.0 W 8 16\n"
-        assert len(bulk._parse_msps_fast(msps, "s", True)) == 2
+        assert len(parse_msps_bulk(msps, "s", True)) == 2
         internal = "timestamp_us,lba,size_sectors,op\n0.0,0,8,R\n5.0,8,16,W\n"
-        assert len(bulk._parse_internal_fast(internal, "i", True)) == 2
+        assert len(parse_internal_bulk(internal, "i", True)) == 2
 
 
 class TestLoadTraceEngines:

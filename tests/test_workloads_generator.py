@@ -2,18 +2,63 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.experiments import new_node, old_node
 from repro.storage import ConstantLatencyDevice, SATA_600
 from repro.trace import OpType
 from repro.workloads import (
+    WORKLOAD_SPECS,
     IdleProcess,
     SizeMix,
     WorkloadSpec,
     collect_trace,
     generate_intents,
 )
+from repro.workloads.catalog import EXTRA_SPECS, get_spec
+
+_TAIL = (8, 16, 64, 256)
+
+#: ``SizeMix.for_average_kb`` of every catalog entry and of the
+#: ``WorkloadSpec`` default, as the 600-step scalar search computed them.
+PINNED_MIXES = {
+    "24HR": (_TAIL, (0.7291597751749546, 0.20052700502762483, 0.05514714485683309, 0.015166074940587542)),
+    "24HRS": (_TAIL, (0.3794617116814416, 0.27544957297142736, 0.19994762294709906, 0.14514109240003198)),
+    "BS": (_TAIL, (0.478678504143155, 0.2742251868941035, 0.15709803652393933, 0.08999827243880218)),
+    "CFS": (_TAIL, (0.6865092622361959, 0.22020315548520233, 0.0706318652245033, 0.022655717054098492)),
+    "DADS": (_TAIL, (0.3794617116814416, 0.27544957297142736, 0.19994762294709906, 0.14514109240003198)),
+    "DAP": (_TAIL, (0.07941748523910407, 0.1468563199215369, 0.27156209537440257, 0.5021640994649565)),
+    "DDR": (_TAIL, (0.4244090882225976, 0.27694529446792127, 0.18071878820770224, 0.11792682910177875)),
+    "MSNFS": (_TAIL, (0.6612842227051491, 0.23043532316725954, 0.08029896425772667, 0.027981489869864682)),
+    "ikki": (_TAIL, (0.9075071463187118, 0.08399837390400734, 0.0077748443603324405, 0.0007196354169483431)),
+    "madmax": (_TAIL, (0.9762724178318513, 0.02316488613202099, 0.000549653907770159, 1.3042128357772695e-05)),
+    "online": (_TAIL, (0.9900000099000001, 0.009900000099000002, 9.900000099000003e-05, 9.900000099000002e-07)),
+    "topgun": ((4, 8, 16), (0.06499999999999995, 0.935, 0.0001)),
+    "webmail": (_TAIL, (0.9900000099000001, 0.009900000099000002, 9.900000099000003e-05, 9.900000099000002e-07)),
+    "casa": (_TAIL, (0.9900000099000001, 0.009900000099000002, 9.900000099000003e-05, 9.900000099000002e-07)),
+    "webresearch": (_TAIL, (0.9900000099000001, 0.009900000099000002, 9.900000099000003e-05, 9.900000099000002e-07)),
+    "webusers": (_TAIL, (0.9605291432036107, 0.03791514816689296, 0.0014966317999710252, 5.9076829525365534e-05)),
+    "mail+online": (_TAIL, (0.9900000099000001, 0.009900000099000002, 9.900000099000003e-05, 9.900000099000002e-07)),
+    "homes": (_TAIL, (0.8618963423960023, 0.11930375065704749, 0.016514033324786244, 0.0022858736221637887)),
+    "mds": (_TAIL, (0.3348892965002336, 0.27042088881949733, 0.21836307661709914, 0.17632673806317)),
+    "prn": (_TAIL, (0.5629069625550135, 0.26059758272099115, 0.1206435603705769, 0.05585189435341848)),
+    "proj": (_TAIL, (0.3694943827154524, 0.27463953493011467, 0.2041353743791984, 0.15173070797523466)),
+    "prxy": (_TAIL, (0.7166087952334763, 0.20663050849594214, 0.05958085823853291, 0.01717983803204873)),
+    "rsrch": (_TAIL, (0.7229469363649277, 0.20358119502736252, 0.057328278029866814, 0.016143590577842818)),
+    "src1": (_TAIL, (0.31060513109997606, 0.2661033096674771, 0.22797746825757656, 0.19531409097497035)),
+    "src2": (_TAIL, (0.26831952007394744, 0.25571649639461136, 0.24370543935943936, 0.23225854417200179)),
+    "stg": (_TAIL, (0.40943670186890896, 0.2768328949823184, 0.1871753347818543, 0.1265550683669184)),
+    "web": (_TAIL, (0.7718978189875796, 0.17774685875324064, 0.040930217730221166, 0.009425104528958476)),
+    "wdev": (_TAIL, (0.3251215671792743, 0.26882262715454186, 0.22227256560442843, 0.18378324006175542)),
+    "usr": (_TAIL, (0.28684908675544146, 0.2607340816536096, 0.2369966106732308, 0.21542022091771806)),
+    "hm": (_TAIL, (0.5673534952181165, 0.2595654957630449, 0.11875179611753962, 0.05432921290129904)),
+    "ts": (_TAIL, (0.7068642276739241, 0.2111883334578237, 0.06309629267201666, 0.018851146196235576)),
+    "Exchange": (_TAIL, (0.3447180555486394, 0.27184536179932534, 0.21437780685490923, 0.16905877579712608)),
+    "default": (_TAIL, (0.7352485272043395, 0.19747096829206945, 0.053036193715992455, 0.014244310787598656)),
+}
 
 
 class TestSizeMix:
@@ -32,6 +77,28 @@ class TestSizeMix:
         # The inference model needs at least two sizes per op type.
         for avg in (4.0, 9.0, 40.0):
             assert len(SizeMix.for_average_kb(avg).sizes) >= 3
+
+    @staticmethod
+    def _scalar_search(avg_kb):
+        """The reference: the ratio grid walked one step at a time, first minimum kept."""
+        buckets_kb = np.array([4.0, 8.0, 32.0, 128.0])
+        best = None
+        for r in np.geomspace(0.01, 12.0, 600):
+            w = r ** np.arange(len(buckets_kb), dtype=np.float64)
+            err = abs(float(np.dot(buckets_kb, w) / w.sum()) - avg_kb)
+            if best is None or err < best[0]:
+                best = (err, w)
+        return tuple(float(x) for x in best[1] / best[1].sum())
+
+    def test_vectorised_search_equals_scalar_search(self):
+        for avg_kb in np.linspace(4.0, 130.0, 64).tolist() + [10.71, 74.42]:
+            assert SizeMix.for_average_kb(avg_kb).weights == self._scalar_search(avg_kb), avg_kb
+
+    def test_catalog_mixes_are_pinned(self):
+        """Every catalog mix, to the last bit: traces and store keys depend on them."""
+        specs = {**WORKLOAD_SPECS, **EXTRA_SPECS, "default": WorkloadSpec(name="default")}
+        got = {name: (spec.size_mix.sizes, spec.size_mix.weights) for name, spec in specs.items()}
+        assert got == PINNED_MIXES
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -117,6 +184,16 @@ class TestGenerateIntents:
 
 
 class TestCollectTrace:
+    @pytest.mark.parametrize("node", [old_node, new_node], ids=["old", "new"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0])
+    def test_refuses_non_finite_or_negative_think(self, node, bad):
+        stream = generate_intents(get_spec("MSNFS").scaled(50))
+        thinks = stream.thinks.copy()
+        thinks[10] = bad
+        thinks[20] = bad
+        with pytest.raises(ValueError, match="think 10 is"):
+            collect_trace(replace(stream, thinks=thinks), node())
+
     def test_sync_semantics_gap_includes_service(self):
         # All-sync, no idle: each gap = previous completion + think(0).
         spec = WorkloadSpec(
