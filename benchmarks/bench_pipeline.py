@@ -13,8 +13,7 @@ and campaigns run:
   queue-depth replay (scalar loop vs plan/FIFO-window engine, on the
   flash array and on the HDD), the fig9 interpolation kernels
   (knot-at-a-time slopes/grids vs vectorised), the Algorithm 1
-  group scoring (per-group loop vs fused pass), campaign checkpointing
-  (JSON-per-point vs append-only segments), the result lake's
+  group scoring (per-group loop vs fused pass), the result lake's
   cross-run incremental skip (cold recompute vs warm catalog hits),
   and the streaming service's incremental session (recompute the
   whole prefix at every arrival vs feed each chunk once);
@@ -53,7 +52,6 @@ from repro.analysis.interpolation import (
     _pchip_slopes_scalar,
 )
 from repro.analysis.steepness import select_steepest, steepness_score
-from repro.campaign.engine import _SegmentWriter, _scan_checkpoints, _write_checkpoint
 from repro.core.baselines import TraceTrackerMethod
 from repro.experiments import build_pair_for, fig9_interpolation, new_node, old_node
 from repro.inference.decompose import estimate_model
@@ -214,32 +212,6 @@ def bench_steepness(n_requests: int) -> dict[str, float]:
     return {"before_s": before, "after_s": after, "speedup": round(before / after, 2)}
 
 
-def bench_checkpointing(n_points: int = 384) -> dict[str, float]:
-    """Campaign checkpoint write+rescan: JSON-per-point vs segments."""
-    keys = [f"{i:020d}" for i in range(n_points)]
-    row = {"workload": "MSNFS", "speedup": 3.25, "method_name": "tracetracker"}
-
-    def json_per_point() -> None:
-        with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp)
-            for key in keys:
-                _write_checkpoint(out, key, row)
-            assert len(_scan_checkpoints(out, keys)) == n_points
-
-    def segments() -> None:
-        with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp)
-            writer = _SegmentWriter(out)
-            for key in keys:
-                writer.append(key, row)
-            writer.close()
-            assert len(_scan_checkpoints(out, keys)) == n_points
-
-    before = _best_of(json_per_point)
-    after = _best_of(segments)
-    return {"before_s": before, "after_s": after, "speedup": round(before / after, 2)}
-
-
 def bench_campaign_incremental_skip(n_points: int = 64) -> dict[str, float]:
     """Recompute-everything vs warm result-lake catalog hits.
 
@@ -368,7 +340,6 @@ def run_benchmarks(n_requests: int) -> dict:
         ),
         "fig09_interpolation": bench_interpolation(),
         "steepness_select": bench_steepness(n_requests),
-        "campaign_checkpoint": bench_checkpointing(),
         "campaign_incremental_skip": bench_campaign_incremental_skip(),
         "streaming_reconstruct": bench_streaming_reconstruct(n_requests),
     }

@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 
 from ..perf import PerfRecorder
-from .engine import CHECKPOINT_FORMATS, CampaignEngine, _scan_checkpoints
+from .engine import CampaignEngine, _scan_checkpoints
 from .plan import expand, run_key
 from .results import ResultsTable
 from .spec import CampaignSpec, load_spec
@@ -81,7 +81,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         use_trace_store=not args.no_trace_store,
         trace_store_dir=args.trace_store_dir,
         resume=not args.no_resume,
-        checkpoint_format=args.checkpoint_format,
         lake=args.lake,
         perf=perf,
         resilience=resilience,
@@ -208,10 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--trace-store-dir", default=None,
         help="binary trace-store directory (default: $REPRO_TRACE_STORE_DIR or ~/.cache)",
-    )
-    run.add_argument(
-        "--checkpoint-format", choices=CHECKPOINT_FORMATS, default="segments",
-        help="per-worker append-only segments (default) or one JSON file per point",
     )
     run.add_argument(
         "--lake", default=None,

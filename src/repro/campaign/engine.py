@@ -15,11 +15,12 @@ CampaignSpec` into a :class:`~repro.campaign.results.ResultsTable`:
    shared, so each catalog trace is materialised once and
    memory-mapped by every worker;
 4. every completed point is checkpointed *as it finishes* (one flushed
-   segment line, or one atomic JSON, per run key), so a kill mid-run
-   loses at most the points in flight;
+   segment line per run key), so a kill mid-run loses at most the
+   points in flight;
 5. rows are reassembled in plan order and aggregated column-wise; with
    an output directory set, ``results.npz``/``results.csv``/
-   ``report.md`` are written alongside the checkpoints.
+   ``report.md`` are written alongside the checkpoints (and removed
+   when a run starts computing, so only a finished run leaves them).
 
 Actions — what actually runs at a grid point — are small functions over
 the existing pipeline: they collect catalog traces through
@@ -69,7 +70,6 @@ from .supervise import (
 )
 
 __all__ = [
-    "CHECKPOINT_FORMATS",
     "CampaignEngine",
     "CampaignResult",
     "resolve_method",
@@ -310,31 +310,19 @@ def run_point(spec: CampaignSpec, point: RunPoint) -> dict[str, Any]:
 # Checkpointing
 # ----------------------------------------------------------------------
 #
-# Two formats share the ``<out_dir>/runs/`` directory:
-#
-# - **segments** (default) — each worker appends completed points to
-#   its own ``segment-<pid>-<n>.jsonl`` file, one self-contained JSON
-#   line per point, flushed per line.  One open file per worker instead
-#   of a write+rename pair per point, which is what makes large grids'
-#   checkpoint overhead flat.  Crash-safe by construction: a kill can
-#   only tear the final line, and the resume scan skips any line that
-#   does not parse.  Append-only — a resumed campaign opens a fresh
-#   segment and never rewrites an old one.
-# - **json** — the original one-atomic-file-per-point format
-#   (``<key>.json``, write-then-rename), kept as the documented
-#   fallback for tooling that wants to inspect or delete single points.
-#
-# The resume scan reads both, from a single directory listing.
-
-#: Valid values of ``CampaignEngine(checkpoint_format=...)``.
-CHECKPOINT_FORMATS = ("segments", "json")
+# Each process appends completed points to its own
+# ``<out_dir>/runs/segment-<pid>-<n>.jsonl`` file, one self-contained
+# JSON line per point, flushed per line: one open file per worker, so
+# checkpoint overhead stays flat on large grids.  Crash-safe by
+# construction: a kill can only tear the final line, and the resume
+# scan skips any line that does not parse.  Append-only — a resumed
+# campaign opens a fresh segment and never rewrites an old one.  Any
+# other file under ``runs/`` (such as a per-point ``<key>.json`` an
+# older version wrote) is not a checkpoint: it is never read, moved or
+# deleted, and its point is recomputed.
 
 _SEGMENT_PREFIX = "segment-"
 _SEGMENT_SUFFIX = ".jsonl"
-
-
-def _checkpoint_path(out_dir: Path, key: str) -> Path:
-    return out_dir / "runs" / f"{key}.json"
 
 
 class _SegmentWriter:
@@ -413,10 +401,10 @@ def _quarantine_file(path: Path, out_dir: Path | None = None, reason: str = "") 
     """Rename a corrupt artifact to ``<name>.bad`` (best-effort).
 
     The sidecar name keeps the bytes around for a post-mortem while
-    taking the file out of every scan pattern (``.json``, ``.jsonl``,
-    ``.npz``), so the next resume or rebuild recomputes instead of
-    raising.  Returns whether the rename happened (a read-only tree —
-    e.g. a lake rescan over an archive — degrades to skip-in-place).
+    taking the file out of every scan pattern (``.jsonl``, ``.npz``),
+    so the next resume or rebuild recomputes instead of raising.
+    Returns whether the rename happened (a read-only tree — e.g. a
+    lake rescan over an archive — degrades to skip-in-place).
     """
     target = path.with_name(path.name + ".bad")
     try:
@@ -429,11 +417,9 @@ def _quarantine_file(path: Path, out_dir: Path | None = None, reason: str = "") 
     return True
 
 
-def _valid_row(data: Any, key: str | None = None) -> dict[str, Any] | None:
+def _valid_row(data: Any) -> dict[str, Any] | None:
     """The checkpoint payload's row, or ``None`` when malformed."""
     if not isinstance(data, dict) or "row" not in data:
-        return None
-    if key is not None and data.get("key") != key:
         return None
     row = data["row"]
     return row if isinstance(row, dict) and isinstance(data.get("key"), str) else None
@@ -450,41 +436,35 @@ def _scan_checkpoints_meta(
 ) -> dict[str, tuple[dict[str, Any], float | None, str]]:
     """Checkpointed ``(row, wall_s, filename)`` per key, one dir scan.
 
-    Reads every segment file and exactly the per-point JSON files whose
-    key appears in the listing — a resumed campaign no longer stats
-    ``runs/<key>.json`` once per grid point.  Torn or malformed segment
-    lines (a crash mid-append) and corrupt JSON files are skipped, so
-    those points simply recompute.
+    Reads every segment file under ``runs/``.  Torn or malformed lines
+    (a crash mid-append) are skipped, so those points simply recompute;
+    a segment in which not one line decodes is quarantined whole.
 
     When a key appears more than once (e.g. a ``--no-resume`` rerun
-    after a code change appended fresh lines, or rewrote the key's
-    JSON file), the row from the newest file wins — file mtime, with
-    later lines beating earlier ones inside a segment and filename as
-    the cross-file tiebreak — matching the overwrite semantics the
-    JSON-per-point format always had.
+    after a code change appended fresh lines), the row from the newest
+    segment wins — file mtime, with filename as the tiebreak and later
+    lines beating earlier ones inside a segment.
 
-    The metadata — the wall-time stamp a new-format line carries
-    (``None`` for old lines) and the checkpoint file's name — is what
+    The metadata — the wall-time stamp a line carries (``None`` for
+    lines written before it existed) and the segment's name — is what
     the result lake's rescan ingests; the engine's own resume path
     reads just the rows through :func:`_scan_checkpoints`.
     """
     runs_dir = out_dir / "runs"
     try:
         with os.scandir(runs_dir) as it:
-            entries = {e.name: e.stat().st_mtime_ns for e in it if e.is_file()}
+            entries = {
+                e.name: e.stat().st_mtime_ns
+                for e in it
+                if e.name.startswith(_SEGMENT_PREFIX)
+                and e.name.endswith(_SEGMENT_SUFFIX)
+                and e.is_file()
+            }
     except OSError:
         return {}
     wanted = set(keys)
-    best: dict[str, tuple[int, dict[str, Any], float | None, str]] = {}
-    segments = sorted(
-        (
-            name
-            for name in entries
-            if name.startswith(_SEGMENT_PREFIX) and name.endswith(_SEGMENT_SUFFIX)
-        ),
-        key=lambda name: (entries[name], name),
-    )
-    for name in segments:
+    best: dict[str, tuple[dict[str, Any], float | None, str]] = {}
+    for name in sorted(entries, key=lambda name: (entries[name], name)):
         try:
             text = (runs_dir / name).read_text(encoding="utf-8")
         except UnicodeDecodeError:
@@ -494,7 +474,6 @@ def _scan_checkpoints_meta(
             continue
         except OSError:
             continue
-        mtime = entries[name]
         parsed_any = False
         for line in text.splitlines():
             try:
@@ -503,68 +482,19 @@ def _scan_checkpoints_meta(
                 continue  # torn final line of a killed worker
             parsed_any = True
             row = _valid_row(data)
-            if row is None or data["key"] not in wanted:
-                continue
-            previous = best.get(data["key"])
-            if previous is None or mtime >= previous[0]:
-                best[data["key"]] = (mtime, row, _wall_s_of(data), name)
+            if row is not None and data["key"] in wanted:
+                best[data["key"]] = (row, _wall_s_of(data), name)
         if text.strip() and not parsed_any:
             # Not one line decodes: the segment is corrupt from byte 0
             # (bad disk, torn single-row file), not merely torn at the
             # tail.  Quarantine it so its points recompute.
             _quarantine_file(runs_dir / name, out_dir, "no decodable segment lines")
-    for key in keys:
-        name = f"{key}.json"
-        mtime = entries.get(name)
-        if mtime is None:
-            continue
-        previous = best.get(key)
-        if previous is not None and previous[0] > mtime:
-            continue
-        path = _checkpoint_path(out_dir, key)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            # Corrupt or truncated per-point checkpoint: quarantine to
-            # ``<key>.json.bad`` and leave the key un-resumed, so the
-            # point re-queues instead of the resume raising (or the
-            # corruption silently shadowing an older good row).
-            _quarantine_file(path, out_dir, f"undecodable JSON ({exc})")
-            continue
-        except OSError:
-            continue
-        row = _valid_row(data, key)
-        if row is None:
-            _quarantine_file(path, out_dir, "malformed checkpoint payload")
-            continue
-        best[key] = (mtime, row, _wall_s_of(data), name)
-    return {key: (row, wall_s, name) for key, (_, row, wall_s, name) in best.items()}
+    return best
 
 
 def _scan_checkpoints(out_dir: Path, keys: list[str]) -> dict[str, dict[str, Any]]:
     """All checkpointed rows for ``keys`` (see :func:`_scan_checkpoints_meta`)."""
     return {key: row for key, (row, _, _) in _scan_checkpoints_meta(out_dir, keys).items()}
-
-
-def _write_checkpoint(
-    out_dir: Path, key: str, row: dict[str, Any], wall_s: float | None = None
-) -> None:
-    """Atomically record one completed run key.
-
-    Write-then-rename keeps readers (a resuming campaign, a concurrent
-    ``repro-campaign report``) from ever seeing a torn file; the PID in
-    the temp name keeps parallel workers from clobbering each
-    other's in-flight writes.  ``wall_s`` rides along like the segment
-    format's (:meth:`_SegmentWriter.append`).
-    """
-    path = _checkpoint_path(out_dir, key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".{os.getpid()}.tmp")
-    payload: dict[str, Any] = {"key": key, "row": row}
-    if wall_s is not None:
-        payload["wall_s"] = wall_s
-    tmp.write_text(json.dumps(payload), encoding="utf-8")
-    os.replace(tmp, path)
 
 
 #: Per-process cache of open lake catalogs, keyed by (pid, database
@@ -648,8 +578,8 @@ def _complete_point(
     propagates and fails the run; with one, transient failures retry
     with backoff and exhausted/permanent failures come back as
     quarantine rows (see :func:`~repro.campaign.supervise.
-    run_point_resilient`).  The row is then checkpointed — appended to
-    ``segment``, or as its own atomic JSON under ``out_dir`` — the
+    run_point_resilient`).  The row is then appended to ``segment``
+    (``None`` when the campaign has no output directory), the
     post-checkpoint chaos hook fires, and the row is recorded with its
     measured wall time into the lake (quarantine rows stay out).
     ``run_point`` is resolved through the module at call time so test
@@ -669,9 +599,6 @@ def _complete_point(
     if segment is not None:
         segment.append(key, row, wall_s=wall_s)
         checkpoint_path = segment.path
-    elif out_dir is not None:
-        _write_checkpoint(out_dir, key, row, wall_s=wall_s)
-        checkpoint_path = _checkpoint_path(out_dir, key)
     if injector is not None:
         injector.after_checkpoint(index, checkpoint_path)
     if lake is not None and not quarantined:
@@ -687,7 +614,7 @@ def _complete_point(
 #: serves one engine run at a time, and both caches are keyed by that
 #: run's context.
 _CHUNK_PLANS: dict[str, tuple[CampaignSpec, CampaignPlan]] = {}
-_CHUNK_SEGMENTS: dict[tuple[str, str], _SegmentWriter] = {}
+_CHUNK_SEGMENTS: dict[str, _SegmentWriter] = {}
 
 
 def _run_chunk(
@@ -697,18 +624,17 @@ def _run_chunk(
     """Worker entry point: run one chunk of (point index, run key) pairs.
 
     Returns the checkpointed ``(key, row)`` pairs.  The context
-    ``(spec dict, output dir, checkpoint format, lake path,
-    resilience)`` is built once by the parent and inherited by the
-    forked workers; the plan is re-expanded locally (expansion is
-    deterministic, so indices agree with the parent's plan).  Built to
-    be called many times per worker: the spec expansion, the segment
-    writer, and the lake connection live in module-global per-worker
-    caches, so a hundred chunks cost one plan expansion and open one
-    segment file.  Cached segments are never explicitly closed; every
-    append is flushed, so the checkpoint is complete the moment the
-    line hits the file.
+    ``(spec dict, output dir, lake path, resilience)`` is built once by
+    the parent and inherited by the forked workers; the plan is
+    re-expanded locally (expansion is deterministic, so indices agree
+    with the parent's plan).  Built to be called many times per worker:
+    the spec expansion, the segment writer, and the lake connection
+    live in module-global per-worker caches, so a hundred chunks cost
+    one plan expansion and open one segment file.  Cached segments are
+    never explicitly closed; every append is flushed, so the checkpoint
+    is complete the moment the line hits the file.
     """
-    spec_dict, out_dir_text, checkpoint_format, lake_text, resilience_dict = context
+    spec_dict, out_dir_text, lake_text, resilience_dict = context
     spec_key = json.dumps(spec_dict, sort_keys=True)
     cached = _CHUNK_PLANS.get(spec_key)
     if cached is None:
@@ -719,11 +645,10 @@ def _run_chunk(
     spec, plan = cached
     out_dir = Path(out_dir_text) if out_dir_text else None
     segment = None
-    if out_dir is not None and checkpoint_format == "segments":
-        seg_key = (str(out_dir), checkpoint_format)
-        segment = _CHUNK_SEGMENTS.get(seg_key)
+    if out_dir is not None:
+        segment = _CHUNK_SEGMENTS.get(out_dir_text)
         if segment is None:
-            segment = _CHUNK_SEGMENTS.setdefault(seg_key, _SegmentWriter(out_dir))
+            segment = _CHUNK_SEGMENTS.setdefault(out_dir_text, _SegmentWriter(out_dir))
     lake = _worker_lake(lake_text)
     resilience = (
         Resilience.from_dict(resilience_dict) if resilience_dict is not None else None
@@ -784,8 +709,8 @@ class CampaignEngine:
     checkpointed points) and respawns a replacement up to
     ``respawn_budget``.  Chaos runs supervised even at ``jobs=1``, so
     an injected kill never takes the parent down.  Both paths produce
-    identical rows and identical per-point checkpoints, so a campaign
-    resumes on either path (run keys do not know how points ran).
+    identical rows and identical segment lines, so a campaign resumes
+    on either path (run keys do not know how points ran).
 
     Parameters
     ----------
@@ -813,12 +738,6 @@ class CampaignEngine:
         (``n_lake_hits``), and every point this run computes is
         recorded back — campaigns become incremental across runs and
         directories, not just resumable within one.
-    checkpoint_format:
-        ``"segments"`` (default) appends completed points to
-        per-process ``segment-*.jsonl`` files — one open file per
-        worker, flat overhead on large grids; ``"json"`` writes the
-        original one atomic ``<key>.json`` per point.  Resume reads
-        both, so the formats mix freely across runs of one campaign.
     resilience:
         Optional :class:`~repro.campaign.supervise.Resilience` — the
         per-point fault policy (retry/backoff on transient failures,
@@ -845,7 +764,6 @@ class CampaignEngine:
         use_trace_store: bool = False,
         trace_store_dir: str | Path | None = None,
         resume: bool = True,
-        checkpoint_format: str = "segments",
         lake: "str | Path | None" = None,
         perf: "PerfRecorder | None" = None,
         resilience: "Resilience | None" = None,
@@ -854,10 +772,6 @@ class CampaignEngine:
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if checkpoint_format not in CHECKPOINT_FORMATS:
-            raise ValueError(
-                f"unknown checkpoint format {checkpoint_format!r}; use one of {CHECKPOINT_FORMATS}"
-            )
         if hang_timeout_s is not None and hang_timeout_s <= 0:
             raise ValueError("hang_timeout_s must be positive")
         self.spec = spec
@@ -866,7 +780,6 @@ class CampaignEngine:
         self.use_trace_store = use_trace_store
         self.trace_store_dir = trace_store_dir
         self.resume = resume
-        self.checkpoint_format = checkpoint_format
         self.lake = Path(lake) if lake is not None else None
         self.perf = perf if perf is not None else PerfRecorder(enabled=False)
         if (
@@ -902,7 +815,9 @@ class CampaignEngine:
 
         Raises whatever a grid point raises, on either execution path
         — by then every point that finished before the failure is
-        already checkpointed, so rerun to resume.
+        already checkpointed, so rerun to resume.  A run that computes
+        anything removes the previous aggregate first, so an
+        interrupted run leaves checkpoints only.
         """
         from ..trace.io.cache import TraceStore, get_default_store, set_default_store
 
@@ -943,6 +858,14 @@ class CampaignEngine:
             # report` and `repro-lake ingest` recognise a campaign by.
             self.out_dir.mkdir(parents=True, exist_ok=True)
             self._write_spec_once()
+            if pending:
+                # The aggregate is rewritten only once every point is
+                # in.  An earlier run's table left in place would be
+                # what `repro-campaign report` prints after this run is
+                # interrupted, instead of a partial table rebuilt from
+                # the checkpoints.
+                for name in ("results.npz", "results.csv", "report.md"):
+                    (self.out_dir / name).unlink(missing_ok=True)
         supervision: dict[str, int] | None = None
         if pending:
             # The inline loop and the forked workers both read the
@@ -1010,11 +933,7 @@ class CampaignEngine:
         completed: dict[str, dict[str, Any]],
     ) -> None:
         """Compute the pending points one by one in this process."""
-        segment = (
-            _SegmentWriter(self.out_dir)
-            if self.out_dir is not None and self.checkpoint_format == "segments"
-            else None
-        )
+        segment = _SegmentWriter(self.out_dir) if self.out_dir is not None else None
         lake = _worker_lake(str(self.lake) if self.lake is not None else None)
         try:
             for index in pending:
@@ -1053,7 +972,6 @@ class CampaignEngine:
         context = (
             self.spec.to_dict(),
             str(self.out_dir) if self.out_dir is not None else None,
-            self.checkpoint_format,
             str(self.lake) if self.lake is not None else None,
             self.resilience.to_dict() if self.resilience is not None else None,
         )
@@ -1082,7 +1000,7 @@ class CampaignEngine:
         """Salvage a reclaimed lease: checkpointed points stay done.
 
         A dead worker checkpointed every point it finished before dying
-        (both checkpoint formats flush per point), so a rescan of this
+        (segment lines are flushed one by one), so a rescan of this
         chunk's run keys recovers them without recomputation — the
         acceptance bar for supervisor recovery.  Whatever the scan does
         not find is re-queued.

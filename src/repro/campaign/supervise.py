@@ -214,10 +214,9 @@ class ChaosInjector:
     def after_checkpoint(self, index: int, checkpoint: Path | None) -> None:
         """Fire any post-checkpoint injections scheduled at ``index``.
 
-        ``corrupt`` truncates the checkpoint file to half its size —
-        tearing the final line of a segment, or leaving a ``<key>.json``
-        undecodable — which is exactly the damage a crash mid-write (or
-        a bad disk) leaves behind.
+        ``corrupt`` truncates the checkpoint segment to half its size —
+        tearing its final line — which is exactly the damage a crash
+        mid-write (or a bad disk) leaves behind.
         """
         if checkpoint is None:
             return

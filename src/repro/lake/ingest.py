@@ -9,9 +9,9 @@ byte-equivalent via :meth:`~repro.lake.catalog.LakeCatalog.dump_rows`.
 Two artifact shapes are recognised:
 
 - **campaign output directories** — anything holding a ``spec.json``.
-  The spec is expanded, the ``runs/`` checkpoints are scanned with the
-  engine's own resume scanner (segments and per-point JSON alike,
-  torn lines skipped), and every completed point is upserted through
+  The spec is expanded, the ``runs/`` segments are scanned with the
+  engine's own resume scanner (torn lines skipped), and every
+  completed point is upserted through
   the same :func:`record_campaign_point` the engine's workers call
   live.  ``results.npz``/``results.csv`` aggregates become ``results``
   artifacts.

@@ -11,7 +11,7 @@ pull interface the daemon's ingest loop drives:
   restarted daemon re-opens the source at that cursor and re-reads
   exactly the lines that were never committed.
 - Torn trailing fragments are never emitted (the tail discipline of
-  :func:`repro.trace.io.reader.iter_complete_lines`): a writer caught
+  :class:`_TailFile`, shared by every source): a writer caught
   mid-``write`` would otherwise inject a prefix that parses into a
   wrong row.  The fragment is held and re-polled until its newline
   lands.  :meth:`StreamSource.eof_flush` releases a held fragment as a

@@ -124,12 +124,6 @@ class FlashArray(StorageDevice):
         """
         return self.ssds, self.stripe_sectors
 
-    def _expected_service(self, op: OpType, size: int, sequential: bool) -> float:
-        """Nominal latency: the slowest fragment of an even striping."""
-        n_frags = min(self.n_ssds, max(1, (size + self.stripe_sectors - 1) // self.stripe_sectors))
-        per_ssd = -(-size // n_frags)  # ceiling division
-        return self.ssds[0]._expected_service(op, per_ssd, sequential)
-
     def supports_batch(self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray) -> bool:
         """Batch-capable when members are, and no request revisits an SSD.
 

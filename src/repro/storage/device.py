@@ -208,18 +208,6 @@ class StorageDevice(abc.ABC):
         """Batch kernel; only called when :meth:`supports_batch` is true."""
         raise NotImplementedError
 
-    def service_time_us(self, op: OpType, size: int, sequential: bool) -> float:
-        """Stateless *expected* :math:`T_{sdev}` for a request shape.
-
-        Used by calibration and verification code that needs the
-        device's nominal latency without perturbing simulator state.
-        Subclasses override with their analytic model.
-        """
-        probe = self.__class__.__dict__.get("_expected_service")
-        if probe is None:
-            raise NotImplementedError
-        return probe(self, op, size, sequential)
-
 
 class ConstantLatencyDevice(StorageDevice):
     """A device that serves every request in a fixed time.
@@ -261,9 +249,6 @@ class ConstantLatencyDevice(StorageDevice):
         self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray
     ) -> np.ndarray:
         return np.where(np.asarray(ops) == int(OpType.READ), self.read_us, self.write_us)
-
-    def _expected_service(self, op: OpType, size: int, sequential: bool) -> float:
-        return self.read_us if op is OpType.READ else self.write_us
 
     def reset(self) -> None:
         super().reset()

@@ -148,10 +148,6 @@ class ServiceFaultWrapper(StorageDevice):
         self._index += len(out)
         return out
 
-    # NOTE: no base `_expected_service` here — `service_time_us` probes
-    # the concrete class's own __dict__, so every subclass must define
-    # its analytic mean itself (as LatencyInflation/TransientStalls do).
-
 
 class LatencyInflation(ServiceFaultWrapper):
     """Uniform service-time inflation: ``svc * factor + extra_us``.
@@ -191,10 +187,6 @@ class LatencyInflation(ServiceFaultWrapper):
 
     def _fault_svc_batch(self, svc: np.ndarray, first_index: int) -> np.ndarray:
         return svc * self.factor + self.extra_us
-
-    def _expected_service(self, op: OpType, size: int, sequential: bool) -> float:
-        """Wrapped device's analytic mean through the inflation."""
-        return self.inner.service_time_us(op, size, sequential) * self.factor + self.extra_us
 
 
 class TransientStalls(ServiceFaultWrapper):
@@ -237,10 +229,6 @@ class TransientStalls(ServiceFaultWrapper):
     def _fault_svc_batch(self, svc: np.ndarray, first_index: int) -> np.ndarray:
         ordinals = first_index + 1 + np.arange(len(svc), dtype=np.int64)
         return np.where(ordinals % self.every == 0, svc + self.stall_us, svc)
-
-    def _expected_service(self, op: OpType, size: int, sequential: bool) -> float:
-        """Mean service including the amortised stall share."""
-        return self.inner.service_time_us(op, size, sequential) + self.stall_us / self.every
 
 
 class MidTraceSwitch(StorageDevice):
@@ -322,10 +310,6 @@ class MidTraceSwitch(StorageDevice):
             parts.append(self.degraded.service_batch(ops[k:], lbas[k:], sizes[k:]))
         self._index += n
         return np.concatenate([np.asarray(p, dtype=np.float64) for p in parts])
-
-    def _expected_service(self, op: OpType, size: int, sequential: bool) -> float:
-        """Healthy-phase analytic mean (the pre-fault steady state)."""
-        return self.healthy.service_time_us(op, size, sequential)
 
 
 class DegradedRaid1(StorageDevice):
@@ -483,7 +467,3 @@ class DegradedRaid1(StorageDevice):
                 np.maximum.at(out, np.asarray(idx, dtype=np.intp), svc)
         self._host_count += len(np.asarray(ops))
         return out
-
-    def _expected_service(self, op: OpType, size: int, sequential: bool) -> float:
-        """First survivor's analytic mean (mirrors are homogeneous)."""
-        return self.survivors[0].service_time_us(op, size, sequential)

@@ -770,23 +770,3 @@ class FlashSSD(StorageDevice):
             if prog_done > finish:
                 finish = prog_done
         return finish
-
-    def _expected_service(self, op: OpType, size: int, sequential: bool) -> float:
-        """Analytic nominal :math:`T_{sdev}` for a request shape.
-
-        Reads: page read + transfers, divided by the parallelism the
-        request's page span can exploit.  Buffered writes: the buffer
-        acknowledgement path.
-        """
-        g = self.geometry
-        n_pages = max(1, (size + g.page_sectors - 1) // g.page_sectors)
-        if op is OpType.READ:
-            lanes = min(n_pages, g.channels)
-            waves = (n_pages + lanes - 1) // lanes
-            return g.read_us + waves * g.page_transfer_us + (waves - 1) * g.read_us
-        nbytes = size * SECTOR_BYTES
-        if g.write_buffer_kb > 0 and nbytes <= g.write_buffer_kb * 1024:
-            return g.buffer_write_us + nbytes / (self.channel.bandwidth_mb_s * 4)
-        lanes = min(n_pages, g.total_dies)
-        waves = (n_pages + lanes - 1) // lanes
-        return waves * (g.page_transfer_us + g.program_us)

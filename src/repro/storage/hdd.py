@@ -244,16 +244,6 @@ class HDDModel(StorageDevice):
         backlog_us = max(0.0, self._cache_drain_at - now)
         return backlog_us + size * self.geometry.transfer_us_per_sector < full_drain_us
 
-    def _expected_service(self, op: OpType, size: int, sequential: bool) -> float:
-        """Analytic mean :math:`T_{sdev}` (used by calibration code)."""
-        transfer = size * self.geometry.transfer_us_per_sector
-        if sequential:
-            return transfer
-        avg_distance = max(1.0, self.geometry.cylinders / 3.0)
-        mean_seek = self.geometry.seek_us(int(avg_distance))
-        mean_rotation = self.geometry.rotation_us / 2.0
-        return mean_seek + mean_rotation + transfer
-
     @property
     def expected_movd_us(self) -> float:
         """Analytic mean moving delay (seek + half rotation).

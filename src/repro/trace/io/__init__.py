@@ -37,7 +37,7 @@ from .bulk import (
 )
 from .cache import TraceStore, default_trace_store_dir, get_default_store, set_default_store
 from .fingerprint import file_sha256, trace_digest
-from .reader import TraceReader, TraceStreamError, iter_complete_lines
+from .reader import TraceReader, TraceStreamError
 from .store import (
     STORE_FORMAT_VERSION,
     TraceStoreError,
@@ -64,5 +64,4 @@ __all__ = [
     "set_default_store",
     "TraceReader",
     "TraceStreamError",
-    "iter_complete_lines",
 ]

@@ -267,14 +267,11 @@ _DIALECTS = {
 # ----------------------------------------------------------------------
 
 
-def _text_blocks(handle: IO[str], tail: bool = False) -> Iterator[tuple[str, int]]:
+def _text_blocks(handle: IO[str]) -> Iterator[tuple[str, int]]:
     """Whole-line text blocks of an open file, each with its first line number.
 
-    A final fragment with no newline is one more block, or, with
-    ``tail``, held back: a concurrently-appending writer may be
-    mid-write, and its torn prefix would either fail to parse or —
-    worse — parse *successfully* into a wrong row (``"123456.000,80"``
-    is a valid prefix of ``"123456.000,8000,…"``).
+    A final fragment with no newline is one more block: at the end of
+    the file it is a complete record.
     """
     lineno = 1
     pending = ""
@@ -290,7 +287,7 @@ def _text_blocks(handle: IO[str], tail: bool = False) -> Iterator[tuple[str, int
         pending = data[cut:]
         yield _lf(text), lineno
         lineno += text.count("\n")
-    if pending and not tail:
+    if pending:
         yield _lf(pending), lineno
 
 

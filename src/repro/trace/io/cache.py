@@ -54,9 +54,6 @@ class TraceStore:
         A disabled store never touches disk: :meth:`load` always
         misses and :meth:`get_or_build` always builds.  This keeps one
         code path for cached and cache-free runs.
-    mmap:
-        Memory-map loads (the default) — cheap for the many-workers
-        case where every process reads the same catalog traces.
     lake:
         Optional result-lake catalog database path.  When set, every
         entry the store *materialises* (a build miss) is registered in
@@ -70,12 +67,10 @@ class TraceStore:
         self,
         root: str | Path | None = None,
         enabled: bool = True,
-        mmap: bool = True,
         lake: str | Path | None = None,
     ) -> None:
         self.root = Path(root) if root is not None else default_trace_store_dir()
         self.enabled = enabled
-        self.mmap = mmap
         self.lake = Path(lake) if lake is not None else None
         self.hits = 0
         self.misses = 0
@@ -101,7 +96,9 @@ class TraceStore:
     def load(self, key: str) -> BlockTrace | None:
         """The stored trace for ``key``, or ``None`` on a miss.
 
-        Corrupt and wrong-version entries count as misses; the caller
+        Columns are memory-mapped, which is cheap when every worker
+        process reads the same catalog traces.  Corrupt and
+        wrong-version entries count as misses; the caller
         rebuilds and overwrites them.  A corrupt (truncated, torn)
         entry is additionally quarantined to ``<entry>.bad`` with a
         logged warning, so the broken bytes cannot shadow the rebuilt
@@ -114,7 +111,7 @@ class TraceStore:
             self.misses += 1
             return None
         try:
-            trace = load_trace_npz(path, mmap=self.mmap)
+            trace = load_trace_npz(path, mmap=True)
         except TraceStoreError as exc:
             self._quarantine(path, exc)
             self.misses += 1

@@ -26,46 +26,21 @@ the stream's timeline.
 
 A malformed row raises :class:`~repro.trace.parsers.TraceParseError`
 with its line number in the file, whatever the chunk size.
-
-``tail=True`` hardens the reader against a file that is still being
-written: only newline-terminated lines are parsed, so a torn partial
-line at the current end of file is *held back* rather than raised on
-or — worse — silently parsed into a wrong row.  See
-:func:`iter_complete_lines`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from pathlib import Path
-from typing import IO
 
 from ..trace import BlockTrace
 from .bulk import BULK_PARSERS, _iter_traces, _text_blocks
 
-__all__ = ["TraceReader", "TraceStreamError", "iter_complete_lines"]
+__all__ = ["TraceReader", "TraceStreamError"]
 
 
 class TraceStreamError(ValueError):
     """A trace file cannot be streamed in chunks (out-of-order segments)."""
-
-
-def iter_complete_lines(handle: IO[str]) -> Iterator[str]:
-    """Yield only newline-terminated lines from ``handle``.
-
-    The tail-safe line discipline: a trailing fragment with no newline
-    is held back, never yielded, because a concurrently-appending
-    writer may be mid-write — emitting the torn prefix would either
-    fail to parse or, worse, parse *successfully* into a wrong row.
-    If the writer completes the line while this pass is still reading,
-    the whole line is delivered exactly once; a fragment still torn at
-    end of file is left for the next pass (the streaming service's
-    sources re-poll from a byte cursor for exactly this reason).
-
-    Yielded lines carry no trailing newline.
-    """
-    for text, _ in _text_blocks(handle, tail=True):
-        yield from text[:-1].split("\n")
 
 
 class TraceReader:
@@ -82,14 +57,6 @@ class TraceReader:
     chunk_requests:
         Rows per yielded chunk; only the last one may hold fewer (the
         streaming pipeline's working-set knob).
-    tail:
-        Treat the file as possibly still being written: parse only
-        newline-terminated lines, holding a torn trailing fragment
-        back instead of raising on it or parsing it into a wrong row.
-        Growth that lands while the read is in progress is picked up;
-        a fragment still torn at end of file is simply not part of
-        this pass.  The default (``False``) keeps the whole-file
-        contract where a final unterminated line is a complete record.
 
     Iterating yields non-overlapping chunks in time order; ``read()``
     concatenates them into the same trace a whole-file load produces.
@@ -101,7 +68,6 @@ class TraceReader:
         fmt: str = "internal",
         name: str | None = None,
         chunk_requests: int = 100_000,
-        tail: bool = False,
     ) -> None:
         if fmt != "npz" and fmt not in BULK_PARSERS:
             raise ValueError(
@@ -113,7 +79,6 @@ class TraceReader:
         self.fmt = fmt
         self.name = name if name is not None else self.path.stem
         self.chunk_requests = chunk_requests
-        self.tail = tail
 
     def __iter__(self) -> Iterator[BlockTrace]:
         return (chunk for chunk in self._chunks() if len(chunk))
@@ -134,7 +99,7 @@ class TraceReader:
             return
         previous_end = 0.0
         with self.path.open("r", encoding="utf-8") as handle:
-            blocks = _text_blocks(handle, tail=self.tail)
+            blocks = _text_blocks(handle)
             for index, chunk in enumerate(
                 _iter_traces(self.fmt, blocks, self.name, self.chunk_requests)
             ):

@@ -251,6 +251,19 @@ def _two_workload_spec() -> CampaignSpec:
     )
 
 
+def _synthetic_spec(n_points: int) -> CampaignSpec:
+    """Cheap deterministic points, one per ``n_requests`` value."""
+    return CampaignSpec(
+        name="cli-chaos",
+        action="synthetic",
+        workloads=("MSNFS",),
+        devices=(DeviceSpec("new", "new-node"),),
+        methods=("revision",),
+        n_requests=tuple(range(100, 100 + n_points)),
+        options={"iters_per_request": 3},
+    )
+
+
 class TestEngine:
     def test_in_process_run(self):
         table = run_campaign(_tiny_spec())
@@ -270,13 +283,19 @@ class TestEngine:
         assert "Campaign report: tiny" in report and "| workload |" in report
 
     def test_corrupt_checkpoint_recomputed(self, tmp_path: Path):
+        """A segment with no decodable line is quarantined on resume;
+        its point recomputes and the degradation is logged."""
         out = tmp_path / "camp"
         spec = _tiny_spec()
-        CampaignEngine(spec, out_dir=out, checkpoint_format="json").run()
-        key = expand(spec).keys()[0]
-        (out / "runs" / f"{key}.json").write_text("{not json")
-        result = CampaignEngine(spec, out_dir=out, checkpoint_format="json").run()
-        assert result.n_computed == 1
+        first = CampaignEngine(spec, out_dir=out).run()
+        (segment,) = (out / "runs").glob("segment-*.jsonl")
+        segment.write_bytes(b"\x00\xff not one json line\n")
+        result = CampaignEngine(spec, out_dir=out).run()
+        assert result.n_computed == 1 and result.n_resumed == 0
+        assert result.table == first.table
+        assert result.n_degraded == 1
+        assert segment.name in (out / "degraded.log").read_text(encoding="utf-8")
+        assert (out / "runs" / f"{segment.name}.bad").exists()
 
     def test_torn_segment_line_recomputed(self, tmp_path: Path):
         """A crash mid-append leaves a torn line; that point recomputes."""
@@ -382,6 +401,36 @@ class TestCli:
         assert "| workload |" in captured.out
         assert "partial campaign: 1/1" in captured.err
 
+    def test_interrupted_rerun_leaves_no_stale_aggregate(
+        self, tmp_path: Path, capsys, monkeypatch
+    ):
+        """A rerun that fails part-way removes the older, smaller
+        aggregate first, so ``report`` rebuilds from the checkpoints and
+        says the campaign is partial instead of printing old rows."""
+        import repro.campaign.engine as engine_mod
+
+        spec = _synthetic_spec(8)
+        out = tmp_path / "out"
+        CampaignEngine(spec.with_limit(2), out_dir=out).run()
+        original = engine_mod.run_point
+        computed = []
+
+        def failing_run_point(spec, point):
+            if len(computed) == 4:
+                raise RuntimeError("simulated failure")
+            computed.append(point)
+            return original(spec, point)
+
+        monkeypatch.setattr(engine_mod, "run_point", failing_run_point)
+        with pytest.raises(RuntimeError, match="simulated failure"):
+            CampaignEngine(spec, out_dir=out).run()
+        for name in ("results.npz", "results.csv", "report.md"):
+            assert not (out / name).exists(), name
+        assert cli_main(["report", str(out), "--format", "csv"]) == 0
+        captured = capsys.readouterr()
+        assert "partial campaign: 6/8" in captured.err
+        assert len(captured.out.splitlines()) == 1 + 6  # header + rows
+
     def test_bad_inputs(self, tmp_path: Path, capsys):
         missing = tmp_path / "nope.yaml"
         assert cli_main(["run", str(missing)]) == 2
@@ -394,17 +443,8 @@ class TestCliResilience:
     aggregate recovery in ``report``."""
 
     def _write_spec(self, tmp_path: Path, n_points: int = 3) -> Path:
-        spec = CampaignSpec(
-            name="cli-chaos",
-            action="synthetic",
-            workloads=("MSNFS",),
-            devices=(DeviceSpec("new", "new-node"),),
-            methods=("revision",),
-            n_requests=tuple(range(100, 100 + n_points)),
-            options={"iters_per_request": 3},
-        )
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec.to_dict()))
+        path.write_text(json.dumps(_synthetic_spec(n_points).to_dict()))
         return path
 
     def test_chaos_forces_supervised_and_recovers(self, tmp_path: Path, capsys):

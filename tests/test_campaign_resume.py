@@ -62,28 +62,27 @@ def counted_run_point(monkeypatch):
     return install
 
 
-@pytest.mark.parametrize("fmt", ["segments", "json"])
-def test_interrupt_then_resume_is_identical(tmp_path: Path, counted_run_point, fmt: str):
+def test_interrupt_then_resume_is_identical(tmp_path: Path, counted_run_point):
     spec = _spec()
     n_points = len(expand(spec))
     assert n_points == 6
 
     # Ground truth: one uninterrupted run.
-    clean = CampaignEngine(spec, out_dir=tmp_path / "clean", checkpoint_format=fmt).run()
+    clean = CampaignEngine(spec, out_dir=tmp_path / "clean").run()
 
     # Interrupted run: the engine dies after 2 completed points...
     out = tmp_path / "killed"
     killer = counted_run_point(kill_after=2)
     with pytest.raises(KeyboardInterrupt):
-        CampaignEngine(spec, out_dir=out, checkpoint_format=fmt).run()
+        CampaignEngine(spec, out_dir=out).run()
     assert killer.calls == 2
-    # ...but both completed points are on disk (segment lines or files).
+    # ...but both completed points are on disk as segment lines.
     assert len(_scan_checkpoints(out, expand(spec).keys())) == 2
     assert not (out / "results.npz").exists()  # no aggregate yet
 
     # ...and the restart computes exactly the missing keys, none twice.
     counter = counted_run_point()
-    resumed = CampaignEngine(spec, out_dir=out, checkpoint_format=fmt).run()
+    resumed = CampaignEngine(spec, out_dir=out).run()
     assert counter.calls == n_points - 2
     assert resumed.n_resumed == 2 and resumed.n_computed == n_points - 2
 
@@ -92,7 +91,7 @@ def test_interrupt_then_resume_is_identical(tmp_path: Path, counted_run_point, f
 
     # A third run touches nothing at all.
     counter2 = counted_run_point()
-    again = CampaignEngine(spec, out_dir=out, checkpoint_format=fmt).run()
+    again = CampaignEngine(spec, out_dir=out).run()
     assert counter2.calls == 0
     assert again.n_resumed == n_points and again.table == clean.table
 
@@ -190,7 +189,7 @@ class TestWorkStealingResume:
         # finishes... and the process dies before the queue drains.
         out = tmp_path / "killed"
         out.mkdir()
-        context = (spec.to_dict(), str(out), "segments", None, None)
+        context = (spec.to_dict(), str(out), None, None)
         chunks = plan.chunks(4)
         done: set[int] = set()
         try:

@@ -1,11 +1,10 @@
-"""Segment checkpoint format: append-only semantics, mixing, scanning.
+"""Segment checkpoints: append-only semantics and scanning.
 
 The resume *contract* (kill → restart → zero recomputation → identical
-table) is asserted for both formats in ``test_campaign_resume.py``;
-this file pins the segment mechanics: files are append-only across
-runs, torn lines are tolerated, the two formats mix freely, the resume
-scan needs exactly one directory listing, and ``spec.json`` is not
-rewritten when nothing changed.
+table) is asserted in ``test_campaign_resume.py``; this file pins the
+segment mechanics: files are append-only across runs, torn lines are
+tolerated, the newest line of a key wins, files that are not segments
+are ignored, and ``spec.json`` is not rewritten when nothing changed.
 """
 
 from __future__ import annotations
@@ -17,11 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import CampaignEngine, CampaignSpec, DeviceSpec, expand
-from repro.campaign.engine import (
-    _scan_checkpoints,
-    _SegmentWriter,
-    _write_checkpoint,
-)
+from repro.campaign.cli import main as cli_main
+from repro.campaign.engine import _scan_checkpoints, _SegmentWriter
 
 
 def _spec(workloads=("MSNFS", "ikki")) -> CampaignSpec:
@@ -66,16 +62,16 @@ class TestSegmentWriter:
         writer.append("other-campaign", {"a": 9})
         writer.close()
         (tmp_path / "runs" / "notes.txt").write_text("not a checkpoint")
-        _write_checkpoint(tmp_path, "filed", {"b": 2})
+        (tmp_path / "runs" / "filed.json").write_text(json.dumps({"key": "filed", "row": {}}))
         rows = _scan_checkpoints(tmp_path, ["wanted", "filed", "missing"])
-        assert rows == {"wanted": {"a": 1}, "filed": {"b": 2}}
+        assert rows == {"wanted": {"a": 1}}
 
     def test_scan_on_missing_dir(self, tmp_path: Path):
         assert _scan_checkpoints(tmp_path / "nope", ["k"]) == {}
 
     def test_duplicate_keys_newest_file_wins(self, tmp_path: Path):
         """A rerun's refreshed rows shadow stale ones, regardless of
-        segment filename order or format."""
+        segment filename order."""
         stale = _SegmentWriter(tmp_path)
         stale.append("k", {"v": "stale"})
         stale.close()
@@ -90,13 +86,8 @@ class TestSegmentWriter:
         os.utime(old_seg, ns=(1_000, 1_000))
         os.utime(new_seg, ns=(2_000, 2_000))
         assert _scan_checkpoints(tmp_path, ["k"]) == {"k": {"v": "fresh"}}
-        # A newer per-point JSON beats every older segment line...
-        _write_checkpoint(tmp_path, "k", {"v": "json"})
-        os.utime(tmp_path / "runs" / "k.json", ns=(3_000, 3_000))
-        assert _scan_checkpoints(tmp_path, ["k"]) == {"k": {"v": "json"}}
-        # ...and an older one does not.
-        os.utime(tmp_path / "runs" / "k.json", ns=(500, 500))
-        assert _scan_checkpoints(tmp_path, ["k"]) == {"k": {"v": "fresh"}}
+        os.utime(old_seg, ns=(3_000, 3_000))
+        assert _scan_checkpoints(tmp_path, ["k"]) == {"k": {"v": "stale"}}
 
     def test_later_lines_win_within_a_segment(self, tmp_path: Path):
         writer = _SegmentWriter(tmp_path)
@@ -120,20 +111,23 @@ class TestEngineSegmentSemantics:
         for name, content in before.items():
             assert after[name] == content
 
-    def test_formats_mix_across_runs(self, tmp_path: Path):
-        """Points checkpointed as JSON files resume under segments and
-        vice versa — one campaign directory, both formats."""
+    def test_leftover_json_checkpoint_ignored(self, tmp_path: Path):
+        """A per-point ``runs/<key>.json`` an older version wrote is not
+        a checkpoint: its point recomputes and the file is untouched."""
+        spec = _spec()
+        clean = CampaignEngine(spec, out_dir=tmp_path / "clean").run()
         out = tmp_path / "camp"
-        json_run = CampaignEngine(
-            _spec(("MSNFS",)), out_dir=out, checkpoint_format="json"
-        ).run()
-        grown = CampaignEngine(_spec(("MSNFS", "ikki")), out_dir=out).run()
-        assert json_run.n_computed == 1
-        assert grown.n_resumed == 1 and grown.n_computed == 1
-        again = CampaignEngine(
-            _spec(("MSNFS", "ikki")), out_dir=out, checkpoint_format="json"
-        ).run()
-        assert again.n_resumed == 2 and again.n_computed == 0
+        key = expand(spec).keys()[0]
+        leftover = out / "runs" / f"{key}.json"
+        leftover.parent.mkdir(parents=True)
+        payload = json.dumps({"key": key, "row": {"workload": "stale"}})
+        leftover.write_text(payload, encoding="utf-8")
+        result = CampaignEngine(spec, out_dir=out).run()
+        assert result.n_resumed == 0 and result.n_computed == len(expand(spec))
+        assert result.table == clean.table
+        assert leftover.read_text(encoding="utf-8") == payload
+        others = [p.name for p in (out / "runs").iterdir() if not p.name.startswith("segment-")]
+        assert others == [leftover.name]  # not quarantined, nothing beside it
 
     def test_spec_json_not_rewritten_when_unchanged(self, tmp_path: Path):
         out = tmp_path / "camp"
@@ -149,15 +143,20 @@ class TestEngineSegmentSemantics:
             "MSNFS", "ikki", "CFS",
         ]
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError, match="checkpoint format"):
-            CampaignEngine(_spec(), checkpoint_format="parquet")
+    def test_unknown_format_rejected(self, tmp_path: Path, capsys):
+        """Segments are the only checkpoint format: naming any is refused."""
+        with pytest.raises(TypeError, match="checkpoint_format"):
+            CampaignEngine(_spec(), checkpoint_format="segments")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(_spec().to_dict()))
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["run", str(spec_path), "--checkpoint-format", "json"])
+        assert exited.value.code == 2
+        assert "--checkpoint-format" in capsys.readouterr().err
 
-    def test_jobs_segments_match_inline_json(self, tmp_path: Path):
+    def test_jobs_segments_match_inline(self, tmp_path: Path):
         spec = _spec(("MSNFS", "ikki", "CFS"))
-        inline = CampaignEngine(
-            spec, out_dir=tmp_path / "a", jobs=1, checkpoint_format="json"
-        ).run()
+        inline = CampaignEngine(spec, out_dir=tmp_path / "a", jobs=1).run()
         sharded = CampaignEngine(spec, out_dir=tmp_path / "b", jobs=3).run()
         assert inline.table == sharded.table
         # every point checkpointed exactly once, across worker segments

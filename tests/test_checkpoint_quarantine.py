@@ -1,16 +1,14 @@
 """Resume-scan hardening: corrupt checkpoints quarantine, never raise.
 
-Satellite of ISSUE 9: a corrupt or truncated ``runs/<key>.json`` (not
-just a torn trailing segment line) is renamed to ``<key>.json.bad`` and
-its point re-queued; a segment file with zero decodable lines is
-quarantined whole; a merely-torn segment tail keeps losing only the
-torn line.  Every quarantine leaves a ``degraded.log`` line and counts
-into :attr:`CampaignResult.n_degraded`.
+A segment file with zero decodable lines is quarantined whole (renamed
+``<segment>.bad``) and its points re-queued; a merely-torn segment tail
+keeps losing only the torn line.  Every quarantine leaves a
+``degraded.log`` line and counts into
+:attr:`CampaignResult.n_degraded`.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.campaign import CampaignEngine, CampaignSpec, DeviceSpec, expand
@@ -29,55 +27,10 @@ def _spec(n_points: int = 4) -> CampaignSpec:
     )
 
 
-def _complete_json_campaign(out_dir: Path) -> list[str]:
-    """Run a campaign in per-point JSON format; returns its run keys."""
-    CampaignEngine(_spec(), out_dir=out_dir, checkpoint_format="json").run()
-    return expand(_spec()).keys()
-
-
-class TestCorruptJsonCheckpoint:
-    def test_truncated_json_quarantined_and_requeued(self, tmp_path: Path):
-        out = tmp_path / "camp"
-        keys = _complete_json_campaign(out)
-        victim = out / "runs" / f"{keys[1]}.json"
-        victim.write_text(victim.read_text(encoding="utf-8")[: victim.stat().st_size // 2])
-
-        found = _scan_checkpoints(out, keys)
-        assert keys[1] not in found  # re-queued, not raised
-        assert set(found) == set(keys) - {keys[1]}
-        assert (out / "runs" / f"{keys[1]}.json.bad").exists()
-        assert not victim.exists()
-
-    def test_wrong_shape_payload_quarantined(self, tmp_path: Path):
-        out = tmp_path / "camp"
-        keys = _complete_json_campaign(out)
-        victim = out / "runs" / f"{keys[2]}.json"
-        victim.write_text(json.dumps({"key": keys[2], "row": "not-a-dict"}))
-
-        found = _scan_checkpoints(out, keys)
-        assert keys[2] not in found
-        assert (out / "runs" / f"{keys[2]}.json.bad").exists()
-
-    def test_resume_recomputes_only_the_quarantined_point(self, tmp_path: Path):
-        clean = CampaignEngine(
-            _spec(), out_dir=tmp_path / "clean", checkpoint_format="json"
-        ).run()
-        out = tmp_path / "camp"
-        keys = _complete_json_campaign(out)
-        (out / "runs" / f"{keys[0]}.json").write_text("{ torn", encoding="utf-8")
-
-        resumed = CampaignEngine(_spec(), out_dir=out, checkpoint_format="json").run()
-        assert resumed.n_computed == 1 and resumed.n_resumed == len(keys) - 1
-        assert resumed.table == clean.table
-        assert resumed.n_degraded >= 1
-        degraded = (out / "degraded.log").read_text(encoding="utf-8")
-        assert keys[0] in degraded
-
-
 class TestCorruptSegment:
     def test_all_garbage_segment_quarantined_whole(self, tmp_path: Path):
         out = tmp_path / "camp"
-        CampaignEngine(_spec(), out_dir=out).run()  # segments format
+        CampaignEngine(_spec(), out_dir=out).run()
         keys = expand(_spec()).keys()
         segments = sorted((out / "runs").glob("segment-*.jsonl"))
         assert segments

@@ -78,14 +78,6 @@ class TestLatencyInflation:
             svc, np.where(ops == 0, 50.0 * 1.5 + 3.0, 80.0 * 1.5 + 3.0)
         )
 
-    def test_expected_service_inflated(self):
-        inner = _const()
-        device = LatencyInflation(_const(), factor=3.0, extra_us=1.0)
-        for op in (OpType.READ, OpType.WRITE):
-            assert device.service_time_us(op, 8, True) == (
-                inner.service_time_us(op, 8, True) * 3.0 + 1.0
-            )
-
     def test_rejects_speedups(self):
         with pytest.raises(ValueError, match="factor must be >= 1"):
             LatencyInflation(_const(), factor=0.5)
@@ -121,13 +113,6 @@ class TestTransientStalls:
         second = device.service_batch(ops, lbas, sizes)  # ordinals 4..6
         np.testing.assert_array_equal(first, [10.0, 10.0, 10.0])
         np.testing.assert_array_equal(second, [110.0, 10.0, 10.0])
-
-    def test_expected_service_amortises_stall(self):
-        device = TransientStalls(_const(read_us=10.0), every=5, stall_us=100.0)
-        inner = _const(read_us=10.0)
-        assert device.service_time_us(OpType.READ, 8, True) == (
-            inner.service_time_us(OpType.READ, 8, True) + 100.0 / 5
-        )
 
     def test_rejects_degenerate_periods(self):
         with pytest.raises(ValueError, match="at least 1"):

@@ -86,7 +86,3 @@ class TestConstantLatencyDevice:
             const_device.submit(OpType.READ, 0, 0, 0.0)
         with pytest.raises(ValueError):
             const_device.submit(OpType.READ, -5, 8, 0.0)
-
-    def test_expected_service(self, const_device):
-        assert const_device.service_time_us(OpType.READ, 8, sequential=True) == 100.0
-        assert const_device.service_time_us(OpType.WRITE, 8, sequential=False) == 200.0

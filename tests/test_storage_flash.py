@@ -84,12 +84,6 @@ class TestFlashSSD:
         b = ssd.submit(OpType.READ, 123, 32, 0.0).finish
         assert a == b
 
-    def test_expected_service_read_scale(self):
-        ssd = FlashSSD()
-        assert ssd.service_time_us(OpType.READ, 8, True) < ssd.service_time_us(
-            OpType.READ, 16 * 200, True
-        )
-
 
 class TestFlashArray:
     def test_paper_array_shape(self):

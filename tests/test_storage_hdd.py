@@ -112,10 +112,3 @@ class TestHDDModel:
         hdd = HDDModel()
         # Half a rotation is 4.17 ms; seeks add several ms.
         assert 5_000 < hdd.expected_movd_us < 25_000
-
-    def test_expected_service_matches_structure(self):
-        hdd = HDDModel()
-        seq = hdd.service_time_us(OpType.READ, 8, sequential=True)
-        rand = hdd.service_time_us(OpType.READ, 8, sequential=False)
-        assert seq == pytest.approx(8 * hdd.geometry.transfer_us_per_sector)
-        assert rand == pytest.approx(seq + hdd.expected_movd_us)

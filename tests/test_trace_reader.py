@@ -164,12 +164,6 @@ class TestBlockEdges:
         assert_identical(load_trace(path, fmt=fmt), clean)
         assert_identical(TraceReader(path, fmt=fmt, chunk_requests=7).read(), clean)
 
-    def test_torn_tail_is_held(self, trace_files, tmp_path):
-        clean = load_trace(trace_files["internal"])
-        path = tmp_path / "grow.csv"
-        path.write_bytes(messy(trace_files["internal"].read_text()).encode() + b"99999999.000,80")
-        assert_identical(TraceReader(path, tail=True, chunk_requests=7).read(), clean)
-
     @pytest.mark.parametrize("chunk_requests", [10_000, 300])
     def test_unsorted_chunk_over_many_blocks_sorts_like_the_oracle(self, tmp_path, chunk_requests):
         rng = np.random.default_rng(11)
@@ -341,7 +335,7 @@ class TestEdges:
 
 
 class TestTailMode:
-    """tail=True: torn trailing lines are held, never parsed or raised on."""
+    """The end of the file: a final line with no newline is a complete record."""
 
     @staticmethod
     def _internal_file(tmp_path, n=60):
@@ -358,80 +352,9 @@ class TestTailMode:
             write_csv(trace, handle)
         return path, trace
 
-    def test_static_torn_tail_is_held(self, tmp_path):
-        path, trace = self._internal_file(tmp_path)
-        with path.open("a") as handle:
-            handle.write("6000.000,480")  # torn mid-write, no newline
-        got = TraceReader(path, tail=True).read()
-        assert len(got) == len(trace)
-        np.testing.assert_array_equal(got.timestamps, trace.timestamps)
-
     def test_default_mode_still_parses_final_unterminated_line(self, tmp_path):
         path, trace = self._internal_file(tmp_path)
         raw = path.read_text()
         path.write_text(raw.rstrip("\n"))  # complete line, just no newline
         got = TraceReader(path).read()
         assert len(got) == len(trace)
-
-    def test_torn_tail_completes_on_later_pass(self, tmp_path):
-        path, trace = self._internal_file(tmp_path)
-        with path.open("a") as handle:
-            handle.write("6000.000,480")
-        assert len(TraceReader(path, tail=True).read()) == len(trace)
-        with path.open("a") as handle:
-            handle.write(",8,R\n")
-        got = TraceReader(path, tail=True).read()
-        assert len(got) == len(trace) + 1
-        assert got.timestamps[-1] == 6000.0
-
-    def test_concurrently_appending_writer(self, tmp_path):
-        """A live writer appending in torn slices never corrupts a read."""
-        import threading
-        import time
-
-        n = 120
-        ts = np.arange(n, dtype=float) * 50.0
-        full = BlockTrace(
-            timestamps=ts,
-            lbas=np.arange(n) * 8,
-            sizes=np.full(n, 8),
-            ops=np.zeros(n, dtype=int),
-            name="live",
-        )
-        import io
-
-        buffer = io.StringIO()
-        write_csv(full, buffer)
-        payload = buffer.getvalue().encode()
-
-        path = tmp_path / "live.csv"
-        path.write_bytes(payload[:40])  # header + a torn first row
-
-        def writer():
-            offset = 40
-            while offset < len(payload):
-                step = 97  # deliberately misaligned with line boundaries
-                with path.open("ab") as handle:
-                    handle.write(payload[offset : offset + step])
-                offset += step
-                time.sleep(0.002)
-
-        thread = threading.Thread(target=writer)
-        thread.start()
-        try:
-            deadline = time.monotonic() + 30.0
-            seen = -1
-            while time.monotonic() < deadline:
-                got = TraceReader(path, tail=True).read()  # must never raise
-                assert len(got) >= seen  # monotone growth, only complete rows
-                seen = len(got)
-                if got.timestamps is not None and len(got):
-                    np.testing.assert_array_equal(
-                        got.timestamps, full.timestamps[: len(got)]
-                    )
-                if len(got) == n:
-                    break
-                time.sleep(0.005)
-        finally:
-            thread.join()
-        assert seen == n
