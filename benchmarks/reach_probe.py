@@ -5,7 +5,7 @@ Runs, in this one process under ``sys.setprofile`` and
 
 - the four timed regions of ``perfbench/rep.py``, on inputs that
   ``perfbench/inputs.py`` writes at perfbench's sizes;
-- ``repro.experiments.runner --fast --no-cache --no-trace-store``;
+- ``repro.experiments.runner --fast --no-trace-store``;
 - every ``examples/*.yaml`` through ``repro-campaign run --jobs 1``,
   so each campaign point runs in this process.
 
@@ -99,7 +99,7 @@ def run_workloads(seed: int, work: Path, codes: dict[int, object]) -> None:
         with probed(codes), contextlib.redirect_stdout(sink):
             region(inp, out)
         print(f"probed {workload}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
-    argv = ["--fast", "--no-cache", "--no-trace-store", "--out", str(work / "report.txt")]
+    argv = ["--fast", "--no-trace-store", "--out", str(work / "report.txt")]
     start = time.perf_counter()
     with probed(codes), contextlib.redirect_stdout(sink):
         runner.main(argv)

@@ -31,6 +31,7 @@ import sys
 from pathlib import Path
 
 from ..perf import PerfRecorder
+from ..resilience import run_cli_command
 from .engine import CampaignEngine, _scan_checkpoints
 from .plan import expand, run_key
 from .results import ResultsTable
@@ -263,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return run_cli_command(args.func, args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,35 +12,26 @@ The heavy lifting is done by :class:`ParallelRunner`:
   its parameters, so they execute across a
   :class:`concurrent.futures.ProcessPoolExecutor` (``--jobs N``; the
   default of 1 keeps single-core boxes fork-free);
-- **result cache** — every experiment is deterministic in
-  ``(experiment id, n_requests, source code)`` (all seeds are fixed
-  constants of the catalog), so results are pickled under a key that
-  includes a content hash of the ``repro`` package and reused by later
-  runs of the same code; disable with ``--no-cache`` or point the
-  location elsewhere with ``--cache-dir`` / ``$REPRO_CACHE_DIR``;
 - **binary trace store** — the catalog traces the experiments consume
   are materialised once into the content-keyed ``.npz`` store
   (:class:`repro.trace.io.cache.TraceStore`) and memory-mapped back by
   every later run and every worker process, instead of re-generating
   them per worker; disable with ``--no-trace-store`` or relocate with
-  ``--trace-store-dir`` / ``$REPRO_TRACE_STORE_DIR``.  Unlike the
-  result cache, store entries are keyed by the *content* that defines
-  a trace — spec parameters, device fingerprint, and a hash of the
-  generator/storage-model sources — so they survive edits to every
-  other layer (figures, analysis, metrics) but invalidate the moment
-  trace-producing code changes;
-- **deterministic report** — the report text contains no wall-clock
-  timings, so sequential, parallel, cached and uncached runs emit
+  ``--trace-store-dir`` / ``$REPRO_TRACE_STORE_DIR``.  Store entries
+  are keyed by the *content* that defines a trace — spec parameters,
+  device fingerprint, and a hash of the generator/storage-model
+  sources — so they survive edits to every other layer (figures,
+  analysis, metrics) but invalidate the moment trace-producing code
+  changes;
+- **deterministic report** — every seed is a fixed constant of the
+  catalog and the report text contains no wall-clock timings, so
+  sequential and parallel runs, with or without the trace store, emit
   byte-identical reports (timings go to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
-import hashlib
-import os
-import pickle
 import sys
 import time
 from collections.abc import Callable
@@ -52,27 +43,7 @@ from ..trace.io.cache import TraceStore, default_trace_store_dir, get_default_st
 from . import figures
 from .reporting import format_cdf_series, format_table
 
-__all__ = ["ParallelRunner", "run_all", "main"]
-
-#: Bump when the cache layout itself changes.
-_CACHE_SCHEMA = 1
-
-
-@functools.cache
-def _code_fingerprint() -> str:
-    """Content hash of the ``repro`` package source.
-
-    Folded into every cache key so results cached against one version
-    of the models/figures are never served after the code changes —
-    for a reproduction, a silently stale report is worse than a slow
-    one.
-    """
-    package_root = Path(__file__).resolve().parents[1]
-    digest = hashlib.sha1()
-    for path in sorted(package_root.rglob("*.py")):
-        digest.update(str(path.relative_to(package_root)).encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:12]
+__all__ = ["ParallelRunner", "main"]
 
 #: (experiment id, title, callable returning a result with .rows()).
 _EXPERIMENTS: tuple[tuple[str, str, Callable[[int], object]], ...] = (
@@ -132,14 +103,6 @@ def _compute_with_store_stats(exp_id: str, n_requests: int) -> tuple[object, int
     return result, store.hits - hits, store.misses - misses
 
 
-def default_cache_dir() -> Path:
-    """Cache location: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-tracetracker``."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro-tracetracker"
-
-
 class ParallelRunner:
     """Executes the figure/table experiments, optionally in parallel.
 
@@ -151,13 +114,6 @@ class ParallelRunner:
     jobs:
         Worker processes.  1 (default) runs inline in this process;
         higher values fan experiments out over a process pool.
-    use_cache:
-        Reuse pickled results keyed by ``(schema, code fingerprint,
-        experiment id, n_requests)``.  Experiments are deterministic in
-        those parameters, so a hit reproduces the run exactly; editing
-        any source under ``repro`` invalidates every entry.
-    cache_dir:
-        Cache location; defaults to :func:`default_cache_dir`.
     only:
         Restrict to a subset of experiment ids.
     use_trace_store:
@@ -173,8 +129,6 @@ class ParallelRunner:
         self,
         n_requests: int = 4_000,
         jobs: int = 1,
-        use_cache: bool = False,
-        cache_dir: Path | str | None = None,
         only: set[str] | None = None,
         use_trace_store: bool = False,
         trace_store_dir: Path | str | None = None,
@@ -187,45 +141,11 @@ class ParallelRunner:
                 raise ValueError(f"unknown experiment ids: {sorted(unknown)}")
         self.n_requests = n_requests
         self.jobs = jobs
-        self.use_cache = use_cache
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
         self.only = only
         self.use_trace_store = use_trace_store
         self.trace_store_dir = (
             Path(trace_store_dir) if trace_store_dir is not None else default_trace_store_dir()
         )
-
-    # -- cache ---------------------------------------------------------
-
-    def _cache_path(self, exp_id: str) -> Path:
-        return self.cache_dir / (
-            f"v{_CACHE_SCHEMA}-{_code_fingerprint()}-{exp_id}-n{self.n_requests}.pkl"
-        )
-
-    def _cache_load(self, exp_id: str) -> object | None:
-        if not self.use_cache:
-            return None
-        path = self._cache_path(exp_id)
-        try:
-            with open(path, "rb") as handle:
-                return pickle.load(handle)
-        except Exception:
-            # A missing, truncated, corrupted, or schema-incompatible
-            # entry is never fatal — recompute and overwrite it.
-            return None
-
-    def _cache_store(self, exp_id: str, result: object) -> None:
-        if not self.use_cache:
-            return
-        try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            path = self._cache_path(exp_id)
-            tmp = path.with_suffix(".tmp")
-            with open(tmp, "wb") as handle:
-                pickle.dump(result, handle)
-            os.replace(tmp, path)
-        except (OSError, pickle.PickleError):
-            pass  # caching is best-effort; the result is still returned
 
     # -- execution -----------------------------------------------------
 
@@ -237,82 +157,71 @@ class ParallelRunner:
         ]
 
     def results(self, log: TextIO | None = None) -> dict[str, object]:
-        """Compute (or load) every selected experiment's result object.
+        """Compute every selected experiment's result object.
 
         Returns results keyed by experiment id, in canonical order
         regardless of worker completion order.
         """
         log = log if log is not None else sys.stderr
-        selected = self._selected()
+        ids = [exp_id for exp_id, __ in self._selected()]
         results: dict[str, object] = {}
-        missing: list[str] = []
-        for exp_id, __ in selected:
-            cached = self._cache_load(exp_id)
-            if cached is not None:
-                results[exp_id] = cached
-                log.write(f"[runner] {exp_id}: cache hit\n")
-            else:
-                missing.append(exp_id)
-        if missing:
-            start = time.perf_counter()
-            previous_store = get_default_store()
-            if self.use_trace_store:
-                set_default_store(TraceStore(root=self.trace_store_dir, enabled=True))
-            try:
-                if self.jobs > 1 and len(missing) > 1:
-                    if self.use_trace_store:
-                        initializer, initargs = (
-                            _worker_init_trace_store, (str(self.trace_store_dir),)
-                        )
-                        compute = _compute_with_store_stats
-                    else:
-                        initializer, initargs = None, ()
-                        compute = None
-                    with ProcessPoolExecutor(
-                        max_workers=self.jobs, initializer=initializer, initargs=initargs
-                    ) as pool:
-                        futures = {
-                            exp_id: pool.submit(
-                                compute or _compute_experiment, exp_id, self.n_requests
-                            )
-                            for exp_id in missing
-                        }
-                        for exp_id, future in futures.items():
-                            if compute is not None:
-                                # Fold the workers' store traffic into the
-                                # parent's counters so the stats line below
-                                # reflects what actually happened.
-                                result, hits, misses = future.result()
-                                parent_store = get_default_store()
-                                parent_store.hits += hits
-                                parent_store.misses += misses
-                                results[exp_id] = result
-                            else:
-                                results[exp_id] = future.result()
-                else:
-                    for exp_id in missing:
-                        results[exp_id] = _compute_experiment(exp_id, self.n_requests)
-            finally:
+        start = time.perf_counter()
+        previous_store = get_default_store()
+        if self.use_trace_store:
+            set_default_store(TraceStore(root=self.trace_store_dir, enabled=True))
+        try:
+            if self.jobs > 1 and len(ids) > 1:
                 if self.use_trace_store:
-                    store = get_default_store()
-                    log.write(
-                        f"[trace-store] hits={store.hits} misses={store.misses} "
-                        f"dir={store.root}\n"
+                    initializer, initargs = (
+                        _worker_init_trace_store, (str(self.trace_store_dir),)
                     )
-                    set_default_store(previous_store)
-            log.write(
-                f"[runner] computed {len(missing)} experiment(s) in "
-                f"{time.perf_counter() - start:.1f}s (jobs={self.jobs})\n"
-            )
-            for exp_id in missing:
-                self._cache_store(exp_id, results[exp_id])
-        return {exp_id: results[exp_id] for exp_id, __ in selected}
+                    compute = _compute_with_store_stats
+                else:
+                    initializer, initargs = None, ()
+                    compute = None
+                with ProcessPoolExecutor(
+                    max_workers=self.jobs, initializer=initializer, initargs=initargs
+                ) as pool:
+                    futures = {
+                        exp_id: pool.submit(
+                            compute or _compute_experiment, exp_id, self.n_requests
+                        )
+                        for exp_id in ids
+                    }
+                    for exp_id, future in futures.items():
+                        if compute is not None:
+                            # Fold the workers' store traffic into the
+                            # parent's counters so the stats line below
+                            # reflects what actually happened.
+                            result, hits, misses = future.result()
+                            parent_store = get_default_store()
+                            parent_store.hits += hits
+                            parent_store.misses += misses
+                            results[exp_id] = result
+                        else:
+                            results[exp_id] = future.result()
+            else:
+                for exp_id in ids:
+                    results[exp_id] = _compute_experiment(exp_id, self.n_requests)
+        finally:
+            if self.use_trace_store:
+                store = get_default_store()
+                log.write(
+                    f"[trace-store] hits={store.hits} misses={store.misses} "
+                    f"dir={store.root}\n"
+                )
+                set_default_store(previous_store)
+        log.write(
+            f"[runner] computed {len(ids)} experiment(s) in "
+            f"{time.perf_counter() - start:.1f}s (jobs={self.jobs})\n"
+        )
+        return results
 
     def run(self, out: TextIO = sys.stdout, log: TextIO | None = None) -> None:
         """Compute everything and stream the combined report to ``out``.
 
         The report text is timing-free and therefore identical across
-        sequential/parallel/cached runs with equal parameters.
+        sequential and parallel runs with equal parameters.
         """
         results = self.results(log=log)
         for exp_id, title in self._selected():
@@ -326,11 +235,6 @@ class ParallelRunner:
             if isinstance(series, dict) and series and isinstance(next(iter(series.values())), list):
                 out.write("\nCDF positions:\n")
                 out.write(format_cdf_series(series) + "\n")
-
-
-def run_all(n_requests: int = 4_000, out: TextIO = sys.stdout, only: set[str] | None = None) -> None:
-    """Backwards-compatible sequential, cache-free entry point."""
-    ParallelRunner(n_requests=n_requests, jobs=1, use_cache=False, only=only).run(out=out)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -350,14 +254,6 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes for independent experiments (default 1: inline)",
     )
     parser.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute everything; do not read or write the result cache",
-    )
-    parser.add_argument(
-        "--cache-dir", type=str, default=None,
-        help="result-cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro-tracetracker)",
-    )
-    parser.add_argument(
         "--no-trace-store", action="store_true",
         help="regenerate catalog traces in memory; do not read or write the binary trace store",
     )
@@ -375,8 +271,6 @@ def main(argv: list[str] | None = None) -> int:
         runner = ParallelRunner(
             n_requests=n,
             jobs=args.jobs,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
             only=only,
             use_trace_store=not args.no_trace_store,
             trace_store_dir=args.trace_store_dir,

@@ -39,6 +39,7 @@ import sys
 from pathlib import Path
 
 from ..campaign.results import ResultsTable
+from ..resilience import run_cli_command
 from .catalog import LakeCatalog, LakeError, default_lake_path
 from .ingest import ingest_tree
 
@@ -175,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return run_cli_command(args.func, args)
     except (LakeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

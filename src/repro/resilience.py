@@ -24,6 +24,9 @@ wall-clock of any single unit of work, and prove its liveness cheaply.
   in a pure-Python loop *or* a blocking syscall is interrupted.
 - :func:`write_heartbeat` / :func:`heartbeat_age_s` — liveness as a
   file mtime: one ``utime`` per beat, readable by any supervisor.
+- :func:`run_cli_command` — the one rule of the ``repro-campaign``,
+  ``repro-lake`` and ``repro-serve`` entry points for a reader that
+  closes their stdout early: exit 0, silently.
 
 :mod:`repro.campaign.supervise` re-exports everything here, so the
 historical ``from repro.campaign.supervise import RetryPolicy`` import
@@ -36,6 +39,7 @@ import hashlib
 import os
 import signal
 import sqlite3
+import sys
 import threading
 import time
 from collections.abc import Callable
@@ -51,6 +55,7 @@ __all__ = [
     "classify_error",
     "heartbeat_age_s",
     "retry_call",
+    "run_cli_command",
     "time_limit",
     "write_heartbeat",
 ]
@@ -288,3 +293,34 @@ def heartbeat_age_s(path: Path, now: float | None = None) -> float:
     except OSError:
         return float("inf")
     return max(0.0, (now if now is not None else time.time()) - mtime)
+
+
+# ----------------------------------------------------------------------
+# Command-line exits
+# ----------------------------------------------------------------------
+
+
+def run_cli_command(command: Callable[..., int], *args: Any) -> int:
+    """Run a CLI subcommand; a reader that closes stdout ends it with 0.
+
+    ``repro-campaign plan spec.yaml | head -3`` closes the pipe while
+    the command may still be writing.  That is neither bad input nor a
+    failure, so the ``BrokenPipeError`` ends the command with status 0
+    and no message.  Output still buffered is flushed inside the guard,
+    and after a broken pipe stdout's descriptor points at
+    ``os.devnull``, so the interpreter's exit-time flush cannot complain
+    either.
+    """
+    try:
+        code = command(*args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return 0  # a stream without a descriptor has nothing to flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 0

@@ -2,16 +2,16 @@
 
 The batch pipeline answers "remaster this trace file"; this package
 answers "remaster this trace *as it happens*" — an always-on daemon
-that tails a growing file, watches a segment directory, or listens on
-a socket, and keeps the reconstructed trace, its metrics, and a
-crash-consistent checkpoint continuously up to date on disk.
+that tails one growing trace file and keeps the reconstructed trace,
+its metrics, and a crash-consistent checkpoint continuously up to date
+on disk.
 
 Pieces:
 
-- :mod:`~repro.service.sources` — pluggable line sources with byte
-  cursors and torn-line hold-back;
+- :mod:`~repro.service.sources` — the file tail, with a byte cursor
+  and torn-line hold-back;
 - :mod:`~repro.service.backpressure` — the bounded chunk queue with
-  high/low watermark hysteresis and block/shed policies;
+  high/low watermark hysteresis; a full queue makes ingest wait;
 - :mod:`~repro.service.checkpoint` — atomic resume points (source
   cursor + session state + sink length);
 - :mod:`~repro.service.daemon` — the service itself: ingest, pipeline,
@@ -27,22 +27,13 @@ across SIGKILL and restart.
 from .backpressure import BoundedChunkQueue
 from .checkpoint import StreamCheckpoint, load_checkpoint, save_checkpoint
 from .daemon import ServiceConfig, StreamingReconstructionService
-from .sources import (
-    DirectoryWatchSource,
-    FileTailSource,
-    SocketLineSource,
-    StreamSource,
-    parse_source_spec,
-)
+from .sources import FileTailSource, parse_source_spec
 
 __all__ = [
     "BoundedChunkQueue",
-    "DirectoryWatchSource",
     "FileTailSource",
     "ServiceConfig",
-    "SocketLineSource",
     "StreamCheckpoint",
-    "StreamSource",
     "StreamingReconstructionService",
     "load_checkpoint",
     "parse_source_spec",

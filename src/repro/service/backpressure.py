@@ -1,20 +1,13 @@
-"""Bounded chunk queue with watermark hysteresis: explicit backpressure.
+"""Bounded chunk queue with watermark hysteresis: lossless backpressure.
 
 The daemon's ingest thread and pipeline thread meet at this queue.  It
-is deliberately *not* ``queue.Queue``: backpressure here is a visible,
-configurable policy rather than an implicit block, and the gate uses
-**hysteresis** — it closes when depth reaches ``high_watermark`` and
-reopens only once the consumer has drained it to ``low_watermark`` —
+is deliberately *not* ``queue.Queue``: the gate uses **hysteresis** —
+it closes when depth reaches ``high_watermark`` and reopens only once
+the consumer has drained it to ``low_watermark = max(1, high // 2)`` —
 so a producer racing a slow consumer settles into calm batches instead
-of thrashing one-in-one-out at the brim.
-
-Two policies when the gate is closed:
-
-- ``"block"`` — the producer waits (lossless; upstream slows down;
-  for the socket source the pause propagates into the kernel receive
-  window and blocks the remote sender).
-- ``"shed"`` — the put is refused and counted; the caller drops the
-  chunk (lossy by contract: freshness over completeness).
+of thrashing one-in-one-out at the brim.  While the gate is closed the
+producer waits: nothing is dropped, and the file being tailed simply
+waits on disk.
 
 Terminal markers (end-of-stream, stop) bypass the gate via
 ``force=True`` — control flow must never be backpressured behind data.
@@ -26,36 +19,21 @@ import threading
 from collections import deque
 from typing import Any, Callable
 
-__all__ = ["BoundedChunkQueue", "QUEUE_POLICIES"]
-
-#: Valid backpressure policies.
-QUEUE_POLICIES = ("block", "shed")
+__all__ = ["BoundedChunkQueue"]
 
 
 class BoundedChunkQueue:
     """Thread-safe bounded queue with high/low watermark gating."""
 
-    def __init__(
-        self,
-        high_watermark: int = 8,
-        low_watermark: int | None = None,
-        policy: str = "block",
-    ) -> None:
-        if policy not in QUEUE_POLICIES:
-            raise ValueError(f"unknown queue policy {policy!r}; choose from {QUEUE_POLICIES}")
+    def __init__(self, high_watermark: int = 8) -> None:
         if high_watermark < 1:
             raise ValueError("high_watermark must be at least 1")
-        low = max(1, high_watermark // 2) if low_watermark is None else low_watermark
-        if not 1 <= low <= high_watermark:
-            raise ValueError("low_watermark must be in [1, high_watermark]")
         self.high_watermark = high_watermark
-        self.low_watermark = low
-        self.policy = policy
+        self.low_watermark = max(1, high_watermark // 2)
         self._items: deque[Any] = deque()
         self._cond = threading.Condition()
         self._gated = False
         self.n_put = 0
-        self.n_shed = 0
         self.max_depth = 0
 
     def _update_gate_locked(self) -> None:
@@ -71,12 +49,11 @@ class BoundedChunkQueue:
         should_abort: Callable[[], bool] | None = None,
         poll_s: float = 0.05,
     ) -> bool:
-        """Enqueue ``item``; ``False`` means it was shed or aborted.
+        """Enqueue ``item``; ``False`` means the wait was aborted.
 
-        Under ``"block"`` the call waits while the gate is closed,
-        checking ``should_abort`` between waits so a drain request can
-        pull the producer out mid-block.  Under ``"shed"`` a closed
-        gate refuses immediately.  ``force`` ignores the gate entirely
+        The call waits while the gate is closed, checking
+        ``should_abort`` between waits so a drain request can pull the
+        producer out mid-block.  ``force`` ignores the gate entirely
         (terminal markers only).
         """
         with self._cond:
@@ -88,9 +65,6 @@ class BoundedChunkQueue:
                     self.max_depth = max(self.max_depth, len(self._items))
                     self._cond.notify_all()
                     return True
-                if self.policy == "shed":
-                    self.n_shed += 1
-                    return False
                 self._cond.wait(poll_s)
                 if should_abort is not None and should_abort():
                     return False
@@ -112,13 +86,6 @@ class BoundedChunkQueue:
         with self._cond:
             return len(self._items)
 
-    @property
-    def gated(self) -> bool:
-        """Whether the gate is currently closed (producer throttled)."""
-        with self._cond:
-            self._update_gate_locked()
-            return self._gated
-
     def stats(self) -> dict[str, Any]:
         """Counters for the status page."""
         with self._cond:
@@ -126,9 +93,7 @@ class BoundedChunkQueue:
                 "depth": len(self._items),
                 "high_watermark": self.high_watermark,
                 "low_watermark": self.low_watermark,
-                "policy": self.policy,
                 "gated": self._gated,
                 "n_put": self.n_put,
-                "n_shed": self.n_shed,
                 "max_depth": self.max_depth,
             }

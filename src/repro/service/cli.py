@@ -3,11 +3,14 @@
 Two subcommands:
 
 ``repro-serve run``
-    Start a daemon: tail a file, watch a segment directory, or listen
-    on a socket, reconstructing for a target device as records arrive.
-    Blocks until end-of-stream (``--until-idle``), SIGTERM drain, or
-    permanent failure; exit code 0 for ``finished``/``stopped``, 1 for
-    ``failed``.
+    Start a daemon: tail one growing trace file, reconstructing for a
+    target device as records arrive.  Blocks until end-of-stream
+    (``--until-idle``), SIGTERM drain, or permanent failure; exit code
+    0 for ``finished``/``stopped``, 1 for ``failed``, 2 for a bad
+    argument such as a segment-directory or socket source spec.  The
+    queue between ingest and reconstruction holds ``--queue-high``
+    chunks and reopens at half that; a full queue makes ingest wait,
+    never drop.
 
 ``repro-serve status``
     Print the daemon's last published ``status.json`` with the
@@ -18,8 +21,8 @@ Examples::
 
     repro-serve run --source file:old.csv --workdir /var/run/stream \\
         --device new-node --until-idle 1.0
-    repro-serve run --source tcp:127.0.0.1:0 --workdir /var/run/stream \\
-        --device hdd --policy shed --queue-high 16
+    repro-serve run --source old.csv --workdir /var/run/stream \\
+        --device hdd --queue-high 16
     repro-serve status --workdir /var/run/stream
 """
 
@@ -32,7 +35,7 @@ from pathlib import Path
 from typing import Any
 
 from ..campaign.devices import build_device
-from ..resilience import heartbeat_age_s
+from ..resilience import heartbeat_age_s, run_cli_command
 from .daemon import ServiceConfig, StreamingReconstructionService
 from .sources import parse_source_spec
 
@@ -53,16 +56,13 @@ def _parse_device_params(pairs: list[str]) -> dict[str, Any]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    source = parse_source_spec(args.source)
     workdir = Path(args.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    source = parse_source_spec(args.source, workdir)
     device = build_device(args.device, _parse_device_params(args.device_param))
     config = ServiceConfig(
         fmt=args.fmt,
         chunk_requests=args.chunk_requests,
         queue_high=args.queue_high,
-        queue_low=args.queue_low,
-        queue_policy=args.policy,
         until_idle_s=args.until_idle,
         status_interval_s=args.status_interval,
         name=args.name,
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--source",
         required=True,
-        help="file:PATH | dir:PATH[:GLOB] | tcp:HOST:PORT (or a bare file path)",
+        help="the trace file to tail: file:PATH or a bare path",
     )
     run.add_argument("--workdir", required=True, help="state directory (sink, checkpoint, status)")
     run.add_argument("--fmt", default="internal", help="trace dialect (default: internal)")
@@ -121,10 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--name", default="stream", help="workload name for the trace")
     run.add_argument("--chunk-requests", type=int, default=256, help="rows per chunk")
-    run.add_argument("--queue-high", type=int, default=8, help="queue high watermark (chunks)")
-    run.add_argument("--queue-low", type=int, default=None, help="queue low watermark (chunks)")
     run.add_argument(
-        "--policy", choices=("block", "shed"), default="block", help="backpressure policy"
+        "--queue-high", type=int, default=8, help="queue high watermark (chunks); reopens at half"
     )
     run.add_argument(
         "--until-idle",
@@ -150,14 +148,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return run_cli_command(args.func, args)
     except KeyboardInterrupt:
         return 130
-    except BrokenPipeError:
-        # stdout reader went away (``repro-serve status | head``) —
-        # not an error; suppress the interpreter's close-time complaint.
-        sys.stderr.close()
-        return 0
     except ValueError as exc:
         print(f"repro-serve: {exc}", file=sys.stderr)
         return 2

@@ -2,11 +2,13 @@
 
 Three threads around one bounded queue:
 
-- the **ingest** thread polls the :mod:`~repro.service.sources` source,
-  filters comment/blank lines (and the internal CSV header), assembles
+- the **ingest** thread polls the :mod:`~repro.service.sources` file
+  tail, filters comment/blank lines (and the internal CSV header,
+  including the repeats of a file made by concatenating CSVs), assembles
   fixed-size chunks of ``chunk_requests`` content lines — exactly the
   boundaries :class:`~repro.trace.io.reader.TraceReader` would cut — and
-  pushes them through the :class:`~repro.service.backpressure` gate;
+  pushes them through the :class:`~repro.service.backpressure` gate,
+  waiting while it is closed;
 - the **pipeline** thread (the caller of :meth:`run`) parses each
   chunk, quarantines poison records, feeds the parsed segment to a
   :class:`~repro.core.stages.StreamingReconstructionSession`, appends
@@ -22,9 +24,9 @@ metrics are byte- and bit-identical to the batch oracle::
     pipeline.run_stream(TraceReader(path, chunk_requests=N), target)
 
 over the same content — including across a SIGKILL and restart at any
-point, because every committed chunk is checkpointed (source cursor +
-session state + sink length) and every uncommitted chunk is replayed
-from the source on restart.  The batch path stays the correctness
+point, because every committed chunk is checkpointed (byte cursor +
+session state + sink length) and every uncommitted chunk is re-read
+from the file on restart.  The batch path stays the correctness
 oracle; the daemon adds only robustness around it.
 
 **Poison records** quarantine, they never kill the stream: a chunk
@@ -36,8 +38,9 @@ records.  Source hiccups retry forever with the capped deterministic
 backoff of :class:`~repro.resilience.RetryPolicy`; only *permanent*
 failures (the taxonomy of :func:`~repro.resilience.classify_error`)
 take the daemon down, loudly, through the ``failed`` state — as does
-a checkpoint whose session state this version cannot load, which
-stays on disk with the sink and the dead-letter file untouched.
+a checkpoint whose session state or source cursor this version cannot
+load, which stays on disk with the sink and the dead-letter file
+untouched.
 
 **Drain semantics.**  SIGTERM/SIGINT stop ingest, let every chunk
 already in the queue reconstruct and commit, and exit in ``stopped``
@@ -70,9 +73,9 @@ from ..trace.io.bulk import _REBASED_FORMATS, BULK_PARSERS
 from ..trace.parsers import TraceParseError
 from ..trace.trace import BlockTrace
 from ..trace.writers import iter_csv_rows
-from .backpressure import QUEUE_POLICIES, BoundedChunkQueue
+from .backpressure import BoundedChunkQueue
 from .checkpoint import StreamCheckpoint, load_checkpoint, save_checkpoint
-from .sources import SocketLineSource, StreamSource
+from .sources import FileTailSource
 
 __all__ = ["ServiceConfig", "StreamingReconstructionService"]
 
@@ -87,8 +90,6 @@ class ServiceConfig:
     fmt: str = "internal"
     chunk_requests: int = 256
     queue_high: int = 8
-    queue_low: int | None = None
-    queue_policy: str = "block"
     #: ``None`` follows forever (drain on SIGTERM); a number declares
     #: end-of-stream after that much sustained source idleness.
     until_idle_s: float | None = None
@@ -104,8 +105,6 @@ class ServiceConfig:
             )
         if self.chunk_requests <= 0:
             raise ValueError("chunk_requests must be positive")
-        if self.queue_policy not in QUEUE_POLICIES:
-            raise ValueError(f"queue_policy must be one of {QUEUE_POLICIES}")
         if self.until_idle_s is not None and self.until_idle_s < 0:
             raise ValueError("until_idle_s must be non-negative")
 
@@ -119,10 +118,8 @@ class _Counters:
         "rows_out",          # reconstructed rows appended to the sink (checkpointed)
         "rows_queued",       # content lines currently resident in the queue
         "rows_buffered",     # content lines in the ingest assembler
-        "rows_shed",         # content lines dropped by the shed policy
-        "n_chunks_shed",
         "n_quarantined",     # poison records dead-lettered (checkpointed)
-        "n_header_repeats",  # repeated internal headers dropped (segment files)
+        "n_header_repeats",  # repeated internal headers dropped (concatenated CSVs)
         "source_errors",     # transient source failures retried
     )
 
@@ -253,7 +250,7 @@ class StreamingReconstructionService:
 
     def __init__(
         self,
-        source: StreamSource,
+        source: FileTailSource,
         target: StorageDevice,
         workdir: str | Path,
         config: ServiceConfig | None = None,
@@ -272,9 +269,7 @@ class StreamingReconstructionService:
         self.heartbeat_path = self.workdir / "heartbeat"
         self.metrics_path = self.workdir / "metrics.json"
 
-        self._queue = BoundedChunkQueue(
-            self.config.queue_high, self.config.queue_low, self.config.queue_policy
-        )
+        self._queue = BoundedChunkQueue(self.config.queue_high)
         self._counters = _Counters()
         self._sink = _CsvSink(self.sink_path)
         self._quarantine = _DeadLetterLog(self.quarantine_path)
@@ -292,10 +287,6 @@ class StreamingReconstructionService:
         self._fatal: str | None = None
         self._started_at = time.time()
         self._parse = BULK_PARSERS[self.config.fmt]
-
-        # Propagate queue pressure into the socket's receive window.
-        if isinstance(self.source, SocketLineSource):
-            self.source.paused = lambda: self._queue.gated
 
     # -- public control ------------------------------------------------
 
@@ -329,10 +320,11 @@ class StreamingReconstructionService:
         if cp is not None:
             try:
                 session.load_state(cp.session_state)
+                self.source.open(cp.source_cursor)
             except (ValueError, KeyError, TypeError) as exc:
-                # A session state of another version.  Starting over
-                # would truncate the committed output, so fail with
-                # every file left as it is.
+                # A session state of another version, or the cursor of
+                # another source kind.  Starting over would truncate the
+                # committed output, so fail with every file left as it is.
                 self._fatal = (
                     f"cannot resume {self.checkpoint_path.name}: {type(exc).__name__}: {exc}"
                 )
@@ -352,10 +344,10 @@ class StreamingReconstructionService:
             self._sink.open(cp.sink_bytes)
             self._quarantine.open(cp.quarantine_bytes)
         else:
+            self.source.open(None)
             self._sink.open(0)
             self._quarantine.open(0)
         self._session = session
-        self.source.open(cp.source_cursor if cp is not None else None)
 
         previous_handlers: dict[int, Any] = {}
         if install_signal_handlers and threading.current_thread() is threading.main_thread():
@@ -373,7 +365,7 @@ class StreamingReconstructionService:
         )
         ingest.start()
         watchdog.start()
-        self._write_status()  # publish the endpoint/port before first tick
+        self._write_status()  # publish the running state before the first tick
 
         try:
             outcome = self._pipeline_loop(session)
@@ -630,7 +622,7 @@ class StreamingReconstructionService:
                     return
                 header = self._header
             if line == header:
-                # Segment sources repeat the header per file.
+                # A file made by concatenating CSVs repeats the header.
                 self._counters.add(n_header_repeats=1)
                 return
         assembled.append((line, cursor))
@@ -639,17 +631,10 @@ class StreamingReconstructionService:
         n = self.config.chunk_requests
         while len(assembled) >= n and not self._stop.is_set():
             rows = assembled[:n]
-            ok = self._queue.put(
-                ("chunk", rows, rows[-1][1]), should_abort=self._stop.is_set
-            )
-            if ok:
-                del assembled[:n]
-                self._counters.add(rows_queued=len(rows))
-            elif self._stop.is_set():
+            if not self._queue.put(("chunk", rows, rows[-1][1]), should_abort=self._stop.is_set):
                 return  # aborted mid-block; restart re-reads from the cursor
-            else:
-                del assembled[:n]
-                self._counters.add(n_chunks_shed=1, rows_shed=len(rows))
+            del assembled[:n]
+            self._counters.add(rows_queued=len(rows))
 
     # -- watchdog thread -------------------------------------------------
 
@@ -692,8 +677,6 @@ class StreamingReconstructionService:
             "last_source_error": self._last_source_error,
             "fatal": self._fatal,
         }
-        if isinstance(self.source, SocketLineSource):
-            payload["endpoint"] = {"host": self.source.host, "port": self.source.port}
         tmp = self.status_path.with_name(self.status_path.name + ".tmp")
         tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
         os.replace(tmp, self.status_path)

@@ -17,7 +17,6 @@ import json
 import multiprocessing
 import os
 import signal
-import socket
 import time
 
 import numpy as np
@@ -92,19 +91,6 @@ def serve_file(src, workdir, chunk=CHUNK):
         device(),
         workdir,
         ServiceConfig(chunk_requests=chunk, until_idle_s=0.3),
-    )
-    service.run()
-
-
-def serve_spool(spool, workdir):
-    """Child-process entry: resume a socket stream from its spool."""
-    from repro.service import SocketLineSource, ServiceConfig, StreamingReconstructionService
-
-    service = StreamingReconstructionService(
-        SocketLineSource("127.0.0.1", 0, spool),
-        device(),
-        workdir,
-        ServiceConfig(chunk_requests=CHUNK, until_idle_s=0.3),
     )
     service.run()
 
@@ -186,42 +172,6 @@ def test_sigkill_at_random_chunk_boundaries(request, tmp_path, seed, bare):
     if bare:
         assert frozen_at_kill == [False, True]  # one kill in warm-up, one after it
     proc = ctx.Process(target=serve_file, args=(src, workdir, chunk))
-    proc.start()
-    proc.join(timeout=180.0)
-    assert proc.exitcode == 0
-    assert_exactly_once(workdir, oracle)
-
-
-def test_sigkill_mid_socket_stream_resumes_from_spool(stream_file, oracle, tmp_path):
-    """Socket data survives the kill because the spool journaled it."""
-    ctx = multiprocessing.get_context("fork")
-    workdir = tmp_path / "wd"
-    workdir.mkdir()
-    spool = workdir / "spool.lines"
-    proc = ctx.Process(target=serve_spool, args=(spool, workdir))
-    proc.start()
-    # discover the ephemeral port from the status page
-    deadline = time.monotonic() + 30.0
-    port = 0
-    while time.monotonic() < deadline and not port:
-        try:
-            port = json.loads((workdir / "status.json").read_text())["endpoint"]["port"]
-        except (OSError, ValueError, KeyError):
-            time.sleep(0.01)
-    assert port
-    with socket.create_connection(("127.0.0.1", port)) as conn:
-        conn.sendall(stream_file.read_bytes())
-    # kill mid-processing, after the spool has it all but the pipeline
-    # has only partially caught up
-    wait_rows_consumed(workdir / "checkpoint.json", CHUNK * 3)
-    os.kill(proc.pid, signal.SIGKILL)
-    proc.join(timeout=30.0)
-    expected_spool = stream_file.read_bytes()
-    deadline = time.monotonic() + 10.0
-    while spool.read_bytes() != expected_spool and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert spool.read_bytes() == expected_spool  # journal complete
-    proc = ctx.Process(target=serve_spool, args=(spool, workdir))
     proc.start()
     proc.join(timeout=180.0)
     assert proc.exitcode == 0

@@ -6,6 +6,9 @@ under a minute; the benchmark harness exercises full-scale runs.
 
 from __future__ import annotations
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,19 @@ from repro.workloads import (
     collect_trace,
     generate_intents,
 )
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away: every write raises."""
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.fixture()
+def closed_stdout():
+    """A ``redirect_stdout`` into a pipe its reader closed (``cmd | head -1``)."""
+    return contextlib.redirect_stdout(_ClosedPipe())
 
 
 @pytest.fixture()

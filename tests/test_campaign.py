@@ -437,6 +437,13 @@ class TestCli:
         assert cli_main(["report", str(tmp_path)]) == 1
         capsys.readouterr()
 
+    def test_closed_stdout_exits_zero(self, tmp_path: Path, capsys, closed_stdout):
+        """``repro-campaign plan spec | head -1`` is not bad input."""
+        spec_path = self._write_spec(tmp_path)
+        with closed_stdout:
+            assert cli_main(["plan", str(spec_path)]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestCliResilience:
     """Run flags from ISSUE 9: --chaos, quarantine reporting, corrupt

@@ -17,7 +17,7 @@ from repro.experiments import (
     new_node,
     old_node,
 )
-from repro.experiments.runner import main, run_all
+from repro.experiments.runner import ParallelRunner, main
 from repro.workloads import generate_intents, get_spec
 
 
@@ -163,7 +163,7 @@ class TestABStatistics:
 class TestRunner:
     def test_run_all_subset(self):
         buffer = io.StringIO()
-        run_all(n_requests=600, out=buffer, only={"fig9"})
+        ParallelRunner(n_requests=600, only={"fig9"}).run(out=buffer, log=io.StringIO())
         text = buffer.getvalue()
         assert "Figure 9" in text
         assert "pchip" in text
@@ -171,6 +171,8 @@ class TestRunner:
 
     def test_cli_writes_file(self, tmp_path):
         out = tmp_path / "report.txt"
-        code = main(["--fast", "--only", "fig9", "--out", str(out)])
+        code = main(
+            ["--fast", "--only", "fig9", "--out", str(out), "--trace-store-dir", str(tmp_path)]
+        )
         assert code == 0
         assert "Figure 9" in out.read_text()

@@ -727,6 +727,15 @@ class TestLakeCli:
         assert rc == 2
         assert "no such path" in capsys.readouterr().err
 
+    def test_closed_stdout_exits_zero(self, tmp_path, capsys, closed_stdout):
+        """``repro-lake query | head -1`` is not bad input."""
+        db = tmp_path / "lake.sqlite"
+        with LakeCatalog(db) as cat:
+            cat.record_point("k", "fp", "c", "a", _point_row(0), "hdd")
+        with closed_stdout:
+            assert lake_main(["--db", str(db), "query"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 # ----------------------------------------------------------------------
 # Unopenable catalogs: the rescan is the way out

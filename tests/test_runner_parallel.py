@@ -1,4 +1,4 @@
-"""Tests for the ParallelRunner: CLI parsing, caching, parallel parity."""
+"""Tests for the ParallelRunner: CLI parsing, trace store, parallel parity."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from repro.experiments.runner import ParallelRunner, default_cache_dir, main, run_all
+from repro.experiments.runner import ParallelRunner, main
 
 FAST_SUBSET = {"fig5", "fig9"}
 
@@ -18,7 +18,7 @@ def render(runner: ParallelRunner) -> str:
 
 
 class TestCLI:
-    def test_full_flag_set_parses_and_writes(self, tmp_path):
+    def test_full_flag_set_parses_and_writes(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
         code = main(
             [
@@ -26,21 +26,25 @@ class TestCLI:
                 "--only", "fig9",
                 "--out", str(out),
                 "--jobs", "2",
-                "--cache-dir", str(tmp_path / "cache"),
+                "--trace-store-dir", str(tmp_path / "traces"),
             ]
         )
         assert code == 0
         assert "Figure 9" in out.read_text()
-        assert (tmp_path / "cache").exists()  # cache enabled by default
+        # the trace store is on by default, at the given directory
+        assert f"dir={tmp_path / 'traces'}" in capsys.readouterr().err
 
-    def test_no_cache_writes_nothing(self, tmp_path):
+    def test_no_cache_writes_nothing(self, tmp_path, monkeypatch):
+        """Without the trace store a run writes its report and nothing else."""
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.delenv("REPRO_TRACE_STORE_DIR", raising=False)
         out = tmp_path / "report.txt"
-        cache = tmp_path / "cache"
-        code = main(
-            ["--fast", "--only", "fig9", "--out", str(out), "--no-cache", "--cache-dir", str(cache)]
-        )
+        code = main(["--fast", "--only", "fig9", "--out", str(out), "--no-trace-store"])
         assert code == 0
-        assert not cache.exists()
+        assert "Figure 9" in out.read_text()
+        assert not any(home.iterdir())
 
     def test_unknown_experiment_id_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment ids"):
@@ -50,53 +54,6 @@ class TestCLI:
         with pytest.raises(ValueError, match="jobs"):
             ParallelRunner(jobs=0)
 
-    def test_cache_dir_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
-        assert default_cache_dir() == tmp_path / "envcache"
-
-
-class TestCache:
-    def test_miss_then_hit_identical_report(self, tmp_path):
-        cache = tmp_path / "cache"
-        first = render(ParallelRunner(n_requests=600, use_cache=True, cache_dir=cache, only={"fig5"}))
-        files = list(cache.glob("*.pkl"))
-        assert len(files) == 1
-        second = render(ParallelRunner(n_requests=600, use_cache=True, cache_dir=cache, only={"fig5"}))
-        assert first == second
-
-    def test_hit_skips_computation(self, tmp_path, monkeypatch):
-        cache = tmp_path / "cache"
-        render(ParallelRunner(n_requests=600, use_cache=True, cache_dir=cache, only={"fig9"}))
-
-        def boom(exp_id, n):
-            raise AssertionError("cache hit expected; experiment recomputed")
-
-        monkeypatch.setattr("repro.experiments.runner._compute_experiment", boom)
-        log = io.StringIO()
-        ParallelRunner(n_requests=600, use_cache=True, cache_dir=cache, only={"fig9"}).run(
-            out=io.StringIO(), log=log
-        )
-        assert "cache hit" in log.getvalue()
-
-    def test_key_includes_n_requests(self, tmp_path):
-        cache = tmp_path / "cache"
-        render(ParallelRunner(n_requests=600, use_cache=True, cache_dir=cache, only={"fig9"}))
-        render(ParallelRunner(n_requests=700, use_cache=True, cache_dir=cache, only={"fig9"}))
-        assert len(list(cache.glob("*.pkl"))) == 2
-
-    def test_corrupt_cache_recomputes(self, tmp_path):
-        cache = tmp_path / "cache"
-        baseline = render(ParallelRunner(n_requests=600, use_cache=True, cache_dir=cache, only={"fig9"}))
-        for path in cache.glob("*.pkl"):
-            path.write_bytes(b"not a pickle")
-        again = render(ParallelRunner(n_requests=600, use_cache=True, cache_dir=cache, only={"fig9"}))
-        assert again == baseline
-
-    def test_disabled_cache_reads_nothing(self, tmp_path):
-        cache = tmp_path / "cache"
-        render(ParallelRunner(n_requests=600, use_cache=True, cache_dir=cache, only={"fig9"}))
-        runner = ParallelRunner(n_requests=600, use_cache=False, cache_dir=cache, only={"fig9"})
-        assert runner._cache_load("fig9") is None
 
 
 class TestTraceStore:
@@ -109,7 +66,6 @@ class TestTraceStore:
             ParallelRunner(
                 n_requests=600,
                 only={"fig16"},
-                use_cache=False,
                 use_trace_store=True,
                 trace_store_dir=store_dir,
             ).run(out=out, log=log)
@@ -134,7 +90,6 @@ class TestTraceStore:
                 n_requests=600,
                 only={"fig5", "fig16"},
                 jobs=2,
-                use_cache=False,
                 use_trace_store=True,
                 trace_store_dir=store_dir,
             ).run(out=io.StringIO(), log=log)
@@ -149,13 +104,12 @@ class TestTraceStore:
 
     def test_store_off_matches_store_on(self, tmp_path):
         plain, stored = io.StringIO(), io.StringIO()
-        ParallelRunner(n_requests=600, only={"fig16"}, use_cache=False).run(
+        ParallelRunner(n_requests=600, only={"fig16"}).run(
             out=plain, log=io.StringIO()
         )
         ParallelRunner(
             n_requests=600,
             only={"fig16"},
-            use_cache=False,
             use_trace_store=True,
             trace_store_dir=tmp_path / "traces",
         ).run(out=stored, log=io.StringIO())
@@ -168,7 +122,6 @@ class TestTraceStore:
                 "--fast",
                 "--only", "fig16",
                 "--out", str(out),
-                "--no-cache",
                 "--trace-store-dir", str(tmp_path / "traces"),
             ]
         )
@@ -179,7 +132,6 @@ class TestTraceStore:
                 "--fast",
                 "--only", "fig16",
                 "--out", str(out),
-                "--no-cache",
                 "--no-trace-store",
                 "--trace-store-dir", str(tmp_path / "empty"),
             ]
@@ -195,16 +147,3 @@ class TestParallelParity:
         assert sequential == parallel
         # Canonical ordering: fig5 renders before fig9 in both.
         assert sequential.index("Figure 5") < sequential.index("Figure 9")
-
-    def test_cached_report_matches_uncached(self, tmp_path):
-        uncached = render(ParallelRunner(n_requests=600, only={"fig5"}, use_cache=False))
-        cache = tmp_path / "cache"
-        render(ParallelRunner(n_requests=600, only={"fig5"}, use_cache=True, cache_dir=cache))
-        cached = render(ParallelRunner(n_requests=600, only={"fig5"}, use_cache=True, cache_dir=cache))
-        assert cached == uncached
-
-    def test_run_all_wrapper(self):
-        buffer = io.StringIO()
-        run_all(n_requests=600, out=buffer, only={"fig9"})
-        text = buffer.getvalue()
-        assert "Figure 9" in text and "pchip" in text

@@ -1,4 +1,4 @@
-"""The bounded chunk queue: watermark hysteresis, block, shed, force."""
+"""The bounded chunk queue: watermark hysteresis, blocking puts, force."""
 
 from __future__ import annotations
 
@@ -10,38 +10,40 @@ import pytest
 from repro.service import BoundedChunkQueue
 
 
-class TestValidation:
-    def test_bad_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            BoundedChunkQueue(4, policy="drop-newest")
+def refused(queue, item="x"):
+    """A put the closed gate blocks, aborted after one wait."""
+    return not queue.put(item, should_abort=lambda: True, poll_s=0.001)
 
+
+class TestValidation:
     def test_bad_watermarks(self):
         with pytest.raises(ValueError):
             BoundedChunkQueue(0)
-        with pytest.raises(ValueError):
-            BoundedChunkQueue(4, low_watermark=9)
 
     def test_default_low_watermark(self):
-        assert BoundedChunkQueue(8).low_watermark == 4
-        assert BoundedChunkQueue(1).low_watermark == 1
+        """The low watermark is always max(1, high // 2)."""
+        for high, low in ((1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (8, 4), (16, 8)):
+            assert BoundedChunkQueue(high).low_watermark == low
 
 
 class TestGating:
     def test_gate_closes_at_high_and_reopens_at_low(self):
-        queue = BoundedChunkQueue(4, low_watermark=2, policy="shed")
+        queue = BoundedChunkQueue(4)  # low watermark 2
         for i in range(4):
             assert queue.put(i)
-        assert queue.gated
-        assert not queue.put(99)  # shed while gated
+        assert refused(queue)  # blocked while gated
+        assert queue.stats()["gated"]
         assert queue.get() == 0
-        assert queue.gated  # 3 > low: hysteresis holds the gate closed
+        assert queue.stats()["gated"]  # 3 > low: hysteresis holds the gate closed
+        assert refused(queue)
         assert queue.get() == 1
-        assert not queue.gated  # drained to low: gate reopens
+        assert not queue.stats()["gated"]  # drained to low: gate reopens
         assert queue.put(4)
-        assert queue.stats()["n_shed"] == 1
+        assert queue.stats()["n_put"] == 5
+        assert queue.depth() == 3
 
     def test_block_policy_waits_for_consumer(self):
-        queue = BoundedChunkQueue(2, low_watermark=1, policy="block")
+        queue = BoundedChunkQueue(2)  # low watermark 1
         queue.put("a")
         queue.put("b")
         done = []
@@ -60,7 +62,7 @@ class TestGating:
         assert queue.depth() == 2
 
     def test_block_put_aborts_on_request(self):
-        queue = BoundedChunkQueue(1, policy="block")
+        queue = BoundedChunkQueue(1)
         queue.put("a")
         abort = threading.Event()
         results = []
@@ -76,8 +78,9 @@ class TestGating:
         assert results == [False]
 
     def test_force_bypasses_gate(self):
-        queue = BoundedChunkQueue(1, policy="shed")
+        queue = BoundedChunkQueue(1)
         queue.put("a")
+        assert refused(queue)
         assert queue.put(("stop",), force=True)
         assert queue.depth() == 2
 
@@ -86,7 +89,7 @@ class TestGating:
 
     def test_depth_never_exceeds_high_watermark_under_load(self):
         """The watermark invariant the slow-consumer scenario relies on."""
-        queue = BoundedChunkQueue(3, low_watermark=1, policy="block")
+        queue = BoundedChunkQueue(3)  # low watermark 1
         max_seen = 0
         stop = threading.Event()
 

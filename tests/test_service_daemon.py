@@ -2,9 +2,9 @@
 
 The load-bearing contract: for the same well-formed content, the
 daemon's ``out.csv`` and final metrics are byte-/bit-identical to the
-batch oracle ``pipeline.run_stream(TraceReader(path, chunk_requests=N))``
-— for every source type.  Poison records are quarantined to the
-dead-letter file and never kill the stream.
+batch oracle ``pipeline.run_stream(TraceReader(path, chunk_requests=N))``.
+Poison records are quarantined to the dead-letter file and never kill
+the stream.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import errno
 import io
 import json
-import socket
 import threading
 import time
 
@@ -27,10 +26,8 @@ from repro.storage import ConstantLatencyDevice, HDDModel, SATA_600
 from repro.trace import BlockTrace, TraceReader, dump_trace, write_csv
 from repro.workloads import collect_trace, generate_intents, get_spec
 from repro.service import (
-    DirectoryWatchSource,
     FileTailSource,
     ServiceConfig,
-    SocketLineSource,
     StreamCheckpoint,
     StreamingReconstructionService,
     save_checkpoint,
@@ -175,46 +172,22 @@ class TestParityHarness:
         assert service.outcome == "finished"
         assert_parity(tmp_path / "wd", metrics, oracle)
 
-    def test_directory_source_with_per_segment_headers(self, oracle, tmp_path):
+    def test_file_source_with_repeated_headers(self, oracle, tmp_path):
+        """A file made by concatenating CSVs repeats its header; the repeats drop."""
         lines = oracle["src"].read_text().splitlines()
         header, body = lines[0], lines[1:]
-        segdir = tmp_path / "segs"
-        segdir.mkdir()
-        for i, lo in enumerate(range(0, len(body), 150)):
-            (segdir / f"seg-{i:03d}.csv").write_text(
+        src = tmp_path / "concatenated.csv"
+        src.write_text(
+            "".join(
                 "\n".join([header] + body[lo : lo + 150]) + "\n"
+                for lo in range(0, len(body), 150)
             )
-        service, metrics = run_service(
-            DirectoryWatchSource(segdir, "*.csv"), tmp_path / "wd"
         )
+        service, metrics = run_service(FileTailSource(src), tmp_path / "wd")
         assert service.outcome == "finished"
         assert_parity(tmp_path / "wd", metrics, oracle)
         status = json.loads((tmp_path / "wd" / "status.json").read_text())
         assert status["counters"]["n_header_repeats"] == 2  # one per later segment
-
-    def test_socket_source(self, oracle, tmp_path):
-        workdir = tmp_path / "wd"
-        workdir.mkdir()
-        source = SocketLineSource("127.0.0.1", 0, workdir / "spool.lines")
-        holder = {}
-
-        def serve():
-            holder["service"], holder["metrics"] = run_service(
-                source, workdir, until_idle_s=0.5
-            )
-
-        thread = threading.Thread(target=serve)
-        thread.start()
-        deadline = time.monotonic() + 10.0
-        while source.port == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        payload = oracle["src"].read_bytes()
-        with socket.create_connection(("127.0.0.1", source.port)) as conn:
-            for off in range(0, len(payload), 997):  # torn, misaligned slices
-                conn.sendall(payload[off : off + 997])
-        thread.join(timeout=120.0)
-        assert holder["service"].outcome == "finished"
-        assert_parity(workdir, holder["metrics"], oracle)
 
 
 class TestQuarantine:
@@ -319,7 +292,7 @@ class TestDrainAndStatus:
             FileTailSource(oracle["src"]),
             device(),
             tmp_path / "wd",
-            ServiceConfig(chunk_requests=20, queue_high=3, queue_low=1, until_idle_s=0.2),
+            ServiceConfig(chunk_requests=20, queue_high=3, until_idle_s=0.2),  # low watermark 1
             tracker=tracker,
         )
         depths = []
@@ -334,42 +307,6 @@ class TestDrainAndStatus:
         assert service._queue.stats()["max_depth"] <= 3
         assert (tmp_path / "wd" / "out.csv").read_bytes() == oracle["bytes"]
 
-    def test_shed_policy_drops_and_counts(self, oracle, tmp_path):
-        tracker = TraceTracker()
-        real = tracker.stream_session
-
-        def slow_session(target):
-            session = real(target)
-            original = session.feed
-
-            def feed(chunk):
-                time.sleep(0.05)
-                return original(chunk)
-
-            session.feed = feed
-            return session
-
-        tracker.stream_session = slow_session
-        service = StreamingReconstructionService(
-            FileTailSource(oracle["src"]),
-            device(),
-            tmp_path / "wd",
-            ServiceConfig(
-                chunk_requests=20,
-                queue_high=2,
-                queue_low=1,
-                queue_policy="shed",
-                until_idle_s=0.2,
-            ),
-            tracker=tracker,
-        )
-        metrics = service.run(install_signal_handlers=False)
-        assert service.outcome == "finished"
-        status = json.loads((tmp_path / "wd" / "status.json").read_text())
-        shed = status["counters"]["rows_shed"]
-        assert shed > 0  # freshness over completeness, visibly accounted
-        assert metrics.n_requests == 400 - shed
-
     def test_status_page_shape(self, oracle, tmp_path):
         service, _ = run_service(FileTailSource(oracle["src"]), tmp_path / "wd")
         status = json.loads((tmp_path / "wd" / "status.json").read_text())
@@ -379,6 +316,13 @@ class TestDrainAndStatus:
         assert status["lag_rows"] == 0
         assert status["session"]["n_requests"] == 400
         assert (tmp_path / "wd" / "heartbeat").exists()
+
+    def test_status_to_closed_stdout_exits_zero(self, tmp_path, capsys, closed_stdout):
+        """``repro-serve status | head -1`` is not an error."""
+        (tmp_path / "status.json").write_text(json.dumps({"state": "finished"}))
+        with closed_stdout:
+            assert serve_cli.main(["status", "--workdir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_permanent_source_failure_fails_loudly(self, oracle, tmp_path):
         src = tmp_path / "old.csv"
@@ -405,6 +349,39 @@ class TestDrainAndStatus:
         assert service.outcome == "failed"
         status = json.loads((workdir / "status.json").read_text())
         assert "shrank" in status["fatal"]
+
+        # A directory is not a stream: fail at once instead of retrying.
+        segdir = tmp_path / "segs"
+        segdir.mkdir()
+        (segdir / "seg-000.csv").write_bytes(oracle["src"].read_bytes())
+        workdir = tmp_path / "wd-dir"
+        service = StreamingReconstructionService(
+            FileTailSource(segdir),
+            device(),
+            workdir,
+            ServiceConfig(chunk_requests=CHUNK, until_idle_s=0.3),
+        )
+        thread = threading.Thread(target=service.run, kwargs={"install_signal_handlers": False})
+        thread.start()
+        thread.join(timeout=10.0)
+        retrying = thread.is_alive()
+        if retrying:
+            service.request_stop()
+            thread.join(timeout=30.0)
+        assert not retrying
+        assert service.outcome == "failed"
+        fatal = json.loads((workdir / "status.json").read_text())["fatal"]
+        assert f"{segdir}: is a directory" in fatal
+        code = serve_cli.main(
+            [
+                "run",
+                "--source", str(segdir),
+                "--workdir", str(tmp_path / "wd-cli"),
+                "--device", "hdd",
+                "--until-idle", "0.3",
+            ]
+        )
+        assert code == 1
 
 
 def bare_msnfs(n_requests: int, seed: int) -> BlockTrace:
@@ -476,18 +453,27 @@ V1_SESSION_STATE = {
 }
 
 
+#: A loadable version-2 state: no warm-up fits yet, no frozen model.
+V2_SESSION_STATE = {**V1_SESSION_STATE, "version": 2, "fits": [], "model": None}
+
+
 class TestUnloadableSessionState:
-    """A checkpoint whose session state cannot load fails the daemon loudly."""
+    """A checkpoint whose session state or cursor cannot load fails the daemon loudly."""
 
     @pytest.mark.parametrize(
-        "state, cause",
+        "state, cursor, cause",
         [
-            (V1_SESSION_STATE, "ValueError: unsupported stream-session state version 1"),
-            ({**V1_SESSION_STATE, "version": 2}, "KeyError: 'fits'"),
+            (V1_SESSION_STATE, 1_234, "ValueError: unsupported stream-session state version 1"),
+            ({**V1_SESSION_STATE, "version": 2}, 1_234, "KeyError: 'fits'"),
+            (
+                V2_SESSION_STATE,
+                ["seg-000.csv", 812],  # a segment-directory cursor
+                "ValueError: source cursor ['seg-000.csv', 812] is not a byte offset into {src}",
+            ),
         ],
-        ids=["version-1", "missing-key"],
+        ids=["version-1", "missing-key", "list-cursor"],
     )
-    def test_fails_with_files_untouched(self, oracle, tmp_path, state, cause):
+    def test_fails_with_files_untouched(self, oracle, tmp_path, state, cursor, cause):
         workdir = tmp_path / "wd"
         workdir.mkdir()
         head = oracle["bytes"][: oracle["bytes"].index(b"\n", 2_000) + 1]
@@ -497,7 +483,7 @@ class TestUnloadableSessionState:
         save_checkpoint(
             workdir / "checkpoint.json",
             StreamCheckpoint(
-                source_cursor=1_234,
+                source_cursor=cursor,
                 session_state=state,
                 sink_bytes=len(head),
                 quarantine_bytes=len(dead),
@@ -521,6 +507,7 @@ class TestUnloadableSessionState:
         assert code == 1
         status = json.loads((workdir / "status.json").read_text())
         assert status["state"] == "failed"
+        cause = cause.format(src=oracle["src"])
         assert status["fatal"] == f"cannot resume checkpoint.json: {cause}"
         assert status["session"] == {"n_chunks": 0, "n_requests": 0}  # nothing resumed
         assert {name: (workdir / name).read_bytes() for name in names} == before

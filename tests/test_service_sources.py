@@ -1,19 +1,11 @@
-"""Stream sources: tail discipline, cursors, and the failure taxonomy."""
+"""The file tail: tail discipline, cursors, and the failure taxonomy."""
 
 from __future__ import annotations
-
-import socket
-import time
 
 import pytest
 
 from repro.resilience import PermanentPointError, TransientPointError
-from repro.service import (
-    DirectoryWatchSource,
-    FileTailSource,
-    SocketLineSource,
-    parse_source_spec,
-)
+from repro.service import FileTailSource, parse_source_spec
 
 
 def drain(source):
@@ -78,105 +70,12 @@ class TestFileTailSource:
         assert [text for text, _ in source.eof_flush()] == ["last-no-newline"]
 
 
-class TestDirectoryWatchSource:
-    def test_segments_concatenate_in_sorted_order(self, tmp_path):
-        (tmp_path / "seg-000.csv").write_text("a\nb\n")
-        (tmp_path / "seg-001.csv").write_text("c\n")
-        source = DirectoryWatchSource(tmp_path, "*.csv")
-        source.open()
-        assert drain(source) == ["a", "b", "c"]
-        assert source.idle()
-
-    def test_later_file_finalises_earlier_torn_tail(self, tmp_path):
-        (tmp_path / "seg-000.csv").write_text("a\nb")  # no trailing newline
-        source = DirectoryWatchSource(tmp_path, "*.csv")
-        source.open()
-        assert drain(source) == ["a"]  # "b" held: seg-000 may still grow
-        (tmp_path / "seg-001.csv").write_text("c\n")
-        assert drain(source) == ["b", "c"]  # finalised, tail released
-
-    def test_cursor_resume_mid_directory(self, tmp_path):
-        (tmp_path / "seg-000.csv").write_text("a\nb\n")
-        (tmp_path / "seg-001.csv").write_text("c\nd\n")
-        source = DirectoryWatchSource(tmp_path, "*.csv")
-        source.open()
-        rows = source.poll()
-        assert [text for text, _ in rows] == ["a", "b", "c", "d"]
-        resumed = DirectoryWatchSource(tmp_path, "*.csv")
-        resumed.open(rows[2][1])  # committed through "c"
-        assert drain(resumed) == ["d"]
-
-    def test_hidden_and_unmatched_files_ignored(self, tmp_path):
-        (tmp_path / ".hidden.csv").write_text("no\n")
-        (tmp_path / "notes.txt").write_text("no\n")
-        (tmp_path / "seg-000.csv").write_text("yes\n")
-        source = DirectoryWatchSource(tmp_path, "*.csv")
-        source.open()
-        assert drain(source) == ["yes"]
-
-    def test_empty_directory_idles(self, tmp_path):
-        source = DirectoryWatchSource(tmp_path, "*.csv")
-        source.open()
-        assert drain(source) == []
-        assert source.idle()
-
-
-class TestSocketLineSource:
-    def test_spool_journal_and_replay(self, tmp_path):
-        source = SocketLineSource("127.0.0.1", 0, tmp_path / "spool.lines")
-        source.open()
-        try:
-            with socket.create_connection(("127.0.0.1", source.port)) as conn:
-                conn.sendall(b"one\ntwo\nto")  # torn tail on the wire
-            deadline = time.monotonic() + 5.0
-            got = []
-            while len(got) < 2 and time.monotonic() < deadline:
-                got.extend(drain(source))
-                time.sleep(0.01)
-            assert got == ["one", "two"]
-            # the spool is the durable journal, torn bytes included
-            assert (tmp_path / "spool.lines").read_bytes() == b"one\ntwo\nto"
-        finally:
-            source.close()
-        # a fresh source over the same spool replays from any cursor
-        replay = SocketLineSource("127.0.0.1", 0, tmp_path / "spool.lines")
-        replay.open(0)
-        try:
-            assert drain(replay) == ["one", "two"]
-        finally:
-            replay.close()
-
-    def test_open_connection_blocks_idle(self, tmp_path):
-        source = SocketLineSource("127.0.0.1", 0, tmp_path / "spool.lines")
-        source.open()
-        try:
-            assert source.idle()
-            with socket.create_connection(("127.0.0.1", source.port)):
-                deadline = time.monotonic() + 5.0
-                while source.idle() and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                assert not source.idle()
-            deadline = time.monotonic() + 5.0
-            while not source.idle() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert source.idle()
-        finally:
-            source.close()
-
-
 class TestParseSourceSpec:
-    def test_specs(self, tmp_path):
-        assert isinstance(parse_source_spec("file:/x/y.csv", tmp_path), FileTailSource)
-        assert isinstance(parse_source_spec("/x/y.csv", tmp_path), FileTailSource)
-        dir_source = parse_source_spec("dir:/segs:*.csv", tmp_path)
-        assert isinstance(dir_source, DirectoryWatchSource)
-        assert dir_source.pattern == "*.csv"
-        tcp = parse_source_spec("tcp:0.0.0.0:9000", tmp_path)
-        assert isinstance(tcp, SocketLineSource)
-        assert (tcp.host, tcp.port) == ("0.0.0.0", 9000)
-        assert tcp.spool_path == tmp_path / "spool.lines"
-        assert parse_source_spec("tcp:9000", tmp_path).host == "127.0.0.1"
-
-    def test_bad_port_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="port"):
-            parse_source_spec("tcp:host:notaport", tmp_path)
+    def test_specs(self):
+        for spec in ("file:/x/y.csv", "/x/y.csv"):
+            source = parse_source_spec(spec)
+            assert isinstance(source, FileTailSource)
+            assert str(source.path) == "/x/y.csv"
+        for spec in ("dir:/segs:*.csv", "tcp:0.0.0.0:9000"):
+            with pytest.raises(ValueError, match="repro-serve reads one file"):
+                parse_source_spec(spec)
