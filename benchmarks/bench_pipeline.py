@@ -13,10 +13,9 @@ and campaigns run:
   queue-depth replay (scalar loop vs plan/FIFO-window engine, on the
   flash array and on the HDD), the fig9 interpolation kernels
   (knot-at-a-time slopes/grids vs vectorised), the Algorithm 1
-  group scoring (per-group loop vs fused pass), the result lake's
-  cross-run incremental skip (cold recompute vs warm catalog hits),
-  and the streaming service's incremental session (recompute the
-  whole prefix at every arrival vs feed each chunk once);
+  group scoring (per-group loop vs fused pass), and the streaming
+  service's incremental session (recompute the whole prefix at every
+  arrival vs feed each chunk once);
 - **calibration** — a fixed NumPy workload timed in the same run, so
   the CI regression gate can compare absolute stage times across
   machines of different speeds.
@@ -36,7 +35,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -212,50 +210,6 @@ def bench_steepness(n_requests: int) -> dict[str, float]:
     return {"before_s": before, "after_s": after, "speedup": round(before / after, 2)}
 
 
-def bench_campaign_incremental_skip(n_points: int = 64) -> dict[str, float]:
-    """Recompute-everything vs warm result-lake catalog hits.
-
-    The cross-run incremental path: ``before`` runs the grid cold into
-    a fresh directory (every point computed); ``after`` runs the same
-    grid into *another* fresh directory against a lake some prior
-    campaign already filled, so every point loads from the catalog and
-    zero are computed.  The synthetic action keeps the per-point cost
-    deterministic; the speedup is the campaign-level win of
-    ``repro-campaign run --lake`` on previously-covered grids.
-    """
-    from repro.campaign import CampaignEngine, CampaignSpec, DeviceSpec
-
-    spec = CampaignSpec(
-        name="bench-lake-skip",
-        action="synthetic",
-        workloads=("MSNFS",),
-        devices=(DeviceSpec("new", "new-node"),),
-        methods=("revision",),
-        n_requests=tuple(range(300, 300 + n_points)),
-        options={"iters_per_request": 40},
-    )
-
-    def cold() -> None:
-        with tempfile.TemporaryDirectory() as tmp:
-            result = CampaignEngine(spec, out_dir=Path(tmp) / "out").run()
-            assert result.n_computed == n_points
-
-    with tempfile.TemporaryDirectory() as tmp:
-        lake = Path(tmp) / "lake.sqlite"
-        CampaignEngine(spec, out_dir=Path(tmp) / "seed", lake=lake).run()
-
-        def warm() -> None:
-            with tempfile.TemporaryDirectory() as out:
-                result = CampaignEngine(
-                    spec, out_dir=Path(out) / "out", lake=lake
-                ).run()
-                assert result.n_computed == 0 and result.n_lake_hits == n_points
-
-        before = _best_of(cold)
-        after = _best_of(warm)
-    return {"before_s": before, "after_s": after, "speedup": round(before / after, 2)}
-
-
 def bench_streaming_reconstruct(n_requests: int, n_chunks: int = 8) -> dict[str, float]:
     """Recompute-from-scratch per arrival vs the incremental session.
 
@@ -340,7 +294,6 @@ def run_benchmarks(n_requests: int) -> dict:
         ),
         "fig09_interpolation": bench_interpolation(),
         "steepness_select": bench_steepness(n_requests),
-        "campaign_incremental_skip": bench_campaign_incremental_skip(),
         "streaming_reconstruct": bench_streaming_reconstruct(n_requests),
     }
     for stage in results["stages"].values():

@@ -6,7 +6,10 @@ Two jobs, both runnable locally and in CI:
 - **API reference generation** (``--out docs/api``): walk every module
   of the ``repro`` package and emit one markdown page per module
   (module docstring, public classes with their public methods, public
-  functions, all with signatures) plus an ``index.md``.  When `pdoc
+  functions, all with signatures) plus an ``index.md``.  A
+  ``repro*.md`` page in the output directory that this run did not
+  write (the page of a deleted module) is removed; other files are
+  left alone.  When `pdoc
   <https://pdoc.dev>`_ is importable and ``--pdoc`` is given, pdoc's
   HTML output is produced instead; the built-in generator keeps the
   docs buildable in environments without it (the reference markdown in
@@ -150,19 +153,28 @@ def render_module(module) -> str:
 
 
 def build_api(out_dir: Path, module_names: list[str]) -> list[str]:
-    """Write one markdown page per module plus an index; returns warnings."""
+    """Write one markdown page per module plus an index; returns warnings.
+
+    Module pages left over from an earlier build that this one did not
+    write are deleted, so the directory holds the current modules only.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     warnings: list[str] = []
     index = ["# API reference", "", "Generated by `docs/build_docs.py`; do not edit by hand.", ""]
+    written: set[str] = set()
     for name in module_names:
         module = importlib.import_module(name)
         warnings.extend(audit_module(module))
         page = f"{name}.md"
         (out_dir / page).write_text(render_module(module), encoding="utf-8")
+        written.add(page)
         doc = inspect.getdoc(module)
         hook = _first_paragraph(doc).splitlines()[0] if doc else ""
         index.append(f"- [`{name}`]({page}) — {hook}")
     (out_dir / "index.md").write_text("\n".join(index) + "\n", encoding="utf-8")
+    for stale in out_dir.glob("repro*.md"):
+        if stale.name not in written:
+            stale.unlink()
     return warnings
 
 

@@ -17,16 +17,15 @@ Three subcommands over the campaign engine:
     Re-render the aggregated table of a finished (or partial) campaign
     directory.
 
-Exit status is non-zero on bad specs, unknown paths, a ``--lake``
-catalog it cannot use (2, with one ``error:`` line), or a grid point
-failure (already-completed points stay checkpointed).
+Exit status is non-zero on bad specs or unknown paths (2, with one
+``error:`` line), or on a grid point failure (already-completed points
+stay checkpointed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sqlite3
 import sys
 from pathlib import Path
 
@@ -82,7 +81,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         use_trace_store=not args.no_trace_store,
         trace_store_dir=args.trace_store_dir,
         resume=not args.no_resume,
-        lake=args.lake,
         perf=perf,
         resilience=resilience,
         hang_timeout_s=args.hang_timeout,
@@ -92,10 +90,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.perf:
         for line in perf.summary_lines():
             print(f"[perf] {line}", file=sys.stderr)
-    lake_note = f", {result.n_lake_hits} from lake" if args.lake else ""
     print(
         f"campaign {spec.name!r}: {len(result.plan)} point(s) "
-        f"({result.n_resumed} resumed, {result.n_computed} computed{lake_note})"
+        f"({result.n_resumed} resumed, {result.n_computed} computed)"
     )
     if result.n_quarantined:
         print(
@@ -210,11 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="binary trace-store directory (default: $REPRO_TRACE_STORE_DIR or ~/.cache)",
     )
     run.add_argument(
-        "--lake", default=None,
-        help="result-lake catalog database: skip points any prior campaign "
-        "computed and record new ones (see repro-lake)",
-    )
-    run.add_argument(
         "--perf", action="store_true",
         help="print plan/resume/compute/aggregate stage timings to stderr",
     )
@@ -267,18 +259,6 @@ def main(argv: list[str] | None = None) -> int:
         return run_cli_command(args.func, args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except sqlite3.Error as exc:
-        # A lake path SQLite cannot open at all (a directory, say).
-        print(f"error: cannot use the lake catalog: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        # The lake package loads only when a campaign uses a lake.
-        from ..lake.catalog import LakeError
-
-        if not isinstance(exc, LakeError):
-            raise
-        print(f"error: {exc}", file=sys.stderr)  # it names 'repro-lake ingest --rescan'
         return 2
 
 

@@ -359,9 +359,9 @@ class _SegmentWriter:
         """Record one completed run key (one flushed JSON line).
 
         ``wall_s`` — the point's measured compute time — rides along in
-        the line when given, so the result lake's rescan can rebuild
-        wall-time columns from the flat files alone.  Scanners ignore
-        unknown fields, so old and new lines mix freely in a directory.
+        the line when given, so a campaign directory alone says how long
+        each point took.  Scanners ignore unknown fields, so old and new
+        lines mix freely in a directory.
         """
         if self._handle is None:
             self._handle = self._open()
@@ -381,11 +381,11 @@ class _SegmentWriter:
 def _degraded_note(out_dir: Path | None, message: str) -> None:
     """Append one line to the campaign's degradation log (best-effort).
 
-    ``degraded.log`` is the visible trail of everything the engine
-    survived instead of raising — lake write failures, quarantined
-    corrupt checkpoint files — and :class:`CampaignEngine` reports its
-    line count as :attr:`CampaignResult.n_degraded`.  A failure to log
-    must itself never fail the campaign.
+    ``degraded.log`` is the visible trail of what the engine survived
+    instead of raising (quarantined corrupt checkpoint files), and
+    :class:`CampaignEngine` reports its line count as
+    :attr:`CampaignResult.n_degraded`.  A failure to log must itself
+    never fail the campaign.
     """
     if out_dir is None:
         return
@@ -403,8 +403,8 @@ def _quarantine_file(path: Path, out_dir: Path | None = None, reason: str = "") 
     The sidecar name keeps the bytes around for a post-mortem while
     taking the file out of every scan pattern (``.jsonl``, ``.npz``),
     so the next resume or rebuild recomputes instead of raising.
-    Returns whether the rename happened (a read-only tree — e.g. a
-    lake rescan over an archive — degrades to skip-in-place).
+    Returns whether the rename happened (a read-only tree degrades to
+    skip-in-place).
     """
     target = path.with_name(path.name + ".bad")
     try:
@@ -425,16 +425,8 @@ def _valid_row(data: Any) -> dict[str, Any] | None:
     return row if isinstance(row, dict) and isinstance(data.get("key"), str) else None
 
 
-def _wall_s_of(data: Any) -> float | None:
-    """The checkpoint payload's wall-time stamp, when present and sane."""
-    value = data.get("wall_s") if isinstance(data, dict) else None
-    return float(value) if isinstance(value, (int, float)) else None
-
-
-def _scan_checkpoints_meta(
-    out_dir: Path, keys: list[str]
-) -> dict[str, tuple[dict[str, Any], float | None, str]]:
-    """Checkpointed ``(row, wall_s, filename)`` per key, one dir scan.
+def _scan_checkpoints(out_dir: Path, keys: list[str]) -> dict[str, dict[str, Any]]:
+    """All checkpointed rows for ``keys``, one directory scan.
 
     Reads every segment file under ``runs/``.  Torn or malformed lines
     (a crash mid-append) are skipped, so those points simply recompute;
@@ -444,11 +436,6 @@ def _scan_checkpoints_meta(
     after a code change appended fresh lines), the row from the newest
     segment wins — file mtime, with filename as the tiebreak and later
     lines beating earlier ones inside a segment.
-
-    The metadata — the wall-time stamp a line carries (``None`` for
-    lines written before it existed) and the segment's name — is what
-    the result lake's rescan ingests; the engine's own resume path
-    reads just the rows through :func:`_scan_checkpoints`.
     """
     runs_dir = out_dir / "runs"
     try:
@@ -463,7 +450,7 @@ def _scan_checkpoints_meta(
     except OSError:
         return {}
     wanted = set(keys)
-    best: dict[str, tuple[dict[str, Any], float | None, str]] = {}
+    best: dict[str, dict[str, Any]] = {}
     for name in sorted(entries, key=lambda name: (entries[name], name)):
         try:
             text = (runs_dir / name).read_text(encoding="utf-8")
@@ -483,7 +470,7 @@ def _scan_checkpoints_meta(
             parsed_any = True
             row = _valid_row(data)
             if row is not None and data["key"] in wanted:
-                best[data["key"]] = (row, _wall_s_of(data), name)
+                best[data["key"]] = row
         if text.strip() and not parsed_any:
             # Not one line decodes: the segment is corrupt from byte 0
             # (bad disk, torn single-row file), not merely torn at the
@@ -492,82 +479,12 @@ def _scan_checkpoints_meta(
     return best
 
 
-def _scan_checkpoints(out_dir: Path, keys: list[str]) -> dict[str, dict[str, Any]]:
-    """All checkpointed rows for ``keys`` (see :func:`_scan_checkpoints_meta`)."""
-    return {key: row for key, (row, _, _) in _scan_checkpoints_meta(out_dir, keys).items()}
-
-
-#: Per-process cache of open lake catalogs, keyed by (pid, database
-#: path).  A process records every point it completes into one
-#: connection; the catalog runs WAL mode with a busy timeout, so
-#: concurrent workers (and concurrent campaigns) interleave their
-#: upserts safely.  The pid keeps a forked worker from writing through
-#: a connection it inherited from its parent — SQLite forbids carrying
-#: an open connection across ``fork()``.
-_WORKER_LAKES: dict[tuple[int, str], Any] = {}
-
-
-def _worker_lake(lake_text: str | None):
-    """This process's open lake catalog, or ``None`` when no lake is set."""
-    if lake_text is None:
-        return None
-    cache_key = (os.getpid(), lake_text)
-    lake = _WORKER_LAKES.get(cache_key)
-    if lake is None:
-        from ..lake.catalog import LakeCatalog
-
-        lake = _WORKER_LAKES.setdefault(cache_key, LakeCatalog(lake_text))
-    return lake
-
-
-def _record_into_lake(
-    lake: Any,
-    spec: CampaignSpec,
-    key: str,
-    row: dict[str, Any],
-    wall_s: float | None,
-    out_dir: Path | None,
-    checkpoint_file: str | None,
-) -> None:
-    """Best-effort lake recording of one completed point.
-
-    A full disk, a locked database that outlasts the catalog's own
-    bounded retry, or a read-only catalog must never fail the campaign
-    that computed the point — the checkpoint on disk already has it,
-    and the next ``repro-lake ingest`` will pick it up.  Every swallow
-    leaves a line in ``degraded.log`` so the fallback is visible, not
-    silent.
-    """
-    import sqlite3
-
-    from ..lake.ingest import record_campaign_point
-
-    try:
-        record_campaign_point(
-            lake,
-            spec,
-            key,
-            row,
-            wall_s=wall_s,
-            source_dir=out_dir,
-            checkpoint_file=checkpoint_file,
-        )
-    except (sqlite3.Error, OSError) as exc:
-        _degraded_note(
-            out_dir,
-            f"lake record failed for {key} ({type(exc).__name__}: {exc}); "
-            f"flat-file checkpoint retained",
-        )
-
-
 def _complete_point(
     spec: CampaignSpec,
     plan: CampaignPlan,
     index: int,
     key: str,
-    out_dir: Path | None,
     segment: _SegmentWriter | None,
-    lake: Any,
     resilience: Resilience | None,
     injector: Any,
 ) -> dict[str, Any]:
@@ -579,9 +496,8 @@ def _complete_point(
     with backoff and exhausted/permanent failures come back as
     quarantine rows (see :func:`~repro.campaign.supervise.
     run_point_resilient`).  The row is then appended to ``segment``
-    (``None`` when the campaign has no output directory), the
-    post-checkpoint chaos hook fires, and the row is recorded with its
-    measured wall time into the lake (quarantine rows stay out).
+    (``None`` when the campaign has no output directory) with its
+    measured wall time, and the post-checkpoint chaos hook fires.
     ``run_point`` is resolved through the module at call time so test
     instrumentation (and hot patching) of ``engine.run_point`` is
     honoured.
@@ -589,9 +505,9 @@ def _complete_point(
     start = time.perf_counter()
     point = plan.points[index]
     if resilience is None:
-        row, quarantined = run_point(spec, point), False
+        row = run_point(spec, point)
     else:
-        row, quarantined = run_point_resilient(
+        row, _ = run_point_resilient(
             run_point, spec, point, index, key, resilience, injector
         )
     wall_s = round(time.perf_counter() - start, 6)
@@ -601,9 +517,6 @@ def _complete_point(
         checkpoint_path = segment.path
     if injector is not None:
         injector.after_checkpoint(index, checkpoint_path)
-    if lake is not None and not quarantined:
-        checkpoint_file = checkpoint_path.name if checkpoint_path is not None else None
-        _record_into_lake(lake, spec, key, row, wall_s, out_dir, checkpoint_file)
     return row
 
 
@@ -624,17 +537,17 @@ def _run_chunk(
     """Worker entry point: run one chunk of (point index, run key) pairs.
 
     Returns the checkpointed ``(key, row)`` pairs.  The context
-    ``(spec dict, output dir, lake path, resilience)`` is built once by
-    the parent and inherited by the forked workers; the plan is
-    re-expanded locally (expansion is deterministic, so indices agree
-    with the parent's plan).  Built to be called many times per worker:
-    the spec expansion, the segment writer, and the lake connection
-    live in module-global per-worker caches, so a hundred chunks cost
-    one plan expansion and open one segment file.  Cached segments are
-    never explicitly closed; every append is flushed, so the checkpoint
-    is complete the moment the line hits the file.
+    ``(spec dict, output dir, resilience)`` is built once by the parent
+    and inherited by the forked workers; the plan is re-expanded
+    locally (expansion is deterministic, so indices agree with the
+    parent's plan).  Built to be called many times per worker: the spec
+    expansion and the segment writer live in module-global per-worker
+    caches, so a hundred chunks cost one plan expansion and open one
+    segment file.  Cached segments are never explicitly closed; every
+    append is flushed, so the checkpoint is complete the moment the line
+    hits the file.
     """
-    spec_dict, out_dir_text, lake_text, resilience_dict = context
+    spec_dict, out_dir_text, resilience_dict = context
     spec_key = json.dumps(spec_dict, sort_keys=True)
     cached = _CHUNK_PLANS.get(spec_key)
     if cached is None:
@@ -649,15 +562,12 @@ def _run_chunk(
         segment = _CHUNK_SEGMENTS.get(out_dir_text)
         if segment is None:
             segment = _CHUNK_SEGMENTS.setdefault(out_dir_text, _SegmentWriter(out_dir))
-    lake = _worker_lake(lake_text)
     resilience = (
         Resilience.from_dict(resilience_dict) if resilience_dict is not None else None
     )
     injector = resilience.injector() if resilience is not None else None
     return [
-        (key, _complete_point(
-            spec, plan, index, key, out_dir, segment, lake, resilience, injector
-        ))
+        (key, _complete_point(spec, plan, index, key, segment, resilience, injector))
         for index, key in items
     ]
 
@@ -672,13 +582,10 @@ class CampaignResult:
     """What one engine run produced (and how much of it was reused).
 
     ``n_resumed`` counts points loaded back from this directory's own
-    checkpoints; ``n_lake_hits`` counts points skipped because *some
-    prior campaign* — any directory, any machine sharing the catalog —
-    already recorded their run keys in the result lake.
-    ``n_quarantined`` counts rows carrying ``status: "quarantined"``
-    (points that exhausted their retry budget); ``n_degraded`` counts
-    the ``degraded.log`` lines — failures the run absorbed (lake
-    fallbacks, quarantined corrupt checkpoint files) instead of
+    checkpoints.  ``n_quarantined`` counts rows carrying ``status:
+    "quarantined"`` (points that exhausted their retry budget);
+    ``n_degraded`` counts the ``degraded.log`` lines — failures the run
+    absorbed (quarantined corrupt checkpoint files) instead of
     raising.  ``supervision`` holds the supervised executor's
     dead/hung/respawned/reclaimed counters (``None`` when the points
     ran inline, or when nothing was left to compute).
@@ -689,7 +596,6 @@ class CampaignResult:
     n_computed: int
     n_resumed: int
     out_dir: Path | None
-    n_lake_hits: int = 0
     n_quarantined: int = 0
     n_degraded: int = 0
     supervision: dict[str, int] | None = None
@@ -729,15 +635,7 @@ class CampaignEngine:
     resume:
         Load checkpointed run keys instead of recomputing them
         (default).  ``False`` ignores — but does not delete — existing
-        checkpoints (and skips the lake lookup).
-    lake:
-        Optional result-lake catalog database
-        (:class:`~repro.lake.catalog.LakeCatalog` path).  With a lake,
-        pending points whose run keys any prior campaign recorded are
-        loaded from the catalog instead of recomputed
-        (``n_lake_hits``), and every point this run computes is
-        recorded back — campaigns become incremental across runs and
-        directories, not just resumable within one.
+        checkpoints.
     resilience:
         Optional :class:`~repro.campaign.supervise.Resilience` — the
         per-point fault policy (retry/backoff on transient failures,
@@ -764,7 +662,6 @@ class CampaignEngine:
         use_trace_store: bool = False,
         trace_store_dir: str | Path | None = None,
         resume: bool = True,
-        lake: "str | Path | None" = None,
         perf: "PerfRecorder | None" = None,
         resilience: "Resilience | None" = None,
         hang_timeout_s: float | None = None,
@@ -780,7 +677,6 @@ class CampaignEngine:
         self.use_trace_store = use_trace_store
         self.trace_store_dir = trace_store_dir
         self.resume = resume
-        self.lake = Path(lake) if lake is not None else None
         self.perf = perf if perf is not None else PerfRecorder(enabled=False)
         if (
             resilience is not None
@@ -830,32 +726,17 @@ class CampaignEngine:
                 completed = _scan_checkpoints(self.out_dir, keys)
         pending = [i for i, key in enumerate(keys) if key not in completed]
         n_resumed = len(plan) - len(pending)
-        n_lake_hits = 0
-        if pending and self.lake is not None and self.resume:
-            # Cross-campaign skip: run keys some prior campaign already
-            # recorded load straight from the catalog — the lake's
-            # whole point.  Run keys cover everything that determines a
-            # row (plan.run_key), so a hit is exact, not heuristic.
-            with self.perf.stage("lake_scan"):
-                from ..lake.catalog import LakeCatalog
-
-                with LakeCatalog(self.lake) as lake:
-                    hits = lake.completed_rows([keys[i] for i in pending])
-            completed.update(hits)
-            pending = [i for i in pending if keys[i] not in completed]
-            n_lake_hits = len(hits)
         if log is not None:
-            lake_note = f", {n_lake_hits} from lake" if self.lake is not None else ""
             log.write(
                 f"[campaign] {self.spec.name}: {len(plan)} point(s), "
-                f"{n_resumed} checkpointed{lake_note}, {len(pending)} to compute "
+                f"{n_resumed} checkpointed, {len(pending)} to compute "
                 f"(jobs={self.jobs})\n"
             )
         if self.out_dir is not None:
-            # Even a zero-compute run (everything resumed or lake-hit)
-            # writes outputs below, so the directory must exist and be
+            # Even a zero-compute run (everything resumed) writes
+            # outputs below, so the directory must exist and be
             # self-describing: spec.json is what `repro-campaign
-            # report` and `repro-lake ingest` recognise a campaign by.
+            # report` recognises a campaign by.
             self.out_dir.mkdir(parents=True, exist_ok=True)
             self._write_spec_once()
             if pending:
@@ -902,7 +783,6 @@ class CampaignEngine:
             table = ResultsTable.from_rows([completed[key] for key in keys])
             if self.out_dir is not None:
                 self._write_outputs(table, n_resumed=n_resumed, n_computed=len(pending))
-                self._record_results_artifacts()
         n_quarantined = sum(
             1 for key in keys if completed[key].get("status") == QUARANTINED
         )
@@ -919,7 +799,6 @@ class CampaignEngine:
             n_computed=len(pending),
             n_resumed=n_resumed,
             out_dir=self.out_dir,
-            n_lake_hits=n_lake_hits,
             n_quarantined=n_quarantined,
             n_degraded=n_degraded,
             supervision=supervision,
@@ -934,12 +813,10 @@ class CampaignEngine:
     ) -> None:
         """Compute the pending points one by one in this process."""
         segment = _SegmentWriter(self.out_dir) if self.out_dir is not None else None
-        lake = _worker_lake(str(self.lake) if self.lake is not None else None)
         try:
             for index in pending:
                 completed[keys[index]] = _complete_point(
-                    self.spec, plan, index, keys[index], self.out_dir, segment,
-                    lake, self.resilience, None,
+                    self.spec, plan, index, keys[index], segment, self.resilience, None
                 )
         finally:
             if segment is not None:
@@ -972,7 +849,6 @@ class CampaignEngine:
         context = (
             self.spec.to_dict(),
             str(self.out_dir) if self.out_dir is not None else None,
-            str(self.lake) if self.lake is not None else None,
             self.resilience.to_dict() if self.resilience is not None else None,
         )
         hearts = (
@@ -1016,9 +892,9 @@ class CampaignEngine:
         """How many degradation events this directory has absorbed.
 
         The count is the ``degraded.log`` line count — one line per
-        swallowed failure (lake fallback, quarantined corrupt artifact)
-        — so it accumulates across resumes of the same directory, which
-        is the honest reading: the directory's history degraded, even
+        swallowed failure (a quarantined corrupt checkpoint) — so it
+        accumulates across resumes of the same directory, which is the
+        honest reading: the directory's history degraded, even
         if this particular run did not.
         """
         if self.out_dir is None:
@@ -1060,34 +936,6 @@ class CampaignEngine:
         if self.spec.options.get("ab"):
             report = report + "\n" + ab_campaign_report(self.spec, table)
         (self.out_dir / "report.md").write_text(report, encoding="utf-8")
-
-    def _record_results_artifacts(self) -> None:
-        """Best-effort catalog registration of the aggregate tables.
-
-        Mirrors what ``repro-lake ingest`` records for a campaign
-        directory's ``results.npz``/``results.csv``, so a live-recorded
-        catalog and a rescan of the same tree hold identical artifact
-        rows.  No lake configured, or a write failure, is a no-op.
-        """
-        if self.lake is None or self.out_dir is None:
-            return
-        import sqlite3
-
-        from ..lake.catalog import LakeCatalog, LakeError
-
-        try:
-            with LakeCatalog(self.lake) as lake:
-                for name in ("results.npz", "results.csv"):
-                    path = self.out_dir / name
-                    if path.exists():
-                        lake.record_artifact(
-                            "results",
-                            path,
-                            ref=f"campaign:{self.spec.name}",
-                            meta={"campaign": self.spec.name},
-                        )
-        except (LakeError, sqlite3.Error, OSError):
-            pass
 
 
 def run_campaign(

@@ -21,18 +21,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["ResultsTable", "canonical_row_json"]
-
-
-def canonical_row_json(row: Mapping[str, Any]) -> str:
-    """One grid-point row as canonical (key-sorted, compact) JSON.
-
-    This is the byte representation the result lake stores and compares
-    — a live-recorded catalog and a ``--rescan`` rebuild must encode the
-    same row to the same bytes, so everything that persists a row as
-    JSON goes through here.
-    """
-    return json.dumps(row, sort_keys=True, separators=(",", ":"))
+__all__ = ["ResultsTable"]
 
 
 class ResultsTable:

@@ -2,14 +2,14 @@
 
 The campaign engine's original failure model was "a grid point raises →
 the campaign raises" and "a worker dies → the pool raises".  At the
-ROADMAP's production scale (10^4+ points, long wall-clocks, shared
-lake databases) that is not a model, it is an outage.  This module is
-the resilience substrate threaded through
+ROADMAP's production scale (10^4+ points, long wall-clocks) that is
+not a model, it is an outage.  This module is the resilience substrate
+threaded through
 :class:`~repro.campaign.engine.CampaignEngine`:
 
 - **error taxonomy + retry policy** — :func:`classify_error` splits
-  point failures into *transient* (I/O hiccups, timeouts, locked
-  databases — worth retrying) and *permanent* (type/value/assertion
+  point failures into *transient* (I/O hiccups, timeouts, vanished
+  files — worth retrying) and *permanent* (type/value/assertion
   errors — retrying reruns the same bug).  :class:`RetryPolicy` turns
   transient failures into bounded exponential backoff with
   *deterministic* jitter (hashed from the run key and attempt number,

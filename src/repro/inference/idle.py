@@ -37,9 +37,8 @@ def _trace_digest(trace: BlockTrace) -> bytes:
     """Cheap content fingerprint of the columns inference reads.
 
     The definition lives in :func:`repro.trace.io.fingerprint.
-    trace_digest` — one blake2b column digest shared with the result
-    lake — and this alias is kept so the memo keys (and the perf tests
-    pinning them) read the same as they always did.
+    trace_digest`; this alias is kept so the memo keys (and the perf
+    tests pinning them) read the same as they always did.
     """
     return trace_digest(trace)
 

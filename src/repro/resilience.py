@@ -8,8 +8,8 @@ sleep a bounded, *deterministic* backoff between attempts, bound the
 wall-clock of any single unit of work, and prove its liveness cheaply.
 
 - :func:`classify_error` — the transient-vs-permanent taxonomy.
-  *Transient* failures (I/O hiccups, timeouts, locked databases,
-  vanished files) are environmental and worth retrying; *permanent*
+  *Transient* failures (I/O hiccups, timeouts, vanished files) are
+  environmental and worth retrying; *permanent*
   ones (type/value/assertion errors) are properties of the computation
   and every retry would fail identically.
 - :class:`RetryPolicy` — capped exponential backoff whose jitter is
@@ -24,9 +24,9 @@ wall-clock of any single unit of work, and prove its liveness cheaply.
   in a pure-Python loop *or* a blocking syscall is interrupted.
 - :func:`write_heartbeat` / :func:`heartbeat_age_s` — liveness as a
   file mtime: one ``utime`` per beat, readable by any supervisor.
-- :func:`run_cli_command` — the one rule of the ``repro-campaign``,
-  ``repro-lake`` and ``repro-serve`` entry points for a reader that
-  closes their stdout early: exit 0, silently.
+- :func:`run_cli_command` — the one rule of the ``repro-campaign`` and
+  ``repro-serve`` entry points for a reader that closes their stdout
+  early: exit 0, silently.
 
 :mod:`repro.campaign.supervise` re-exports everything here, so the
 historical ``from repro.campaign.supervise import RetryPolicy`` import
@@ -38,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import os
 import signal
-import sqlite3
 import sys
 import threading
 import time
@@ -89,7 +88,6 @@ _TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
     InterruptedError,
     BlockingIOError,
     OSError,
-    sqlite3.OperationalError,
 )
 
 #: Exception types quarantined immediately: they are properties of the

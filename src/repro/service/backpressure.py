@@ -1,11 +1,14 @@
 """Bounded chunk queue with watermark hysteresis: lossless backpressure.
 
 The daemon's ingest thread and pipeline thread meet at this queue.  It
-is deliberately *not* ``queue.Queue``: the gate uses **hysteresis** —
-it closes when depth reaches ``high_watermark`` and reopens only once
-the consumer has drained it to ``low_watermark = max(1, high // 2)`` —
-so a producer racing a slow consumer settles into calm batches instead
-of thrashing one-in-one-out at the brim.  While the gate is closed the
+is deliberately *not* ``queue.Queue``: the gate uses **hysteresis**.
+A ``put`` that finds ``high_watermark`` items queued closes the gate
+and waits, and the gate reopens only once the consumer has drained the
+queue to ``low_watermark = max(1, high // 2)``.  Filling the queue does
+not close the gate by itself: with ``high_watermark=4``, four puts and
+one ``get`` leave three items queued and the gate open.  A producer
+racing a slow consumer therefore settles into calm batches instead of
+thrashing one-in-one-out at the brim.  While the gate is closed the
 producer waits: nothing is dropped, and the file being tailed simply
 waits on disk.
 
@@ -87,13 +90,20 @@ class BoundedChunkQueue:
             return len(self._items)
 
     def stats(self) -> dict[str, Any]:
-        """Counters for the status page."""
+        """Counters for the status page.
+
+        ``gated`` is the gate the next ``put`` would find.  It is worked
+        out without touching the hysteresis state, so reading the stats
+        never changes which puts block.
+        """
         with self._cond:
+            depth = len(self._items)
             return {
-                "depth": len(self._items),
+                "depth": depth,
                 "high_watermark": self.high_watermark,
                 "low_watermark": self.low_watermark,
-                "gated": self._gated,
+                "gated": depth >= self.high_watermark
+                or (self._gated and depth > self.low_watermark),
                 "n_put": self.n_put,
                 "max_depth": self.max_depth,
             }

@@ -5,15 +5,6 @@ columnar, timestamp-ordered sequence of block requests; see
 :class:`~repro.trace.trace.BlockTrace`.
 """
 
-from .filters import (
-    filter_ops,
-    filter_sizes,
-    lba_range,
-    merge_traces,
-    split_windows,
-    subsample,
-    time_window,
-)
 from .intervals import (
     AccessPatternSummary,
     inter_arrival_times,
@@ -51,13 +42,6 @@ from .writers import dump_trace, write_blktrace_text, write_csv, write_msrc
 
 __all__ = [
     "SECTOR_BYTES",
-    "filter_ops",
-    "filter_sizes",
-    "lba_range",
-    "merge_traces",
-    "split_windows",
-    "subsample",
-    "time_window",
     "IORecord",
     "OpType",
     "BlockTrace",

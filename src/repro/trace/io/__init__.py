@@ -20,11 +20,10 @@ This package is the high-throughput counterpart to the row-wise
 - :mod:`~repro.trace.io.reader` — :class:`TraceReader`, a chunked
   reader that yields :class:`~repro.trace.trace.BlockTrace` segments
   of ``chunk_requests`` rows, parsed by the same block parser, so
-  traces larger than memory stream through
-  parse → filter → infer → replay without full materialisation.
-- :mod:`~repro.trace.io.fingerprint` — the shared content-identity
-  helpers: the blake2b column digest (inference memo keys) and the
-  file SHA-256 the result lake catalogs artifacts under.
+  traces larger than memory stream through parse → infer → replay
+  without full materialisation.
+- :mod:`~repro.trace.io.fingerprint` — the blake2b column digest the
+  inference memo keys on.
 """
 
 from .bulk import (
@@ -36,7 +35,7 @@ from .bulk import (
     parse_msrc_bulk,
 )
 from .cache import TraceStore, default_trace_store_dir, get_default_store, set_default_store
-from .fingerprint import file_sha256, trace_digest
+from .fingerprint import trace_digest
 from .reader import TraceReader, TraceStreamError
 from .store import (
     STORE_FORMAT_VERSION,
@@ -57,7 +56,6 @@ __all__ = [
     "save_trace_npz",
     "load_trace_npz",
     "trace_digest",
-    "file_sha256",
     "TraceStore",
     "default_trace_store_dir",
     "get_default_store",

@@ -26,12 +26,11 @@ from .store import STORE_FORMAT_VERSION, TraceStoreError, load_trace_npz, save_t
 
 __all__ = ["TraceStore", "default_trace_store_dir", "get_default_store", "set_default_store"]
 
-#: Environment overrides: the store directory, a master off switch
+#: Environment overrides: the store directory and a master off switch
 #: ("0"/"false"/"no" disable the default store, e.g. for bit-repro
-#: runs), and the result-lake catalog new entries register into.
+#: runs).
 _ENV_DIR = "REPRO_TRACE_STORE_DIR"
 _ENV_ENABLED = "REPRO_TRACE_STORE"
-_ENV_LAKE = "REPRO_LAKE_DB"
 
 
 def default_trace_store_dir() -> Path:
@@ -54,24 +53,11 @@ class TraceStore:
         A disabled store never touches disk: :meth:`load` always
         misses and :meth:`get_or_build` always builds.  This keeps one
         code path for cached and cache-free runs.
-    lake:
-        Optional result-lake catalog database path.  When set, every
-        entry the store *materialises* (a build miss) is registered in
-        the lake as a ``trace`` artifact row with a ``store:<key>`` ref,
-        the same row ``repro-lake ingest`` derives from the file.
-        Registration is best-effort: a broken lake never fails the
-        build.
     """
 
-    def __init__(
-        self,
-        root: str | Path | None = None,
-        enabled: bool = True,
-        lake: str | Path | None = None,
-    ) -> None:
+    def __init__(self, root: str | Path | None = None, enabled: bool = True) -> None:
         self.root = Path(root) if root is not None else default_trace_store_dir()
         self.enabled = enabled
-        self.lake = Path(lake) if lake is not None else None
         self.hits = 0
         self.misses = 0
 
@@ -162,32 +148,8 @@ class TraceStore:
         if trace is None:
             trace = build()
             self.save(key, trace)
-            self._register_in_lake(key, trace)
         trace.content_fingerprint = f"store:{key}"
         return trace
-
-    def _register_in_lake(self, key: str, trace: BlockTrace) -> None:
-        """Best-effort lake registration of a freshly materialised entry.
-
-        Mirrors what ``repro-lake ingest`` derives from the same file
-        (content fingerprint, name and length meta, ``store:<key>``
-        ref), so live registration and a rescan converge on identical
-        rows.
-        """
-        if self.lake is None or not self.enabled:
-            return
-        path = self.path_for(key)
-        if not path.exists():
-            return
-        import sqlite3
-
-        from ...lake.catalog import LakeCatalog, LakeError
-
-        try:
-            with LakeCatalog(self.lake) as catalog:
-                catalog.record_trace(path, trace, ref=f"store:{key}")
-        except (LakeError, sqlite3.Error, OSError):
-            pass
 
 
 #: Lazily constructed process-wide store (worker processes inherit the
@@ -200,9 +162,7 @@ def get_default_store() -> TraceStore:
 
     Enabled only when ``$REPRO_TRACE_STORE_DIR`` points somewhere or
     ``$REPRO_TRACE_STORE`` is truthy — so library users and the test
-    suite see no hidden disk traffic unless they opt in.  When
-    ``$REPRO_LAKE_DB`` is also set, materialised entries register into
-    that result-lake catalog.
+    suite see no hidden disk traffic unless they opt in.
     """
     global _DEFAULT_STORE
     if _DEFAULT_STORE is None:
@@ -210,7 +170,7 @@ def get_default_store() -> TraceStore:
         enabled = bool(os.environ.get(_ENV_DIR)) or flag in ("1", "true", "yes", "on")
         if flag in ("0", "false", "no", "off"):
             enabled = False
-        _DEFAULT_STORE = TraceStore(enabled=enabled, lake=os.environ.get(_ENV_LAKE))
+        _DEFAULT_STORE = TraceStore(enabled=enabled)
     return _DEFAULT_STORE
 
 

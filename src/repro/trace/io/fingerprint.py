@@ -1,36 +1,29 @@
-"""Content fingerprints shared by every cache and catalog layer.
+"""The content fingerprint of a trace's columns.
 
-Two kinds of identity live here:
-
-- :func:`trace_digest` — a ``blake2b`` digest over a
-  :class:`~repro.trace.trace.BlockTrace`'s column arrays, the identity
-  the inference-model memo has always used.  Traces materialised
-  through the binary trace store carry a ``content_fingerprint`` stamp
-  that already uniquely determines every column; the digest reuses the
-  stamp and skips hashing entirely.
-- :func:`file_sha256` — a streaming SHA-256 over a file's bytes, the
-  content address the result lake catalogs artifacts under
-  (:mod:`repro.lake.catalog`).
+:func:`trace_digest` is a ``blake2b`` digest over a
+:class:`~repro.trace.trace.BlockTrace`'s column arrays, the identity
+the inference-model memo has always used.  Traces materialised through
+the binary trace store carry a ``content_fingerprint`` stamp that
+already uniquely determines every column; the digest reuses the stamp
+and skips hashing entirely.
 
 Historically the column digest lived as a private helper inside
-:mod:`repro.inference.idle`; it is hoisted here so the inference memo
-and the lake share one definition (``tests/test_perf_and_digest.py``
-pins the old and new digests bit-for-bit).
+:mod:`repro.inference.idle` (``tests/test_perf_and_digest.py`` pins the
+old and new digests bit-for-bit).
 """
 
 from __future__ import annotations
 
 import hashlib
-from pathlib import Path
 
 import numpy as np
 
 from ..trace import BlockTrace
 
-__all__ = ["trace_digest", "file_sha256"]
+__all__ = ["trace_digest"]
 
 #: Digest size (bytes) of :func:`trace_digest` — pinned: the inference
-#: memo keys and the lake's trace fingerprints both embed it.
+#: memo keys embed it.
 TRACE_DIGEST_SIZE = 20
 
 
@@ -54,21 +47,3 @@ def trace_digest(trace: BlockTrace) -> bytes:
         h.update(memoryview(np.ascontiguousarray(trace.issues)))
         h.update(memoryview(np.ascontiguousarray(trace.completes)))
     return h.digest()
-
-
-def file_sha256(path: str | Path, chunk_bytes: int = 1 << 20) -> str:
-    """Hex SHA-256 of a file's bytes, read in fixed-size chunks.
-
-    The result lake's artifact address: two files with identical bytes
-    (a trace-store entry copied between directories, a results table
-    regenerated bit-identically) share one catalog row regardless of
-    where they live on disk.
-    """
-    h = hashlib.sha256()
-    with open(path, "rb") as handle:
-        while True:
-            block = handle.read(chunk_bytes)
-            if not block:
-                break
-            h.update(block)
-    return h.hexdigest()

@@ -12,7 +12,7 @@ construction goes through :class:`TraceBuilder`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from typing import Any
 
 import numpy as np
@@ -106,42 +106,6 @@ class BlockTrace:
         # unstamped.  Consumers (the inference memo) use it to skip
         # re-hashing multi-million-row columns.
         self.content_fingerprint: str | None = None
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Iterable[IORecord],
-        name: str = "",
-        metadata: dict[str, Any] | None = None,
-    ) -> "BlockTrace":
-        """Build a trace from row-wise :class:`IORecord` objects.
-
-        Records must already be in non-decreasing timestamp order.
-        Issue/completion columns are kept only if *every* record carries
-        them; a sync column is kept only if every record carries one.
-        """
-        rows = list(records)
-        has_dev = all(r.issue is not None and r.complete is not None for r in rows) and rows
-        has_sync = all(r.sync is not None for r in rows) and rows
-        return cls(
-            timestamps=[r.timestamp for r in rows],
-            lbas=[r.lba for r in rows],
-            sizes=[r.size for r in rows],
-            ops=[int(r.op) for r in rows],
-            issues=[r.issue for r in rows] if has_dev else None,
-            completes=[r.complete for r in rows] if has_dev else None,
-            syncs=[r.sync for r in rows] if has_sync else None,
-            name=name,
-            metadata=metadata,
-        )
-
-    def empty_like(self) -> "BlockTrace":
-        """An empty trace with the same name/metadata."""
-        return BlockTrace([], [], [], [], name=self.name, metadata=dict(self.metadata))
 
     # ------------------------------------------------------------------
     # basic protocol
@@ -345,31 +309,6 @@ class BlockTrace:
             syncs=np.concatenate([p.syncs for p in pieces]) if all_sync else None,
             name=first.name,
             metadata=dict(first.metadata),
-        )
-
-    def drop_device_times(self) -> "BlockTrace":
-        """Copy without issue/completion stamps (an "FIU-style" trace)."""
-        return BlockTrace(
-            timestamps=self.timestamps,
-            lbas=self.lbas,
-            sizes=self.sizes,
-            ops=self.ops,
-            syncs=self.syncs,
-            name=self.name,
-            metadata=dict(self.metadata),
-        )
-
-    def drop_sync_flags(self) -> "BlockTrace":
-        """Copy without ground-truth sync flags (as real traces are)."""
-        return BlockTrace(
-            timestamps=self.timestamps,
-            lbas=self.lbas,
-            sizes=self.sizes,
-            ops=self.ops,
-            issues=self.issues,
-            completes=self.completes,
-            name=self.name,
-            metadata=dict(self.metadata),
         )
 
 

@@ -437,6 +437,19 @@ class TestCli:
         assert cli_main(["report", str(tmp_path)]) == 1
         capsys.readouterr()
 
+    def test_lake_option_is_a_usage_error(self, tmp_path: Path, capsys):
+        """Results live only in the out-dir: ``--lake`` is refused before
+        anything is created."""
+        spec_path = self._write_spec(tmp_path)
+        out, lake = tmp_path / "out", tmp_path / "lake.sqlite"
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["run", str(spec_path), "--out-dir", str(out), "--lake", str(lake)])
+        assert exited.value.code == 2
+        assert "--lake" in capsys.readouterr().err
+        assert not out.exists() and not lake.exists()
+        with pytest.raises(TypeError, match="lake"):
+            CampaignEngine(_tiny_spec(), lake=lake)
+
     def test_closed_stdout_exits_zero(self, tmp_path: Path, capsys, closed_stdout):
         """``repro-campaign plan spec | head -1`` is not bad input."""
         spec_path = self._write_spec(tmp_path)

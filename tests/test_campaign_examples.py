@@ -40,7 +40,7 @@ def test_spec_loads_and_expands(path: Path):
 
 #: Per spec: the number of run keys it plans, and the first 16 hex
 #: digits of the SHA-1 of its sorted keys joined by newlines.  Run keys
-#: name checkpoints and lake rows, so a change here orphans every
+#: name the segment checkpoint lines, so a change here orphans every
 #: result recorded under the old keys; change them only on purpose.
 PINNED_RUN_KEYS = {
     "degraded_flash_sweep": (8, "b38e24a9712be050"),

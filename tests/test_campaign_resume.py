@@ -189,7 +189,7 @@ class TestWorkStealingResume:
         # finishes... and the process dies before the queue drains.
         out = tmp_path / "killed"
         out.mkdir()
-        context = (spec.to_dict(), str(out), None, None)
+        context = (spec.to_dict(), str(out), None)  # (spec, out dir, resilience)
         chunks = plan.chunks(4)
         done: set[int] = set()
         try:

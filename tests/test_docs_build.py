@@ -45,11 +45,20 @@ def test_committed_api_reference_is_present(build_docs):
     assert (committed / "index.md").exists()
     assert (committed / "repro.campaign.spec.md").exists()
     assert (committed / "repro.trace.io.reader.md").exists()
-    # Exactly one page per current module plus the index: the builder
-    # never deletes the page of a removed module, and a stale committed
-    # page is invisible to a diff of the regenerated directory.
+    # Exactly one page per current module plus the index: a stale
+    # committed page is invisible to a diff of the regenerated directory.
     pages = {path.stem for path in committed.glob("*.md")}
     assert pages == set(build_docs.iter_module_names()) | {"index"}
+
+
+def test_stale_module_pages_removed(build_docs, tmp_path: Path):
+    """A rebuild deletes the page of a module that no longer exists and
+    leaves files that are not module pages alone."""
+    (tmp_path / "repro.gone.md").write_text("# stale\n")
+    (tmp_path / "notes.md").write_text("kept\n")
+    build_docs.build_api(tmp_path, ["repro", "repro.core.stages"])
+    pages = sorted(path.name for path in tmp_path.glob("*.md"))
+    assert pages == ["index.md", "notes.md", "repro.core.stages.md", "repro.md"]
 
 
 def test_markdown_links_resolve(build_docs):

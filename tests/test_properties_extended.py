@@ -1,4 +1,4 @@
-"""Property-based tests for filters, RAID fragmenting, and replay invariants."""
+"""Property-based tests for RAID fragmenting and replay invariants."""
 
 from __future__ import annotations
 
@@ -8,47 +8,8 @@ from hypothesis import strategies as st
 
 from repro.replay import replay_with_idle
 from repro.storage import ConstantLatencyDevice, Raid0, SATA_600
-from repro.trace import BlockTrace, filter_sizes, merge_traces, split_windows, time_window
 
 from test_properties import block_traces
-
-
-class TestFilterProperties:
-    @given(block_traces(min_n=2, max_n=80), st.floats(min_value=1.0, max_value=1e7))
-    @settings(max_examples=40, deadline=None)
-    def test_split_windows_partition(self, trace, window_us):
-        windows = split_windows(trace, window_us)
-        assert sum(len(w) for w in windows) == len(trace)
-        for w in windows:
-            assert w.duration <= window_us
-
-    @given(block_traces(min_n=2, max_n=60), st.data())
-    @settings(max_examples=40)
-    def test_time_window_subset(self, trace, data):
-        lo = data.draw(st.floats(min_value=0.0, max_value=float(trace.timestamps[-1])))
-        hi = data.draw(st.floats(min_value=lo, max_value=float(trace.timestamps[-1]) + 1.0))
-        window = time_window(trace, lo, hi, rebase=False)
-        assert len(window) <= len(trace)
-        if len(window):
-            assert window.timestamps[0] >= lo
-            assert window.timestamps[-1] < hi
-
-    @given(block_traces(min_n=1, max_n=60), st.integers(min_value=1, max_value=2048))
-    @settings(max_examples=40)
-    def test_filter_sizes_bounds(self, trace, bound):
-        small = filter_sizes(trace, 1, bound)
-        large = filter_sizes(trace, bound + 1) if bound < 2048 else small.empty_like()
-        assert len(small) + len(large) == len(trace)
-
-    @given(block_traces(min_n=1, max_n=30), block_traces(min_n=1, max_n=30))
-    @settings(max_examples=40)
-    def test_merge_preserves_multiset(self, a, b):
-        merged = merge_traces([a, b])
-        assert len(merged) == len(a) + len(b)
-        assert np.all(np.diff(merged.timestamps) >= 0)
-        np.testing.assert_array_equal(
-            np.sort(merged.lbas), np.sort(np.concatenate([a.lbas, b.lbas]))
-        )
 
 
 class TestRaidProperties:

@@ -46,6 +46,7 @@ class TestGating:
         queue = BoundedChunkQueue(2)  # low watermark 1
         queue.put("a")
         queue.put("b")
+        assert queue.stats()["gated"]  # full: the next put waits
         done = []
 
         def producer():
@@ -76,6 +77,17 @@ class TestGating:
         abort.set()
         thread.join(timeout=5.0)
         assert results == [False]
+
+    def test_gate_closes_only_when_a_put_finds_the_queue_full(self):
+        queue = BoundedChunkQueue(4)  # low watermark 2
+        for i in range(4):
+            assert queue.put(i)
+        assert queue.get() == 0
+        assert not queue.stats()["gated"]  # no put found it full
+        assert queue.put(4)
+        assert queue.stats()["gated"]
+        assert refused(queue)
+        assert queue.stats()["gated"] and queue.depth() == 4
 
     def test_force_bypasses_gate(self):
         queue = BoundedChunkQueue(1)

@@ -48,20 +48,6 @@ class TestConstruction:
         assert len(t) == 0
         assert t.duration == 0.0
 
-    def test_from_records_keeps_device_columns_only_when_complete(self):
-        full = [
-            IORecord(timestamp=0.0, lba=0, size=8, op=OpType.READ, issue=0.0, complete=10.0),
-            IORecord(timestamp=5.0, lba=8, size=8, op=OpType.WRITE, issue=6.0, complete=20.0),
-        ]
-        t = BlockTrace.from_records(full)
-        assert t.has_device_times
-        partial = [
-            IORecord(timestamp=0.0, lba=0, size=8, op=OpType.READ, issue=0.0, complete=10.0),
-            IORecord(timestamp=5.0, lba=8, size=8, op=OpType.WRITE),
-        ]
-        t2 = BlockTrace.from_records(partial)
-        assert not t2.has_device_times
-
 
 class TestDerived:
     def test_inter_arrival_times(self):
@@ -144,11 +130,6 @@ class TestTransforms:
         c = a.concat(b)
         assert len(c) == 6
         assert c.has_device_times
-
-    def test_drop_device_times_and_sync(self):
-        t = make_trace(3)
-        assert not t.drop_device_times().has_device_times
-        assert t.drop_device_times().has_sync_flags is False
 
 
 class TestBuilder:
