@@ -252,22 +252,6 @@ def bench_streaming_reconstruct(n_requests: int, n_chunks: int = 8) -> dict[str,
 # ----------------------------------------------------------------------
 
 
-def _degraded_raid_node():
-    """A rebuilding RAID-1 of HDDs at bench scale (fresh instance)."""
-    from repro.campaign.devices import build_device
-
-    return build_device(
-        "raid1",
-        {
-            "n": 2,
-            "member": {"kind": "hdd"},
-            "failed_member": 0,
-            "rebuild_every": 16,
-            "rebuild_chunk": 64,
-        },
-    )
-
-
 def run_benchmarks(n_requests: int) -> dict:
     """Measure every stage; returns the JSON-able result document."""
     results: dict = {
@@ -282,16 +266,13 @@ def run_benchmarks(n_requests: int) -> dict:
     results["stages"] = {
         # The headline qdepth bench exercises the precomputed-service
         # (service_batch + FIFO window) engine on the OLD node; the
-        # flash array cannot take that path at depth > 1 (its latencies
-        # are state-dependent under overlap), so its stage tracks the
+        # flash array prices nothing up front (its latencies are
+        # state-dependent under overlap), so its stage tracks the
         # streaming flash loop, whose win is bounded by the
         # irreducible per-fragment state bookkeeping the scalar oracle
         # shares (see docs/architecture.md, "Device-model kernels").
         "qdepth_replay": bench_qdepth(n_requests, old_node, "hdd"),
         "qdepth_replay_flash_array": bench_qdepth(n_requests, new_node, "flash-array"),
-        "qdepth_replay_degraded_raid": bench_qdepth(
-            n_requests, _degraded_raid_node, "degraded-raid"
-        ),
         "fig09_interpolation": bench_interpolation(),
         "steepness_select": bench_steepness(n_requests),
         "streaming_reconstruct": bench_streaming_reconstruct(n_requests),

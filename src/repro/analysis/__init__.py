@@ -20,7 +20,6 @@ from .interpolation import (
 from .regression import (
     LineFit,
     find_outliers,
-    least_squares_fit,
     outlier_margin,
     paper_line_fit,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "interpolate_cdf",
     "LineFit",
     "find_outliers",
-    "least_squares_fit",
     "outlier_margin",
     "paper_line_fit",
     "SteepnessResult",

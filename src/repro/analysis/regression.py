@@ -9,14 +9,10 @@ The pseudocode computes the fit as::
 
 which is *not* ordinary least squares — it is the standard-deviation
 line (OLS slope equals ``r * std(y)/std(x)``; the paper drops the
-correlation factor ``r``).  We implement both:
-
-- :func:`paper_line_fit` — the exact pseudocode, used by default so the
-  reproduction matches the published algorithm, and
-- :func:`least_squares_fit` — textbook OLS, offered for the ablation
-  bench that quantifies how much the simplification matters.
-
-Both return a :class:`LineFit` with slope/intercept and evaluation.
+correlation factor ``r``).  :func:`paper_line_fit` implements the
+pseudocode exactly, so the reproduction matches the published
+algorithm, and returns a :class:`LineFit` with slope/intercept and
+evaluation.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LineFit", "paper_line_fit", "least_squares_fit", "outlier_margin", "find_outliers"]
+__all__ = ["LineFit", "paper_line_fit", "outlier_margin", "find_outliers"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,23 +56,6 @@ def paper_line_fit(x: np.ndarray, y: np.ndarray) -> LineFit:
     sx = float(np.std(x_arr))
     sy = float(np.std(y_arr))
     slope = sy / sx if sx > 0 else 0.0
-    intercept = float(np.mean(y_arr)) - slope * float(np.mean(x_arr))
-    return LineFit(slope=slope, intercept=intercept)
-
-
-def least_squares_fit(x: np.ndarray, y: np.ndarray) -> LineFit:
-    """Ordinary least squares line fit (for the ablation comparison)."""
-    x_arr = np.asarray(x, dtype=np.float64)
-    y_arr = np.asarray(y, dtype=np.float64)
-    if x_arr.size != y_arr.size:
-        raise ValueError("x and y must have equal length")
-    if x_arr.size == 0:
-        raise ValueError("cannot fit a line to an empty sample")
-    sx = float(np.std(x_arr))
-    if sx == 0:
-        return LineFit(slope=0.0, intercept=float(np.mean(y_arr)))
-    cov = float(np.mean((x_arr - x_arr.mean()) * (y_arr - y_arr.mean())))
-    slope = cov / (sx * sx)
     intercept = float(np.mean(y_arr)) - slope * float(np.mean(x_arr))
     return LineFit(slope=slope, intercept=intercept)
 

@@ -507,9 +507,7 @@ def _complete_point(
     if resilience is None:
         row = run_point(spec, point)
     else:
-        row, _ = run_point_resilient(
-            run_point, spec, point, index, key, resilience, injector
-        )
+        row = run_point_resilient(run_point, spec, point, index, key, resilience, injector)
     wall_s = round(time.perf_counter() - start, 6)
     checkpoint_path: Path | None = None
     if segment is not None:

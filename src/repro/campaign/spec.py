@@ -146,12 +146,15 @@ class CampaignSpec:
         if self.limit is not None and self.limit <= 0:
             raise ValueError("limit must be positive (or omitted)")
         # Device descriptions are checked up front — an unknown kind or
-        # a fault parameter on a kind that does not support it must be
-        # rejected when the spec is loaded, not mid-sweep.
+        # parameter must be rejected when the spec is loaded, not
+        # mid-sweep.
         from .devices import validate_device_description
 
         for device in (*self.devices, self.source_device):
-            validate_device_description(device.kind, device.params)
+            try:
+                validate_device_description(device.kind, device.params)
+            except ValueError as exc:
+                raise ValueError(f"device {device.name!r}: {exc}") from None
 
     def with_limit(self, limit: int | None) -> "CampaignSpec":
         """Copy with a different point cap (CLI smoke-run override)."""

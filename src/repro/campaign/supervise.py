@@ -304,13 +304,13 @@ def run_point_resilient(
     resilience: Resilience,
     injector: ChaosInjector | None = None,
     sleep: Callable[[float], None] = time.sleep,
-) -> tuple[dict[str, Any], bool]:
+) -> dict[str, Any]:
     """Run one grid point under the full fault-handling policy.
 
-    Returns ``(row, quarantined)``.  Transient failures retry with the
+    Returns the point's row.  Transient failures retry with the
     policy's backoff; permanent failures, and transient ones that
-    exhaust ``max_attempts``, quarantine — the returned row is the
-    :func:`quarantine_row` and ``quarantined`` is ``True``.
+    exhaust ``max_attempts``, quarantine — the returned row is then the
+    :func:`quarantine_row`, whose ``status`` is ``"quarantined"``.
     ``KeyboardInterrupt``/``SystemExit`` always propagate (the operator
     outranks the policy).  The point timeout also covers the chaos
     hooks, so it interrupts an injected ``hang``.  ``sleep`` is
@@ -323,7 +323,7 @@ def run_point_resilient(
             with time_limit(resilience.point_timeout_s):
                 if injector is not None:
                     injector.before_point(index)
-                return run_point_fn(spec, point), False
+                return run_point_fn(spec, point)
         except (KeyboardInterrupt, SystemExit):
             raise
         except BaseException as exc:  # noqa: BLE001 - the taxonomy decides
@@ -331,7 +331,7 @@ def run_point_resilient(
                 classify_error(exc) == "permanent"
                 or attempts >= resilience.retry.max_attempts
             ):
-                return quarantine_row(point.axis_values(), exc, attempts), True
+                return quarantine_row(point.axis_values(), exc, attempts)
             sleep(resilience.retry.delay_s(key, attempts - 1))
 
 

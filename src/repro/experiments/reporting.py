@@ -176,7 +176,7 @@ def campaign_report(
 
 
 # ----------------------------------------------------------------------
-# multi-seed A/B statistics (degraded-vs-healthy campaign verdicts)
+# multi-seed A/B statistics (treatment-vs-baseline campaign verdicts)
 # ----------------------------------------------------------------------
 
 #: Two-sided 95% critical values of Student's t (df 1..30; the normal
@@ -276,7 +276,7 @@ def _numeric_columns(table: ResultsTable) -> list[str]:
 
 
 def ab_campaign_report(spec, table: ResultsTable) -> str:
-    """Multi-seed A/B section: degraded-vs-healthy deltas with verdicts.
+    """Multi-seed A/B section: treatment-vs-baseline deltas with verdicts.
 
     Driven by ``spec.options["ab"]``: ``baseline`` / ``treatment`` are
     device-*name* prefixes that split the grid into two arms (each

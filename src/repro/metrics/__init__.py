@@ -7,7 +7,6 @@ from .comparison import (
     intt_cdf,
     intt_gap_stats,
     ks_distance,
-    median_log_ratio,
 )
 from .verification import VerificationScore, score_inference
 
@@ -21,7 +20,6 @@ __all__ = [
     "intt_cdf",
     "intt_gap_stats",
     "ks_distance",
-    "median_log_ratio",
     "VerificationScore",
     "score_inference",
 ]

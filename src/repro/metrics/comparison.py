@@ -21,7 +21,6 @@ __all__ = [
     "intt_gap_stats",
     "intt_cdf",
     "ks_distance",
-    "median_log_ratio",
 ]
 
 
@@ -123,16 +122,3 @@ def ks_distance(a: BlockTrace, b: BlockTrace) -> float:
     cdf_b = intt_cdf(b)
     support = np.unique(np.concatenate([cdf_a.samples, cdf_b.samples]))
     return float(np.max(np.abs(cdf_a.evaluate_on(support) - cdf_b.evaluate_on(support))))
-
-
-def median_log_ratio(reconstructed: BlockTrace, reference: BlockTrace) -> float:
-    """Median of ``log10(rec_gap / ref_gap)`` over aligned gaps.
-
-    0 means typically-identical timing; +1 means the reconstruction's
-    typical gap is 10× the reference's.  Robust to the heavy idle tail.
-    """
-    rec, ref = _aligned_gaps(reconstructed, reference)
-    valid = (rec > 0) & (ref > 0)
-    if not valid.any():
-        return 0.0
-    return float(np.median(np.log10(rec[valid] / ref[valid])))

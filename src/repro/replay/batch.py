@@ -10,11 +10,10 @@ rule — request ``i + 1`` is submitted ``idle[i]`` after request ``i``
   (``device.service_batch`` returns an array: its latencies are
   *gap-invariant*, a pure function of request order), all four stamp
   columns come out of one interleaved cumulative sum;
-- flash SSDs and flash arrays whose latencies depend on real submission
-  instants (a write-back buffer draining in the background) run the
-  streaming flash loop;
-- every other gap-sensitive device (fault wrappers, RAID) runs the heap
-  event loop over ``device._service``.
+- flash SSDs and flash arrays run the streaming flash loop;
+- every other device whose latencies depend on real submission instants
+  (an HDD with a write-back cache, RAID over such members or over
+  flash) runs the heap event loop over ``device._service``.
 
 The property suite (`tests/test_replay_batch.py`) enforces bit-identity
 with the scalar replayer across every device type.

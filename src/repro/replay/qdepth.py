@@ -30,8 +30,9 @@ device family, each bit-identical to driving ``device.submit`` request
 by request:
 
 - the *interleaved cumulative sum* (:func:`_cumsum_chain`), when
-  ``service_batch`` prices the stream, there is no window and every
-  request waits: the clock chain is then one running sum;
+  ``service_batch`` prices the stream (HDDs without a write-back cache,
+  RAID over such members, constant-latency devices), there is no window
+  and every request waits: the clock chain is then one running sum;
 - the *priced FIFO loop* (:func:`_fifo_loop`), when ``service_batch``
   prices the stream and either the device is one FIFO server
   (``fifo_single_server``) or no two requests can overlap (a window of

@@ -3,20 +3,12 @@
 The paper's hardware half replays traces on real devices; here the
 devices are simulators with the same observable surface (submit a block
 request, get ack and completion stamps back).  Besides the three device
-models there are RAID-0/RAID-1 over arbitrary members and the fault
-wrappers that degrade any of them.
+models there are RAID-0/RAID-1 over arbitrary members.
 """
 
 from .array import FlashArray
 from .channel import PCIE3_X4, SATA_300, SATA_600, InterfaceChannel
 from .device import Completion, ConstantLatencyDevice, StorageDevice
-from .faults import (
-    DegradedRaid1,
-    LatencyInflation,
-    MidTraceSwitch,
-    ServiceFaultWrapper,
-    TransientStalls,
-)
 from .flash import FlashGeometry, FlashSSD
 from .hdd import HDDGeometry, HDDModel
 from .raid import Raid0, Raid1
@@ -30,11 +22,6 @@ __all__ = [
     "Completion",
     "ConstantLatencyDevice",
     "StorageDevice",
-    "DegradedRaid1",
-    "LatencyInflation",
-    "MidTraceSwitch",
-    "ServiceFaultWrapper",
-    "TransientStalls",
     "FlashGeometry",
     "FlashSSD",
     "HDDGeometry",

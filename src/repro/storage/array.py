@@ -14,8 +14,6 @@ channel delay is the per-SSD delay, not the sum).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..trace.record import OpType
 from .channel import PCIE3_X4, InterfaceChannel
 from .device import StorageDevice
@@ -75,29 +73,11 @@ class FlashArray(StorageDevice):
 
     # ------------------------------------------------------------------
 
-    def _fragments(self, lba: int, size: int) -> list[tuple[int, int, int]]:
-        """Split ``[lba, lba+size)`` at stripe boundaries.
-
-        Returns ``(ssd_index, local_lba, local_size)`` triples.  The
-        local LBA keeps the global address, which is harmless for a
-        simulator (each SSD's page mapping is positional) and keeps
-        sequential streams detectable per member.
-        """
-        out: list[tuple[int, int, int]] = []
-        remaining = size
-        cursor = lba
-        while remaining > 0:
-            stripe = cursor // self.stripe_sectors
-            within = cursor - stripe * self.stripe_sectors
-            chunk = min(remaining, self.stripe_sectors - within)
-            out.append((stripe % self.n_ssds, cursor, chunk))
-            cursor += chunk
-            remaining -= chunk
-        return out
-
     def _service(self, op: OpType, lba: int, size: int, t_ready: float) -> tuple[float, float]:
-        # Inline fragment walk (same splitting as _fragments) — this is
-        # the replay hot path, so no intermediate tuple list.
+        # Chop the extent at stripe boundaries; stripe ``k`` lives on
+        # SSD ``k mod n_ssds``.  A fragment keeps its global LBA, which
+        # is harmless for a simulator (each SSD's page mapping is
+        # positional) and keeps sequential streams sequential per member.
         ss = self.stripe_sectors
         n = self.n_ssds
         ssds = self.ssds
@@ -123,53 +103,3 @@ class FlashArray(StorageDevice):
         prices all their fragments.
         """
         return self.ssds, self.stripe_sectors
-
-    def supports_batch(self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray) -> bool:
-        """Batch-capable when members are, and no request revisits an SSD.
-
-        Fragments of one extent land on distinct members as long as the
-        extent spans at most ``n_ssds`` stripes; beyond that, same-SSD
-        fragments queue behind each other and the array latency is no
-        longer the max of independent fragment latencies.
-        """
-        if not self.ssds[0].supports_batch(ops, lbas, sizes):
-            return False
-        lbas = np.asarray(lbas, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        ss = self.stripe_sectors
-        spans = (lbas + sizes - 1) // ss - lbas // ss + 1
-        return bool(np.all(spans <= self.n_ssds))
-
-    def _service_batch(
-        self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray
-    ) -> np.ndarray:
-        """Price each request as its slowest stripe fragment, in order."""
-        # Fragments keep the global LBA (see _fragments) and every
-        # member shares one geometry, so one member's relative-service
-        # memo prices every fragment; the array latency is the slowest
-        # fragment, exactly as the scalar path computes it.
-        g = self.ssds[0].geometry
-        rel_entry = self.ssds[0]._rel_entry
-        ss = self.stripe_sectors
-        page_sectors = g.page_sectors
-        out = np.empty(len(lbas), dtype=np.float64)
-        ops_l = np.asarray(ops).tolist()
-        lbas_l = np.asarray(lbas, dtype=np.int64).tolist()
-        sizes_l = np.asarray(sizes, dtype=np.int64).tolist()
-        read, write = OpType.READ, OpType.WRITE
-        for i in range(len(out)):
-            op = read if ops_l[i] == 0 else write
-            cursor, remaining = lbas_l[i], sizes_l[i]
-            svc = 0.0
-            while remaining > 0:
-                within = cursor % ss
-                chunk = min(remaining, ss - within)
-                first_page = cursor // page_sectors
-                n_pages = (cursor + chunk - 1) // page_sectors - first_page + 1
-                frag = rel_entry(op, first_page, n_pages, chunk).svc
-                if frag > svc:
-                    svc = frag
-                cursor += chunk
-                remaining -= chunk
-            out[i] = svc
-        return out

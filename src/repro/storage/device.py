@@ -166,9 +166,9 @@ class StorageDevice(abc.ABC):
         their member :class:`~repro.storage.flash.FlashSSD` list and the
         stripe unit in sectors (``None`` for a standalone SSD).
         Collection and replay then run the members' fast paths inline
-        (``repro.replay.qdepth._flash_loop``).  Every other device,
-        wrappers included, keeps this default ``None`` and is driven
-        through :meth:`_service` request by request.
+        (``repro.replay.qdepth._flash_loop``).  Every other device keeps
+        this default ``None``: it is priced by :meth:`service_batch` or
+        driven through :meth:`_service` request by request.
         """
         return None
 
@@ -176,6 +176,14 @@ class StorageDevice(abc.ABC):
         self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray
     ) -> np.ndarray | None:
         """Vectorised service times for an in-order request stream.
+
+        Implemented by the models the priced loops serve:
+        :class:`~repro.storage.hdd.HDDModel` (without a write-back
+        cache), :class:`~repro.storage.raid.Raid0` and
+        :class:`~repro.storage.raid.Raid1` over members that price their
+        own fragment streams, and :class:`ConstantLatencyDevice`.  Flash
+        SSDs and flash arrays return ``None`` here and run the streaming
+        flash loop instead (see :meth:`flash_layout`).
 
         Contract (the ``service_batch`` device-author contract):
 

@@ -37,9 +37,9 @@ __all__ = ["FlashGeometry", "FlashSSD"]
 def page_span(lbas, sizes, page_sectors: int):
     """``(first_page, n_pages)`` of the page extent touching a sector extent.
 
-    Works elementwise on arrays and on plain ints — the single
-    definition shared by the scalar ``_pages_of`` walk and batch
-    pricing, so they can never disagree on extent math.
+    Works elementwise on arrays and on plain ints.  The scalar
+    ``_pages_of`` walk takes its extents from here; the streaming flash
+    loop inlines the same two lines.
     """
     first = lbas // page_sectors
     n_pages = (lbas + sizes - 1) // page_sectors - first + 1
@@ -603,39 +603,6 @@ class FlashSSD(StorageDevice):
         finish = self._program_pages(self._pages_of(lba, size), t_ready)
         self._state_horizon = max(self._state_horizon, finish)
         return t_ready, finish
-
-    def supports_batch(self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray) -> bool:
-        """Gap-invariant unless buffered writes can occur.
-
-        A buffered write acknowledges early and drains in the
-        background, so a later request's latency depends on how much
-        wall-clock idle separated them — exactly what the batch
-        contract forbids.  Read-only streams (or a buffer-less
-        geometry) are safe.
-        """
-        if self.geometry.write_buffer_kb == 0:
-            return True
-        # Single materialisation: ``asarray`` is a no-op for ndarray
-        # input and one conversion otherwise; the comparison reuses it.
-        ops_arr = np.asarray(ops)
-        return not bool((ops_arr == int(OpType.WRITE)).any())
-
-    def _service_batch(
-        self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray
-    ) -> np.ndarray:
-        """Price each request through the relative-service memo, in order."""
-        lbas = np.asarray(lbas, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        first, n_pages = page_span(lbas, sizes, self._page_sectors)
-        out = np.empty(len(lbas), dtype=np.float64)
-        rel_entry = self._rel_entry
-        read = OpType.READ
-        write = OpType.WRITE
-        for i, (op, fp, npg, size) in enumerate(
-            zip(np.asarray(ops).tolist(), first.tolist(), n_pages.tolist(), sizes.tolist())
-        ):
-            out[i] = rel_entry(read if op == 0 else write, fp, npg, size).svc
-        return out
 
     # ------------------------------------------------------------------
     # streaming replay loop support (repro.replay.qdepth._flash_loop)

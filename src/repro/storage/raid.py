@@ -46,9 +46,7 @@ def _mirror_streams(
     Read ``r`` (in stream order) lands on member
     ``(counter + r) % n_members`` — the strict-alternation balancer as
     a cumulative count — and writes broadcast to every member, all
-    selected with boolean masks that preserve request order.  Shared by
-    :class:`Raid1` and the survivors of a
-    :class:`~repro.storage.faults.DegradedRaid1`.
+    selected with boolean masks that preserve request order.
     """
     ops_arr = np.asarray(ops, dtype=np.int8)
     lbas = np.asarray(lbas, dtype=np.int64)

@@ -8,7 +8,6 @@ import pytest
 from repro.analysis import (
     LineFit,
     find_outliers,
-    least_squares_fit,
     outlier_margin,
     paper_line_fit,
 )
@@ -49,21 +48,6 @@ class TestPaperLineFit:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             paper_line_fit(np.array([1.0]), np.array([1.0, 2.0]))
-
-
-class TestLeastSquaresFit:
-    def test_matches_polyfit(self, rng):
-        x = rng.uniform(0, 10, 100)
-        y = 2.5 * x - 4.0 + rng.normal(0, 0.1, 100)
-        fit = least_squares_fit(x, y)
-        expected = np.polyfit(x, y, 1)
-        assert fit.slope == pytest.approx(expected[0], rel=1e-6)
-        assert fit.intercept == pytest.approx(expected[1], rel=1e-4)
-
-    def test_handles_negative_slope(self):
-        x = np.array([0.0, 1.0, 2.0])
-        y = np.array([2.0, 1.0, 0.0])
-        assert least_squares_fit(x, y).slope == pytest.approx(-1.0)
 
 
 class TestOutliers:

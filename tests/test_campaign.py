@@ -119,6 +119,104 @@ class TestDeviceRegistry:
         raid = build_device("raid0", {"n": 3, "member": {"kind": "old-node"}})
         assert len({m.fingerprint() for m in raid.members}) == 3
 
+    def test_unknown_kind_names_valid_kinds(self):
+        with pytest.raises(ValueError, match="unknown device kind") as excinfo:
+            build_device("floppy")
+        message = str(excinfo.value)
+        for kind in (
+            "hdd", "flash", "flash_array", "raid0", "raid1",
+            "old-node", "new-node", "calibration-disk",
+        ):
+            assert repr(kind) in message
+
+    def test_unknown_parameter_names_valid_parameters(self):
+        with pytest.raises(ValueError, match="unknown parameter") as excinfo:
+            build_device("hdd", {"rpm": 7200.0, "shingle_overlap": 3})
+        message = str(excinfo.value)
+        assert "valid parameters" in message
+        assert "write_back_cache_kb" in message and "seed" in message
+
+
+class TestDeviceValidationAtLoad:
+    """Every device parameter is checked when the spec loads, nested
+    RAID members included, before any point is planned or run."""
+
+    # The three kinds removed from the registry fail like any other typo.
+    @pytest.mark.parametrize("kind", ["warp-drive", "nvme_mq", "tiered", "smr"])
+    def test_spec_rejects_unknown_kind_up_front(self, kind):
+        with pytest.raises(ValueError, match=f"unknown device kind '{kind}'"):
+            CampaignSpec.from_dict({"name": "bad", "devices": [kind]})
+
+    @pytest.mark.parametrize(
+        "device, kind, bad",
+        [
+            ({"kind": "flash", "chanels": 4}, "flash", "chanels"),
+            ({"kind": "raid1", "member": {"kind": "hdd", "rmp": 5}}, "hdd", "rmp"),
+            # A preset member resolves to its base kind before the check.
+            ({"kind": "raid0", "member": {"kind": "new-node", "rpm": 1.0}}, "flash_array", "rpm"),
+            # Removed fault knobs are unknown parameters like any other.
+            ({"kind": "flash", "latency_factor": 2.0}, "flash", "latency_factor"),
+            ({"kind": "raid1", "failed_member": 0}, "raid1", "failed_member"),
+            ({"kind": "new-node", "offline_at": 10}, "flash_array", "offline_at"),
+        ],
+        ids=["chanels", "member-rmp", "preset-member-rpm", "latency_factor",
+             "failed_member", "preset-offline_at"],
+    )
+    def test_unknown_parameter_rejected_at_load(self, device, kind, bad):
+        with pytest.raises(ValueError) as excinfo:
+            CampaignSpec.from_dict({"name": "bad", "devices": [{"name": "d", **device}]})
+        message = str(excinfo.value)
+        assert message.startswith("device 'd': ")
+        assert f"unknown parameter(s) for device kind {kind!r}: [{bad!r}]" in message
+        assert "valid parameters: [" in message
+
+    @pytest.mark.parametrize("member", [None, "hdd"])
+    def test_member_must_be_a_mapping(self, member):
+        with pytest.raises(ValueError, match="device 'd': raid0 member: 'member' must be"):
+            CampaignSpec.from_dict(
+                {"name": "bad", "devices": [{"name": "d", "kind": "raid0", "member": member}]}
+            )
+
+    def test_source_device_checked_too(self):
+        with pytest.raises(ValueError, match="device 'src': unknown parameter"):
+            CampaignSpec.from_dict(
+                {"name": "bad", "source_device": {"name": "src", "kind": "hdd", "sed": 1}}
+            )
+
+    def test_valid_nested_members_accepted(self):
+        spec = CampaignSpec.from_dict(
+            {
+                "name": "ok",
+                "devices": [
+                    {"name": "m", "kind": "raid1", "n": 3, "member": {"kind": "hdd", "seed": 5}},
+                    {"name": "s", "kind": "raid0", "member": {"kind": "old-node", "rpm": 15000.0}},
+                    {"name": "f", "kind": "raid0", "member": {"kind": "flash", "channels": 4}},
+                ],
+            }
+        )
+        for device in spec.devices:
+            assert device.build().fingerprint()
+
+    def test_plan_exits_2_before_listing_the_grid(self, tmp_path: Path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "name": "typo",
+                    "devices": [
+                        "old-node",
+                        {"name": "m", "kind": "raid1", "member": {"kind": "hdd", "rmp": 5}},
+                    ],
+                }
+            )
+        )
+        assert cli_main(["plan", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: device 'm': raid1 member: ")
+        assert "['rmp']" in lines[0] and "'rpm'" in lines[0]
+
 
 # ----------------------------------------------------------------------
 # Plan expansion

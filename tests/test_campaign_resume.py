@@ -106,29 +106,21 @@ def test_no_resume_flag_recomputes(tmp_path: Path, counted_run_point):
     assert result.n_resumed == 0
 
 
-def test_degraded_sweep_interrupt_then_resume(tmp_path: Path, counted_run_point):
-    """Fault-parameterised device specs resume like any other point.
+def test_device_sweep_interrupt_then_resume(tmp_path: Path, counted_run_point):
+    """Parameterised device specs resume like any other point.
 
-    The fault knobs live inside the device description, so they are
-    part of the checkpoint run key — a killed degraded sweep must
-    restart with zero recomputation and an identical table.
+    The device knobs live inside the device description, so they are
+    part of the checkpoint run key — a killed device sweep must restart
+    with zero recomputation and an identical table.
     """
     spec = CampaignSpec(
-        name="degraded-resume",
+        name="device-resume",
         action="reconstruct",
         workloads=("MSNFS",),
         devices=(
-            DeviceSpec("healthy", "flash_array", {"n_ssds": 2, "stripe_kb": 16}),
-            DeviceSpec(
-                "offline",
-                "flash_array",
-                {"n_ssds": 2, "stripe_kb": 16, "offline_at": 40, "offline_channels": 4},
-            ),
-            DeviceSpec(
-                "rebuilding",
-                "raid1",
-                {"failed_member": 0, "rebuild_every": 16, "rebuild_chunk": 64},
-            ),
+            DeviceSpec("array", "flash_array", {"n_ssds": 2, "stripe_kb": 16}),
+            DeviceSpec("narrow-array", "flash_array", {"n_ssds": 2, "channels": 4}),
+            DeviceSpec("mirror", "raid1", {"n": 3, "member": {"kind": "hdd", "seed": 5}}),
         ),
         methods=("revision",),
         n_requests=(150,),

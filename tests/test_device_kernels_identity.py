@@ -8,8 +8,8 @@ simulator state afterwards:
   including the exception/slice split) against the scalar per-page
   walks ``FlashSSD._read_pages`` / ``_program_pages``, at every extent
   size from one page to many waves over the dies;
-- ``service_batch`` pricing (flash and array) against the synchronous
-  scalar replay's stamps;
+- ``service_batch`` pricing of the RAID levels against the synchronous
+  scalar replay's stamps, and the flash family's refusal to price;
 - the RAID member-stream decomposition against the fan-out the scalar
   ``_service`` performs request by request;
 - the streaming flash loop, in sync and queue-depth replay, against
@@ -21,8 +21,6 @@ simulator state afterwards:
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +35,6 @@ from repro.replay.qdepth import _flash_loop, _padded_idle
 from repro.storage import (
     SATA_600,
     ConstantLatencyDevice,
-    DegradedRaid1,
     FlashArray,
     FlashGeometry,
     FlashSSD,
@@ -239,30 +236,12 @@ def _assert_prices_sync_replay(make, ops, lbas, sizes, seed):
 
 
 class TestGroupedServiceBatch:
-    """Stream pricing, and the page-span helper it shares with ``_pages_of``."""
-
-    @pytest.mark.parametrize("geom_key", sorted(GEOMETRIES))
-    def test_flash_service_batch_identical(self, geom_key):
-        g = replace(GEOMETRIES[geom_key], write_buffer_kb=0)
-        rng = np.random.default_rng(31)
-        ops, lbas, sizes = _random_stream(rng, 300)
-        ssd = FlashSSD(geometry=g)
-        d0, c0 = _clone_state(ssd)
-        ssd.service_batch(ops, lbas, sizes)
-        # Pricing is pure w.r.t. timing state.
-        assert ssd._die_busy == d0 and ssd._chan_busy == c0
-        _assert_prices_sync_replay(lambda: FlashSSD(geometry=g), ops, lbas, sizes, 31)
-
-    def test_array_service_batch_identical(self):
-        rng = np.random.default_rng(37)
-        ops, lbas, sizes = _random_stream(rng, 300)
-        g = FlashGeometry(write_buffer_kb=0)
-        _assert_prices_sync_replay(lambda: FlashArray(geometry=g), ops, lbas, sizes, 37)
+    """Flash streams are never priced up front, and the page-span helper."""
 
     def test_array_service_batch_wide_extents(self):
-        # Extents spanning more stripes than members revisit an SSD, so
-        # their latency is not the max of independent fragments: the
-        # array refuses to price them and replay drives _service.
+        # The array prices no stream; extents spanning more stripes than
+        # members revisit an SSD, whose fragments then queue behind each
+        # other in the streaming flash loop exactly as in _service.
         ops = np.zeros(40, dtype=np.int8)
         lbas = np.arange(40, dtype=np.int64) * 13
         sizes = np.full(40, 8 * 2 * 7, dtype=np.int64)  # 7 stripes each
@@ -350,7 +329,6 @@ class TestRaidStreams:
         for make in (
             lambda: Raid0([HDDModel(seed=s) for s in (1, 2, 3)], stripe_kb=64),
             lambda: Raid1([HDDModel(seed=s) for s in (1, 2)]),
-            lambda: DegradedRaid1([HDDModel(seed=s) for s in (1, 2, 3)], failed_index=1),
         ):
             ops, lbas, sizes = _random_stream(rng, 120, max_size=2 * 128 + 2)
             _assert_prices_sync_replay(make, ops, lbas, sizes, 59)
@@ -406,20 +384,15 @@ class TestPlanReplayStateEquivalence:
     @pytest.mark.parametrize("device_key", FLASH_DEVICE_KEYS)
     def test_state_after_sync_replay(self, device_key):
         """Sync replay: stamps, and the member horizons and buffered
-        bytes the streaming loop writes back.
-
-        ``replay_with_idle_batch`` prices a bufferless stream up front
-        (``service_batch``), which leaves timing state unspecified, so
-        the loop also runs directly in its sync mode on every key.
-        """
+        bytes the streaming loop writes back, through the dispatcher and
+        with the loop run directly in its sync mode."""
         make = DEVICE_FACTORIES[device_key]
         # Short think times keep the busy and late-admission paths hot.
         trace, idle = _state_trace(300.0)
         oracle_dev, batch_dev, loop_dev = make(), make(), make()
         oracle = replay_with_idle(trace, oracle_dev, idle)
         assert_replays_identical(replay_with_idle_batch(trace, batch_dev, idle), oracle)
-        if make().service_batch(trace.ops, trace.lbas, trace.sizes) is None:
-            assert _flash_state(batch_dev) == _flash_state(oracle_dev)
+        assert _flash_state(batch_dev) == _flash_state(oracle_dev)
         t_cdel = loop_dev.channel.delay_batch_us(trace.ops, trace.sizes)
         stamps = _flash_loop(
             loop_dev.flash_layout(), trace.ops, trace.lbas, trace.sizes, t_cdel,
@@ -431,18 +404,18 @@ class TestPlanReplayStateEquivalence:
         assert _flash_state(loop_dev) == _flash_state(oracle_dev)
 
     def test_state_after_mixed_batch_and_scalar_use(self):
-        """Batch pricing, replay, then scalar submits — state stays lockstep."""
+        """A refused pricing call, replay, then scalar submits — state stays lockstep."""
         rng = np.random.default_rng(67)
         n = 60
         trace = BlockTrace(
             timestamps=np.arange(n, dtype=np.float64),
             lbas=rng.integers(0, 1 << 20, n),
             sizes=rng.integers(1, 300, n),
-            ops=np.zeros(n, dtype=np.int8),  # reads: batch-capable
+            ops=np.zeros(n, dtype=np.int8),
         )
         d_fast, d_oracle = FlashArray(), FlashArray()
-        # Pure batch pricing consumes no timing state.
-        assert d_fast.service_batch(trace.ops, trace.lbas, trace.sizes) is not None
+        # Flash prices no stream, and refusing consumes no state.
+        assert d_fast.service_batch(trace.ops, trace.lbas, trace.sizes) is None
         assert _flash_state(d_fast) == _flash_state(d_oracle)
         # Replay (streaming loop vs oracle), then identical scalar submits.
         fast = replay_queue_depth(trace, d_fast, queue_depth=3)
@@ -546,8 +519,8 @@ class TestFastVsScalarPathPin:
 
     The memoised fast path sums *relative* offsets before adding
     ``t_ready``; the seed-era scalar walk added ``t_ready`` first.  The
-    two can differ at rounding level for multi-wave shapes — but batch,
-    streaming-loop and scalar engines (which all read the same memoised
+    two can differ at rounding level for multi-wave shapes — but the
+    streaming-loop and scalar engines (which both read the same memoised
     relative-service entries) must agree with each other with tolerance
     zero.
     This test pins that contract across the zoo.

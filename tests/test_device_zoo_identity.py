@@ -1,7 +1,7 @@
 """Differential identity harness over the whole device zoo.
 
-Every registry kind — healthy and degraded — must produce bitwise
-identical stamps whichever submission loop serves it:
+Every registry kind must produce bitwise identical stamps whichever
+submission loop serves it:
 
 - synchronous scalar replay vs the batch entry point;
 - queue-depth replay vs its retained scalar oracle, at queue depth 1
@@ -9,8 +9,8 @@ identical stamps whichever submission loop serves it:
 - trace collection vs a per-request ``submit`` reference, with sync
   and async requests mixed;
 - whole-stream ``service_batch`` pricing vs the same stream priced in
-  two chunks (order-dependent state — stall ordinals, mirror round
-  robin, HDD RNG draws — must advance identically).
+  two chunks (order-dependent state — mirror round robin, HDD RNG
+  draws — must advance identically).
 
 A cross-loop check also runs every entry on wide extents, which the
 mixed trace never reaches.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.campaign.devices import DEVICE_KINDS, FAULT_PARAMS, build_device, device_zoo
+from repro.campaign.devices import DEVICE_KINDS, build_device, device_zoo
 from repro.replay import (
     replay_queue_depth,
     replay_queue_depth_scalar,
@@ -70,23 +70,11 @@ def _build(entry: str):
 
 
 class TestZooCoverage:
-    """The zoo is the registry's mirror — no kind or fault escapes it."""
+    """The zoo is the registry's mirror — no kind escapes it."""
 
     def test_every_registry_kind_in_zoo(self):
         zoo_kinds = {desc["kind"] for desc in ZOO.values()}
         assert zoo_kinds == set(DEVICE_KINDS)
-
-    def test_every_fault_parameter_in_zoo(self):
-        used = {key for desc in ZOO.values() for key in desc}
-        missing = set(FAULT_PARAMS) - used
-        assert not missing, f"fault parameters with no degraded zoo entry: {sorted(missing)}"
-
-    def test_healthy_and_degraded_shapes_present(self):
-        degraded = [
-            name for name, desc in ZOO.items() if set(desc) & set(FAULT_PARAMS)
-        ]
-        healthy = [name for name in ZOO if name not in degraded]
-        assert len(degraded) >= 8 and len(healthy) >= 8
 
     def test_fingerprints_distinct(self):
         prints = {name: _build(name).fingerprint() for name in ZOO}
@@ -115,7 +103,7 @@ class TestQueueDepthIdentity:
     reproduce its stamps exactly.  The first two are driven directly,
     bypassing the dispatcher; devices without a flash layout route
     ``plan`` to the event loop, so the parametrisation is uniform over
-    the whole zoo — fault wrappers included.
+    the whole zoo.
     """
 
     @pytest.mark.parametrize("entry", sorted(ZOO))
@@ -244,9 +232,8 @@ class TestChunkedBatchPricing:
     """Whole-stream vs chunked ``service_batch``: state advances alike.
 
     Splitting a stream across two batch calls must price identically to
-    one call — the order-dependent fault state (stall ordinals, mirror
-    read counters, mid-trace switch indices, HDD RNG draws) has to
-    advance by exactly the consumed prefix.
+    one call — the order-dependent state (mirror read counters, HDD RNG
+    draws) has to advance by exactly the consumed prefix.
     """
 
     @pytest.mark.parametrize("entry", sorted(ZOO))

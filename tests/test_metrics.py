@@ -13,7 +13,6 @@ from repro.metrics import (
     intt_cdf,
     intt_gap_stats,
     ks_distance,
-    median_log_ratio,
     score_inference,
 )
 from repro.trace import BlockTrace
@@ -136,12 +135,6 @@ class TestDistributionDistances:
         a = gap_trace([10.0] * 50)
         b = gap_trace([10_000.0] * 50)
         assert ks_distance(a, b) == pytest.approx(1.0)
-
-    def test_median_log_ratio(self):
-        a = gap_trace([1000.0] * 20)
-        b = gap_trace([100.0] * 20)
-        assert median_log_ratio(a, b) == pytest.approx(1.0)
-        assert median_log_ratio(b, a) == pytest.approx(-1.0)
 
     def test_intt_cdf_clips_zeros(self):
         t = gap_trace([0.0, 10.0])

@@ -3,9 +3,10 @@
 The batch engine's contract is strict: for every device type and every
 valid (trace, idle) input, :func:`replay_with_idle_batch` must produce
 *bit-identical* stamps to the scalar :func:`replay_with_idle` — whether
-it took the cumulative-sum vector path (gap-invariant devices) or the
-fast scalar fallback (e.g. a flash array with buffered writes).  These
-tests enforce that property with hypothesis across the device zoo.
+it took the cumulative-sum vector path (gap-invariant devices), the
+streaming flash loop (flash SSDs and arrays) or the heap event loop
+(e.g. an HDD with a write-back cache).  These tests enforce that
+property with hypothesis across the device zoo.
 """
 
 from __future__ import annotations
@@ -65,10 +66,14 @@ DEVICE_FACTORIES = {
 
 #: Configurations whose latencies are gap-invariant: the vector path
 #: must actually engage (service_batch returns an array).
-VECTOR_CAPABLE = ("const", "hdd", "flash-nobuffer", "array-nobuffer", "raid0-const", "raid0-hdd", "raid1-hdd")
+VECTOR_CAPABLE = ("const", "hdd", "raid0-const", "raid0-hdd", "raid1-hdd")
 
-#: Configurations that must fall back (timing-dependent internal state).
-FALLBACK_ONLY = ("hdd-cache",)
+#: Configurations that must refuse batch pricing: timing-dependent
+#: internal state, and the flash family, which the streaming flash loop
+#: serves whatever its buffer.
+FALLBACK_ONLY = (
+    "hdd-cache", "flash-nobuffer", "flash-buffered", "array-default", "array-nobuffer",
+)
 
 
 def assert_replays_identical(a, b):
@@ -162,38 +167,41 @@ class TestBatchScalarEquivalence:
     def test_gap_sensitive_devices_refuse(self, device_key):
         rng = np.random.default_rng(4)
         n = 32
-        ops = rng.integers(0, 2, n).astype(np.int8)
-        device = DEVICE_FACTORIES[device_key]()
-        assert device.service_batch(ops, rng.integers(0, 10**8, n), np.full(n, 8)) is None
+        lbas = rng.integers(0, 10**8, n)
+        # Mixed, write-only and read-only streams are all refused.
+        for ops in (
+            rng.integers(0, 2, n).astype(np.int8),
+            np.ones(n, dtype=np.int8),
+            np.zeros(n, dtype=np.int8),
+        ):
+            device = DEVICE_FACTORIES[device_key]()
+            assert device.service_batch(ops, lbas, np.full(n, 8)) is None
 
-    def test_buffered_flash_refuses_writes_but_takes_reads(self):
-        device = FlashSSD()  # default geometry has a write buffer
-        n = 16
-        lbas = np.arange(n) * 64
-        sizes = np.full(n, 8)
-        assert device.service_batch(np.ones(n, dtype=np.int8), lbas, sizes) is None
-        device.reset()
-        assert device.service_batch(np.zeros(n, dtype=np.int8), lbas, sizes) is not None
+
+def _rule_stream():
+    """One 40-request stream, its think times, and a nonzero lead."""
+    rng = np.random.default_rng(41)
+    n = 40
+    ops = rng.integers(0, 2, n).astype(np.int8)
+    lbas = rng.integers(0, 1 << 20, n)
+    sizes = rng.integers(1, 64, n)
+    gap = rng.uniform(0.0, 300.0, n)
+    return ops, lbas, sizes, gap, 123.25, np.ones(n, dtype=bool)
 
 
 class TestLoopsAgreeOnTheRule:
     """Every submission loop applies the rule with a nonzero lead alike.
 
-    On a bufferless SSD whose host waits for every finish, all four
-    loops can serve the stream (it is priced, the SSD has a flash
-    layout, and ``_service`` drives it), so each must reproduce a
-    per-request ``submit`` loop that starts its clock at the lead.
+    The host waits for every finish, and each loop that can serve the
+    device must reproduce a per-request ``submit`` loop that starts its
+    clock at the lead: the two priced loops and the heap event loop on
+    a cache-less HDD (``service_batch`` prices its stream), and the
+    streaming flash loop and the event loop on a bufferless SSD.
     """
 
-    def test_all_four_loops_match_submit(self):
-        rng = np.random.default_rng(41)
-        n = 40
-        ops = rng.integers(0, 2, n).astype(np.int8)
-        lbas = rng.integers(0, 1 << 20, n)
-        sizes = rng.integers(1, 64, n)
-        gap = rng.uniform(0.0, 300.0, n)
-        lead = 123.25
-        make = lambda: FlashSSD(geometry=FlashGeometry(write_buffer_kb=0))  # noqa: E731
+    @staticmethod
+    def _assert_loops_match_submit(make, loops):
+        ops, lbas, sizes, gap, lead, __ = _rule_stream()
         device = make()
         submits, acks, starts, finishes = [], [], [], []
         clock = lead
@@ -205,27 +213,44 @@ class TestLoopsAgreeOnTheRule:
             finishes.append(c.finish)
             clock = c.finish + g
         expected = (submits, acks, starts, finishes)
-        waits = np.ones(n, dtype=bool)
-        runs = {}
-        for name, run in {
-            "cumsum": lambda d, t: _cumsum_chain(t, d.service_batch(ops, lbas, sizes), lead, gap),
-            "fifo": lambda d, t: _fifo_loop(
-                t, d.service_batch(ops, lbas, sizes), lead, gap, waits, None
-            ),
-            "flash": lambda d, t: _flash_loop(
-                d.flash_layout(), ops, lbas, sizes, t, lead, gap, waits, None
-            ),
-            "events": lambda d, t: _service_loop(
-                d, ops, lbas, sizes, t, lead, gap, waits, None
-            ),
-        }.items():
+        for name, run in loops.items():
             d = make()
-            runs[name] = run(d, d.channel.delay_batch_us(ops, sizes))
-        for name, stamps in runs.items():
+            stamps = run(d, d.channel.delay_batch_us(ops, sizes))
             for got, want in zip(stamps, expected):
                 np.testing.assert_array_equal(got, want, err_msg=name)
         np.testing.assert_array_equal(
             submit_stream(make(), ops, lbas, sizes, gap, lead=lead)[0], submits
+        )
+
+    def test_priced_loops_match_submit(self):
+        ops, lbas, sizes, gap, lead, waits = _rule_stream()
+        self._assert_loops_match_submit(
+            lambda: HDDModel(seed=9),
+            {
+                "cumsum": lambda d, t: _cumsum_chain(
+                    t, d.service_batch(ops, lbas, sizes), lead, gap
+                ),
+                "fifo": lambda d, t: _fifo_loop(
+                    t, d.service_batch(ops, lbas, sizes), lead, gap, waits, None
+                ),
+                "events": lambda d, t: _service_loop(
+                    d, ops, lbas, sizes, t, lead, gap, waits, None
+                ),
+            },
+        )
+
+    def test_flash_loop_matches_submit(self):
+        ops, lbas, sizes, gap, lead, waits = _rule_stream()
+        self._assert_loops_match_submit(
+            lambda: FlashSSD(geometry=FlashGeometry(write_buffer_kb=0)),
+            {
+                "flash": lambda d, t: _flash_loop(
+                    d.flash_layout(), ops, lbas, sizes, t, lead, gap, waits, None
+                ),
+                "events": lambda d, t: _service_loop(
+                    d, ops, lbas, sizes, t, lead, gap, waits, None
+                ),
+            },
         )
 
 

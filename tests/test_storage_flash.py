@@ -85,6 +85,19 @@ class TestFlashSSD:
         assert a == b
 
 
+def _served_fragments(arr: FlashArray, lba: int, size: int) -> list[tuple[int, int, int]]:
+    """``(ssd_index, lba, size)`` of each member ``_service`` call one read makes."""
+    calls: list[tuple[int, int, int]] = []
+    for index, ssd in enumerate(arr.ssds):
+        def record(op, frag_lba, frag_size, t_ready, index=index, service=ssd._service):
+            calls.append((index, frag_lba, frag_size))
+            return service(op, frag_lba, frag_size, t_ready)
+
+        ssd._service = record
+    arr._service(OpType.READ, lba, size, 0.0)
+    return calls
+
+
 class TestFlashArray:
     def test_paper_array_shape(self):
         arr = FlashArray()
@@ -93,13 +106,13 @@ class TestFlashArray:
 
     def test_fragments_split_on_stripe_boundaries(self):
         arr = FlashArray(stripe_kb=128)  # 256 sectors
-        frags = arr._fragments(lba=200, size=200)
-        assert [(f[0], f[2]) for f in frags] == [(0, 56), (1, 144)]
+        frags = _served_fragments(arr, lba=200, size=200)
+        assert frags == [(0, 200, 56), (1, 256, 144)]
         assert sum(f[2] for f in frags) == 200
 
     def test_fragments_round_robin(self):
         arr = FlashArray(n_ssds=4, stripe_kb=128)
-        frags = arr._fragments(lba=0, size=256 * 4)
+        frags = _served_fragments(arr, lba=0, size=256 * 4)
         assert [f[0] for f in frags] == [0, 1, 2, 3]
 
     def test_array_read_bandwidth_exceeds_single_ssd(self):

@@ -193,30 +193,30 @@ class TestRunPointResilient:
     def test_success_first_try_no_sleep(self):
         sleeps: list[float] = []
         fn = _FlakyPoint(0)
-        row, quarantined = run_point_resilient(
+        row = run_point_resilient(
             fn, None, _Point(), 0, "k", _resilience(), sleep=sleeps.append
         )
         assert row == {"workload": "w", "value": 42}
-        assert not quarantined and sleeps == [] and fn.calls == 1
+        assert sleeps == [] and fn.calls == 1
 
     def test_transient_retries_with_policy_backoff(self):
         sleeps: list[float] = []
         fn = _FlakyPoint(2)
         resilience = _resilience(max_attempts=3)
-        row, quarantined = run_point_resilient(
+        row = run_point_resilient(
             fn, None, _Point(), 0, "k", resilience, sleep=sleeps.append
         )
-        assert not quarantined and fn.calls == 3
+        assert row == {"workload": "w", "value": 42} and fn.calls == 3
         assert sleeps == resilience.retry.delays("k")
 
     def test_quarantine_after_n_attempts(self):
         sleeps: list[float] = []
         fn = _FlakyPoint(10)  # never recovers
         resilience = _resilience(max_attempts=4)
-        row, quarantined = run_point_resilient(
+        row = run_point_resilient(
             fn, None, _Point(), 0, "k", resilience, sleep=sleeps.append
         )
-        assert quarantined and fn.calls == 4
+        assert fn.calls == 4
         assert len(sleeps) == 3  # one backoff per retry, none after the last
         assert row["status"] == QUARANTINED
         assert row["attempts"] == 4
@@ -226,10 +226,10 @@ class TestRunPointResilient:
     def test_permanent_quarantines_immediately(self):
         sleeps: list[float] = []
         fn = _FlakyPoint(10, exc=ValueError("bad shape"))
-        row, quarantined = run_point_resilient(
+        row = run_point_resilient(
             fn, None, _Point(), 0, "k", _resilience(), sleep=sleeps.append
         )
-        assert quarantined and fn.calls == 1 and sleeps == []
+        assert row["status"] == QUARANTINED and fn.calls == 1 and sleeps == []
         assert row["error"].startswith("ValueError")
 
     def test_keyboard_interrupt_propagates(self):
@@ -250,10 +250,11 @@ class TestRunPointResilient:
         """Attempts used = min(failures + 1, max_attempts); quarantine
         iff the failures outlast the budget."""
         fn = _FlakyPoint(failures)
-        row, quarantined = run_point_resilient(
+        row = run_point_resilient(
             fn, None, _Point(), 0, "k",
             _resilience(max_attempts=max_attempts), sleep=lambda s: None,
         )
+        quarantined = row.get("status") == QUARANTINED
         assert quarantined == (failures >= max_attempts)
         assert fn.calls == min(failures + 1, max_attempts)
         if quarantined:

@@ -14,7 +14,6 @@ from repro.storage import (
     FlashArray,
     FlashSSD,
     HDDModel,
-    LatencyInflation,
     Raid1,
 )
 from repro.trace import TraceStore
@@ -112,7 +111,7 @@ class TestCaching:
             FlashSSD(),
             FlashArray(),
             Raid1([HDDModel(seed=s) for s in (1, 2)]),
-            LatencyInflation(FlashSSD(), factor=2.0),
+            HDDModel(write_back_cache_kb=256),
         ]
         ran: set[str] = set()
 
