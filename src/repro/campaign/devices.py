@@ -262,7 +262,9 @@ def device_zoo() -> dict[str, dict[str, Any]]:
     differential identity harness (`tests/test_device_zoo_identity.py`)
     iterates it, so adding a kind here (the coverage test fails until
     it appears) automatically locks the new model into the engine
-    bit-identity matrix.
+    bit-identity matrix.  Two slow shapes (an SSD with slow NAND and
+    bus timings, a RAID-0 over 5400 rpm disks) carry non-default timing
+    knobs, a nested member's included, through every engine.
     """
     tiny_flash = {
         "channels": 3,
@@ -282,4 +284,12 @@ def device_zoo() -> dict[str, dict[str, Any]]:
             "kind": "raid0", "n": 2, "stripe_kb": 16, "member": {"kind": "flash", **tiny_flash},
         },
         "raid1": {"kind": "raid1", "n": 2, "member": {"kind": "hdd"}},
+        "flash-slow": {
+            "kind": "flash", **tiny_flash,
+            "read_us": 97.5, "program_us": 1650.0, "channel_mb_s": 133.0, "buffer_write_us": 27.5,
+        },
+        "raid0-slow": {
+            "kind": "raid0", "n": 2, "stripe_kb": 16,
+            "member": {"kind": "hdd", "rpm": 5400.0, "avg_seek_ms": 12.0, "track_to_track_ms": 1.5},
+        },
     }

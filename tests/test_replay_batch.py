@@ -222,8 +222,12 @@ class TestLoopsAgreeOnTheRule:
             submit_stream(make(), ops, lbas, sizes, gap, lead=lead)[0], submits
         )
 
-    def test_priced_loops_match_submit(self):
+    def test_all_four_loops_match_submit(self):
         ops, lbas, sizes, gap, lead, waits = _rule_stream()
+
+        def events(d, t):
+            return _service_loop(d, ops, lbas, sizes, t, lead, gap, waits, None)
+
         self._assert_loops_match_submit(
             lambda: HDDModel(seed=9),
             {
@@ -233,23 +237,16 @@ class TestLoopsAgreeOnTheRule:
                 "fifo": lambda d, t: _fifo_loop(
                     t, d.service_batch(ops, lbas, sizes), lead, gap, waits, None
                 ),
-                "events": lambda d, t: _service_loop(
-                    d, ops, lbas, sizes, t, lead, gap, waits, None
-                ),
+                "events": events,
             },
         )
-
-    def test_flash_loop_matches_submit(self):
-        ops, lbas, sizes, gap, lead, waits = _rule_stream()
         self._assert_loops_match_submit(
             lambda: FlashSSD(geometry=FlashGeometry(write_buffer_kb=0)),
             {
                 "flash": lambda d, t: _flash_loop(
                     d.flash_layout(), ops, lbas, sizes, t, lead, gap, waits, None
                 ),
-                "events": lambda d, t: _service_loop(
-                    d, ops, lbas, sizes, t, lead, gap, waits, None
-                ),
+                "events": events,
             },
         )
 
