@@ -21,10 +21,13 @@ StorageDevice` instances.  Kinds:
     (any other kind); HDD members get distinct derived seeds so their
     rotational phases are independent.
 
-Every parameter name is checked against its kind when a campaign spec
-loads (:func:`validate_device_description`), a RAID's nested ``member``
-included: a misspelt knob is rejected before any point runs rather
-than falling back to a default or failing mid-sweep.
+A campaign spec builds each of its devices once when it loads
+(:func:`build_device`): every parameter name is checked against its
+kind (:func:`validate_device_description`), a RAID's nested ``member``
+included, and every value goes through the constructors' own checks.
+A misspelt knob, an unknown channel or a count the model refuses is
+rejected before any point runs rather than falling back to a default
+or failing mid-sweep.
 
 Presets reproduce the evaluation-node factories of
 :mod:`repro.experiments.nodes` parameter-for-parameter (``old-node``,
@@ -223,7 +226,9 @@ def validate_device_description(kind: str, params: Mapping[str, Any] | None = No
     Raises ``ValueError`` for an unknown kind or for a parameter the
     kind does not take, naming the valid ones; a RAID's ``member`` is
     checked the same way once its preset resolves.  Nothing is built,
-    so campaign specs are rejected at load time rather than mid-sweep.
+    so parameter *values* are not checked here: :func:`build_device`
+    calls this first, then the constructors check the values, and a
+    campaign spec builds each device once when it loads.
     """
     kind, merged = _resolve_kind(kind, params)
     unknown = sorted(set(merged) - set(_KIND_PARAMS[kind]))

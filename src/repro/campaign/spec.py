@@ -10,8 +10,8 @@ campaign's plan (:mod:`~repro.campaign.plan`).
 Specs round-trip through plain dicts (:meth:`CampaignSpec.to_dict` /
 :meth:`CampaignSpec.from_dict`), which is what lets the engine ship
 them to worker processes and the CLI load them from ``.yaml`` /
-``.json`` files.  YAML support is gated on :mod:`yaml` being
-importable; JSON always works.
+``.json`` files.  A ``.json`` file is read with :mod:`json`; YAML
+support is gated on :mod:`yaml` being importable.
 """
 
 from __future__ import annotations
@@ -145,15 +145,15 @@ class CampaignSpec:
             raise ValueError("n_requests axis must be positive")
         if self.limit is not None and self.limit <= 0:
             raise ValueError("limit must be positive (or omitted)")
-        # Device descriptions are checked up front — an unknown kind or
-        # parameter must be rejected when the spec is loaded, not
-        # mid-sweep.
-        from .devices import validate_device_description
+        # Each device is built once up front — an unknown kind or
+        # parameter, or a value its constructor refuses, must be
+        # rejected when the spec is loaded, not mid-sweep.
+        from .devices import build_device
 
         for device in (*self.devices, self.source_device):
             try:
-                validate_device_description(device.kind, device.params)
-            except ValueError as exc:
+                build_device(device.kind, device.params)
+            except (ValueError, TypeError) as exc:
                 raise ValueError(f"device {device.name!r}: {exc}") from None
 
     def with_limit(self, limit: int | None) -> "CampaignSpec":
@@ -214,6 +214,12 @@ class CampaignSpec:
         )
 
 
+def _spec_from_data(data: Any) -> CampaignSpec:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"campaign spec must be a mapping, got {type(data).__name__}")
+    return CampaignSpec.from_dict(data)
+
+
 def loads_spec(text: str) -> CampaignSpec:
     """Parse a campaign spec from YAML (when available) or JSON text."""
     try:
@@ -230,11 +236,18 @@ def loads_spec(text: str) -> CampaignSpec:
                 "PyYAML is not installed and the spec is not valid JSON; "
                 "install pyyaml or provide a .json spec"
             ) from exc
-    if not isinstance(data, Mapping):
-        raise ValueError(f"campaign spec must be a mapping, got {type(data).__name__}")
-    return CampaignSpec.from_dict(data)
+    return _spec_from_data(data)
 
 
 def load_spec(path: str | Path) -> CampaignSpec:
-    """Load a campaign spec from a ``.yaml``/``.yml``/``.json`` file."""
-    return loads_spec(Path(path).read_text(encoding="utf-8"))
+    """Load a campaign spec from a ``.yaml``/``.yml``/``.json`` file.
+
+    A ``.json`` file is parsed with :func:`json.loads`, without
+    importing :mod:`yaml`; any other file goes through
+    :func:`loads_spec`.
+    """
+    path = Path(path)
+    text = path.read_text(encoding="utf-8")
+    if path.suffix.lower() == ".json":
+        return _spec_from_data(json.loads(text))
+    return loads_spec(text)

@@ -17,10 +17,17 @@ bit-identically after a SIGKILL:
   (replay cold-starts the device, the session state is the committed
   one).
 
-Durability ordering per chunk is append+fsync the data files *first*,
-then write the checkpoint via temp-file + ``fsync`` + ``os.replace``
-(+ directory fsync): the checkpoint is atomic, and it can only ever
-*understate* what is on disk — the recoverable direction.
+The daemon commits in groups: one checkpoint covers every chunk handled
+since the previous one, at most ``queue_high`` of them, and is written
+once the queue holds no further chunk (so a live tail commits each
+chunk) or the bound is reached.  Durability ordering per commit is
+append the data files and ``fsync`` each one written or truncated since
+its last ``fsync`` *first*, then write the checkpoint via temp-file +
+``fsync`` + ``os.replace`` (+ directory fsync): the checkpoint is
+atomic, and it can only ever *understate* what is on disk — the
+recoverable direction.  A crash between commits loses at most
+``queue_high`` chunks of work, which the restart truncates back and
+redoes.
 
 A checkpoint that fails to parse is quarantined aside as
 ``checkpoint.json.corrupt`` and treated as absent: the stream restarts

@@ -10,7 +10,9 @@ Two subcommands:
     argument such as a segment-directory or socket source spec.  The
     queue between ingest and reconstruction holds ``--queue-high``
     chunks and reopens at half that; a full queue makes ingest wait,
-    never drop.
+    never drop.  One checkpoint commit covers at most ``--queue-high``
+    chunks: a catch-up commits once per queue-full, a live tail after
+    every chunk.
 
 ``repro-serve status``
     Print the daemon's last published ``status.json`` with the
@@ -122,7 +124,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--name", default="stream", help="workload name for the trace")
     run.add_argument("--chunk-requests", type=int, default=256, help="rows per chunk")
     run.add_argument(
-        "--queue-high", type=int, default=8, help="queue high watermark (chunks); reopens at half"
+        "--queue-high",
+        type=int,
+        default=8,
+        help="queue high watermark (chunks); reopens at half; also the most "
+        "chunks one checkpoint commit covers",
     )
     run.add_argument(
         "--until-idle",

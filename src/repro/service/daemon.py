@@ -13,7 +13,10 @@ Three threads around one bounded queue:
   chunk, quarantines poison records, feeds the parsed segment to a
   :class:`~repro.core.stages.StreamingReconstructionSession`, appends
   the emitted piece to the CSV sink, and commits a crash-consistent
-  :mod:`~repro.service.checkpoint`;
+  :mod:`~repro.service.checkpoint` once the queue holds no further
+  chunk or ``queue_high`` chunks have been handled since the last
+  commit (a *group commit*: a catch-up pays one commit per queue-full,
+  a live tail one per chunk);
 - the **watchdog** thread publishes ``status.json`` (rolling
   throughput, queue depth, lag, quarantine counters) and beats the
   heartbeat file.
@@ -24,10 +27,11 @@ metrics are byte- and bit-identical to the batch oracle::
     pipeline.run_stream(TraceReader(path, chunk_requests=N), target)
 
 over the same content — including across a SIGKILL and restart at any
-point, because every committed chunk is checkpointed (byte cursor +
-session state + sink length) and every uncommitted chunk is re-read
-from the file on restart.  The batch path stays the correctness
-oracle; the daemon adds only robustness around it.
+point, because each commit checkpoints the chunks handled so far (byte
+cursor + session state + sink length) and the at most ``queue_high``
+chunks handled since the last commit are re-read from the file on
+restart.  The batch path stays the correctness oracle; the daemon adds
+only robustness around it.
 
 **Poison records** quarantine, they never kill the stream: a chunk
 that fails bulk parse is re-parsed line by line and the offenders are
@@ -89,6 +93,8 @@ class ServiceConfig:
 
     fmt: str = "internal"
     chunk_requests: int = 256
+    #: The queue's high watermark in chunks (it reopens at half), and
+    #: the most chunks one checkpoint commit covers.
     queue_high: int = 8
     #: ``None`` follows forever (drain on SIGTERM); a number declares
     #: end-of-stream after that much sustained source idleness.
@@ -112,15 +118,19 @@ class ServiceConfig:
 class _Counters:
     """Thread-shared counters (ingest and pipeline write, watchdog reads)."""
 
+    # The checkpoint copies rows_consumed, rows_out and n_quarantined at
+    # each commit, so status.json runs ahead of checkpoint.json by the
+    # chunks handled since the last commit: at most queue_high.
     _FIELDS = (
         "rows_polled",       # raw lines seen by ingest this process
-        "rows_consumed",     # content lines committed by the pipeline (checkpointed)
+        "rows_consumed",     # content lines handled by the pipeline (checkpointed)
         "rows_out",          # reconstructed rows appended to the sink (checkpointed)
         "rows_queued",       # content lines currently resident in the queue
         "rows_buffered",     # content lines in the ingest assembler
         "n_quarantined",     # poison records dead-lettered (checkpointed)
         "n_header_repeats",  # repeated internal headers dropped (concatenated CSVs)
         "source_errors",     # transient source failures retried
+        "n_commits",         # checkpoints committed by this process
     )
 
     def __init__(self) -> None:
@@ -145,28 +155,62 @@ class _Counters:
             return dict(self._values)
 
 
-class _CsvSink:
-    """Append-only internal-CSV output, byte-identical to ``write_csv``.
+class _AppendFile:
+    """An append-only data file of the work directory.
 
-    Each piece is formatted in full, then encoded and written once.
-    Opens with a truncate-to-checkpoint so bytes from a chunk whose
-    checkpoint never committed are removed before new appends; a failed
-    append rolls the file back to its pre-append length so the
-    pipeline's retry re-appends cleanly instead of duplicating rows.
+    Opens with a truncate-to-checkpoint, so bytes appended after the
+    last commit are removed before new appends.  :meth:`sync` fsyncs
+    only a file written or truncated since its last fsync.
     """
 
     def __init__(self, path: Path) -> None:
         self.path = path
         self._handle: Any = None
         self.nbytes = 0
-        self._has_header = False
+        self._dirty = False
 
     def open(self, truncate_to: int) -> None:
         self.path.touch(exist_ok=True)
         self._handle = self.path.open("r+b")
-        self._handle.truncate(truncate_to)
-        self._handle.seek(truncate_to)
-        self.nbytes = truncate_to
+        self._truncate(truncate_to)
+
+    def _write(self, data: bytes) -> None:
+        self._dirty = True
+        self._handle.write(data)
+        self.nbytes += len(data)
+
+    def _truncate(self, size: int) -> None:
+        self._dirty = True
+        self._handle.truncate(size)
+        self._handle.seek(size)
+        self.nbytes = size
+
+    def sync(self) -> None:
+        if self._handle is not None and self._dirty:
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
+            self._dirty = False
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+
+class _CsvSink(_AppendFile):
+    """Append-only internal-CSV output, byte-identical to ``write_csv``.
+
+    Each piece is formatted in full, then encoded and written once.  A
+    failed append rolls the file back to its pre-append length so the
+    pipeline's retry re-appends cleanly instead of duplicating rows.
+    """
+
+    def __init__(self, path: Path) -> None:
+        super().__init__(path)
+        self._has_header = False
+
+    def open(self, truncate_to: int) -> None:
+        super().open(truncate_to)
         self._has_header = truncate_to > 0
 
     def append(self, piece: BlockTrace) -> None:
@@ -177,61 +221,21 @@ class _CsvSink:
             header = next(rows)
             lines = list(rows) if self._has_header else [header, *rows]
             if lines:
-                data = ("\n".join(lines) + "\n").encode("utf-8")
-                self._handle.write(data)
-                self.nbytes += len(data)
+                self._write(("\n".join(lines) + "\n").encode("utf-8"))
             self._has_header = True
         except Exception:
-            self._handle.truncate(start)
-            self._handle.seek(start)
-            self.nbytes = start
+            self._truncate(start)
             self._has_header = start > 0
             raise
 
-    def sync(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
 
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
-class _DeadLetterLog:
+class _DeadLetterLog(_AppendFile):
     """Append-only JSONL of quarantined records, truncate-on-restart."""
-
-    def __init__(self, path: Path) -> None:
-        self.path = path
-        self._handle: Any = None
-        self.nbytes = 0
-        self.n_records = 0
-
-    def open(self, truncate_to: int) -> None:
-        self.path.touch(exist_ok=True)
-        self._handle = self.path.open("r+b")
-        self._handle.truncate(truncate_to)
-        self._handle.seek(truncate_to)
-        self.nbytes = truncate_to
 
     def record(self, kind: str, **payload: Any) -> None:
         assert self._handle is not None, "open() first"
         doc = {"kind": kind, **payload}
-        data = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
-        self._handle.write(data)
-        self.nbytes += len(data)
-        self.n_records += 1
-
-    def sync(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._write((json.dumps(doc, sort_keys=True) + "\n").encode("utf-8"))
 
 
 class StreamingReconstructionService:
@@ -282,7 +286,7 @@ class StreamingReconstructionService:
         self._header: str | None = None
         self._rebase_offset: float | None = None
         self._last_old_ts: float | None = None
-        self._last_cursor: Any = None
+        self._last_cursor: Any = None  # after the last chunk handled
         self._last_source_error: str | None = None
         self._fatal: str | None = None
         self._started_at = time.time()
@@ -392,6 +396,10 @@ class StreamingReconstructionService:
     # -- pipeline thread -------------------------------------------------
 
     def _pipeline_loop(self, session: StreamingReconstructionSession) -> str:
+        # Group commit: chunks handled since the last commit.  A raise
+        # below exits without committing them (the session may hold a
+        # chunk whose sink append rolled back); a restart redoes them.
+        pending = 0
         while True:
             item = self._queue.get(timeout=0.2)
             if item is None:
@@ -400,6 +408,10 @@ class StreamingReconstructionService:
             try:
                 if kind == "chunk":
                     self._handle_chunk(session, rows, cursor)
+                    pending += 1
+                    if pending >= self.config.queue_high or self._queue.depth() == 0:
+                        self._commit(session)
+                        pending = 0
                 elif kind == "eof":
                     if rows:
                         self._handle_chunk(session, rows, cursor)
@@ -407,11 +419,13 @@ class StreamingReconstructionService:
                     if piece is not None:
                         self._sink.append(piece)
                         self._counters.add(rows_out=len(piece))
-                    self._commit(session, cursor if rows else self._last_cursor)
+                    self._commit(session)
                     return "finished"
-                elif kind == "stop":
-                    return "stopped"
-                elif kind == "fail":
+                elif kind in ("stop", "fail"):
+                    if pending:
+                        self._commit(session)
+                    if kind == "stop":
+                        return "stopped"
                     self._fatal = str(rows)
                     return "failed"
             except (KeyboardInterrupt, SystemExit):
@@ -426,7 +440,7 @@ class StreamingReconstructionService:
         rows: list[tuple[str, Any]],
         cursor: Any,
     ) -> None:
-        """Parse, quarantine, reconstruct, append, and checkpoint one chunk."""
+        """Parse, quarantine, reconstruct and append one chunk (no commit)."""
         lines = [text for text, _ in rows]
         self._counters.add(rows_queued=-len(rows))
         trace = self._parse_chunk(lines)
@@ -455,13 +469,13 @@ class StreamingReconstructionService:
             )
             self._counters.add(rows_out=len(piece))
         self._counters.add(rows_consumed=len(rows))
-        self._commit(session, cursor)
+        self._last_cursor = cursor
 
-    def _commit(self, session: StreamingReconstructionSession, cursor: Any) -> None:
-        """Durably commit the chunk: data files first, then the checkpoint."""
+    def _commit(self, session: StreamingReconstructionSession) -> None:
+        """Durably commit the chunks handled so far: data files, then the checkpoint."""
         counters = self._counters.snapshot()
         checkpoint = StreamCheckpoint(
-            source_cursor=cursor,
+            source_cursor=self._last_cursor,
             session_state=session.state_dict(),
             sink_bytes=self._sink.nbytes,
             quarantine_bytes=self._quarantine.nbytes,
@@ -479,7 +493,7 @@ class StreamingReconstructionService:
             save_checkpoint(self.checkpoint_path, checkpoint)
 
         retry_call(_write, key=f"checkpoint@{self._sink.nbytes}", policy=self.config.retry)
-        self._last_cursor = cursor
+        self._counters.add(n_commits=1)
 
     # -- parsing and quarantine ------------------------------------------
 

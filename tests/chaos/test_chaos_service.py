@@ -8,7 +8,9 @@ chunk boundaries from a seeded RNG (the chaos-harness style of
 tests/chaos/test_chaos_campaign.py: real processes, real signals,
 deterministic schedule).  A stream without device stamps is killed
 once while the session is still fitting a model per chunk and once
-after it has frozen the stream's model.
+after it has frozen the stream's model.  One daemon is killed inside a
+group commit, with its chunks fsynced in ``out.csv`` but not yet in
+``checkpoint.json``.
 """
 
 from __future__ import annotations
@@ -91,6 +93,52 @@ def serve_file(src, workdir, chunk=CHUNK):
         device(),
         workdir,
         ServiceConfig(chunk_requests=chunk, until_idle_s=0.3),
+    )
+    service.run()
+
+
+def serve_file_killed_in_commit(src, workdir, chunk=CHUNK):
+    """Child-process entry: SIGKILL itself inside a commit of two or more chunks.
+
+    The kill lands in ``save_checkpoint``: after the commit has fsynced
+    the data files, before ``checkpoint.json`` is replaced.  Each feed
+    sleeps, so the ingest thread fills the queue and one commit covers
+    several chunks.
+    """
+    from repro.service import FileTailSource, ServiceConfig, StreamingReconstructionService
+    from repro.service import daemon
+
+    committed = [0]  # rows_consumed of the checkpoint on disk
+    real_save = daemon.save_checkpoint
+
+    def save(path, checkpoint):
+        if checkpoint.rows_consumed - committed[0] >= 2 * chunk:
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_save(path, checkpoint)
+        committed[0] = checkpoint.rows_consumed
+
+    daemon.save_checkpoint = save
+    tracker = TraceTracker()
+    real_session = tracker.stream_session
+
+    def slow_session(target):
+        session = real_session(target)
+        feed = session.feed
+
+        def slow_feed(segment):
+            time.sleep(0.02)
+            return feed(segment)
+
+        session.feed = slow_feed
+        return session
+
+    tracker.stream_session = slow_session
+    service = StreamingReconstructionService(
+        FileTailSource(src),
+        device(),
+        workdir,
+        ServiceConfig(chunk_requests=chunk, until_idle_s=0.3),
+        tracker=tracker,
     )
     service.run()
 
@@ -190,6 +238,26 @@ def test_sigterm_drains_and_exits_zero(stream_file, oracle, tmp_path):
     assert proc.exitcode == 0
     status = json.loads((workdir / "status.json").read_text())
     assert status["state"] in ("stopped", "finished")
+    proc = ctx.Process(target=serve_file, args=(stream_file, workdir))
+    proc.start()
+    proc.join(timeout=180.0)
+    assert proc.exitcode == 0
+    assert_exactly_once(workdir, oracle)
+
+
+def test_sigkill_inside_group_commit(stream_file, oracle, tmp_path):
+    """Fsynced but uncommitted chunks are truncated back and redone exactly once."""
+    ctx = multiprocessing.get_context("fork")
+    workdir = tmp_path / "wd"
+    proc = ctx.Process(target=serve_file_killed_in_commit, args=(stream_file, workdir))
+    proc.start()
+    proc.join(timeout=60.0)
+    assert proc.exitcode == -signal.SIGKILL
+    checkpoint = workdir / "checkpoint.json"
+    rows_committed = json.loads(checkpoint.read_text())["rows_out"] if checkpoint.exists() else 0
+    rows_written = len((workdir / "out.csv").read_text().splitlines()) - 1  # less the header
+    # One chunk emits at most CHUNK rows, so more means two or more chunks.
+    assert rows_written - rows_committed > CHUNK
     proc = ctx.Process(target=serve_file, args=(stream_file, workdir))
     proc.start()
     proc.join(timeout=180.0)

@@ -122,7 +122,8 @@ class TestDeviceRegistry:
 
 class TestDeviceValidationAtLoad:
     """Every device parameter is checked when the spec loads, nested
-    RAID members included, before any point is planned or run."""
+    RAID members included, before any point is planned or run; each
+    device is built once, so its constructor checks the values."""
 
     @pytest.mark.parametrize(
         "device, kind, bad",
@@ -193,6 +194,47 @@ class TestDeviceValidationAtLoad:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: device 'm': raid1 member: ")
         assert "['rmp']" in lines[0] and "'rpm'" in lines[0]
+
+
+    @pytest.mark.parametrize(
+        "device, message",
+        [
+            (
+                {"kind": "hdd", "channel": "sata3"},
+                "unknown channel 'sata3'; known channels: ['pcie3x4', 'sata300', 'sata600']",
+            ),
+            ({"kind": "raid1", "n": 1}, "a mirror needs at least two members"),
+            ({"kind": "flash_array", "n_ssds": 0}, "need at least one SSD"),
+            ({"kind": "flash_array", "stripe_kb": 0}, "stripe unit must be positive"),
+            ({"kind": "flash", "channels": 0}, "geometry counts must be positive"),
+            (
+                {"kind": "hdd", "rpm": "fast"},
+                "'<=' not supported between instances of 'str' and 'int'",
+            ),
+        ],
+        ids=["channel", "raid1-n", "n_ssds", "stripe_kb", "flash-channels", "rpm-type"],
+    )
+    def test_bad_value_exits_2_before_any_point_runs(
+        self, tmp_path: Path, capsys, device, message
+    ):
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "name": "bad-value",
+                    "workloads": ["MSNFS"],
+                    "n_requests": [200],
+                    "devices": ["old-node", {"name": "h", **device}],
+                }
+            )
+        )
+        out_dir = tmp_path / "out"
+        for argv in (["plan", str(path)], ["run", str(path), "--out-dir", str(out_dir)]):
+            assert cli_main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: device 'h': {message}"]
+        assert not out_dir.exists()  # no point ran, none was checkpointed
 
 
 # ----------------------------------------------------------------------

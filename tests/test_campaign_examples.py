@@ -9,11 +9,13 @@ end-to-end.
 from __future__ import annotations
 
 import hashlib
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
-pytest.importorskip("yaml")
+yaml = pytest.importorskip("yaml")
 
 from repro.campaign import CampaignEngine, expand, load_spec
 
@@ -36,6 +38,31 @@ def test_spec_loads_and_expands(path: Path):
     # Every device description resolves to a concrete simulator.
     for device in spec.devices:
         assert device.build().fingerprint()
+
+
+def write_json_twin(path: Path, directory: Path) -> Path:
+    """The YAML spec at ``path`` dumped as JSON into ``directory``."""
+    twin = directory / f"{path.stem}.json"
+    twin.write_text(json.dumps(yaml.safe_load(path.read_text(encoding="utf-8"))))
+    return twin
+
+
+@pytest.mark.parametrize("path", SPEC_PATHS, ids=lambda p: p.name)
+def test_json_twin_loads_to_the_same_plan(path: Path, tmp_path: Path):
+    spec = load_spec(path)
+    twin = load_spec(write_json_twin(path, tmp_path))
+    assert twin == spec
+    assert expand(twin).keys() == expand(spec).keys()
+
+
+def test_json_spec_loads_without_yaml(tmp_path: Path, monkeypatch):
+    path = EXAMPLES_DIR / "device_workload_sweep.yaml"
+    twin = write_json_twin(path, tmp_path)
+    keys = expand(load_spec(path)).keys()
+    monkeypatch.setitem(sys.modules, "yaml", None)  # ``import yaml`` now raises
+    with pytest.raises(ImportError):
+        import yaml as _  # noqa: F401
+    assert expand(load_spec(twin)).keys() == keys
 
 
 #: Per spec: the number of run keys it plans, and the first 16 hex

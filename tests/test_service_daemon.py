@@ -12,11 +12,13 @@ from __future__ import annotations
 import errno
 import io
 import json
+import os
 import threading
 import time
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro import TraceTracker
@@ -33,7 +35,8 @@ from repro.service import (
     save_checkpoint,
 )
 from repro.service import cli as serve_cli
-from repro.service.daemon import _CsvSink
+from repro.service import daemon as serve_daemon
+from repro.service.daemon import _CsvSink, _DeadLetterLog
 
 CHUNK = 60
 
@@ -79,6 +82,56 @@ def assert_parity(workdir, metrics, oracle):
     saved = json.loads((workdir / "metrics.json").read_text())
     assert saved["n_requests"] == oracle["metrics"].n_requests
     assert saved["new_duration_us"] == oracle["metrics"].new_duration_us
+
+
+def slow_tracker() -> TraceTracker:
+    """A tracker whose stream sessions sleep 30 ms before each feed.
+
+    The ingest thread then fills the queue while a chunk reconstructs,
+    as in a catch-up on a file at rest.
+    """
+    tracker = TraceTracker()
+    real = tracker.stream_session
+
+    def slow_session(target):
+        session = real(target)
+        original = session.feed
+
+        def feed(chunk):
+            time.sleep(0.03)
+            return original(chunk)
+
+        session.feed = feed
+        return session
+
+    tracker.stream_session = slow_session
+    return tracker
+
+
+def record_checkpoints(monkeypatch) -> list[int]:
+    """``rows_consumed`` of every checkpoint the daemon writes, in order."""
+    written: list[int] = []
+    real = serve_daemon.save_checkpoint
+
+    def save(path, checkpoint):
+        written.append(checkpoint.rows_consumed)
+        real(path, checkpoint)
+
+    monkeypatch.setattr(serve_daemon, "save_checkpoint", save)
+    return written
+
+
+def record_fsyncs(monkeypatch) -> list[int]:
+    """The inode of every file ``os.fsync`` is called on, in order."""
+    synced: list[int] = []
+    real = os.fsync
+
+    def fsync(fd):
+        synced.append(os.fstat(fd).st_ino)
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return synced
 
 
 def csv_bytes(trace: BlockTrace) -> bytes:
@@ -273,27 +326,12 @@ class TestDrainAndStatus:
         assert_parity(workdir, metrics, oracle)
 
     def test_slow_consumer_holds_queue_at_watermark(self, oracle, tmp_path):
-        tracker = TraceTracker()
-        real = tracker.stream_session
-
-        def slow_session(target):
-            session = real(target)
-            original = session.feed
-
-            def feed(chunk):
-                time.sleep(0.03)
-                return original(chunk)
-
-            session.feed = feed
-            return session
-
-        tracker.stream_session = slow_session
         service = StreamingReconstructionService(
             FileTailSource(oracle["src"]),
             device(),
             tmp_path / "wd",
             ServiceConfig(chunk_requests=20, queue_high=3, until_idle_s=0.2),  # low watermark 1
-            tracker=tracker,
+            tracker=slow_tracker(),
         )
         depths = []
         thread = threading.Thread(target=service.run, kwargs={"install_signal_handlers": False})
@@ -382,6 +420,136 @@ class TestDrainAndStatus:
             ]
         )
         assert code == 1
+
+
+class TestGroupCommit:
+    """One checkpoint per queue of chunks, never more than ``queue_high``."""
+
+    @pytest.mark.parametrize("queue_high", [1, 3])
+    def test_catch_up_commits_at_most_queue_high_chunks(
+        self, oracle, tmp_path, monkeypatch, queue_high
+    ):
+        written = record_checkpoints(monkeypatch)
+        chunk = 20
+        n_chunks = 400 // chunk
+        workdir = tmp_path / "wd"
+        service = StreamingReconstructionService(
+            FileTailSource(oracle["src"]),
+            device(),
+            workdir,
+            ServiceConfig(
+                chunk_requests=chunk, queue_high=queue_high, until_idle_s=0.2,
+                status_interval_s=0.1,
+            ),
+            tracker=slow_tracker(),
+        )
+        service.run(install_signal_handlers=False)
+        assert service.outcome == "finished"
+        assert (workdir / "out.csv").read_bytes() == oracle["bytes"]
+        covered = np.diff([0, *written])
+        assert covered.max() <= queue_high * chunk
+        assert written[-1] == 400
+        if queue_high == 1:
+            # One checkpoint per chunk, then the end-of-stream commit.
+            assert covered.tolist() == [chunk] * n_chunks + [0]
+        else:
+            assert len(written) < n_chunks
+        status = json.loads((workdir / "status.json").read_text())
+        assert status["counters"]["n_commits"] == len(written)
+
+    def test_live_tail_commits_every_chunk(self, oracle, tmp_path, monkeypatch):
+        written = record_checkpoints(monkeypatch)
+        lines = oracle["src"].read_text().splitlines(keepends=True)
+        header, body = lines[0], lines[1:]
+        src = tmp_path / "live.csv"
+        src.write_text(header)
+        workdir = tmp_path / "wd"
+        service = StreamingReconstructionService(
+            FileTailSource(src),
+            device(),
+            workdir,
+            ServiceConfig(chunk_requests=CHUNK, until_idle_s=None, status_interval_s=0.1),
+        )
+        thread = threading.Thread(target=service.run, kwargs={"install_signal_handlers": False})
+        thread.start()
+        try:
+            for k in range(1, 4):
+                with src.open("a") as handle:
+                    handle.write("".join(body[(k - 1) * CHUNK : k * CHUNK]))
+                deadline = time.monotonic() + 30.0
+                while written[-1:] != [k * CHUNK] and time.monotonic() < deadline:
+                    time.sleep(0.005)
+        finally:
+            service.request_stop()
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert service.outcome == "stopped"
+        assert written == [CHUNK, 2 * CHUNK, 3 * CHUNK]  # default queue_high is 8
+        # The rest of the file arrives; the resumed stream is in parity.
+        with src.open("a") as handle:
+            handle.write("".join(body[3 * CHUNK :]))
+        resumed, metrics = run_service(FileTailSource(src), workdir)
+        assert resumed.outcome == "finished"
+        assert_parity(workdir, metrics, oracle)
+
+    def test_drain_commits_the_pending_chunks(self, oracle, tmp_path):
+        workdir = tmp_path / "wd"
+        service = StreamingReconstructionService(
+            FileTailSource(oracle["src"]),
+            device(),
+            workdir,
+            ServiceConfig(chunk_requests=20, until_idle_s=None, status_interval_s=0.1),
+            tracker=slow_tracker(),
+        )
+        thread = threading.Thread(target=service.run, kwargs={"install_signal_handlers": False})
+        thread.start()
+        deadline = time.monotonic() + 30.0
+        while service._counters["rows_consumed"] < 3 * 20 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        service.request_stop()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert service.outcome == "stopped"
+        status = json.loads((workdir / "status.json").read_text())
+        checkpoint = json.loads((workdir / "checkpoint.json").read_text())
+        assert checkpoint["rows_consumed"] == status["counters"]["rows_consumed"] >= 3 * 20
+        resumed, _ = run_service(FileTailSource(oracle["src"]), workdir, chunk_requests=20)
+        assert resumed.outcome == "finished"
+        assert (workdir / "out.csv").read_bytes() == oracle["bytes"]
+
+    def test_clean_stream_fsyncs_quarantine_once(self, oracle, tmp_path, monkeypatch):
+        synced = record_fsyncs(monkeypatch)
+        workdir = tmp_path / "wd"
+        service, metrics = run_service(FileTailSource(oracle["src"]), workdir, queue_high=1)
+        assert service.outcome == "finished"
+        assert_parity(workdir, metrics, oracle)
+        n_commits = json.loads((workdir / "status.json").read_text())["counters"]["n_commits"]
+        assert n_commits == 7  # six 60-row chunks, then the 40-row tail at end-of-stream
+        assert synced.count(os.stat(workdir / "quarantine.jsonl").st_ino) == 1
+        assert synced.count(os.stat(workdir / "out.csv").st_ino) == n_commits
+
+    def test_data_files_fsync_only_after_a_write(self, stream_trace, tmp_path, monkeypatch):
+        synced = record_fsyncs(monkeypatch)
+        sink, log = _CsvSink(tmp_path / "out.csv"), _DeadLetterLog(tmp_path / "q.jsonl")
+        sink.open(truncate_to=0)
+        log.open(truncate_to=0)
+        for _ in range(2):
+            sink.sync()
+            log.sync()
+        assert len(synced) == 2  # the truncate on open, once per file
+        sink.append(stream_trace.select(slice(0, 10)))
+        for _ in range(2):
+            sink.sync()
+            log.sync()
+        assert len(synced) == 3
+        log.record("parse", line="bad", error="no")
+        for _ in range(2):
+            sink.sync()
+            log.sync()
+        sink.close()
+        log.close()
+        inodes = [os.stat(tmp_path / name).st_ino for name in ("out.csv", "q.jsonl")]
+        assert synced == [inodes[0], inodes[1], inodes[0], inodes[1]]
 
 
 def bare_msnfs(n_requests: int, seed: int) -> BlockTrace:
