@@ -40,8 +40,9 @@ Subpackages
     Declarative device x workload sweep campaigns with resumable
     sharded execution (``repro-campaign``).
 ``repro.service``
-    Always-on streaming reconstruction daemon with backpressure,
-    crash recovery, and poison-record quarantine (``repro-serve``).
+    Always-on streaming reconstruction daemon that tails one trace
+    file, with group-committed crash recovery and poison-record
+    quarantine (``repro-serve``).
 """
 
 from .campaign import (

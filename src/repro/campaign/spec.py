@@ -220,34 +220,56 @@ def _spec_from_data(data: Any) -> CampaignSpec:
     return CampaignSpec.from_dict(data)
 
 
-def loads_spec(text: str) -> CampaignSpec:
-    """Parse a campaign spec from YAML (when available) or JSON text."""
+def _load_json(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def _load_yaml(text: str) -> Any:
     try:
         import yaml
     except ImportError:  # pragma: no cover - yaml is present in the dev image
-        yaml = None
-    if yaml is not None:
-        data = yaml.safe_load(text)
-    else:
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+            return _load_json(text)
+        except ValueError as exc:
             raise ValueError(
-                "PyYAML is not installed and the spec is not valid JSON; "
+                f"PyYAML is not installed and the spec is not valid JSON ({exc}); "
                 "install pyyaml or provide a .json spec"
             ) from exc
-    return _spec_from_data(data)
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        # PyYAML's message spans lines (it quotes the source); keep one.
+        mark = getattr(exc, "problem_mark", None)
+        if mark is None:
+            raise ValueError(" ".join(str(exc).split())) from exc
+        what = "; ".join(p for p in (exc.context, exc.problem) if p)
+        raise ValueError(f"line {mark.line + 1}, column {mark.column + 1}: {what}") from exc
+
+
+def loads_spec(text: str) -> CampaignSpec:
+    """Parse a campaign spec from YAML (when available) or JSON text.
+
+    Malformed text raises :class:`ValueError` with the parser's message
+    on one line, led by the line and column of the problem.
+    """
+    return _spec_from_data(_load_yaml(text))
 
 
 def load_spec(path: str | Path) -> CampaignSpec:
     """Load a campaign spec from a ``.yaml``/``.yml``/``.json`` file.
 
     A ``.json`` file is parsed with :func:`json.loads`, without
-    importing :mod:`yaml`; any other file goes through
-    :func:`loads_spec`.
+    importing :mod:`yaml`; any other file is parsed as :func:`loads_spec`
+    parses text.  A malformed file raises :class:`ValueError` naming
+    the file and the line of the problem.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    if path.suffix.lower() == ".json":
-        return _spec_from_data(json.loads(text))
-    return loads_spec(text)
+    try:
+        data = _load_json(text) if path.suffix.lower() == ".json" else _load_yaml(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return _spec_from_data(data)

@@ -8,14 +8,13 @@ on disk.
 
 Pieces:
 
-- :mod:`~repro.service.sources` — the file tail, with a byte cursor
-  and torn-line hold-back;
-- :mod:`~repro.service.backpressure` — the bounded chunk queue with
-  high/low watermark hysteresis; a full queue makes ingest wait;
+- :mod:`~repro.service.sources` — the file tail, read one block per
+  poll, with a byte cursor and torn-line hold-back;
 - :mod:`~repro.service.checkpoint` — atomic resume points (source
   cursor + session state + sink length);
-- :mod:`~repro.service.daemon` — the service itself: ingest, pipeline,
-  quarantine, watchdog, drain;
+- :mod:`~repro.service.daemon` — the service itself: one loop that
+  polls, cuts chunks, reconstructs, quarantines, group-commits,
+  publishes its status and drains on a stop request;
 - :mod:`~repro.service.cli` — the ``repro-serve`` entry point.
 
 The batch pipeline remains the correctness oracle: for the same
@@ -24,13 +23,11 @@ to ``pipeline.run_stream(TraceReader(path, chunk_requests=N))`` — even
 across SIGKILL and restart.
 """
 
-from .backpressure import BoundedChunkQueue
 from .checkpoint import StreamCheckpoint, load_checkpoint, save_checkpoint
 from .daemon import ServiceConfig, StreamingReconstructionService
 from .sources import FileTailSource, parse_source_spec
 
 __all__ = [
-    "BoundedChunkQueue",
     "FileTailSource",
     "ServiceConfig",
     "StreamCheckpoint",

@@ -19,7 +19,7 @@ bit-identically after a SIGKILL:
 
 The daemon commits in groups: one checkpoint covers every chunk handled
 since the previous one, at most ``queue_high`` of them, and is written
-once the queue holds no further chunk (so a live tail commits each
+once a poll of the file brings no new line (so a live tail commits each
 chunk) or the bound is reached.  Durability ordering per commit is
 append the data files and ``fsync`` each one written or truncated since
 its last ``fsync`` *first*, then write the checkpoint via temp-file +
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -64,7 +64,6 @@ class StreamCheckpoint:
     rows_consumed: int = 0
     rows_out: int = 0
     n_quarantined: int = 0
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
         """Serialise to a JSON-able dict (stamped with the format version)."""
@@ -80,12 +79,15 @@ class StreamCheckpoint:
             "rows_consumed": self.rows_consumed,
             "rows_out": self.rows_out,
             "n_quarantined": self.n_quarantined,
-            "extra": self.extra,
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "StreamCheckpoint":
-        """Rebuild from :meth:`to_dict` output; rejects unknown versions."""
+        """Rebuild from :meth:`to_dict` output; rejects unknown versions.
+
+        Keys it does not know, such as the always-empty ``extra`` of
+        earlier releases, are ignored.
+        """
         version = data.get("version")
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version!r}")
@@ -100,7 +102,6 @@ class StreamCheckpoint:
             rows_consumed=int(data.get("rows_consumed", 0)),
             rows_out=int(data.get("rows_out", 0)),
             n_quarantined=int(data.get("n_quarantined", 0)),
-            extra=dict(data.get("extra", {})),
         )
 
 

@@ -7,12 +7,11 @@ Two subcommands:
     target device as records arrive.  Blocks until end-of-stream
     (``--until-idle``), SIGTERM drain, or permanent failure; exit code
     0 for ``finished``/``stopped``, 1 for ``failed``, 2 for a bad
-    argument such as a segment-directory or socket source spec.  The
-    queue between ingest and reconstruction holds ``--queue-high``
-    chunks and reopens at half that; a full queue makes ingest wait,
-    never drop.  One checkpoint commit covers at most ``--queue-high``
-    chunks: a catch-up commits once per queue-full, a live tail after
-    every chunk.
+    argument such as a segment-directory or socket source spec.  One
+    checkpoint commit covers at most ``--queue-high`` chunks: a
+    catch-up commits once per ``--queue-high`` chunks, a live tail
+    after every chunk.  SIGTERM or SIGINT commits the chunks handled
+    so far and exits resumably.
 
 ``repro-serve status``
     Print the daemon's last published ``status.json`` with the
@@ -127,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-high",
         type=int,
         default=8,
-        help="queue high watermark (chunks); reopens at half; also the most "
-        "chunks one checkpoint commit covers",
+        help="the most chunks one checkpoint commit covers (default: 8); "
+        "a live tail commits after every chunk",
     )
     run.add_argument(
         "--until-idle",

@@ -1,25 +1,26 @@
 """The always-on streaming reconstruction daemon (``repro-serve``).
 
-Three threads around one bounded queue:
+One loop, on the thread that calls :meth:`~StreamingReconstructionService.run`:
 
-- the **ingest** thread polls the :mod:`~repro.service.sources` file
-  tail, filters comment/blank lines (and the internal CSV header,
-  including the repeats of a file made by concatenating CSVs), assembles
+- it polls the :mod:`~repro.service.sources` file tail one block at a
+  time, filters comment/blank lines (and the internal CSV header,
+  including the repeats of a file made by concatenating CSVs), and cuts
   fixed-size chunks of ``chunk_requests`` content lines — exactly the
-  boundaries :class:`~repro.trace.io.reader.TraceReader` would cut — and
-  pushes them through the :class:`~repro.service.backpressure` gate,
-  waiting while it is closed;
-- the **pipeline** thread (the caller of :meth:`run`) parses each
-  chunk, quarantines poison records, feeds the parsed segment to a
-  :class:`~repro.core.stages.StreamingReconstructionSession`, appends
-  the emitted piece to the CSV sink, and commits a crash-consistent
-  :mod:`~repro.service.checkpoint` once the queue holds no further
-  chunk or ``queue_high`` chunks have been handled since the last
-  commit (a *group commit*: a catch-up pays one commit per queue-full,
-  a live tail one per chunk);
-- the **watchdog** thread publishes ``status.json`` (rolling
-  throughput, queue depth, lag, quarantine counters) and beats the
-  heartbeat file.
+  boundaries :class:`~repro.trace.io.reader.TraceReader` would cut;
+- it parses each chunk, quarantines poison records, feeds the parsed
+  segment to a :class:`~repro.core.stages.StreamingReconstructionSession`
+  and appends the emitted piece to the CSV sink;
+- it commits a crash-consistent :mod:`~repro.service.checkpoint` once
+  ``queue_high`` chunks have been handled since the last commit or a
+  poll brings no new line (a *group commit*: a catch-up pays one commit
+  per ``queue_high`` chunks, a live tail one per chunk);
+- every ``status_interval_s`` it publishes ``status.json`` (rolling
+  throughput, the pending commit group, lag, quarantine counters) and
+  beats the heartbeat file.
+
+**The file is the queue.**  Records not yet read wait on disk, so the
+loop reads one block ahead of the chunk it is cutting and needs no
+queue, no second thread and no lock.
 
 **Parity contract.**  For a well-formed stream the daemon's sink and
 metrics are byte- and bit-identical to the batch oracle::
@@ -46,13 +47,15 @@ a checkpoint whose session state or source cursor this version cannot
 load, which stays on disk with the sink and the dead-letter file
 untouched.
 
-**Drain semantics.**  SIGTERM/SIGINT stop ingest, let every chunk
-already in the queue reconstruct and commit, and exit in ``stopped``
-state — the partial tail chunk stays un-cut so a later run (or the
-batch oracle) sees the same boundaries.  ``until_idle_s`` declares
-end-of-stream after that much sustained source idleness: the daemon
-then flushes the partial chunk and held torn fragments, finishes the
-session, writes ``metrics.json``, and exits in ``finished`` state.
+**Drain semantics.**  SIGTERM/SIGINT (or :meth:`request_stop`) end the
+loop once the chunk in hand is done: it commits the chunks handled so
+far and exits in ``stopped`` state.  Lines read but not handled, and
+the partial tail chunk, stay un-cut, so a later run re-reads them from
+the checkpointed cursor and it (or the batch oracle) sees the same
+boundaries.  ``until_idle_s`` declares end-of-stream after that much
+sustained source idleness: the daemon then flushes the partial chunk
+and held torn fragments, finishes the session, writes
+``metrics.json``, and exits in ``finished`` state.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ import signal
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -77,31 +80,45 @@ from ..trace.io.bulk import _REBASED_FORMATS, BULK_PARSERS
 from ..trace.parsers import TraceParseError
 from ..trace.trace import BlockTrace
 from ..trace.writers import iter_csv_rows
-from .backpressure import BoundedChunkQueue
 from .checkpoint import StreamCheckpoint, load_checkpoint, save_checkpoint
 from .sources import FileTailSource
 
 __all__ = ["ServiceConfig", "StreamingReconstructionService"]
 
-#: Terminal daemon states, as written to ``status.json``.
-TERMINAL_STATES = ("finished", "stopped", "failed")
+#: Seconds the loop sleeps after a poll that found the file idle.
+_POLL_INTERVAL_S = 0.02
+
+#: Retries of sink appends and commits, and the capped backoff of
+#: source polls.
+_RETRY = RetryPolicy()
+
+#: The counters of ``status.json``.  The checkpoint copies
+#: rows_consumed, rows_out and n_quarantined at each commit, so
+#: status.json runs ahead of checkpoint.json by the chunks handled since
+#: the last commit: at most queue_high.
+_COUNTERS = (
+    "rows_polled",       # raw lines read by this process
+    "rows_consumed",     # content lines handled (checkpointed)
+    "rows_out",          # reconstructed rows appended to the sink (checkpointed)
+    "n_quarantined",     # poison records dead-lettered (checkpointed)
+    "n_header_repeats",  # repeated internal headers dropped (concatenated CSVs)
+    "source_errors",     # transient source failures retried
+    "n_commits",         # checkpoints committed by this process
+)
 
 
 @dataclass
 class ServiceConfig:
-    """Knobs of one streaming reconstruction service."""
+    """Knobs of one streaming reconstruction service (each a ``repro-serve run`` flag)."""
 
     fmt: str = "internal"
     chunk_requests: int = 256
-    #: The queue's high watermark in chunks (it reopens at half), and
-    #: the most chunks one checkpoint commit covers.
+    #: The most chunks one checkpoint commit covers.
     queue_high: int = 8
     #: ``None`` follows forever (drain on SIGTERM); a number declares
     #: end-of-stream after that much sustained source idleness.
     until_idle_s: float | None = None
-    poll_interval_s: float = 0.02
     status_interval_s: float = 1.0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     name: str = "stream"
 
     def __post_init__(self) -> None:
@@ -111,48 +128,10 @@ class ServiceConfig:
             )
         if self.chunk_requests <= 0:
             raise ValueError("chunk_requests must be positive")
+        if self.queue_high < 1:
+            raise ValueError("queue_high must be at least 1")
         if self.until_idle_s is not None and self.until_idle_s < 0:
             raise ValueError("until_idle_s must be non-negative")
-
-
-class _Counters:
-    """Thread-shared counters (ingest and pipeline write, watchdog reads)."""
-
-    # The checkpoint copies rows_consumed, rows_out and n_quarantined at
-    # each commit, so status.json runs ahead of checkpoint.json by the
-    # chunks handled since the last commit: at most queue_high.
-    _FIELDS = (
-        "rows_polled",       # raw lines seen by ingest this process
-        "rows_consumed",     # content lines handled by the pipeline (checkpointed)
-        "rows_out",          # reconstructed rows appended to the sink (checkpointed)
-        "rows_queued",       # content lines currently resident in the queue
-        "rows_buffered",     # content lines in the ingest assembler
-        "n_quarantined",     # poison records dead-lettered (checkpointed)
-        "n_header_repeats",  # repeated internal headers dropped (concatenated CSVs)
-        "source_errors",     # transient source failures retried
-        "n_commits",         # checkpoints committed by this process
-    )
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._values = {name: 0 for name in self._FIELDS}
-
-    def add(self, **deltas: int) -> None:
-        with self._lock:
-            for name, delta in deltas.items():
-                self._values[name] += delta
-
-    def set(self, **values: int) -> None:
-        with self._lock:
-            self._values.update(values)
-
-    def __getitem__(self, name: str) -> int:
-        with self._lock:
-            return self._values[name]
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._values)
 
 
 class _AppendFile:
@@ -202,7 +181,7 @@ class _CsvSink(_AppendFile):
 
     Each piece is formatted in full, then encoded and written once.  A
     failed append rolls the file back to its pre-append length so the
-    pipeline's retry re-appends cleanly instead of duplicating rows.
+    loop's retry re-appends cleanly instead of duplicating rows.
     """
 
     def __init__(self, path: Path) -> None:
@@ -273,16 +252,18 @@ class StreamingReconstructionService:
         self.heartbeat_path = self.workdir / "heartbeat"
         self.metrics_path = self.workdir / "metrics.json"
 
-        self._queue = BoundedChunkQueue(self.config.queue_high)
-        self._counters = _Counters()
+        self._counters = dict.fromkeys(_COUNTERS, 0)
         self._sink = _CsvSink(self.sink_path)
         self._quarantine = _DeadLetterLog(self.quarantine_path)
         self._session: StreamingReconstructionSession | None = None
 
-        self._stop = threading.Event()   # drain requested (signal or API)
-        self._done = threading.Event()   # pipeline loop exited
-        self._state_lock = threading.Lock()
+        # A plain flag: a signal handler may set it at any bytecode of
+        # the loop, and a lock the loop held there would deadlock.
+        self._stop_requested = False
         self._state = "starting"
+        self._lines: list[tuple[str, Any]] = []  # read, not yet handled
+        self._pending = 0      # chunks handled since the last commit
+        self._max_pending = 0
         self._header: str | None = None
         self._rebase_offset: float | None = None
         self._last_old_ts: float | None = None
@@ -290,6 +271,8 @@ class StreamingReconstructionService:
         self._last_source_error: str | None = None
         self._fatal: str | None = None
         self._started_at = time.time()
+        self._next_status = 0.0
+        self._samples: deque[tuple[float, int]] = deque(maxlen=32)
         self._parse = BULK_PARSERS[self.config.fmt]
 
     # -- public control ------------------------------------------------
@@ -297,20 +280,19 @@ class StreamingReconstructionService:
     @property
     def outcome(self) -> str:
         """Terminal state after :meth:`run` ('finished'/'stopped'/'failed')."""
-        with self._state_lock:
-            return self._state
+        return self._state
 
     def request_stop(self) -> None:
-        """Ask the daemon to drain in-flight chunks and exit."""
-        with self._state_lock:
-            if self._state not in TERMINAL_STATES:
-                self._state = "draining"
-        self._stop.set()
+        """Ask the daemon to commit the chunks handled so far and exit.
+
+        Safe from a signal handler and from another thread.
+        """
+        self._stop_requested = True
 
     # -- lifecycle -------------------------------------------------------
 
     def run(self, install_signal_handlers: bool = True) -> ReconstructionMetrics | None:
-        """Run until end-of-stream, drain, or permanent failure.
+        """Run until end-of-stream, stop, or permanent failure.
 
         Returns the final :class:`ReconstructionMetrics` when the
         stream ``finished``; ``None`` for ``stopped`` (resumable) and
@@ -332,15 +314,14 @@ class StreamingReconstructionService:
                 self._fatal = (
                     f"cannot resume {self.checkpoint_path.name}: {type(exc).__name__}: {exc}"
                 )
-                with self._state_lock:
-                    self._state = "failed"
+                self._state = "failed"
                 self._write_status()
                 return None
             self._header = cp.header
             self._rebase_offset = cp.rebase_offset
             self._last_old_ts = cp.last_old_ts
             self._last_cursor = cp.source_cursor
-            self._counters.set(
+            self._counters.update(
                 rows_consumed=cp.rows_consumed,
                 rows_out=cp.rows_out,
                 n_quarantined=cp.n_quarantined,
@@ -360,24 +341,10 @@ class StreamingReconstructionService:
                     signum, lambda *_: self.request_stop()
                 )
 
-        with self._state_lock:
-            if self._state == "starting":
-                self._state = "running"
-        ingest = threading.Thread(target=self._ingest, name="repro-serve-ingest", daemon=True)
-        watchdog = threading.Thread(
-            target=self._watchdog, name="repro-serve-watchdog", daemon=True
-        )
-        ingest.start()
-        watchdog.start()
-        self._write_status()  # publish the running state before the first tick
-
+        self._state = "running"
         try:
-            outcome = self._pipeline_loop(session)
+            outcome = self._loop(session)
         finally:
-            self._stop.set()
-            self._done.set()
-            ingest.join(timeout=5.0)
-            watchdog.join(timeout=5.0)
             self.source.close()
             self._sink.close()
             self._quarantine.close()
@@ -388,51 +355,116 @@ class StreamingReconstructionService:
         if outcome == "finished" and session.n_requests > 0:
             metrics = session.metrics()
             self._write_metrics(metrics)
-        with self._state_lock:
-            self._state = outcome
+        self._state = outcome
         self._write_status()
         return metrics
 
-    # -- pipeline thread -------------------------------------------------
+    # -- the loop ----------------------------------------------------------
 
-    def _pipeline_loop(self, session: StreamingReconstructionSession) -> str:
-        # Group commit: chunks handled since the last commit.  A raise
-        # below exits without committing them (the session may hold a
-        # chunk whose sink append rolled back); a restart redoes them.
-        pending = 0
-        while True:
-            item = self._queue.get(timeout=0.2)
-            if item is None:
-                continue
-            kind, rows, cursor = item
-            try:
-                if kind == "chunk":
-                    self._handle_chunk(session, rows, cursor)
-                    pending += 1
-                    if pending >= self.config.queue_high or self._queue.depth() == 0:
-                        self._commit(session)
-                        pending = 0
-                elif kind == "eof":
-                    if rows:
-                        self._handle_chunk(session, rows, cursor)
-                    piece = session.finish()
-                    if piece is not None:
-                        self._sink.append(piece)
-                        self._counters.add(rows_out=len(piece))
+    def _loop(self, session: StreamingReconstructionSession) -> str:
+        """Poll, cut, handle and commit until end-of-stream, stop or failure.
+
+        A raise while handling a chunk exits without committing the
+        chunks pending since the last commit (the session may hold a
+        chunk whose sink append rolled back); a restart redoes them.
+        """
+        cfg = self.config
+        idle_since: float | None = None
+        attempt = 0
+        try:
+            while not self._stop_requested:
+                self._tick()
+                try:
+                    batch = self.source.poll()
+                except (KeyboardInterrupt, SystemExit):
+                    raise
+                except BaseException as exc:  # noqa: BLE001 - the taxonomy decides
+                    if classify_error(exc) == "permanent":
+                        self._fatal = f"source: {type(exc).__name__}: {exc}"
+                        if self._pending:
+                            self._commit(session)
+                        return "failed"
+                    self._last_source_error = f"{type(exc).__name__}: {exc}"
+                    self._counters["source_errors"] += 1
+                    # Retry forever — always-on — but with the policy's
+                    # *capped* deterministic backoff.
+                    time.sleep(
+                        _RETRY.delay_s("source-poll", min(attempt, _RETRY.max_attempts - 1))
+                    )
+                    attempt += 1
+                    continue
+                attempt = 0
+                for text, cursor in batch:
+                    self._accept_line(text, cursor)
+                self._cut_chunks(session)
+                if batch:
+                    idle_since = None
+                    continue
+                # A poll that brings no new line ends the commit group.
+                if self._pending:
                     self._commit(session)
-                    return "finished"
-                elif kind in ("stop", "fail"):
-                    if pending:
-                        self._commit(session)
-                    if kind == "stop":
-                        return "stopped"
-                    self._fatal = str(rows)
-                    return "failed"
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:  # noqa: BLE001 - fail loudly, not silently
-                self._fatal = f"{type(exc).__name__}: {exc}"
-                return "failed"
+                if not self.source.idle():
+                    idle_since = None  # the rest of a line longer than a block
+                    continue
+                if cfg.until_idle_s is not None:
+                    now = time.monotonic()
+                    if idle_since is None:
+                        idle_since = now
+                    if now - idle_since >= cfg.until_idle_s:
+                        return self._finish(session)
+                time.sleep(_POLL_INTERVAL_S)
+            if self._pending:
+                self._commit(session)
+            return "stopped"
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except BaseException as exc:  # noqa: BLE001 - fail loudly, not silently
+            self._fatal = f"{type(exc).__name__}: {exc}"
+            return "failed"
+
+    def _cut_chunks(self, session: StreamingReconstructionSession) -> None:
+        """Handle every full chunk of read lines, stopping early on request."""
+        n = self.config.chunk_requests
+        while len(self._lines) >= n and not self._stop_requested:
+            rows = self._lines[:n]
+            del self._lines[:n]
+            self._handle_chunk(session, rows, rows[-1][1])
+            self._pending += 1
+            self._max_pending = max(self._max_pending, self._pending)
+            if self._pending >= self.config.queue_high:
+                self._commit(session)
+            self._tick()
+
+    def _finish(self, session: StreamingReconstructionSession) -> str:
+        """End-of-stream: flush the partial chunk, finish, commit once."""
+        for text, cursor in self.source.eof_flush():
+            self._accept_line(text, cursor)
+        self._cut_chunks(session)  # the released fragment may complete a chunk
+        if self._lines:
+            rows, self._lines = self._lines, []
+            self._handle_chunk(session, rows, rows[-1][1])
+        piece = session.finish()
+        if piece is not None:
+            self._sink.append(piece)
+            self._counters["rows_out"] += len(piece)
+        self._commit(session)
+        return "finished"
+
+    def _accept_line(self, text: str, cursor: Any) -> None:
+        """Apply the TraceReader line discipline: strip, drop, de-header."""
+        self._counters["rows_polled"] += 1
+        line = text.strip()
+        if not line or line.startswith("#"):
+            return
+        if self.config.fmt == "internal":
+            if self._header is None:
+                self._header = line
+                return
+            if line == self._header:
+                # A file made by concatenating CSVs repeats the header.
+                self._counters["n_header_repeats"] += 1
+                return
+        self._lines.append((line, cursor))
 
     def _handle_chunk(
         self,
@@ -442,7 +474,6 @@ class StreamingReconstructionService:
     ) -> None:
         """Parse, quarantine, reconstruct and append one chunk (no commit)."""
         lines = [text for text, _ in rows]
-        self._counters.add(rows_queued=-len(rows))
         trace = self._parse_chunk(lines)
         if trace is not None and len(trace) > 0:
             if self.config.fmt in _REBASED_FORMATS:
@@ -460,20 +491,20 @@ class StreamingReconstructionService:
             self._last_old_ts = float(trace.timestamps[-1])
         if piece is not None:
             # I/O *is* weather: the sink rolls back on failure, so the
-            # append + checkpoint pair retries under the policy.
+            # append retries under the policy.
             final_piece = piece
             retry_call(
                 lambda: self._sink.append(final_piece),
                 key=f"sink@{self._sink.nbytes}",
-                policy=self.config.retry,
+                policy=_RETRY,
             )
-            self._counters.add(rows_out=len(piece))
-        self._counters.add(rows_consumed=len(rows))
+            self._counters["rows_out"] += len(piece)
+        self._counters["rows_consumed"] += len(rows)
         self._last_cursor = cursor
 
     def _commit(self, session: StreamingReconstructionSession) -> None:
         """Durably commit the chunks handled so far: data files, then the checkpoint."""
-        counters = self._counters.snapshot()
+        counters = self._counters
         checkpoint = StreamCheckpoint(
             source_cursor=self._last_cursor,
             session_state=session.state_dict(),
@@ -492,8 +523,9 @@ class StreamingReconstructionService:
             self._quarantine.sync()
             save_checkpoint(self.checkpoint_path, checkpoint)
 
-        retry_call(_write, key=f"checkpoint@{self._sink.nbytes}", policy=self.config.retry)
-        self._counters.add(n_commits=1)
+        retry_call(_write, key=f"checkpoint@{self._sink.nbytes}", policy=_RETRY)
+        counters["n_commits"] += 1
+        self._pending = 0
 
     # -- parsing and quarantine ------------------------------------------
 
@@ -554,125 +586,25 @@ class StreamingReconstructionService:
 
     def _dead_letter(self, kind: str, **payload: Any) -> None:
         self._quarantine.record(kind, **payload)
-        self._counters.add(n_quarantined=1)
+        self._counters["n_quarantined"] += 1
 
-    # -- ingest thread ---------------------------------------------------
+    # -- status ------------------------------------------------------------
 
-    def _ingest(self) -> None:
-        cfg = self.config
-        assembled: list[tuple[str, Any]] = []
-        idle_since: float | None = None
-        attempt = 0
-        try:
-            while True:
-                if self._stop.is_set():
-                    self._queue.put(("stop", None, None), force=True)
-                    return
-                try:
-                    batch = self.source.poll()
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - the taxonomy decides
-                    if classify_error(exc) == "permanent":
-                        self._queue.put(
-                            ("fail", f"source: {type(exc).__name__}: {exc}", None),
-                            force=True,
-                        )
-                        return
-                    self._last_source_error = f"{type(exc).__name__}: {exc}"
-                    self._counters.add(source_errors=1)
-                    # Retry forever — always-on — but with the policy's
-                    # *capped* deterministic backoff.
-                    delay = cfg.retry.delay_s(
-                        "source-poll", min(attempt, cfg.retry.max_attempts - 1)
-                    )
-                    attempt += 1
-                    self._stop.wait(delay)
-                    continue
-                attempt = 0
-                if batch:
-                    idle_since = None
-                    self._assemble(batch, assembled)
-                    continue
-                if cfg.until_idle_s is not None and self.source.idle():
-                    now = time.monotonic()
-                    if idle_since is None:
-                        idle_since = now
-                    if now - idle_since >= cfg.until_idle_s:
-                        for text, cursor in self.source.eof_flush():
-                            self._accept_line(text, cursor, assembled)
-                        self._flush_full_chunks(assembled)
-                        cursor = assembled[-1][1] if assembled else None
-                        self._queue.put(("eof", list(assembled), cursor), force=True)
-                        self._counters.add(rows_queued=len(assembled))
-                        self._counters.set(rows_buffered=0)
-                        return
-                else:
-                    idle_since = None
-                self._stop.wait(cfg.poll_interval_s)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as exc:  # noqa: BLE001 - never die silently
-            self._queue.put(("fail", f"ingest: {type(exc).__name__}: {exc}", None), force=True)
-
-    def _assemble(self, batch: list[tuple[str, Any]], assembled: list[tuple[str, Any]]) -> None:
-        for text, cursor in batch:
-            self._accept_line(text, cursor, assembled)
-        self._flush_full_chunks(assembled)
-        self._counters.set(rows_buffered=len(assembled))
-
-    def _accept_line(
-        self, text: str, cursor: Any, assembled: list[tuple[str, Any]]
-    ) -> None:
-        """Apply the TraceReader line discipline: strip, drop, de-header."""
-        self._counters.add(rows_polled=1)
-        line = text.strip()
-        if not line or line.startswith("#"):
+    def _tick(self) -> None:
+        """Publish status.json and beat the heartbeat once per status interval."""
+        now = time.monotonic()
+        if now < self._next_status:
             return
-        if self.config.fmt == "internal":
-            with self._state_lock:
-                if self._header is None:
-                    self._header = line
-                    return
-                header = self._header
-            if line == header:
-                # A file made by concatenating CSVs repeats the header.
-                self._counters.add(n_header_repeats=1)
-                return
-        assembled.append((line, cursor))
-
-    def _flush_full_chunks(self, assembled: list[tuple[str, Any]]) -> None:
-        n = self.config.chunk_requests
-        while len(assembled) >= n and not self._stop.is_set():
-            rows = assembled[:n]
-            if not self._queue.put(("chunk", rows, rows[-1][1]), should_abort=self._stop.is_set):
-                return  # aborted mid-block; restart re-reads from the cursor
-            del assembled[:n]
-            self._counters.add(rows_queued=len(rows))
-
-    # -- watchdog thread -------------------------------------------------
-
-    def _watchdog(self) -> None:
-        samples: deque[tuple[float, int]] = deque(maxlen=32)
-        while not self._done.wait(self.config.status_interval_s):
-            samples.append((time.monotonic(), self._counters["rows_out"]))
-            self._write_status(self._throughput(samples))
-            write_heartbeat(self.heartbeat_path)
-
-    @staticmethod
-    def _throughput(samples: deque[tuple[float, int]]) -> float:
-        if len(samples) < 2:
-            return 0.0
-        (t0, r0), (t1, r1) = samples[0], samples[-1]
-        return (r1 - r0) / (t1 - t0) if t1 > t0 else 0.0
+        self._next_status = now + self.config.status_interval_s
+        self._samples.append((now, self._counters["rows_out"]))
+        (t0, r0), (t1, r1) = self._samples[0], self._samples[-1]
+        self._write_status((r1 - r0) / (t1 - t0) if t1 > t0 else 0.0)
+        write_heartbeat(self.heartbeat_path)
 
     def _write_status(self, throughput_rps: float = 0.0) -> None:
-        counters = self._counters.snapshot()
-        with self._state_lock:
-            state = self._state
         session = self._session
         payload: dict[str, Any] = {
-            "state": state,
+            "state": self._state,
             "pid": os.getpid(),
             "started_at": self._started_at,
             "updated_at": time.time(),
@@ -680,9 +612,14 @@ class StreamingReconstructionService:
             "fmt": self.config.fmt,
             "chunk_requests": self.config.chunk_requests,
             "until_idle_s": self.config.until_idle_s,
-            "queue": self._queue.stats(),
-            "counters": counters,
-            "lag_rows": counters["rows_queued"] + counters["rows_buffered"],
+            # The commit group: chunks handled but not yet committed.
+            "queue": {
+                "depth": self._pending,
+                "max_depth": self._max_pending,
+                "high_watermark": self.config.queue_high,
+            },
+            "counters": self._counters,
+            "lag_rows": len(self._lines),
             "throughput_rps": throughput_rps,
             "session": {
                 "n_chunks": session.n_chunks if session is not None else 0,

@@ -1,14 +1,17 @@
 """The stream source: the one growing file the daemon tails.
 
 :class:`FileTailSource` turns a file being appended into the pull
-interface the daemon's ingest loop drives:
+interface the daemon's loop drives:
 
-- :meth:`FileTailSource.poll` returns the *complete* lines that arrived
-  since the last poll, each paired with a JSON-able **cursor**: the
-  byte offset *after* that line.  Checkpointing the cursor of the last
-  line of a processed chunk is all crash recovery needs — a restarted
-  daemon re-opens the file at that cursor and re-reads exactly the
-  lines that were never committed.
+- :meth:`FileTailSource.poll` reads the next block of at most
+  :data:`_IO_BLOCK` bytes and returns the *complete* lines it
+  finishes, each paired with a JSON-able **cursor**: the byte offset
+  *after* that line.  The file holds the rest, so the daemon never
+  reads further ahead than the block it is cutting chunks from.
+  Checkpointing the cursor of the last line of a processed chunk is
+  all crash recovery needs — a restarted daemon re-opens the file at
+  that cursor and re-reads exactly the lines that were never
+  committed.
 - Torn trailing fragments are never emitted: a writer caught
   mid-``write`` would otherwise inject a prefix that parses into a
   wrong row.  The fragment is held and re-polled until its newline
@@ -42,12 +45,8 @@ from ..resilience import PermanentPointError, TransientPointError
 
 __all__ = ["FileTailSource", "parse_source_spec"]
 
-#: Bytes per read syscall.
+#: Bytes read per poll: the daemon's read-ahead beyond the chunk it cuts.
 _IO_BLOCK = 1 << 16
-
-#: Cap on bytes consumed per poll, so one poll cannot starve the
-#: ingest loop's responsiveness to stop/drain requests.
-_POLL_BYTE_BUDGET = 1 << 22
 
 
 class FileTailSource:
@@ -91,7 +90,10 @@ class FileTailSource:
         return st.st_size
 
     def poll(self) -> list[tuple[str, int]]:
-        """Newly completed lines as ``(text, offset_after_line)``.
+        """Lines completed by the next block, as ``(text, offset_after_line)``.
+
+        Reads at most one :data:`_IO_BLOCK`; a line longer than a block
+        comes back whole from the poll that reads its newline.
 
         Raises :class:`TransientPointError` when the file is missing
         (it may simply not have been created yet) and
@@ -115,21 +117,16 @@ class FileTailSource:
         if self._handle is None:
             self._handle = self.path.open("rb")
         self._handle.seek(self._read_pos)
-        budget = _POLL_BYTE_BUDGET
-        while budget > 0:
-            data = self._handle.read(min(_IO_BLOCK, budget))
-            if not data:
-                break
-            budget -= len(data)
-            self._read_pos += len(data)
-            self._buf += data
-            cut = self._buf.rfind(b"\n")
-            if cut < 0:
-                continue
-            complete, self._buf = self._buf[:cut], self._buf[cut + 1 :]
-            for raw in complete.split(b"\n"):
-                self.offset += len(raw) + 1
-                out.append((raw.decode("utf-8", errors="replace"), self.offset))
+        data = self._handle.read(_IO_BLOCK)
+        self._read_pos += len(data)
+        self._buf += data
+        cut = self._buf.rfind(b"\n")
+        if cut < 0:
+            return out
+        complete, self._buf = self._buf[:cut], self._buf[cut + 1 :]
+        for raw in complete.split(b"\n"):
+            self.offset += len(raw) + 1
+            out.append((raw.decode("utf-8", errors="replace"), self.offset))
         return out
 
     def idle(self) -> bool:

@@ -102,8 +102,8 @@ def serve_file_killed_in_commit(src, workdir, chunk=CHUNK):
 
     The kill lands in ``save_checkpoint``: after the commit has fsynced
     the data files, before ``checkpoint.json`` is replaced.  Each feed
-    sleeps, so the ingest thread fills the queue and one commit covers
-    several chunks.
+    sleeps, as in a catch-up whose reconstruction lags the file, and
+    one commit covers up to ``queue_high`` chunks.
     """
     from repro.service import FileTailSource, ServiceConfig, StreamingReconstructionService
     from repro.service import daemon

@@ -554,6 +554,36 @@ class TestCli:
         assert cli_main(["report", str(tmp_path)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            (
+                "spec.yaml",
+                "name: x\nworkloads: [MSNFS\n",
+                "line 3, column 1: while parsing a flow sequence; "
+                "expected ',' or ']', but got '<stream end>'",
+            ),
+            (
+                "spec.json",
+                '{"name": "x", "workloads": ["MSNFS"\n',
+                "line 2, column 1: Expecting ',' delimiter",
+            ),
+        ],
+        ids=["yaml", "json"],
+    )
+    def test_malformed_spec_exits_2_with_one_line(
+        self, tmp_path: Path, capsys, name, text, message
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        out_dir = tmp_path / "out"
+        for argv in (["plan", str(path)], ["run", str(path), "--out-dir", str(out_dir)]):
+            assert cli_main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: {path}: {message}"]
+        assert not out_dir.exists()
+
     def test_lake_option_is_a_usage_error(self, tmp_path: Path, capsys):
         """Results live only in the out-dir: ``--lake`` is refused before
         anything is created."""

@@ -1,4 +1,4 @@
-"""Streaming daemon: batch-oracle parity, quarantine, drain, backpressure.
+"""Streaming daemon: batch-oracle parity, quarantine, drain, group commit.
 
 The load-bearing contract: for the same well-formed content, the
 daemon's ``out.csv`` and final metrics are byte-/bit-identical to the
@@ -13,6 +13,7 @@ import errno
 import io
 import json
 import os
+import signal
 import threading
 import time
 
@@ -37,6 +38,7 @@ from repro.service import (
 from repro.service import cli as serve_cli
 from repro.service import daemon as serve_daemon
 from repro.service.daemon import _CsvSink, _DeadLetterLog
+from repro.service.sources import _IO_BLOCK
 
 CHUNK = 60
 
@@ -87,8 +89,8 @@ def assert_parity(workdir, metrics, oracle):
 def slow_tracker() -> TraceTracker:
     """A tracker whose stream sessions sleep 30 ms before each feed.
 
-    The ingest thread then fills the queue while a chunk reconstructs,
-    as in a catch-up on a file at rest.
+    Reconstruction then lags the file it reads, as in a catch-up on a
+    file at rest.
     """
     tracker = TraceTracker()
     real = tracker.stream_session
@@ -106,6 +108,48 @@ def slow_tracker() -> TraceTracker:
 
     tracker.stream_session = slow_session
     return tracker
+
+
+def stop_in_third_feed(src, workdir) -> StreamingReconstructionService:
+    """Run the daemon over ``src`` with a SIGTERM raised inside the third feed.
+
+    The handler runs on the thread that runs the loop, in the middle of
+    a chunk, as a real signal's would.
+    """
+    assert threading.current_thread() is threading.main_thread()
+    tracker = TraceTracker()
+    real = tracker.stream_session
+
+    def signalling_session(target):
+        session = real(target)
+        original = session.feed
+        calls = []
+
+        def feed(chunk):
+            calls.append(len(chunk))
+            if len(calls) == 3:
+                signal.raise_signal(signal.SIGTERM)
+            return original(chunk)
+
+        session.feed = feed
+        return session
+
+    tracker.stream_session = signalling_session
+    service = StreamingReconstructionService(
+        FileTailSource(src),
+        device(),
+        workdir,
+        ServiceConfig(chunk_requests=CHUNK, until_idle_s=0.2, status_interval_s=0.1),
+        tracker=tracker,
+    )
+    # Should run() not install its own handler, this one keeps the
+    # signal from ending the test process.
+    previous = signal.signal(signal.SIGTERM, lambda *_: None)
+    try:
+        service.run()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    return service
 
 
 def record_checkpoints(monkeypatch) -> list[int]:
@@ -330,19 +374,20 @@ class TestDrainAndStatus:
             FileTailSource(oracle["src"]),
             device(),
             tmp_path / "wd",
-            ServiceConfig(chunk_requests=20, queue_high=3, until_idle_s=0.2),  # low watermark 1
+            ServiceConfig(chunk_requests=20, queue_high=3, until_idle_s=0.2),
             tracker=slow_tracker(),
         )
         depths = []
         thread = threading.Thread(target=service.run, kwargs={"install_signal_handlers": False})
         thread.start()
         while thread.is_alive():
-            depths.append(service._queue.depth())
+            depths.append(service._pending)
             time.sleep(0.005)
         thread.join()
         assert service.outcome == "finished"
         assert max(depths) <= 3  # held at the watermark, never beyond
-        assert service._queue.stats()["max_depth"] <= 3
+        status = json.loads((tmp_path / "wd" / "status.json").read_text())
+        assert status["queue"]["max_depth"] == 3  # the whole file is read at once
         assert (tmp_path / "wd" / "out.csv").read_bytes() == oracle["bytes"]
 
     def test_status_page_shape(self, oracle, tmp_path):
@@ -456,6 +501,7 @@ class TestGroupCommit:
             assert len(written) < n_chunks
         status = json.loads((workdir / "status.json").read_text())
         assert status["counters"]["n_commits"] == len(written)
+        assert status["queue"]["max_depth"] <= queue_high
 
     def test_live_tail_commits_every_chunk(self, oracle, tmp_path, monkeypatch):
         written = record_checkpoints(monkeypatch)
@@ -517,6 +563,23 @@ class TestGroupCommit:
         assert resumed.outcome == "finished"
         assert (workdir / "out.csv").read_bytes() == oracle["bytes"]
 
+    def test_queue_high_below_one_exits_2(self, oracle, tmp_path, capsys):
+        workdir = tmp_path / "wd"
+        code = serve_cli.main(
+            [
+                "run",
+                "--source", str(oracle["src"]),
+                "--workdir", str(workdir),
+                "--queue-high", "0",
+                "--until-idle", "0.2",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["repro-serve: queue_high must be at least 1"]
+        assert not workdir.exists()
+
     def test_clean_stream_fsyncs_quarantine_once(self, oracle, tmp_path, monkeypatch):
         synced = record_fsyncs(monkeypatch)
         workdir = tmp_path / "wd"
@@ -550,6 +613,62 @@ class TestGroupCommit:
         log.close()
         inodes = [os.stat(tmp_path / name).st_ino for name in ("out.csv", "q.jsonl")]
         assert synced == [inodes[0], inodes[1], inodes[0], inodes[1]]
+
+
+class TestOneLoop:
+    """One loop on the caller's thread; the file it tails is its queue."""
+
+    def test_run_starts_no_thread(self, oracle, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"run() started thread {thread.name!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        service, metrics = run_service(FileTailSource(oracle["src"]), tmp_path / "wd")
+        assert service.outcome == "finished"
+        assert_parity(tmp_path / "wd", metrics, oracle)
+
+    def test_signal_inside_a_chunk_stops_after_it(self, oracle, tmp_path):
+        """The chunk in hand completes and commits; read lines wait for the next run."""
+        workdir = tmp_path / "wd"
+        service = stop_in_third_feed(oracle["src"], workdir)
+        assert service.outcome == "stopped"
+        checkpoint = json.loads((workdir / "checkpoint.json").read_text())
+        assert checkpoint["rows_consumed"] == 3 * CHUNK
+        status = json.loads((workdir / "status.json").read_text())
+        assert status["state"] == "stopped"
+        assert status["counters"]["rows_consumed"] == 3 * CHUNK
+        assert status["lag_rows"] == 400 - 3 * CHUNK  # the file fits one block
+        assert not (workdir / "metrics.json").exists()
+        resumed, metrics = run_service(FileTailSource(oracle["src"]), workdir)
+        assert resumed.outcome == "finished"
+        assert_parity(workdir, metrics, oracle)
+
+    def test_reads_one_block_ahead(self, tmp_path, monkeypatch):
+        src = tmp_path / "old.csv"
+        n_requests = 6_000
+        old = collect_trace(generate_intents(get_spec("MSNFS").scaled(n_requests)), HDDModel())
+        dump_trace(old, src, fmt="internal")
+        assert src.stat().st_size > 4 * _IO_BLOCK
+        leads: list[tuple[int, int]] = []
+        real = StreamingReconstructionService._handle_chunk
+
+        def handle(service, session, rows, cursor):
+            last = service._last_cursor or 0
+            # (read-ahead past the last handled chunk, bytes of the chunk in hand)
+            leads.append((service.source._read_pos - last, cursor - last))
+            real(service, session, rows, cursor)
+
+        monkeypatch.setattr(StreamingReconstructionService, "_handle_chunk", handle)
+        chunk = ServiceConfig().chunk_requests
+        service, metrics = run_service(FileTailSource(src), tmp_path / "wd", chunk_requests=chunk)
+        assert service.outcome == "finished"
+        assert len(leads) == -(-n_requests // chunk)
+        assert all(lead <= _IO_BLOCK + in_hand for lead, in_hand in leads)
+        oracle = TraceTracker().reconstruct_stream(
+            TraceReader(src, chunk_requests=chunk), device()
+        )
+        assert (tmp_path / "wd" / "out.csv").read_bytes() == csv_bytes(oracle.trace)
+        assert metrics == oracle.metrics
 
 
 def bare_msnfs(n_requests: int, seed: int) -> BlockTrace:
@@ -623,6 +742,21 @@ V1_SESSION_STATE = {
 
 #: A loadable version-2 state: no warm-up fits yet, no frozen model.
 V2_SESSION_STATE = {**V1_SESSION_STATE, "version": 2, "fits": [], "model": None}
+
+
+class TestEarlierCheckpoint:
+    def test_extra_key_resumes_in_parity(self, oracle, tmp_path):
+        """Checkpoints of earlier releases carry an always-empty ``extra``."""
+        workdir = tmp_path / "wd"
+        assert stop_in_third_feed(oracle["src"], workdir).outcome == "stopped"
+        path = workdir / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        assert "extra" not in doc
+        path.write_text(json.dumps({**doc, "extra": {}}, sort_keys=True))
+        resumed, metrics = run_service(FileTailSource(oracle["src"]), workdir)
+        assert resumed.outcome == "finished"
+        assert_parity(workdir, metrics, oracle)
+        assert "extra" not in json.loads(path.read_text())
 
 
 class TestUnloadableSessionState:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.resilience import PermanentPointError, TransientPointError
 from repro.service import FileTailSource, parse_source_spec
+from repro.service.sources import _IO_BLOCK
 
 
 def drain(source):
@@ -34,6 +35,23 @@ class TestFileTailSource:
         with path.open("a") as handle:
             handle.write("o\nthree\n")
         assert drain(source) == ["two", "three"]
+
+    def test_line_longer_than_a_block_comes_back_whole(self, tmp_path):
+        path = tmp_path / "s.csv"
+        long_line = "x" * (3 * _IO_BLOCK + 5)
+        path.write_text("a\n" + long_line)
+        source = FileTailSource(path)
+        source.open()
+        got = []
+        while not source.idle():  # one block per poll
+            got += source.poll()
+        assert [text for text, _ in got] == ["a"]
+        with path.open("a") as handle:
+            handle.write("\nb\n")
+        while not source.idle():
+            got += source.poll()
+        source.close()
+        assert got == [("a", 2), (long_line, 3 + len(long_line)), ("b", 5 + len(long_line))]
 
     def test_cursor_resume_rereads_uncommitted(self, tmp_path):
         path = tmp_path / "s.csv"
