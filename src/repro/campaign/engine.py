@@ -7,9 +7,11 @@ CampaignSpec` into a :class:`~repro.campaign.results.ResultsTable`:
    point's run key computed;
 2. keys already checkpointed under ``<out_dir>/runs/`` are loaded back
    instead of recomputed — an interrupted campaign resumes for free;
-3. the remaining points run inline in this process at ``jobs=1`` with
-   no chaos injection, and otherwise as contiguous chunks pulled by
-   the worker processes of a
+3. the remaining points run inline in this process, in plan order, at
+   ``jobs=1`` with no chaos injection, and otherwise as trace-affine
+   chunks (:meth:`~repro.campaign.plan.CampaignPlan.chunks`: the points
+   that share an OLD trace travel together, largest groups first)
+   pulled by the worker processes of a
    :class:`~repro.campaign.supervise.SupervisedExecutor` (heartbeats,
    lease reclaim, respawn); either way the binary trace store is
    shared, so each catalog trace is materialised once and
@@ -606,8 +608,11 @@ class CampaignEngine:
     inputs: inline in the calling process when ``jobs == 1`` and no
     chaos injection is set, and the
     :class:`~repro.campaign.supervise.SupervisedExecutor` otherwise.
-    The supervised path queues the points as small contiguous chunks
-    that idle workers pull, so a slow point delays only its own chunk;
+    The supervised path queues the points as small chunks that idle
+    workers pull, so a slow point delays only its own chunk; the points
+    that share an OLD trace (same workload and size) ride in one chunk
+    where they fit, so one worker generates the trace and fits its
+    model once for all of them;
     every worker beats a heartbeat file at each point boundary, and the
     parent reclaims a dead worker's leased chunk (salvaging its
     checkpointed points) and respawns a replacement up to
@@ -645,7 +650,7 @@ class CampaignEngine:
         Supervised-path knobs: the heartbeat staleness that declares a
         worker hung (must exceed the slowest legitimate point; ``None``,
         the default, sets no deadline), and the total replacement
-        workers the run may spawn (default ``2 * jobs``).
+        workers the run may spawn (non-negative; default ``2 * jobs``).
     perf:
         Optional :class:`~repro.perf.PerfRecorder`; when given, the
         engine times its ``plan``/``resume_scan``/``compute``/
@@ -669,6 +674,8 @@ class CampaignEngine:
             raise ValueError("jobs must be at least 1")
         if hang_timeout_s is not None and hang_timeout_s <= 0:
             raise ValueError("hang_timeout_s must be positive")
+        if respawn_budget is not None and respawn_budget < 0:
+            raise ValueError("respawn_budget must be non-negative")
         self.spec = spec
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.jobs = jobs
@@ -829,9 +836,13 @@ class CampaignEngine:
     ) -> dict[str, int]:
         """Execute the pending points under the supervised executor.
 
-        ~4 contiguous chunks per worker bound the tail (the last chunk
-        to start is at most 1/(4*jobs) of the grid), while the cap of 32
-        keeps the per-chunk dispatch overhead invisible on huge grids.
+        ~4 chunks per worker bound the tail (a chunk holds at most
+        1/(4*jobs) of the pending points, and the largest trace groups
+        are queued first), while the cap of 32 keeps the per-chunk
+        dispatch overhead invisible on huge grids.  Chunks are
+        trace-affine (:meth:`~repro.campaign.plan.CampaignPlan.chunks`),
+        so no two workers generate or fit the same OLD trace when its
+        points fit one chunk.
         Workers are always real processes — even at ``jobs=1`` — so an
         injected or organic worker death never takes the parent down
         with it.  Heartbeats live under ``<out_dir>/.supervise``, or in

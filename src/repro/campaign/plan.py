@@ -116,24 +116,50 @@ class CampaignPlan:
         return [run_key(self.spec, point) for point in self.points]
 
     def chunks(self, chunk_size: int, indices: list[int] | None = None) -> list[list[int]]:
-        """Split point indices into contiguous chunks of ``chunk_size``.
+        """Split point indices into trace-affine chunks of at most ``chunk_size``.
 
         The supervised workers' unit of dispatch: chunks are queued and
         pulled by whichever worker frees up first, so one
         pathologically slow point delays only its own chunk.
         ``indices`` restricts the split to a subset (the engine passes
         the still-pending points of a resumed campaign); the default is
-        every point.  Contiguous (rather than strided) slicing keeps each
-        chunk's points adjacent in plan order, which preserves the
-        per-worker memo locality of actions like ``method_gap`` whose
-        fastest-varying axis benefits from neighbouring points landing
-        on the same process.  Empty chunks cannot occur; the final
-        chunk may be short.
+        every point.
+
+        Points with the same ``(workload, n_requests)`` share the OLD
+        trace the source device collects and the model fitted to it, so
+        they travel together: grouped in plan order, the groups are
+        queued by descending summed ``n_requests`` (largest work first,
+        plan order breaking ties), each group is cut into pieces of at
+        most ``chunk_size``, every group's first piece is queued before
+        any group's second piece, and consecutive pieces are packed
+        into one chunk while it holds at most ``chunk_size`` points.  A
+        group that fits a chunk is therefore generated and fitted by
+        one worker, and its points keep their plan order, which keeps
+        the finer per-process memo of actions like ``method_gap`` warm.
+        Empty chunks cannot occur.
         """
         if chunk_size < 1:
             raise ValueError("chunk size must be at least 1")
-        pool = list(range(len(self.points))) if indices is None else list(indices)
-        return [pool[i : i + chunk_size] for i in range(0, len(pool), chunk_size)]
+        pool = range(len(self.points)) if indices is None else sorted(indices)
+        groups: dict[tuple[str, int], list[int]] = {}
+        for index in pool:
+            point = self.points[index]
+            groups.setdefault((point.workload, point.n_requests), []).append(index)
+        ordered = sorted(
+            groups.values(), key=lambda group: -sum(self.points[i].n_requests for i in group)
+        )
+        longest = max((len(group) for group in ordered), default=0)
+        out: list[list[int]] = []
+        for start in range(0, longest, chunk_size):
+            for group in ordered:
+                piece = group[start : start + chunk_size]
+                if not piece:
+                    continue
+                if out and len(out[-1]) + len(piece) <= chunk_size:
+                    out[-1].extend(piece)
+                else:
+                    out.append(piece)
+        return out
 
 
 def expand(spec: CampaignSpec) -> CampaignPlan:

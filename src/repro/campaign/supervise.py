@@ -241,14 +241,21 @@ class Resilience:
 
     ``None`` anywhere in the engine means the historical behaviour
     (raise through); a :class:`Resilience` means retry + quarantine.
-    ``chaos_dir`` is resolved by the engine (markers live next to the
-    checkpoints) so workers reconstruct an identical injector.
+    ``point_timeout_s`` is ``None`` for no per-point budget, and
+    otherwise must be positive: a budget that can never fire must not
+    pass for one.  ``chaos_dir`` is resolved by the engine (markers
+    live next to the checkpoints) so workers reconstruct an identical
+    injector.
     """
 
     retry: RetryPolicy = RetryPolicy()
     point_timeout_s: float | None = None
     chaos: ChaosSpec | None = None
     chaos_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.point_timeout_s is not None and not self.point_timeout_s > 0:
+            raise ValueError("point_timeout_s must be positive")
 
     def injector(self) -> ChaosInjector | None:
         """This configuration's chaos injector (``None`` when chaos-free)."""

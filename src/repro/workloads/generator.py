@@ -108,6 +108,11 @@ class IdleProcess:
     which produces the heavy right tail Figures 16/17 report (most idle
     *time* lives in the >100 ms bucket even when idle *events* are a
     minority).
+
+    The two log-medians are computed once, at construction, into slots
+    outside ``repr`` and equality, so the spec's description (which
+    keys the trace store) and its comparisons are those of the five
+    parameters alone.
     """
 
     idle_fraction: float = 0.2
@@ -115,20 +120,22 @@ class IdleProcess:
     idle_sigma: float = 1.6
     cpu_burst_mean_us: float = 40.0
     cpu_burst_sigma: float = 0.6
+    _log_idle_median: float = field(init=False, repr=False, compare=False)
+    _log_burst_mean: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.idle_fraction <= 1.0:
             raise ValueError("idle_fraction must lie in [0, 1]")
         if self.idle_median_us < 0 or self.cpu_burst_mean_us < 0:
             raise ValueError("durations must be non-negative")
+        object.__setattr__(self, "_log_idle_median", np.log(max(self.idle_median_us, 1e-9)))
+        object.__setattr__(self, "_log_burst_mean", np.log(max(self.cpu_burst_mean_us, 1e-9)))
 
     def sample_think(self, rng: np.random.Generator) -> tuple[float, bool]:
         """Draw one think time; returns ``(microseconds, is_user_idle)``."""
         if rng.random() < self.idle_fraction:
-            period = float(rng.lognormal(np.log(max(self.idle_median_us, 1e-9)), self.idle_sigma))
-            return period, True
-        burst = float(rng.lognormal(np.log(max(self.cpu_burst_mean_us, 1e-9)), self.cpu_burst_sigma))
-        return burst, False
+            return float(rng.lognormal(self._log_idle_median, self.idle_sigma)), True
+        return float(rng.lognormal(self._log_burst_mean, self.cpu_burst_sigma)), False
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,36 +217,49 @@ def generate_intents(spec: WorkloadSpec) -> IntentStream:
     probability ``seq_run_continue``, otherwise it jumps to a uniform
     random aligned address.  Sequential continuations keep the current
     operation type (real streams are homogeneous); jumps re-draw it.
+
+    Sizes and sync flags are drawn as whole columns up front; the rest
+    is one draw sequence per request, so the loop runs over Python
+    scalars with the generator's methods bound once and builds each
+    column from a list at the end.
     """
     rng = np.random.default_rng(spec.seed)
-    n = spec.n_requests
+    random, integers, sample_think = rng.random, rng.integers, spec.idle.sample_think
+    read_op, write_op = int(OpType.READ), int(OpType.WRITE)
+    read_fraction, seq_run_continue = spec.read_fraction, spec.seq_run_continue
+    space = spec.address_space_sectors
     sizes_choices = np.asarray(spec.size_mix.sizes, dtype=np.int64)
-    probs = spec.size_mix.probabilities
-    ops = np.empty(n, dtype=np.int8)
-    lbas = np.empty(n, dtype=np.int64)
-    sizes = rng.choice(sizes_choices, size=n, p=probs)
-    thinks = np.empty(n, dtype=np.float64)
-    is_idle = np.empty(n, dtype=bool)
-    syncs = rng.random(n) >= spec.async_fraction
-    current_op = int(OpType.READ if rng.random() < spec.read_fraction else OpType.WRITE)
-    cursor = int(rng.integers(0, spec.address_space_sectors // 2))
-    for i in range(n):
-        if i == 0 or rng.random() >= spec.seq_run_continue:
+    sizes = rng.choice(sizes_choices, size=spec.n_requests, p=spec.size_mix.probabilities)
+    syncs = random(spec.n_requests) >= spec.async_fraction
+    current_op = read_op if random() < read_fraction else write_op
+    cursor = int(integers(0, space // 2))
+    ops: list[int] = []
+    lbas: list[int] = []
+    thinks: list[float] = []
+    flags: list[bool] = []
+    for i, size in enumerate(sizes.tolist()):
+        if i == 0 or random() >= seq_run_continue:
             # Random jump: new aligned location, re-draw the op type.
-            cursor = int(rng.integers(0, spec.address_space_sectors - int(sizes[i])))
+            cursor = int(integers(0, space - size))
             cursor -= cursor % 8  # 4 KB alignment, as filesystems issue
-            current_op = int(OpType.READ if rng.random() < spec.read_fraction else OpType.WRITE)
-        ops[i] = current_op
-        lbas[i] = cursor
-        cursor += int(sizes[i])
-        think, idle_flag = spec.idle.sample_think(rng)
-        thinks[i] = think
-        is_idle[i] = idle_flag
+            current_op = read_op if random() < read_fraction else write_op
+        ops.append(current_op)
+        lbas.append(cursor)
+        cursor += size
+        think, idle_flag = sample_think(rng)
+        thinks.append(think)
+        flags.append(idle_flag)
     # The first request has no preceding gap to model.
     thinks[0] = 0.0
-    is_idle[0] = False
+    flags[0] = False
     return IntentStream(
-        ops=ops, lbas=lbas, sizes=sizes, thinks=thinks, is_idle=is_idle, syncs=syncs, spec=spec
+        ops=np.array(ops, dtype=np.int8),
+        lbas=np.array(lbas, dtype=np.int64),
+        sizes=sizes,
+        thinks=np.array(thinks, dtype=np.float64),
+        is_idle=np.array(flags, dtype=bool),
+        syncs=syncs,
+        spec=spec,
     )
 
 

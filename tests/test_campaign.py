@@ -20,6 +20,7 @@ from repro.campaign import (
     run_key,
 )
 from repro.campaign.cli import main as cli_main
+from repro.campaign.plan import CampaignPlan, RunPoint
 from repro.experiments.nodes import calibration_disk, new_node, old_node
 
 
@@ -298,6 +299,82 @@ class TestPlan:
             expand(_grid_spec(exclude=({"workload": "MSNFS"}, {"workload": "ikki"})))
 
 
+class TestChunks:
+    """``CampaignPlan.chunks``, the supervised path's dispatch rule: the
+    points that share an OLD trace (same workload and size) travel
+    together, largest groups first."""
+
+    @staticmethod
+    def _plan(runs: list[tuple[str, int, int]]) -> CampaignPlan:
+        """A plan of consecutive runs of ``count`` points per (workload, size)."""
+        device = DeviceSpec("a", "new-node")
+        points = [
+            RunPoint(workload, device, f"acceleration:{k + 1}", n)
+            for workload, n, count in runs
+            for k in range(count)
+        ]
+        return CampaignPlan(spec=_grid_spec(), points=tuple(points))
+
+    @staticmethod
+    def _group(plan: CampaignPlan, index: int) -> tuple[str, int]:
+        point = plan.points[index]
+        return point.workload, point.n_requests
+
+    def test_every_index_appears_exactly_once(self):
+        plan = expand(_grid_spec(n_requests=(100, 200, 300)))
+        for indices in (None, list(range(0, len(plan), 2)), [23, 5, 11, 0, 17, 6]):
+            wanted = list(range(len(plan))) if indices is None else indices
+            for size in range(1, 10):
+                chunks = plan.chunks(size, indices=indices)
+                assert sorted(i for chunk in chunks for i in chunk) == sorted(wanted)
+                assert all(1 <= len(chunk) <= size for chunk in chunks)
+        with pytest.raises(ValueError, match="at least 1"):
+            plan.chunks(0)
+
+    def test_group_that_fits_stays_in_one_chunk(self):
+        plan = expand(_grid_spec(n_requests=(100, 200, 300)))  # six groups of 4
+        for size in (4, 5, 6, 7, 8, 12):
+            homes: dict[tuple[str, int], set[int]] = {}
+            for n, chunk in enumerate(plan.chunks(size)):
+                for index in chunk:
+                    homes.setdefault(self._group(plan, index), set()).add(n)
+            assert len(homes) == 6
+            assert all(len(chunks) == 1 for chunks in homes.values()), size
+        # The perfbench campaign-grid shape: one group per chunk, each
+        # group's points in plan order.
+        chunks = plan.chunks(6)
+        assert [len(chunk) for chunk in chunks] == [4] * 6
+        assert all(chunk == sorted(chunk) for chunk in chunks)
+
+    def test_groups_queued_by_descending_summed_requests(self):
+        plan = self._plan(
+            [("MSNFS", 300, 1), ("ikki", 100, 4), ("MSNFS", 200, 2), ("ikki", 200, 2), ("CFS", 150, 3)]
+        )
+        order: list[tuple[str, int]] = []
+        for chunk in plan.chunks(4):
+            for index in chunk:
+                if self._group(plan, index) not in order:
+                    order.append(self._group(plan, index))
+        # Sums 450, then three ties at 400 in plan order, then 300: the
+        # largest single point runs last because its group is smallest.
+        assert order == [("CFS", 150), ("ikki", 100), ("MSNFS", 200), ("ikki", 200), ("MSNFS", 300)]
+
+    def test_small_groups_are_packed_up_to_chunk_size(self):
+        singles = self._plan([("MSNFS", n, 1) for n in range(100, 110)])
+        assert singles.chunks(4) == [[9, 8, 7, 6], [5, 4, 3, 2], [1, 0]]
+        # Sums 200, 100, 300: CFS opens a chunk, MSNFS cannot join it,
+        # ikki joins MSNFS.
+        mixed = self._plan([("MSNFS", 100, 2), ("ikki", 100, 1), ("CFS", 100, 3)])
+        assert mixed.chunks(4) == [[3, 4, 5], [0, 1, 2]]
+
+    def test_oversized_group_later_pieces_follow_every_first_piece(self):
+        plan = self._plan([("MSNFS", 500, 10), ("ikki", 100, 2), ("CFS", 200, 3)])
+        chunks = plan.chunks(4)
+        assert chunks == [[0, 1, 2, 3], [12, 13, 14], [10, 11], [4, 5, 6, 7], [8, 9]]
+        flat = [i for chunk in chunks for i in chunk]
+        assert flat.index(4) > max(flat.index(10), flat.index(12))
+
+
 # ----------------------------------------------------------------------
 # Results table
 # ----------------------------------------------------------------------
@@ -455,6 +532,51 @@ class TestEngine:
         ).run()
         assert get_default_store() is before
         assert len(list(store.glob("*.npz"))) == 2  # one trace per workload
+        inline = CampaignEngine(spec, out_dir=tmp_path / "b").run()
+        assert pooled.table == inline.table
+
+    def test_workers_generate_and_fit_each_trace_once(self, tmp_path: Path, monkeypatch):
+        """The points that share an OLD trace run on one worker, so each
+        trace is generated once and each bare (FIU) trace fitted once,
+        by the worker whose model memo then serves its second
+        tracetracker point.  The patches go in before the engine forks,
+        so the workers inherit them and log every call to one file; the
+        slow generation makes two workers racing for one trace visible."""
+        import time
+
+        import repro.inference.idle as idle_mod
+        import repro.workloads.materialize as materialize_mod
+
+        log = tmp_path / "calls.log"
+        generate, estimate = materialize_mod.generate_intents, idle_mod.estimate_model
+
+        def logged_generate(wspec):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"generate {wspec.name} {wspec.n_requests}\n")
+            time.sleep(0.05)
+            return generate(wspec)
+
+        def logged_estimate(trace, config=None):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"fit {trace.name} {len(trace)}\n")
+            return estimate(trace, config)
+
+        monkeypatch.setattr(materialize_mod, "generate_intents", logged_generate)
+        monkeypatch.setattr(idle_mod, "estimate_model", logged_estimate)
+        monkeypatch.setattr(idle_mod, "_MODEL_MEMO", {})  # no fit inherited from earlier tests
+        sizes = (150, 200, 250, 300)
+        spec = _grid_spec(n_requests=sizes)  # 32 points, 8 OLD traces
+        pooled = CampaignEngine(
+            spec, out_dir=tmp_path / "a", jobs=2,
+            use_trace_store=True, trace_store_dir=tmp_path / "store",
+        ).run()
+        calls = log.read_text(encoding="utf-8").splitlines()
+        assert sorted(line for line in calls if line.startswith("generate")) == sorted(
+            f"generate {w} {n}" for w in ("MSNFS", "ikki") for n in sizes
+        )
+        assert sorted(line for line in calls if line.startswith("fit")) == [
+            f"fit ikki {n}" for n in sizes
+        ]
         inline = CampaignEngine(spec, out_dir=tmp_path / "b").run()
         assert pooled.table == inline.table
 
@@ -640,6 +762,62 @@ class TestCliResilience:
         assert "3 point(s) (0 resumed, 3 computed)" in captured.out
         # ... and the quarantine note follows it.
         assert "quarantined: 1 point(s)" in captured.out
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--point-timeout", "0", "point_timeout_s must be positive"),
+            ("--point-timeout", "-1", "point_timeout_s must be positive"),
+            ("--respawn-budget", "-1", "respawn_budget must be non-negative"),
+        ],
+    )
+    def test_settings_that_cannot_act_exit_2(self, tmp_path: Path, capsys, flag, value, message):
+        """A timeout that never fires or a negative budget is refused
+        with one line, as ``--hang-timeout 0`` is, before anything runs."""
+        spec_path = self._write_spec(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", str(spec_path), "--out-dir", str(out), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_hang_with_zero_point_timeout_refused(self, tmp_path: Path):
+        """A zero point timeout does not pass for a deadline that could
+        recover an injected hang: the run exits 2 before any point
+        instead of wedging on the hour-long sleep.  Run in its own
+        process group under a 30 s ceiling, so a wedge fails the test
+        and takes its workers with it."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (str(root / "src"), env.get("PYTHONPATH")) if part
+        )
+        out = tmp_path / "pt0"
+        argv = [
+            sys.executable, "-m", "repro.campaign.cli", "run",
+            str(root / "examples" / "method_grid.yaml"), "--out-dir", str(out),
+            "--no-trace-store", "--chaos", "hang@1", "--point-timeout", "0",
+        ]
+        proc = subprocess.Popen(
+            argv, env=env, cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        try:
+            stdout, stderr = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("--point-timeout 0 wedged the run on the injected hang")
+        assert proc.returncode == 2
+        assert stdout == ""
+        assert stderr.splitlines() == ["error: point_timeout_s must be positive"]
+        assert not out.exists()  # no point computed, none checkpointed
 
     def test_report_rebuilds_from_corrupt_aggregate(self, tmp_path: Path, capsys):
         spec_path = self._write_spec(tmp_path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -181,6 +182,42 @@ class TestGenerateIntents:
         # Sequential runs may extend a little past a jump target but
         # must stay within the configured space plus one max run.
         assert stream.lbas.max() < mixed_spec.address_space_sectors * 1.01
+
+
+#: SHA-256 over the dtype and bytes of all six ``IntentStream`` columns,
+#: two catalog workloads per family at two sizes.  Collected traces,
+#: trace-store entries and every figure derive from these streams, so a
+#: faster generator must reproduce them bit for bit.
+PINNED_INTENT_DIGESTS = {
+    ("MSNFS", 700): "44dd50f7cf1e54157420595f387e8bfb4e387d2de4012f5e9409d6e293425c10",
+    ("MSNFS", 5000): "96556db3f44b89de5cb711430cfbc9f6b3a434f4a13781d4f7e57116c8dbc651",
+    ("DAP", 700): "8361a6bdb779723de820b220a60f474c865f40acd2cb45e93d76462f026a26c4",
+    ("DAP", 5000): "66752983e06615fdf4fdd20b87c3414902c4ba5bc618f83b7a2dce1eafb1af3c",
+    ("ikki", 700): "a90d05f98fd0fd318f895d1daba7b9fd190be84823dc998e94d0dca2e4b7e0ae",
+    ("ikki", 5000): "ce082044cfd2fdad5a3210fc921cb18b1f3f4ec3c36dc9c2ac0e662d65992a8c",
+    ("madmax", 700): "899fae8bfe5dfb05ebb8b6636fd8b34d2d4cbdbe141aee6a4332e8d6ef202fea",
+    ("madmax", 5000): "a9383f4e75562d04b9a4936238d0440bfcbcd133e56c66f8d5b6cd97df964cd5",
+    ("usr", 700): "993145f08539bc3c2efb717b2ef289dc46fc2320193e8fe0a66e7cb8fd05c12c",
+    ("usr", 5000): "1da39dd41e719514df289c3d9d6f291d4c41044580da47e73cecda487ac006aa",
+    ("rsrch", 700): "f8b29d9bac3b94778924fa7951ea48c19252698004a6034e25915b282876557a",
+    ("rsrch", 5000): "9d78c142e1f1d89b88f77312fe11de621449b189244a9ed2b04df8b17646fb80",
+}
+
+
+class TestIntentDigests:
+    @staticmethod
+    def _digest(stream) -> str:
+        digest = hashlib.sha256()
+        for name in ("ops", "lbas", "sizes", "thinks", "is_idle", "syncs"):
+            column = getattr(stream, name)
+            digest.update(f"{name}:{column.dtype.str}:".encode())
+            digest.update(np.ascontiguousarray(column).tobytes())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("workload, n_requests", list(PINNED_INTENT_DIGESTS))
+    def test_catalog_streams_are_pinned(self, workload, n_requests):
+        stream = generate_intents(get_spec(workload).scaled(n_requests))
+        assert self._digest(stream) == PINNED_INTENT_DIGESTS[(workload, n_requests)]
 
 
 class TestCollectTrace:
