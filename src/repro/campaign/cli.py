@@ -7,15 +7,15 @@ Three subcommands over the campaign engine:
     across supervised worker processes otherwise — checkpointing every
     completed run key under ``<out_dir>/runs/``.  Re-running the same
     command after an interruption resumes from the checkpoints; the
-    final table lands in ``results.npz``/``results.csv``/``report.md``.
+    final table lands in ``results.csv`` and ``report.md``.
 
 ``repro-campaign plan <spec> [--limit N]``
     Print the expanded grid (one line per point with its run key)
     without executing anything — the dry-run for new specs.
 
 ``repro-campaign report <out_dir> [--format md|csv]``
-    Re-render the aggregated table of a finished (or partial) campaign
-    directory.
+    Rebuild and print the table of a finished (or partial) campaign
+    directory from its ``spec.json`` and checkpoints.
 
 Exit status is non-zero on bad specs or unknown paths (2, with one
 ``error:`` line), or on a grid point failure (already-completed points
@@ -121,8 +121,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _partial_table(out_dir: Path) -> tuple[ResultsTable, int, int] | None:
-    """Rebuild a table from an interrupted campaign's checkpoints.
+def _rebuild_table(out_dir: Path) -> tuple[ResultsTable, int, int] | None:
+    """Rebuild a campaign directory's table from its checkpoints.
 
     Needs the ``spec.json`` the engine writes when work starts; returns
     ``(table, completed, total)`` in plan order, or ``None`` when the
@@ -139,36 +139,20 @@ def _partial_table(out_dir: Path) -> tuple[ResultsTable, int, int] | None:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    import os
-    import zipfile
+    """Print a campaign directory's table, rebuilt from its checkpoints.
 
+    The segments are the one stored copy of the rows, so a finished
+    campaign prints what its ``results.csv`` holds, and an interrupted
+    one prints the points it checkpointed, with a note on stderr saying
+    how many are missing.
+    """
     out_dir = Path(args.out_dir)
-    table_path = out_dir / "results.npz"
-    table = None
-    if table_path.exists():
-        try:
-            table = ResultsTable.load_npz(table_path)
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-            # A truncated/corrupt aggregate is not fatal: quarantine it
-            # and rebuild the table from the per-point checkpoints (the
-            # durable source of truth).
-            bad = table_path.with_name(table_path.name + ".bad")
-            try:
-                os.replace(table_path, bad)
-                note = f"moved to {bad.name}"
-            except OSError:
-                note = "left in place"
-            print(
-                f"warning: corrupt results.npz ({type(exc).__name__}: {exc}); "
-                f"{note}, rebuilding from checkpoints",
-                file=sys.stderr,
-            )
-    if table is None:
-        partial = _partial_table(out_dir)
-        if partial is None or len(partial[0]) == 0:
-            print(f"no campaign results under {out_dir}", file=sys.stderr)
-            return 1
-        table, completed, total = partial
+    rebuilt = _rebuild_table(out_dir)
+    if rebuilt is None or len(rebuilt[0]) == 0:
+        print(f"no campaign results under {out_dir}", file=sys.stderr)
+        return 1
+    table, completed, total = rebuilt
+    if completed < total:
         print(
             f"partial campaign: {completed}/{total} point(s) checkpointed "
             f"(re-run `repro-campaign run` to finish)",

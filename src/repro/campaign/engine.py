@@ -20,9 +20,9 @@ CampaignSpec` into a :class:`~repro.campaign.results.ResultsTable`:
    segment line per run key), so a kill mid-run loses at most the
    points in flight;
 5. rows are reassembled in plan order and aggregated column-wise; with
-   an output directory set, ``results.npz``/``results.csv``/
-   ``report.md`` are written alongside the checkpoints (and removed
-   when a run starts computing, so only a finished run leaves them).
+   an output directory set, ``results.csv`` and ``report.md`` are
+   written alongside the checkpoints (and removed when a run starts
+   computing, so only a finished run leaves them).
 
 Actions — what actually runs at a grid point — are small functions over
 the existing pipeline: they collect catalog traces through
@@ -38,6 +38,7 @@ per-figure loops.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -66,6 +67,7 @@ from .results import ResultsTable
 from .spec import CampaignSpec
 from .supervise import (
     QUARANTINED,
+    ChaosInjector,
     Resilience,
     SupervisedExecutor,
     run_point_resilient,
@@ -403,8 +405,8 @@ def _quarantine_file(path: Path, out_dir: Path | None = None, reason: str = "") 
     """Rename a corrupt artifact to ``<name>.bad`` (best-effort).
 
     The sidecar name keeps the bytes around for a post-mortem while
-    taking the file out of every scan pattern (``.jsonl``, ``.npz``),
-    so the next resume or rebuild recomputes instead of raising.
+    taking the file out of the segment scan pattern (``.jsonl``), so
+    the next resume or rebuild recomputes instead of raising.
     Returns whether the rename happened (a read-only tree degrades to
     skip-in-place).
     """
@@ -488,15 +490,15 @@ def _complete_point(
     key: str,
     segment: _SegmentWriter | None,
     resilience: Resilience | None,
-    injector: Any,
+    injector: ChaosInjector | None,
 ) -> dict[str, Any]:
     """Run one grid point to completion; returns its row.
 
-    The one per-point body, shared by the inline loop and the worker
-    entry.  With no resilience configured the point's exception
-    propagates and fails the run; with one, transient failures retry
-    with backoff and exhausted/permanent failures come back as
-    quarantine rows (see :func:`~repro.campaign.supervise.
+    The one per-point body, shared by the inline loop and the
+    supervised workers.  With no resilience configured the point's
+    exception propagates and fails the run; with one, transient
+    failures retry with backoff and exhausted/permanent failures come
+    back as quarantine rows (see :func:`~repro.campaign.supervise.
     run_point_resilient`).  The row is then appended to ``segment``
     (``None`` when the campaign has no output directory) with its
     measured wall time, and the post-checkpoint chaos hook fires.
@@ -518,58 +520,6 @@ def _complete_point(
     if injector is not None:
         injector.after_checkpoint(index, checkpoint_path)
     return row
-
-
-#: Worker-process caches, keyed by the campaign context.  A worker runs
-#: many chunks of one campaign, so the expanded plan is computed once
-#: per worker (not once per chunk) and all of a worker's chunks append
-#: to *one* segment file.  Bounded by construction: a worker process
-#: serves one engine run at a time, and both caches are keyed by that
-#: run's context.
-_CHUNK_PLANS: dict[str, tuple[CampaignSpec, CampaignPlan]] = {}
-_CHUNK_SEGMENTS: dict[str, _SegmentWriter] = {}
-
-
-def _run_chunk(
-    context: tuple[Any, ...],
-    items: list[tuple[int, str]],
-) -> list[tuple[str, dict[str, Any]]]:
-    """Worker entry point: run one chunk of (point index, run key) pairs.
-
-    Returns the checkpointed ``(key, row)`` pairs.  The context
-    ``(spec dict, output dir, resilience)`` is built once by the parent
-    and inherited by the forked workers; the plan is re-expanded
-    locally (expansion is deterministic, so indices agree with the
-    parent's plan).  Built to be called many times per worker: the spec
-    expansion and the segment writer live in module-global per-worker
-    caches, so a hundred chunks cost one plan expansion and open one
-    segment file.  Cached segments are never explicitly closed; every
-    append is flushed, so the checkpoint is complete the moment the line
-    hits the file.
-    """
-    spec_dict, out_dir_text, resilience_dict = context
-    spec_key = json.dumps(spec_dict, sort_keys=True)
-    cached = _CHUNK_PLANS.get(spec_key)
-    if cached is None:
-        spec = CampaignSpec.from_dict(spec_dict)
-        cached = (spec, expand(spec))
-        _CHUNK_PLANS.clear()
-        _CHUNK_PLANS[spec_key] = cached
-    spec, plan = cached
-    out_dir = Path(out_dir_text) if out_dir_text else None
-    segment = None
-    if out_dir is not None:
-        segment = _CHUNK_SEGMENTS.get(out_dir_text)
-        if segment is None:
-            segment = _CHUNK_SEGMENTS.setdefault(out_dir_text, _SegmentWriter(out_dir))
-    resilience = (
-        Resilience.from_dict(resilience_dict) if resilience_dict is not None else None
-    )
-    injector = resilience.injector() if resilience is not None else None
-    return [
-        (key, _complete_point(spec, plan, index, key, segment, resilience, injector))
-        for index, key in items
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -672,8 +622,10 @@ class CampaignEngine:
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if hang_timeout_s is not None and hang_timeout_s <= 0:
+        if hang_timeout_s is not None and not hang_timeout_s > 0:
             raise ValueError("hang_timeout_s must be positive")
+        if hang_timeout_s is not None and math.isinf(hang_timeout_s):
+            raise ValueError("hang_timeout_s must be finite")
         if respawn_budget is not None and respawn_budget < 0:
             raise ValueError("respawn_budget must be non-negative")
         self.spec = spec
@@ -683,6 +635,9 @@ class CampaignEngine:
         self.trace_store_dir = trace_store_dir
         self.resume = resume
         self.perf = perf if perf is not None else PerfRecorder(enabled=False)
+        #: The run's chaos injector (``None`` when chaos-free); its
+        #: fire-once markers live under ``<out_dir>/.chaos``.
+        self.injector: ChaosInjector | None = None
         if (
             resilience is not None
             and resilience.chaos is not None
@@ -701,12 +656,7 @@ class CampaignEngine:
                     "chaos hang injection needs hang_timeout_s or a point timeout "
                     "to recover from (the injected hang sleeps for an hour)"
                 )
-            if resilience.chaos_dir is None:
-                from dataclasses import replace
-
-                resilience = replace(
-                    resilience, chaos_dir=str(self.out_dir / ".chaos")
-                )
+            self.injector = ChaosInjector(resilience.chaos, self.out_dir / ".chaos")
         self.resilience = resilience
         self.hang_timeout_s = hang_timeout_s
         self.respawn_budget = respawn_budget
@@ -746,11 +696,10 @@ class CampaignEngine:
             self._write_spec_once()
             if pending:
                 # The aggregate is rewritten only once every point is
-                # in.  An earlier run's table left in place would be
-                # what `repro-campaign report` prints after this run is
-                # interrupted, instead of a partial table rebuilt from
-                # the checkpoints.
-                for name in ("results.npz", "results.csv", "report.md"):
+                # in.  An earlier run's table left in place would
+                # outlive this run's interruption and pass for the
+                # campaign's result.
+                for name in ("results.csv", "report.md"):
                     (self.out_dir / name).unlink(missing_ok=True)
         supervision: dict[str, int] | None = None
         if pending:
@@ -762,9 +711,7 @@ class CampaignEngine:
             start = time.perf_counter()
             try:
                 with self.perf.stage("compute"):
-                    if self.jobs == 1 and (
-                        self.resilience is None or self.resilience.injector() is None
-                    ):
+                    if self.jobs == 1 and self.injector is None:
                         self._run_inline(plan, keys, pending, completed)
                     else:
                         supervision = self._run_supervised(plan, keys, pending, completed)
@@ -845,9 +792,13 @@ class CampaignEngine:
         points fit one chunk.
         Workers are always real processes — even at ``jobs=1`` — so an
         injected or organic worker death never takes the parent down
-        with it.  Heartbeats live under ``<out_dir>/.supervise``, or in
-        a temporary directory removed when the run ends.  Returns the
-        executor's supervision counters.
+        with it.  They are forked, so each runs its items through a
+        closure over this engine's spec, plan, resilience and chaos
+        injector, and over one segment writer the parent never opens:
+        each worker opens its own ``segment-<pid>-<n>.jsonl`` on its
+        first append.  Heartbeats live under ``<out_dir>/.supervise``,
+        or in a temporary directory removed when the run ends.  Returns
+        the executor's supervision counters.
         """
         import contextlib
         import tempfile
@@ -855,11 +806,15 @@ class CampaignEngine:
         chunk = max(1, min(32, -(-len(pending) // (self.jobs * 4))))
         parts = plan.chunks(chunk, indices=pending)
         tasks = [[(i, keys[i]) for i in part] for part in parts]
-        context = (
-            self.spec.to_dict(),
-            str(self.out_dir) if self.out_dir is not None else None,
-            self.resilience.to_dict() if self.resilience is not None else None,
-        )
+        segment = _SegmentWriter(self.out_dir) if self.out_dir is not None else None
+
+        def run_item(item: tuple[int, str]) -> tuple[str, dict[str, Any]]:
+            index, key = item
+            row = _complete_point(
+                self.spec, plan, index, key, segment, self.resilience, self.injector
+            )
+            return key, row
+
         hearts = (
             contextlib.nullcontext(self.out_dir / ".supervise")
             if self.out_dir is not None
@@ -868,8 +823,7 @@ class CampaignEngine:
         with hearts as hearts_dir:
             executor = SupervisedExecutor(
                 jobs=self.jobs,
-                worker_fn=_run_chunk,
-                context=context,
+                run_item=run_item,
                 hearts_dir=hearts_dir,
                 hang_timeout_s=self.hang_timeout_s,
                 respawn_budget=self.respawn_budget,
@@ -937,7 +891,6 @@ class CampaignEngine:
         from ..experiments.reporting import ab_campaign_report, campaign_report
 
         assert self.out_dir is not None
-        table.save_npz(self.out_dir / "results.npz")
         table.to_csv(self.out_dir / "results.csv")
         report = campaign_report(
             self.spec, table, n_resumed=n_resumed, n_computed=n_computed

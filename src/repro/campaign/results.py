@@ -3,10 +3,10 @@
 Each completed grid point yields one flat row (axis values plus the
 action's metrics); :class:`ResultsTable` holds the aggregate
 column-wise, mirroring the columnar trace containers: one list per
-column, equal lengths, order = plan order.  The table round-trips
-losslessly through ``.npz`` (NumPy-native columns plus a JSON-encoded
-fallback for mixed columns), renders to CSV and markdown for reports,
-and compares exactly — the property the resume tests rely on
+column, equal lengths, order = plan order.  The table is not stored
+on its own: the checkpoint segments hold its rows, and ``repro-campaign
+report`` rebuilds it from them.  It renders to CSV and markdown for
+reports, and compares exactly — the property the resume tests rely on
 (interrupted-then-resumed must equal uninterrupted).
 """
 
@@ -14,12 +14,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import Any
-
-import numpy as np
 
 __all__ = ["ResultsTable"]
 
@@ -159,54 +156,3 @@ class ResultsTable:
         for row in self.rows():
             lines.append("| " + " | ".join(self._cell(v) for v in row.values()) + " |")
         return "\n".join(lines)
-
-    # -- persistence ---------------------------------------------------
-
-    def save_npz(self, path: str | Path) -> None:
-        """Persist column-wise to a ``.npz`` file.
-
-        Numeric and string columns are stored as native NumPy arrays;
-        columns with ``None`` or mixed types fall back to per-cell JSON
-        strings.  :meth:`load_npz` restores the exact Python values.
-        """
-        arrays: dict[str, np.ndarray] = {}
-        for name, values in self.columns.items():
-            if all(isinstance(v, bool) for v in values):
-                arrays[f"b:{name}"] = np.asarray(values, dtype=bool)
-            elif all(isinstance(v, int) and not isinstance(v, bool) for v in values):
-                arrays[f"i:{name}"] = np.asarray(values, dtype=np.int64)
-            elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-                arrays[f"f:{name}"] = np.asarray(values, dtype=np.float64)
-            elif all(isinstance(v, str) for v in values):
-                arrays[f"s:{name}"] = np.asarray(values, dtype=np.str_)
-            else:
-                arrays[f"j:{name}"] = np.asarray(
-                    [json.dumps(v, sort_keys=True) for v in values], dtype=np.str_
-                )
-        arrays["order"] = np.asarray(list(self.columns), dtype=np.str_)
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(target, **arrays)
-
-    @classmethod
-    def load_npz(cls, path: str | Path) -> "ResultsTable":
-        """Load a table previously written by :meth:`save_npz`."""
-        with np.load(path, allow_pickle=False) as data:
-            order = [str(name) for name in data["order"]]
-            decoded: dict[str, list[Any]] = {}
-            for stored in data.files:
-                if stored == "order":
-                    continue
-                tag, name = stored.split(":", 1)
-                values = data[stored]
-                if tag == "b":
-                    decoded[name] = [bool(v) for v in values]
-                elif tag == "i":
-                    decoded[name] = [int(v) for v in values]
-                elif tag == "f":
-                    decoded[name] = [float(v) for v in values]
-                elif tag == "s":
-                    decoded[name] = [str(v) for v in values]
-                else:
-                    decoded[name] = [json.loads(str(v)) for v in values]
-        return cls({name: decoded[name] for name in order})

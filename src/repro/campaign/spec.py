@@ -8,10 +8,11 @@ anything matched by ``exclude`` filters, capped by ``limit`` — is the
 campaign's plan (:mod:`~repro.campaign.plan`).
 
 Specs round-trip through plain dicts (:meth:`CampaignSpec.to_dict` /
-:meth:`CampaignSpec.from_dict`), which is what lets the engine ship
-them to worker processes and the CLI load them from ``.yaml`` /
-``.json`` files.  A ``.json`` file is read with :mod:`json`; YAML
-support is gated on :mod:`yaml` being importable.
+:meth:`CampaignSpec.from_dict`): the engine records that form as a
+campaign directory's ``spec.json``, which ``repro-campaign report``
+reads back, and the loaders build specs from it when they read
+``.yaml`` / ``.json`` files.  A ``.json`` file is read with
+:mod:`json`; YAML support is gated on :mod:`yaml` being importable.
 """
 
 from __future__ import annotations

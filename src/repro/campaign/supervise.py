@@ -52,6 +52,7 @@ monitor.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import queue
@@ -163,10 +164,6 @@ class ChaosSpec:
             out.append((kind, int(index)))
         return cls(injections=tuple(out))
 
-    def to_text(self) -> str:
-        """The canonical ``kind@index,...`` form (round-trips parse)."""
-        return ",".join(f"{kind}@{index}" for kind, index in self.injections)
-
     def at(self, index: int) -> list[str]:
         """Every injection kind scheduled at one plan index."""
         return [kind for kind, i in self.injections if i == index]
@@ -242,46 +239,21 @@ class Resilience:
     ``None`` anywhere in the engine means the historical behaviour
     (raise through); a :class:`Resilience` means retry + quarantine.
     ``point_timeout_s`` is ``None`` for no per-point budget, and
-    otherwise must be positive: a budget that can never fire must not
-    pass for one.  ``chaos_dir`` is resolved by the engine (markers
-    live next to the checkpoints) so workers reconstruct an identical
-    injector.
+    otherwise must be positive and finite: a budget that can never fire
+    must not pass for one.  ``chaos`` is the fault schedule; the engine
+    builds its :class:`ChaosInjector`, whose markers live next to the
+    checkpoints, and the forked workers inherit it.
     """
 
     retry: RetryPolicy = RetryPolicy()
     point_timeout_s: float | None = None
     chaos: ChaosSpec | None = None
-    chaos_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.point_timeout_s is not None and not self.point_timeout_s > 0:
             raise ValueError("point_timeout_s must be positive")
-
-    def injector(self) -> ChaosInjector | None:
-        """This configuration's chaos injector (``None`` when chaos-free)."""
-        if self.chaos is None or not self.chaos.injections or self.chaos_dir is None:
-            return None
-        return ChaosInjector(self.chaos, self.chaos_dir)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-able form (ships to worker processes in the context)."""
-        return {
-            "retry": self.retry.to_dict(),
-            "point_timeout_s": self.point_timeout_s,
-            "chaos": self.chaos.to_text() if self.chaos is not None else None,
-            "chaos_dir": self.chaos_dir,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Resilience":
-        """Rebuild a configuration from :meth:`to_dict` output."""
-        chaos = data.get("chaos")
-        return cls(
-            retry=RetryPolicy.from_dict(data["retry"]),
-            point_timeout_s=data.get("point_timeout_s"),
-            chaos=ChaosSpec.parse(chaos) if chaos else None,
-            chaos_dir=data.get("chaos_dir"),
-        )
+        if self.point_timeout_s is not None and math.isinf(self.point_timeout_s):
+            raise ValueError("point_timeout_s must be finite")
 
 
 def quarantine_row(
@@ -346,6 +318,10 @@ def run_point_resilient(
 # Supervised execution
 # ----------------------------------------------------------------------
 
+#: Supervisor loop cadence: how often results are drained and worker
+#: health is checked.
+_POLL_S = 0.1
+
 
 class _WorkerHandle:
     """Parent-side state of one supervised worker process."""
@@ -382,17 +358,16 @@ def _supervised_worker_main(
     heartbeat: Path,
     task_queue: Any,
     result_queue: Any,
-    worker_fn: Callable[[Any, list[Any]], list[Any]],
-    context: Any,
+    run_item: Callable[[Any], Any],
 ) -> None:
-    """Worker process body: beat, pull a chunk lease, run it point-wise.
+    """Worker process body: beat, pull a chunk lease, run it item by item.
 
-    Each chunk item runs through ``worker_fn`` individually with a beat
-    after every item, so the heartbeat's staleness bounds *point* (not
-    chunk) duration and a mid-chunk death loses at most the in-flight
-    point.  An exception from ``worker_fn`` ends the chunk and goes to
-    the parent in place of its results.  A ``None`` lease is the
-    shutdown sentinel.
+    ``run_item`` is the parent's own callable, inherited by fork.  Each
+    chunk item runs through it with a beat after every item, so the
+    heartbeat's staleness bounds *point* (not chunk) duration and a
+    mid-chunk death loses at most the in-flight point.  An exception
+    from ``run_item`` ends the chunk and goes to the parent in place of
+    its results.  A ``None`` lease is the shutdown sentinel.
     """
     write_heartbeat(heartbeat)
     while True:
@@ -404,7 +379,7 @@ def _supervised_worker_main(
         out: list[Any] = []
         try:
             for item in items:
-                out.extend(worker_fn(context, [item]))
+                out.append(run_item(item))
                 write_heartbeat(heartbeat)
         except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
             result_queue.put((worker_id, chunk_id, _portable(exc)))
@@ -419,58 +394,50 @@ class SupervisedExecutor:
     ----------
     jobs:
         Worker processes to keep alive (subject to the respawn budget).
-    worker_fn:
-        ``worker_fn(context, [item]) -> list[result]`` — the campaign
-        engine passes its chunk worker; called one item at a time so
-        heartbeats track point boundaries.  An exception it raises is
-        re-raised by :meth:`run` after the workers shut down; it is not
-        retried on another worker.
-    context:
-        Opaque per-run state handed to every ``worker_fn`` call
-        (workers inherit it by fork, like the rest of the parent's
-        state, such as its default trace store; nothing is pickled).
+    run_item:
+        ``run_item(item) -> result``, called in a worker once per chunk
+        item, so heartbeats track point boundaries.  Workers are forked,
+        so it is the parent's own callable, with everything it closes
+        over (the campaign engine's spec, plan and chaos injector) and
+        the rest of the parent's state (its default trace store);
+        nothing is pickled.  An exception it raises is re-raised by
+        :meth:`run` after the workers shut down; it is not retried on
+        another worker.
     hearts_dir:
         Directory for the per-worker heartbeat files.
     hang_timeout_s:
         A leased worker whose heartbeat is older than this is declared
         hung, SIGKILLed, and its chunk reclaimed.  Must exceed the
-        worst legitimate single-point wall time.  ``None`` (default)
-        sets no deadline; dead workers are reclaimed either way.
+        worst legitimate single-point wall time.  ``None`` sets no
+        deadline; dead workers are reclaimed either way.
     respawn_budget:
-        Total replacement workers the run may spawn; exhausted + no
-        live workers + pending work raises :class:`SupervisionError`.
+        Total replacement workers the run may spawn (``None``: twice
+        ``jobs``); exhausted + no live workers + pending work raises
+        :class:`SupervisionError`.
     reclaim:
         ``reclaim(items) -> (salvaged, remaining)`` called when a
         worker's lease is reclaimed: ``salvaged`` results (e.g. points
         the dead worker already checkpointed) merge straight into the
-        output; ``remaining`` items are re-queued.  Defaults to
-        recomputing the whole chunk.
-    poll_s:
-        Supervisor loop cadence: how often results are drained and
-        health is checked.
+        output; ``remaining`` items are re-queued.
     """
 
     def __init__(
         self,
         jobs: int,
-        worker_fn: Callable[[Any, list[Any]], list[Any]],
-        context: Any,
+        run_item: Callable[[Any], Any],
         hearts_dir: str | Path,
-        hang_timeout_s: float | None = None,
-        respawn_budget: int | None = None,
-        reclaim: Callable[[list[Any]], tuple[list[Any], list[Any]]] | None = None,
-        poll_s: float = 0.1,
+        hang_timeout_s: float | None,
+        respawn_budget: int | None,
+        reclaim: Callable[[list[Any]], tuple[list[Any], list[Any]]],
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         self.jobs = jobs
-        self.worker_fn = worker_fn
-        self.context = context
+        self.run_item = run_item
         self.hearts_dir = Path(hearts_dir)
         self.hang_timeout_s = hang_timeout_s
         self.respawn_budget = respawn_budget if respawn_budget is not None else 2 * jobs
         self.reclaim = reclaim
-        self.poll_s = poll_s
         #: Counters exposed for reporting/tests: deaths seen, hangs
         #: seen, workers respawned, chunks reclaimed, points salvaged.
         self.stats: dict[str, int] = {
@@ -485,10 +452,7 @@ class SupervisedExecutor:
         heartbeat.unlink(missing_ok=True)
         process = ctx.Process(
             target=_supervised_worker_main,
-            args=(
-                worker_id, heartbeat, task_queue, result_queue,
-                self.worker_fn, self.context,
-            ),
+            args=(worker_id, heartbeat, task_queue, result_queue, self.run_item),
             daemon=True,
         )
         process.start()
@@ -510,11 +474,11 @@ class SupervisedExecutor:
 
         Output order is completion order (the campaign engine merges by
         run key, so ordering is immaterial).  Re-raises the first
-        exception a ``worker_fn`` call raises, once dispatch has stopped
+        exception a ``run_item`` call raises, once dispatch has stopped
         and the workers are shut down.  Raises :class:`SupervisionError`
         only when every worker is gone, the respawn budget is spent,
         and work is still pending — by which point everything completed
-        is already checkpointed by the worker function itself.
+        is already checkpointed by ``run_item`` itself.
         """
         import multiprocessing
 
@@ -543,7 +507,7 @@ class SupervisedExecutor:
                         worker.task_queue.put((chunk_id, chunk_items[chunk_id]))
                 # Drain one completion (or time out into a health check).
                 try:
-                    worker_id, chunk_id, payload = result_queue.get(timeout=self.poll_s)
+                    worker_id, chunk_id, payload = result_queue.get(timeout=_POLL_S)
                 except queue.Empty:
                     pass
                 else:
@@ -580,9 +544,7 @@ class SupervisedExecutor:
                     if lease in closed:
                         continue  # its result landed before the death was seen
                     items = chunk_items[lease]
-                    salvaged, remaining = (
-                        self.reclaim(items) if self.reclaim is not None else ([], list(items))
-                    )
+                    salvaged, remaining = self.reclaim(items)
                     self.stats["reclaimed"] += 1
                     self.stats["salvaged"] += len(salvaged)
                     closed.add(lease)

@@ -174,21 +174,6 @@ class RetryPolicy:
         """Every backoff the policy would sleep for ``key``, in order."""
         return [self.delay_s(key, k) for k in range(self.max_attempts - 1)]
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-able form (ships to worker processes in the context)."""
-        return {
-            "max_attempts": self.max_attempts,
-            "base_delay_s": self.base_delay_s,
-            "multiplier": self.multiplier,
-            "max_delay_s": self.max_delay_s,
-            "jitter": self.jitter,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RetryPolicy":
-        """Rebuild a policy from :meth:`to_dict` output."""
-        return cls(**data)
-
 
 def retry_call(
     fn: Callable[[], _T],
@@ -223,12 +208,18 @@ def retry_call(
 # ----------------------------------------------------------------------
 
 
+#: The longest interval :class:`time_limit` arms (about 68 years);
+#: ``setitimer`` overflows the platform's ``time_t`` on larger ones.
+_MAX_TIMER_S = float(2**31 - 1)
+
+
 class time_limit:
     """Context manager: raise :class:`PointTimeout` after ``seconds``.
 
     Armed with ``signal.setitimer`` (real time), so work stuck in a
-    pure-Python loop *or* a blocking syscall is interrupted.  A ``None``
-    or non-positive budget, a non-main thread, or a platform without
+    pure-Python loop *or* a blocking syscall is interrupted.  A budget
+    longer than about 68 years arms that cap instead.  A ``None`` or
+    non-positive budget, a non-main thread, or a platform without
     ``SIGALRM`` all degrade to a no-op — an external heartbeat deadline
     is the backstop there.
     """
@@ -252,7 +243,7 @@ class time_limit:
                 raise PointTimeout(f"point exceeded {self.seconds}s wall-clock budget")
 
             self._previous = signal.signal(signal.SIGALRM, _on_alarm)
-            signal.setitimer(signal.ITIMER_REAL, float(self.seconds))
+            signal.setitimer(signal.ITIMER_REAL, min(float(self.seconds), _MAX_TIMER_S))
             self._armed = True
         return self
 

@@ -61,6 +61,7 @@ and held torn fragments, finishes the session, writes
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import threading
@@ -115,9 +116,11 @@ class ServiceConfig:
     chunk_requests: int = 256
     #: The most chunks one checkpoint commit covers.
     queue_high: int = 8
-    #: ``None`` follows forever (drain on SIGTERM); a number declares
-    #: end-of-stream after that much sustained source idleness.
+    #: ``None`` follows forever (drain on SIGTERM); a finite,
+    #: non-negative number declares end-of-stream after that much
+    #: sustained source idleness.
     until_idle_s: float | None = None
+    #: The period (positive, finite) of ``status.json`` and the heartbeat.
     status_interval_s: float = 1.0
     name: str = "stream"
 
@@ -130,8 +133,14 @@ class ServiceConfig:
             raise ValueError("chunk_requests must be positive")
         if self.queue_high < 1:
             raise ValueError("queue_high must be at least 1")
-        if self.until_idle_s is not None and self.until_idle_s < 0:
+        if self.until_idle_s is not None and not self.until_idle_s >= 0:
             raise ValueError("until_idle_s must be non-negative")
+        if self.until_idle_s is not None and math.isinf(self.until_idle_s):
+            raise ValueError("until_idle_s must be finite")
+        if not self.status_interval_s > 0:
+            raise ValueError("status_interval_s must be positive")
+        if math.isinf(self.status_interval_s):
+            raise ValueError("status_interval_s must be finite")
 
 
 class _AppendFile:

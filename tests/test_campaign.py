@@ -394,12 +394,6 @@ class TestResultsTable:
         assert table.rows()[0]["extra"] is None  # ragged key filled with None
         assert table.column("n") == [1, 2, 3]
 
-    def test_npz_round_trip(self, tmp_path: Path):
-        table = ResultsTable.from_rows(self.ROWS)
-        path = tmp_path / "t.npz"
-        table.save_npz(path)
-        assert ResultsTable.load_npz(path) == table
-
     def test_select(self):
         table = ResultsTable.from_rows(self.ROWS)
         assert table.select(workload="b").column("value") == [2.5]
@@ -470,9 +464,9 @@ class TestEngine:
         out = tmp_path / "camp"
         result = CampaignEngine(_tiny_spec(), out_dir=out).run()
         assert result.n_computed == 1 and result.n_resumed == 0
-        for name in ("results.npz", "results.csv", "report.md", "spec.json"):
+        for name in ("results.csv", "report.md", "spec.json"):
             assert (out / name).exists(), name
-        assert ResultsTable.load_npz(out / "results.npz") == result.table
+        assert (out / "results.csv").read_text(encoding="utf-8") == result.table.to_csv()
         report = (out / "report.md").read_text()
         assert "Campaign report: tiny" in report and "| workload |" in report
 
@@ -580,6 +574,35 @@ class TestEngine:
         inline = CampaignEngine(spec, out_dir=tmp_path / "b").run()
         assert pooled.table == inline.table
 
+    def test_workers_reuse_the_parent_plan(self, tmp_path: Path, monkeypatch):
+        """Forked workers run the plan the parent expanded: no worker
+        re-parses the spec or re-expands the grid.  The patches go in
+        before the engine forks, so every process logs to one file."""
+        import os
+
+        import repro.campaign.engine as engine_mod
+
+        log = tmp_path / "calls.log"
+        original_expand, original_from_dict = engine_mod.expand, CampaignSpec.from_dict
+
+        def note(name: str) -> None:
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{name} {os.getpid()}\n")
+
+        def logged_expand(spec):
+            note("expand")
+            return original_expand(spec)
+
+        def logged_from_dict(cls, data):
+            note("from_dict")
+            return original_from_dict.__func__(cls, data)
+
+        monkeypatch.setattr(engine_mod, "expand", logged_expand)
+        monkeypatch.setattr(CampaignSpec, "from_dict", classmethod(logged_from_dict))
+        result = CampaignEngine(_synthetic_spec(12), out_dir=tmp_path / "out", jobs=2).run()
+        assert result.n_computed == 12 and result.supervision is not None
+        assert log.read_text(encoding="utf-8").splitlines() == [f"expand {os.getpid()}"]
+
     def test_in_memory_workers_leave_no_temp_dir(self, tmp_path: Path, monkeypatch):
         """Heartbeats of a run without an out_dir live in a temporary
         directory scoped to the run."""
@@ -626,7 +649,8 @@ class TestCli:
         assert "| workload |" in capsys.readouterr().out
 
     def test_report_on_partial_campaign(self, tmp_path: Path, capsys):
-        """An interrupted campaign's checkpoints are reportable."""
+        """An interrupted campaign's checkpoints are reportable; with no
+        point missing, ``report`` says nothing on stderr."""
         spec_path = self._write_spec(tmp_path)
         out = tmp_path / "out"
         assert cli_main(
@@ -634,11 +658,29 @@ class TestCli:
         ) == 0
         capsys.readouterr()
         # Simulate the interruption: aggregate gone, checkpoints intact.
-        (out / "results.npz").unlink()
+        (out / "results.csv").unlink()
+        (out / "report.md").unlink()
         assert cli_main(["report", str(out)]) == 0
         captured = capsys.readouterr()
         assert "| workload |" in captured.out
-        assert "partial campaign: 1/1" in captured.err
+        assert captured.err == ""
+
+    def test_report_csv_is_the_results_file(self, tmp_path: Path, capsys):
+        """``report --format csv`` on a finished campaign prints the bytes
+        of its ``results.csv``, rebuilt from the checkpoints, and the
+        run leaves no other copy of the table."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_two_workload_spec().to_dict()))
+        out = tmp_path / "out"
+        assert cli_main(
+            ["run", str(path), "--out-dir", str(out), "--no-trace-store", "--quiet"]
+        ) == 0
+        capsys.readouterr()
+        assert cli_main(["report", str(out), "--format", "csv"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode("utf-8") == (out / "results.csv").read_bytes()
+        assert captured.err == ""
+        assert not (out / "results.npz").exists()
 
     def test_interrupted_rerun_leaves_no_stale_aggregate(
         self, tmp_path: Path, capsys, monkeypatch
@@ -728,8 +770,8 @@ class TestCli:
 
 
 class TestCliResilience:
-    """Run flags from ISSUE 9: --chaos, quarantine reporting, corrupt
-    aggregate recovery in ``report``."""
+    """Run flags: --chaos, quarantine reporting, and the refusal of
+    settings that cannot act."""
 
     def _write_spec(self, tmp_path: Path, n_points: int = 3) -> Path:
         path = tmp_path / "spec.json"
@@ -769,6 +811,9 @@ class TestCliResilience:
             ("--point-timeout", "0", "point_timeout_s must be positive"),
             ("--point-timeout", "-1", "point_timeout_s must be positive"),
             ("--respawn-budget", "-1", "respawn_budget must be non-negative"),
+            ("--point-timeout", "inf", "point_timeout_s must be finite"),
+            ("--hang-timeout", "nan", "hang_timeout_s must be positive"),
+            ("--hang-timeout", "inf", "hang_timeout_s must be finite"),
         ],
     )
     def test_settings_that_cannot_act_exit_2(self, tmp_path: Path, capsys, flag, value, message):
@@ -819,17 +864,15 @@ class TestCliResilience:
         assert stderr.splitlines() == ["error: point_timeout_s must be positive"]
         assert not out.exists()  # no point computed, none checkpointed
 
-    def test_report_rebuilds_from_corrupt_aggregate(self, tmp_path: Path, capsys):
+    def test_huge_point_timeout_is_armed(self, tmp_path: Path, capsys):
+        """A budget past the interval timer's range arms the timer's cap
+        instead of failing every attempt with an overflow."""
         spec_path = self._write_spec(tmp_path)
         out = tmp_path / "out"
         assert cli_main(
-            ["run", str(spec_path), "--out-dir", str(out), "--no-trace-store", "--quiet"]
+            ["run", str(spec_path), "--out-dir", str(out), "--no-trace-store",
+             "--quiet", "--limit", "2", "--point-timeout", "1e12"]
         ) == 0
-        capsys.readouterr()
-        npz = out / "results.npz"
-        npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
-        assert cli_main(["report", str(out)]) == 0
         captured = capsys.readouterr()
-        assert "rebuilding from checkpoints" in captured.err
-        assert (out / "results.npz.bad").exists()
-        assert "| workload |" in captured.out
+        assert "2 point(s) (0 resumed, 2 computed)" in captured.out
+        assert "quarantined" not in captured.out

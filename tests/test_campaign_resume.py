@@ -78,7 +78,7 @@ def test_interrupt_then_resume_is_identical(tmp_path: Path, counted_run_point):
     assert killer.calls == 2
     # ...but both completed points are on disk as segment lines.
     assert len(_scan_checkpoints(out, expand(spec).keys())) == 2
-    assert not (out / "results.npz").exists()  # no aggregate yet
+    assert not (out / "results.csv").exists()  # no aggregate yet
 
     # ...and the restart computes exactly the missing keys, none twice.
     counter = counted_run_point()
@@ -170,7 +170,7 @@ class TestWorkStealingResume:
         """Simulated kill after a prefix of stolen chunks: the engine
         restarted over the same directory computes exactly the missing
         points and matches an uninterrupted run bit for bit."""
-        from repro.campaign.engine import _CHUNK_PLANS, _CHUNK_SEGMENTS, _run_chunk
+        from repro.campaign.engine import _complete_point, _SegmentWriter
 
         spec = _synthetic_spec(tuple(range(100, 130)))
         plan = expand(spec)
@@ -181,20 +181,18 @@ class TestWorkStealingResume:
         # finishes... and the process dies before the queue drains.
         out = tmp_path / "killed"
         out.mkdir()
-        context = (spec.to_dict(), str(out), None)  # (spec, out dir, resilience)
+        segment = _SegmentWriter(out)
         chunks = plan.chunks(4)
         done: set[int] = set()
         try:
             for chunk in chunks[:3]:
-                _run_chunk(context, [(i, keys[i]) for i in chunk])
+                for i in chunk:
+                    _complete_point(spec, plan, i, keys[i], segment, None, None)
                 done.update(chunk)
         finally:
-            # The "kill": drop the worker's cached plan and segment
-            # handle (every completed line is already flushed to disk).
-            _CHUNK_PLANS.clear()
-            for writer in _CHUNK_SEGMENTS.values():
-                writer.close()
-            _CHUNK_SEGMENTS.clear()
+            # The "kill": drop the worker's segment handle (every
+            # completed line is already flushed to disk).
+            segment.close()
         assert len(_scan_checkpoints(out, keys)) == len(done) == 12
 
         resumed = CampaignEngine(spec, out_dir=out, jobs=2).run()

@@ -615,6 +615,77 @@ class TestGroupCommit:
         assert synced == [inodes[0], inodes[1], inodes[0], inodes[1]]
 
 
+class TestRefusedSettings:
+    """An idle deadline or status period that cannot act is refused
+    before the work directory is created."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("until_idle_s", float("nan"), "until_idle_s must be non-negative"),
+            ("until_idle_s", float("inf"), "until_idle_s must be finite"),
+            ("status_interval_s", 0.0, "status_interval_s must be positive"),
+            ("status_interval_s", -1.0, "status_interval_s must be positive"),
+            ("status_interval_s", float("nan"), "status_interval_s must be positive"),
+        ],
+        ids=["idle-nan", "idle-inf", "status-0", "status-negative", "status-nan"],
+    )
+    def test_config_refuses(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ServiceConfig(**{field: value})
+
+    def test_zero_status_interval_exits_2(self, oracle, tmp_path, capsys):
+        workdir = tmp_path / "wd"
+        code = serve_cli.main(
+            [
+                "run",
+                "--source", str(oracle["src"]),
+                "--workdir", str(workdir),
+                "--status-interval", "0",
+                "--until-idle", "0.2",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["repro-serve: status_interval_s must be positive"]
+        assert not workdir.exists()
+
+    def test_nan_idle_deadline_exits_2(self, oracle, tmp_path):
+        """A NaN deadline could never be reached; the run exits 2 instead
+        of tailing forever.  Run in its own process group under a 30 s
+        ceiling, so a wedge fails the test instead of hanging it."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (str(root / "src"), env.get("PYTHONPATH")) if part
+        )
+        workdir = tmp_path / "wd"
+        argv = [
+            sys.executable, "-m", "repro.service.cli", "run",
+            "--source", f"file:{oracle['src']}", "--workdir", str(workdir),
+            "--device", "hdd", "--until-idle", "nan",
+        ]
+        proc = subprocess.Popen(
+            argv, env=env, cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        try:
+            stdout, stderr = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("--until-idle nan tailed the source forever")
+        assert proc.returncode == 2
+        assert stdout == ""
+        assert stderr.splitlines() == ["repro-serve: until_idle_s must be non-negative"]
+        assert not workdir.exists()
+
+
 class TestOneLoop:
     """One loop on the caller's thread; the file it tails is its queue."""
 
