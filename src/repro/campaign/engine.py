@@ -783,13 +783,16 @@ class CampaignEngine:
     ) -> dict[str, int]:
         """Execute the pending points under the supervised executor.
 
-        ~4 chunks per worker bound the tail (a chunk holds at most
-        1/(4*jobs) of the pending points, and the largest trace groups
-        are queued first), while the cap of 32 keeps the per-chunk
-        dispatch overhead invisible on huge grids.  Chunks are
-        trace-affine (:meth:`~repro.campaign.plan.CampaignPlan.chunks`),
-        so no two workers generate or fit the same OLD trace when its
-        points fit one chunk.
+        Chunks are trace-affine (:meth:`~repro.campaign.plan.
+        CampaignPlan.chunks`, largest trace groups first).  A chunk
+        holds 1/(4*jobs) of the pending points (about four chunks per
+        worker bound the tail), or the largest pending trace group if
+        that is larger, so one worker generates and fits that group's
+        OLD trace.  It never holds more than 1/jobs of the points, so
+        a grid with fewer trace groups than workers still reaches
+        every worker (its groups are then cut, and a trace may be built
+        twice), nor more than 32, which keeps the per-chunk dispatch
+        overhead invisible on huge grids.
         Workers are always real processes — even at ``jobs=1`` — so an
         injected or organic worker death never takes the parent down
         with it.  They are forked, so each runs its items through a
@@ -803,7 +806,9 @@ class CampaignEngine:
         import contextlib
         import tempfile
 
-        chunk = max(1, min(32, -(-len(pending) // (self.jobs * 4))))
+        largest = max(len(group) for group in plan.trace_groups(pending))
+        share = -(-len(pending) // self.jobs)
+        chunk = min(32, share, max(-(-share // 4), largest))
         parts = plan.chunks(chunk, indices=pending)
         tasks = [[(i, keys[i]) for i in part] for part in parts]
         segment = _SegmentWriter(self.out_dir) if self.out_dir is not None else None

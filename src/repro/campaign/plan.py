@@ -115,6 +115,21 @@ class CampaignPlan:
         """Run keys in plan order."""
         return [run_key(self.spec, point) for point in self.points]
 
+    def trace_groups(self, indices: list[int] | None = None) -> list[list[int]]:
+        """Point indices grouped by the OLD trace they share, in plan order.
+
+        Points with the same ``(workload, n_requests)`` share the trace
+        the source device collects and the model fitted to it.
+        ``indices`` restricts the grouping to a subset; the default is
+        every point.
+        """
+        pool = range(len(self.points)) if indices is None else sorted(indices)
+        groups: dict[tuple[str, int], list[int]] = {}
+        for index in pool:
+            point = self.points[index]
+            groups.setdefault((point.workload, point.n_requests), []).append(index)
+        return list(groups.values())
+
     def chunks(self, chunk_size: int, indices: list[int] | None = None) -> list[list[int]]:
         """Split point indices into trace-affine chunks of at most ``chunk_size``.
 
@@ -125,28 +140,22 @@ class CampaignPlan:
         the still-pending points of a resumed campaign); the default is
         every point.
 
-        Points with the same ``(workload, n_requests)`` share the OLD
-        trace the source device collects and the model fitted to it, so
-        they travel together: grouped in plan order, the groups are
-        queued by descending summed ``n_requests`` (largest work first,
-        plan order breaking ties), each group is cut into pieces of at
-        most ``chunk_size``, every group's first piece is queued before
-        any group's second piece, and consecutive pieces are packed
-        into one chunk while it holds at most ``chunk_size`` points.  A
-        group that fits a chunk is therefore generated and fitted by
-        one worker, and its points keep their plan order, which keeps
-        the finer per-process memo of actions like ``method_gap`` warm.
-        Empty chunks cannot occur.
+        The points of one :meth:`trace_groups` group travel together:
+        the groups are queued by descending summed ``n_requests``
+        (largest work first, plan order breaking ties), each group is
+        cut into pieces of at most ``chunk_size``, every group's first
+        piece is queued before any group's second piece, and
+        consecutive pieces are packed into one chunk while it holds at
+        most ``chunk_size`` points.  A group that fits a chunk is
+        therefore generated and fitted by one worker, and its points
+        keep their plan order, which keeps the finer per-process memo
+        of actions like ``method_gap`` warm.  Empty chunks cannot occur.
         """
         if chunk_size < 1:
             raise ValueError("chunk size must be at least 1")
-        pool = range(len(self.points)) if indices is None else sorted(indices)
-        groups: dict[tuple[str, int], list[int]] = {}
-        for index in pool:
-            point = self.points[index]
-            groups.setdefault((point.workload, point.n_requests), []).append(index)
         ordered = sorted(
-            groups.values(), key=lambda group: -sum(self.points[i].n_requests for i in group)
+            self.trace_groups(indices),
+            key=lambda group: -sum(self.points[i].n_requests for i in group),
         )
         longest = max((len(group) for group in ordered), default=0)
         out: list[list[int]] = []

@@ -38,9 +38,10 @@ by request:
   (``fifo_single_server``) or no two requests can overlap (a window of
   one): ``start = max(ack, previous finish)`` over the priced column;
 - the *streaming flash loop* (:func:`_flash_loop`), for devices with a
-  ``flash_layout`` (flash SSDs and flash arrays): it walks each
-  request's stripe fragments inline and runs the members' memoised fast
-  paths without method dispatch;
+  ``flash_layout`` (flash SSDs and flash arrays): NumPy cuts each block
+  of requests into stripe fragments and keys their shapes, and the loop
+  runs only the timing recurrence over the members' memoised fast
+  paths, without method dispatch;
 - the *heap event loop* (:func:`_service_loop`), for every other
   device: it drives ``device._service`` directly with the per-request
   conversions hoisted out.
@@ -62,11 +63,12 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from itertools import repeat
 
 import numpy as np
 
 from ..storage.device import StorageDevice
-from ..storage.flash import _entry_commit, _entry_idle_sparse
+from ..storage.flash import _entry_commit, _entry_idle_sparse, page_span, shape_key
 from ..trace.record import OpType
 from ..trace.trace import BlockTrace
 from .collector import TraceCollector
@@ -74,10 +76,12 @@ from .replayer import ReplayResult, _check_requests, _validated_idle
 
 __all__ = ["submit_stream", "replay_queue_depth", "replay_queue_depth_scalar"]
 
-#: Rows of input columns the streaming flash loop turns into Python
-#: lists at a time.  Bounds the per-row Python objects it holds to one
-#: block, whatever the trace length (as ``CSV_BLOCK_ROWS`` does for the
-#: CSV writer).
+#: Requests the streaming flash loop prepares at a time: NumPy cuts
+#: their stripe fragments and keys their shapes, and the fragment
+#: columns become Python lists.  Bounds the per-fragment NumPy columns
+#: and Python objects it holds to one block, whatever the trace length
+#: (as ``CSV_BLOCK_ROWS`` does for the CSV writer), while amortising
+#: the per-block NumPy calls over thousands of rows.
 FLASH_BLOCK_ROWS = 4096
 
 Stamps = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -243,6 +247,50 @@ def _service_loop(
     return tuple(np.frombuffer(col, dtype=np.float64) for col in (submits, acks, starts, finishes))
 
 
+def _fragments(
+    ops: np.ndarray,
+    lbas: np.ndarray,
+    sizes: np.ndarray,
+    stripe: int | None,
+    n_members: int,
+    page_sectors: int,
+    total_dies: int,
+) -> tuple:
+    """Cut one block of requests into stripe fragments, as NumPy columns.
+
+    The arithmetic of ``FlashArray._service``: an extent is chopped at
+    stripe boundaries and stripe ``k`` lives on member ``k mod
+    n_members``.  Returns ``(ops, first_pages, n_pages, sectors,
+    members, lasts, rows)``, one element per fragment in request order:
+    ``lasts`` flags the fragment that ends its request and ``rows``
+    gives its request within the block.  A standalone SSD (``stripe``
+    None) keeps each request whole, and its ``members``, ``lasts`` and
+    ``rows`` are ``None``.
+
+    Offsets are taken within the request's first stripe and each
+    fragment's first page, and a fragment's first sector is kept
+    modulo the sectors of ``total_dies`` pages — its page offset and
+    die slot, all a shape reads of it, survive — so no intermediate
+    value passes int64, whatever sector an extent ends at.
+    """
+    if stripe is None:
+        first, n_pages = page_span(lbas, sizes, page_sectors)
+        return ops, first, n_pages, sizes, None, None, None
+    stripes, off = np.divmod(lbas, stripe)
+    end = off + (sizes - 1)  # last sector, from the first stripe's start
+    count = end // stripe + 1
+    rows = np.repeat(np.arange(len(count)), count)
+    ordinal = np.arange(len(rows)) - (np.cumsum(count) - count)[rows]
+    lasts = ordinal == count[rows] - 1
+    lo = np.where(ordinal == 0, off[rows], 0)
+    hi = np.where(lasts, end[rows] % stripe, stripe - 1)
+    frag_stripes = stripes[rows] + ordinal
+    cursors = frag_stripes % (page_sectors * total_dies) * stripe + lo
+    sectors = hi - lo + 1
+    first, n_pages = page_span(cursors, sectors, page_sectors)
+    return ops[rows], first, n_pages, sectors, frag_stripes % n_members, lasts, rows
+
+
 def _flash_loop(
     layout: tuple[list, int | None],
     ops: np.ndarray,
@@ -257,32 +305,34 @@ def _flash_loop(
     """The submission rule over flash members, fragment by fragment.
 
     ``layout`` is the device's ``flash_layout()``: its member SSDs and
-    the stripe unit in sectors (``None`` for a standalone SSD).  Each
-    request is cut into stripe fragments with the arithmetic of
-    ``FlashArray._service``; each fragment's ``_RelService`` comes from
-    the members' shared relative-service memo (``_rel_entry`` on a
-    miss).  The body inlines ``FlashSSD._service`` branch for branch —
-    horizon check, slot-range idle probe, slot-range commit,
-    write-buffer admission, and the ``_busy_read``/``_busy_program``
-    walks when the touched slots are busy — so every stamp and every
-    piece of member state (busy stamps, buffer occupancy, horizon) is
-    bit-identical to driving ``device._service`` per request.
+    the stripe unit in sectors (``None`` for a standalone SSD).  NumPy
+    prepares each block of ``FLASH_BLOCK_ROWS`` requests up front: it
+    cuts the requests into stripe fragments (:func:`_fragments`) and
+    gives each fragment a member index and one :func:`~repro.storage.
+    flash.shape_key`; one dict lookup per fragment then resolves the
+    members' shared relative-service memo (``_rel_entry`` on a miss).
+    The loop itself runs only the timing recurrence over the fragment
+    columns, with a last-fragment-of-request flag: the window, and
+    ``FlashSSD._service`` inlined branch for branch — idle probe,
+    commit, write-buffer admission, and the ``_busy_read``/
+    ``_busy_program`` walks when a touched slot is busy.  A one-page
+    shape is probed with two list reads and committed with two stores;
+    a multi-page shape takes the horizon check and the slot-slice probe
+    and commit.  Every stamp and every piece of member state (busy
+    stamps, buffer occupancy, horizon) is bit-identical to driving
+    ``device._service`` per request.
 
-    No per-request Python object lives for the whole stream: input
-    columns become lists ``FLASH_BLOCK_ROWS`` rows at a time, and ack
-    and finish stamps go straight into ``array('d')`` buffers.  Submits
-    are derived afterwards from the rule elementwise (the same additions
-    the loop performs) and starts equal acks, each overridden at the
-    rows recorded in compact index/value buffers: window-full waits,
-    and a standalone SSD's buffered write admitted late.  With no late
-    row, ``starts`` is the acks array itself.
+    Nothing built per request or fragment outlives its block: the
+    fragment columns, keys and entries are rebuilt for each block, and
+    ack and finish stamps go straight into ``array('d')`` buffers.
+    Submits are derived afterwards from the rule elementwise (the same
+    additions the loop performs) and starts equal acks, each overridden
+    at the rows recorded in compact index/value buffers: window-full
+    waits, and a standalone SSD's buffered write admitted late.  With
+    no late row, ``starts`` is the acks array itself.
     """
     members, stripe = layout
     array_level = stripe is not None
-    # A standalone SSD is a one-member array whose stripe unit no int64
-    # extent crosses, so each of its requests is one fragment.
-    ss = stripe if array_level else 1 << 64
-    n_members = len(members)
     memo = members[0]._rel_cache  # one geometry, one shared memo
     rel_entry = members[0]._rel_entry
     ps = members[0]._page_sectors
@@ -314,101 +364,98 @@ def _flash_loop(
     clock = lead
     for b0 in range(0, n, FLASH_BLOCK_ROWS):
         b1 = min(b0 + FLASH_BLOCK_ROWS, n)
-        for i, op, lba, size, tc, g, w in zip(
-            range(b0, b1),
-            ops[b0:b1].tolist(),
-            lbas[b0:b1].tolist(),
-            sizes[b0:b1].tolist(),
-            t_cdel[b0:b1].tolist(),
-            gap[b0:b1].tolist(),
-            waits[b0:b1].tolist(),
+        f_ops, firsts, pages, sectors, f_members, lasts, rows = _fragments(
+            ops[b0:b1], lbas[b0:b1], sizes[b0:b1], stripe, len(members), ps, td
+        )
+        keys = shape_key(f_ops, firsts, pages, sectors, ps, td).tolist()
+        try:
+            entries = list(map(memo.__getitem__, keys))
+        except KeyError:
+            for k, key in enumerate(keys):
+                if key not in memo:
+                    rel_entry(OpType(int(f_ops[k])), int(firsts[k]), int(pages[k]), int(sectors[k]))
+            entries = list(map(memo.__getitem__, keys))
+        del f_ops, firsts, pages, sectors, keys  # before the stamp lists grow
+        tcs, gs, ws = t_cdel[b0:b1], gap[b0:b1], waits[b0:b1]
+        if rows is not None:
+            tcs, gs, ws = tcs[rows], gs[rows], ws[rows]
+        last = True
+        for e, mi, tc, g, w, ends in zip(
+            entries,
+            repeat(0) if f_members is None else f_members.tolist(),
+            tcs.tolist(),
+            gs.tolist(),
+            ws.tolist(),
+            repeat(True) if lasts is None else lasts.tolist(),
         ):
-            if window and len(in_flight) >= qd:
-                while in_flight and in_flight[0] <= clock:
-                    heappop(in_flight)
-                if len(in_flight) >= qd:
-                    clock = heappop(in_flight)
-                    bump_rows.append(i)
-                    bump_clocks.append(clock)
-            ack = clock + tc
-            finish = ack
-            cursor = lba
-            remaining = size
-            while remaining > 0:
-                stripe_i = cursor // ss
-                chunk = ss - (cursor - stripe_i * ss)
-                if chunk > remaining:
-                    chunk = remaining
-                mi = stripe_i % n_members
-                first = cursor // ps
-                n_pages = (cursor + chunk - 1) // ps - first + 1
-                e = memo.get((op, first % td, n_pages, chunk))
-                if e is None:
-                    e = rel_entry(OpType(op), first, n_pages, chunk)
-                cursor += chunk
-                remaining -= chunk
-                db = dbs[mi]
-                cb = cbs[mi]
-                if e.is_read:
-                    if ack >= hors[mi] or _entry_idle_sparse(db, cb, e, ack):
-                        _entry_commit(db, cb, e, ack)
-                        h = ack + e.horizon
-                        if h > hors[mi]:
-                            hors[mi] = h
-                        f = ack + e.svc
-                    else:
-                        f = members[mi]._busy_read(e, ack)
-                        if f > hors[mi]:
-                            hors[mi] = f
-                elif e.buffered:
-                    nbytes = e.nbytes
-                    buf = bufs[mi]
-                    bb = bbs[mi]
-                    while buf and buf[0][0] <= ack:
-                        __, freed = buf.popleft()
-                        bb -= freed
-                    if bb + nbytes <= caps[mi] and (
-                        ack >= hors[mi] or _entry_idle_sparse(db, cb, e, ack)
-                    ):
-                        buf.append((ack + e.drain_rel, nbytes))
-                        bbs[mi] = bb + nbytes
-                        _entry_commit(db, cb, e, ack)
-                        h = ack + e.horizon
-                        if h > hors[mi]:
-                            hors[mi] = h
-                        f = ack + e.svc
-                    else:
-                        ssd = members[mi]
-                        ssd._buffered_bytes = bb
-                        start = ssd._buffer_admit(nbytes, ack)
-                        ack_done = start + bw_us[mi] + nbytes / bw4[mi]
-                        drain = ssd._busy_program(e, ack_done)
-                        buf.append((drain, nbytes))
-                        bbs[mi] = ssd._buffered_bytes + nbytes
-                        if drain > hors[mi]:
-                            hors[mi] = drain
-                        f = ack_done
-                        if not array_level:
-                            late_rows.append(i)
-                            late_starts.append(start)
+            if last:  # the first fragment of a request
+                if window and len(in_flight) >= qd:
+                    while in_flight and in_flight[0] <= clock:
+                        heappop(in_flight)
+                    if len(in_flight) >= qd:
+                        clock = heappop(in_flight)
+                        bump_rows.append(len(acks))
+                        bump_clocks.append(clock)
+                ack = clock + tc
+                finish = ack
+            db = dbs[mi]
+            cb = cbs[mi]
+            one = e.one_page
+            buffered = e.buffered
+            if buffered:
+                nbytes = e.nbytes
+                buf = bufs[mi]
+                bb = bbs[mi]
+                while buf and buf[0][0] <= ack:
+                    __, freed = buf.popleft()
+                    bb -= freed
+                fits = bb + nbytes <= caps[mi]
+            else:
+                fits = True
+            if fits and (
+                db[one[0]] <= ack and cb[one[2]] <= ack
+                if one is not None
+                else ack >= hors[mi] or _entry_idle_sparse(db, cb, e, ack)
+            ):
+                if buffered:
+                    buf.append((ack + e.drain_rel, nbytes))
+                    bbs[mi] = bb + nbytes
+                if one is not None:
+                    db[one[0]] = ack + one[1]
+                    cb[one[2]] = ack + one[3]
                 else:
-                    if ack >= hors[mi] or _entry_idle_sparse(db, cb, e, ack):
-                        _entry_commit(db, cb, e, ack)
-                        h = ack + e.horizon
-                        if h > hors[mi]:
-                            hors[mi] = h
-                        f = ack + e.svc
-                    else:
-                        f = members[mi]._busy_program(e, ack)
-                        if f > hors[mi]:
-                            hors[mi] = f
-                if f > finish:
-                    finish = f
-            append_ack(ack)
-            append_finish(finish)
-            if window:
-                heappush(in_flight, finish)
-            clock = (finish if w else ack) + g
+                    _entry_commit(db, cb, e, ack)
+                h = ack + e.horizon
+                if h > hors[mi]:
+                    hors[mi] = h
+                f = ack + e.svc
+            elif buffered:
+                ssd = members[mi]
+                ssd._buffered_bytes = bb
+                start = ssd._buffer_admit(nbytes, ack)
+                ack_done = start + bw_us[mi] + nbytes / bw4[mi]
+                drain = ssd._busy_program(e, ack_done)
+                buf.append((drain, nbytes))
+                bbs[mi] = ssd._buffered_bytes + nbytes
+                if drain > hors[mi]:
+                    hors[mi] = drain
+                f = ack_done
+                if not array_level:
+                    late_rows.append(len(acks))
+                    late_starts.append(start)
+            else:
+                f = (members[mi]._busy_read if e.is_read else members[mi]._busy_program)(e, ack)
+                if f > hors[mi]:
+                    hors[mi] = f
+            if f > finish:
+                finish = f
+            last = ends
+            if last:
+                append_ack(ack)
+                append_finish(finish)
+                if window:
+                    heappush(in_flight, finish)
+                clock = (finish if w else ack) + g
     for m, h, bb in zip(members, hors, bbs):
         m._state_horizon = h
         m._buffered_bytes = bb

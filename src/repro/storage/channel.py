@@ -63,7 +63,9 @@ class InterfaceChannel:
 
         Element ``i`` equals ``delay_us(ops[i], sizes[i])`` bit-for-bit:
         the same IEEE-754 operations are applied elementwise, so batch
-        and scalar replay paths agree exactly.
+        and scalar replay paths agree exactly.  Sizes become float64
+        before the byte count is formed: scaling by a power of two is
+        exact there, where an int64 product wraps past ``2**63`` bytes.
         """
         ops = np.asarray(ops)
         sizes = np.asarray(sizes, dtype=np.int64)
@@ -72,7 +74,7 @@ class InterfaceChannel:
         overhead = np.where(
             ops == int(OpType.READ), self.read_overhead_us, self.write_overhead_us
         )
-        return overhead + sizes * SECTOR_BYTES / self.bandwidth_mb_s
+        return overhead + sizes.astype(np.float64) * SECTOR_BYTES / self.bandwidth_mb_s
 
 
 #: SATA II (3 Gbit/s): the decade-old server interface of the OLD nodes.

@@ -37,13 +37,33 @@ __all__ = ["FlashGeometry", "FlashSSD"]
 def page_span(lbas, sizes, page_sectors: int):
     """``(first_page, n_pages)`` of the page extent touching a sector extent.
 
-    Works elementwise on arrays and on plain ints.  The scalar
-    ``_pages_of`` walk takes its extents from here; the streaming flash
-    loop inlines the same two lines.
+    Works elementwise on arrays and on plain ints.  The page count is
+    taken from the extent's offset in its first page rather than from
+    its end sector, so no int64 intermediate exceeds that offset plus
+    the extent's length: a column stays exact even for an extent that
+    runs past sector ``2**63 - 1`` (on Python ints the two forms are
+    equal).  The scalar ``_pages_of`` walk, ``FlashSSD._service`` and
+    the streaming flash loop's NumPy cut all take their extents from
+    here.
     """
     first = lbas // page_sectors
-    n_pages = (lbas + sizes - 1) // page_sectors - first + 1
+    n_pages = (lbas % page_sectors + sizes - 1) // page_sectors + 1
     return first, n_pages
+
+
+def shape_key(ops, first_pages, n_pages, sectors, page_sectors: int, total_dies: int):
+    """The memo key of request shape ``(op, first_page % total_dies, n_pages, sectors)``.
+
+    One integer per shape, elementwise on arrays and on plain ints (as
+    :func:`page_span`).  A page count exceeds ``sectors //
+    page_sectors`` by 0, 1 or 2 (the extent's offset in its first page
+    decides which), so the key packs that excess in place of the count:
+    distinct shapes get distinct keys, and an int64 column stays exact
+    while ``6 * total_dies * (sectors + 1) < 2**63`` — far past any
+    extent whose page walk could finish.
+    """
+    excess = n_pages - sectors // page_sectors
+    return ((sectors * 3 + excess) * total_dies + first_pages % total_dies) * 2 + ops
 
 
 class _RelService:
@@ -54,15 +74,13 @@ class _RelService:
     ``first_page % total_dies`` and the page count, one relative
     computation serves every request with the same shape — the replay
     hot path becomes a dict lookup plus a sparse state update.  Entries
-    are plain data keyed by ``(op, first_page % total_dies, n_pages,
-    size)`` in the shared memo: ``FlashSSD._service``, the streaming
-    flash loop that collection and both replay modes run
-    (``repro.replay.qdepth._flash_loop``, through
-    :func:`_entry_idle_sparse` and :func:`_entry_commit`) and the busy
-    walks ``FlashSSD._busy_read``/``_busy_program`` all read the same
-    fields, so every engine prices a shape identically.  The loop keys
-    its own lookups, fragment by fragment, and calls
-    ``FlashSSD._rel_entry`` on a miss.
+    are plain data keyed by :func:`shape_key` in the shared memo:
+    ``FlashSSD._service``, the streaming flash loop that collection and
+    both replay modes run (``repro.replay.qdepth._flash_loop``) and the
+    busy walks ``FlashSSD._busy_read``/``_busy_program`` all read the
+    same fields, so every engine prices a shape identically.  The loop
+    keys a whole block of fragments with NumPy, looks each key up once
+    and calls ``FlashSSD._rel_entry`` on a miss.
 
     Die and channel state is *slot-indexed* (die ``page % total_dies``,
     channel ``page % channels``), so the slots a shape touches form a
@@ -70,14 +88,18 @@ class _RelService:
     most two ``[a, b)`` segments plus, when every touched die (channel)
     lands on the same relative stamp — true for any extent of at most
     ``channels`` pages, i.e. every single-wave shape — the shared
-    *uniform* value.  The streaming loop's idle probe then collapses to
-    ``max()`` over a list slice and its commit to a slice assignment,
-    replacing the per-die Python loops that dominated flash replay.
+    *uniform* value.  The streaming loop's idle probe of a multi-page
+    shape then collapses to ``max()`` over a list slice and its commit
+    to a slice assignment (:func:`_entry_idle_sparse`,
+    :func:`_entry_commit`).  A one-page shape — most fragments of the
+    catalog traces — also records ``one_page``, its ``(die slot, die
+    offset, channel, channel offset)``: the loop probes it with two list
+    reads and commits it with two stores.
     """
 
     __slots__ = (
         "svc", "drain_rel", "die_items", "chan_items", "horizon", "walk",
-        "die_segs", "die_uval", "chan_segs", "chan_uval",
+        "die_segs", "die_uval", "chan_segs", "chan_uval", "one_page",
         "is_read", "nbytes", "buffered", "walk_pairs", "walk_op_us",
     )
 
@@ -127,9 +149,16 @@ class _RelService:
         self.chan_uval = (
             chan_vals[0] if chan_vals.count(chan_vals[0]) == len(chan_vals) else None
         )
+        if n_pages == 1:
+            [(d, dv)] = self.die_items
+            [(c, cv)] = self.chan_items
+            self.one_page = (d, dv, c, cv)
+        else:
+            self.one_page = None
         # Request-shape flags the streaming loop needs per fragment;
         # the shape key includes op and size, so they are entry facts.
-        # Filled by ``FlashSSD._rel_entry``.
+        # ``buffered`` marks a write the write buffer admits.  Filled by
+        # ``FlashSSD._rel_entry``.
         self.is_read = True
         self.nbytes = 0
         self.buffered = False
@@ -153,9 +182,10 @@ def _entry_idle_sparse(db: list, cb: list, e: _RelService, t_ready: float) -> bo
 
     Equivalent to ``FlashSSD._state_idle_for`` with the horizon tier
     already checked by the caller (the streaming flash loop, which
-    keeps member horizons in locals): ``True`` iff no touched die or
-    channel is busy past ``t_ready``.  ``max()`` over a list slice is
-    the same comparison set as the scalar per-item loop.
+    keeps member horizons in locals and probes one-page shapes
+    inline): ``True`` iff no touched die or channel is busy past
+    ``t_ready``.  ``max()`` over a list slice is the same comparison
+    set as the scalar per-item loop.
     """
     a, b, b2 = e.die_segs
     if max(db[a:b]) > t_ready:
@@ -205,7 +235,7 @@ def _entry_commit(db: list, cb: list, e: _RelService, t_ready: float) -> None:
 #: channel), all immutable — so every SSD with the same configuration
 #: (e.g. the four members of each freshly-built evaluation array)
 #: shares one memo and the cache stays warm across device instances.
-_SHARED_REL_CACHES: dict[object, dict[tuple[int, int, int, int], "_RelService"]] = {}
+_SHARED_REL_CACHES: dict[object, dict[int, "_RelService"]] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -489,7 +519,7 @@ class FlashSSD(StorageDevice):
     def _rel_entry(self, op: OpType, first_page: int, n_pages: int, size: int) -> _RelService:
         """Cached relative service for one request shape."""
         g = self.geometry
-        key = (int(op), first_page % self._total_dies, n_pages, size)
+        key = shape_key(op, first_page, n_pages, size, self._page_sectors, self._total_dies)
         entry = self._rel_cache.get(key)
         if entry is not None:
             return entry
@@ -514,8 +544,8 @@ class FlashSSD(StorageDevice):
                     self._total_dies, g.channels, walk=walk,
                 )
             entry.is_read = False
+            entry.buffered = 0 < nbytes <= self._buffer_capacity
         entry.nbytes = nbytes
-        entry.buffered = 0 < nbytes <= self._buffer_capacity
         self._rel_cache[key] = entry
         return entry
 
@@ -555,10 +585,10 @@ class FlashSSD(StorageDevice):
     def _service(self, op: OpType, lba: int, size: int, t_ready: float) -> tuple[float, float]:
         g = self.geometry
         ps = self._page_sectors
-        first_page = lba // ps
-        n_pages = (lba + size - 1) // ps - first_page + 1
-        key = (int(op), first_page % self._total_dies, n_pages, size)
-        entry = self._rel_cache.get(key)
+        first_page, n_pages = page_span(lba, size, ps)
+        entry = self._rel_cache.get(
+            shape_key(op, first_page, n_pages, size, ps, self._total_dies)
+        )
         if entry is None:
             entry = self._rel_entry(op, first_page, n_pages, size)
         if op is OpType.READ:

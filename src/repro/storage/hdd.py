@@ -201,7 +201,11 @@ class HDDModel(StorageDevice):
 
         Reproduces the scalar :meth:`_service` arithmetic elementwise —
         including the order of the rotational-phase RNG draws (one per
-        non-sequential request) — so results are bit-identical.
+        non-sequential request) — so results are bit-identical.  No
+        extent end ``lba + size`` is formed in int64: an extent may end
+        past sector ``2**63 - 1``, which the scalar path's Python ints
+        hold, so sequentiality and the end cylinder come from
+        differences and remainders.
         """
         g = self.geometry
         lbas = np.asarray(lbas, dtype=np.int64)
@@ -209,12 +213,13 @@ class HDDModel(StorageDevice):
         n = len(lbas)
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        ends = lbas + sizes
-        prev_end = np.concatenate([[self._last_end_lba], ends[:-1]])
-        sequential = lbas == prev_end
-        end_cyl = np.minimum((ends - 1) // g.sectors_per_cylinder, g.cylinders - 1)
+        spc = g.sectors_per_cylinder
+        sequential = np.empty(n, dtype=bool)
+        sequential[0] = int(lbas[0]) == self._last_end_lba
+        sequential[1:] = lbas[1:] - sizes[:-1] == lbas[:-1]
+        end_cyl = np.minimum(lbas // spc + (lbas % spc + (sizes - 1)) // spc, g.cylinders - 1)
         head = np.concatenate([[self._head_cylinder], end_cyl[:-1]])
-        target = np.minimum(lbas // g.sectors_per_cylinder, g.cylinders - 1)
+        target = np.minimum(lbas // spc, g.cylinders - 1)
         distance = np.abs(target - head)
         avg_distance = max(1.0, g.cylinders / 3.0)
         k = (g.avg_seek_ms - g.track_to_track_ms) * 1e3 / np.sqrt(avg_distance)
@@ -230,7 +235,7 @@ class HDDModel(StorageDevice):
         mechanical = np.where(sequential, 0.0, seek + rotation)
         svc = mechanical + sizes * g.transfer_us_per_sector
         self._head_cylinder = int(end_cyl[-1])
-        self._last_end_lba = int(ends[-1])
+        self._last_end_lba = int(lbas[-1]) + int(sizes[-1])
         return svc
 
     def _cache_fits(self, size: int, now: float, cache_bytes: int) -> bool:

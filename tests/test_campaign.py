@@ -529,11 +529,16 @@ class TestEngine:
         inline = CampaignEngine(spec, out_dir=tmp_path / "b").run()
         assert pooled.table == inline.table
 
-    def test_workers_generate_and_fit_each_trace_once(self, tmp_path: Path, monkeypatch):
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_workers_generate_and_fit_each_trace_once(
+        self, tmp_path: Path, monkeypatch, jobs: int
+    ):
         """The points that share an OLD trace run on one worker, so each
         trace is generated once and each bare (FIU) trace fitted once,
         by the worker whose model memo then serves its second
-        tracetracker point.  The patches go in before the engine forks,
+        tracetracker point.  At four workers the 1/(4*jobs) chunk share
+        is 2 points, below a group's 4, so the chunks must grow to keep
+        every group whole.  The patches go in before the engine forks,
         so the workers inherit them and log every call to one file; the
         slow generation makes two workers racing for one trace visible."""
         import time
@@ -561,7 +566,7 @@ class TestEngine:
         sizes = (150, 200, 250, 300)
         spec = _grid_spec(n_requests=sizes)  # 32 points, 8 OLD traces
         pooled = CampaignEngine(
-            spec, out_dir=tmp_path / "a", jobs=2,
+            spec, out_dir=tmp_path / "a", jobs=jobs,
             use_trace_store=True, trace_store_dir=tmp_path / "store",
         ).run()
         calls = log.read_text(encoding="utf-8").splitlines()
@@ -573,6 +578,45 @@ class TestEngine:
         ]
         inline = CampaignEngine(spec, out_dir=tmp_path / "b").run()
         assert pooled.table == inline.table
+
+    @pytest.mark.parametrize(
+        "workloads, devices, sizes, jobs, chunk",
+        [
+            (1, 3, (100,), 2, 3),  # one 6-point group, cut across both workers
+            (1, 3, (100,), 4, 2),
+            (2, 2, (100, 110, 120, 130), 4, 4),  # 1/(4*jobs) is 2, grown to a group
+            (4, 2, (100, 110, 120), 2, 6),  # the perfbench campaign-grid shape
+        ],
+    )
+    def test_chunk_size_keeps_groups_whole_up_to_a_worker_share(
+        self, tmp_path: Path, monkeypatch,
+        workloads: int, devices: int, sizes: tuple[int, ...], jobs: int, chunk: int,
+    ):
+        """A chunk holds 1/(4*jobs) of the pending points or the largest
+        trace group, whichever is larger, but never more than 1/jobs of
+        them, so a grid with fewer trace groups than workers still
+        reaches every worker.  A group here holds two points per
+        device."""
+        asked: list[int] = []
+        chunks = CampaignPlan.chunks
+
+        def logged_chunks(plan, chunk_size, indices=None):
+            asked.append(chunk_size)
+            return chunks(plan, chunk_size, indices=indices)
+
+        monkeypatch.setattr(CampaignPlan, "chunks", logged_chunks)
+        spec = CampaignSpec(
+            name="chunk-size",
+            action="synthetic",
+            workloads=("MSNFS", "ikki", "CFS", "DAP")[:workloads],
+            devices=tuple(DeviceSpec(f"d{k}", "new-node") for k in range(devices)),
+            methods=("revision", "tracetracker"),
+            n_requests=sizes,
+            options={"iters_per_request": 1},
+        )
+        result = CampaignEngine(spec, out_dir=tmp_path / "out", jobs=jobs).run()
+        assert asked == [chunk]
+        assert result.n_computed == len(expand(spec))
 
     def test_workers_reuse_the_parent_plan(self, tmp_path: Path, monkeypatch):
         """Forked workers run the plan the parent expanded: no worker

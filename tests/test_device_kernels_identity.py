@@ -17,15 +17,25 @@ simulator state afterwards:
   (die/channel busy stamps, write-buffer occupancy, horizons, RNG
   state where present) and mixed batch/scalar use;
 - large extents (up to 300 pages) end to end through every replay
-  loop.
+  loop, and extents at the top of the int64 sector range;
+- SHA-256 digests of the flash stamps and member state on catalog
+  streams, pinned so a change to the shared memo entries themselves
+  (which every engine and oracle read) shows.
 """
 
 from __future__ import annotations
 
+import hashlib
+from functools import cache
+
 import numpy as np
 import pytest
 
+from repro.experiments import new_node
+from repro.experiments.pairs import build_pair_for
+from repro.inference.idle import extract_idle
 from repro.replay import (
+    replay_back_to_back_batch,
     replay_queue_depth,
     replay_queue_depth_scalar,
     replay_with_idle,
@@ -42,11 +52,14 @@ from repro.storage import (
     Raid0,
     Raid1,
 )
-from repro.storage.flash import page_span
+from repro.storage.flash import page_span, shape_key
 from repro.storage.raid import _mirror_streams
 from repro.trace.record import OpType
 from repro.trace.trace import BlockTrace
 from test_replay_batch import DEVICE_FACTORIES, assert_replays_identical, replay_through_loop
+
+#: The last sector an int64 LBA column can name.
+I64_TOP = 2**63 - 1
 
 #: Geometries covering the default device, a tiny array-shaped layout,
 #: single-plane dies, and a buffer-less configuration.
@@ -258,10 +271,38 @@ class TestGroupedServiceBatch:
     def test_page_span_matches_pages_of(self):
         ssd = FlashSSD()
         ps = ssd.geometry.page_sectors
-        for lba, size in [(0, 1), (ps - 1, 1), (ps - 1, 2), (123456, 999)]:
+        for lba, size in [(0, 1), (ps - 1, 1), (ps - 1, 2), (123456, 999), (I64_TOP, 1)]:
             first, n_pages = page_span(lba, size, ps)
             pages = ssd._pages_of(lba, size)
             assert pages.start == first and len(pages) == n_pages
+
+    def test_page_span_column_exact_at_int64_top(self):
+        ps = FlashSSD().geometry.page_sectors
+        extents = [(I64_TOP, 1), (I64_TOP - 7, 8), (I64_TOP - 299, 300), (I64_TOP - ps, ps + 1)]
+        lbas, sizes = (np.array(column, dtype=np.int64) for column in zip(*extents))
+        first, n_pages = page_span(lbas, sizes, ps)
+        assert list(zip(first.tolist(), n_pages.tolist())) == [
+            page_span(lba, size, ps) for lba, size in extents
+        ]
+
+    def test_shape_key_is_one_to_one(self):
+        """Distinct shapes get distinct keys, and the column form equals
+        the int form."""
+        ps, td = 16, 36
+        shapes = {
+            (op, page % td, n_pages, size)
+            for op in (0, 1)
+            for page in range(2 * td)
+            for offset in range(ps)
+            for size in range(1, 4 * ps)
+            for n_pages in [page_span(page * ps + offset, size, ps)[1]]
+        }
+        keys = {shape_key(op, slot, n, size, ps, td) for op, slot, n, size in shapes}
+        assert len(keys) == len(shapes)
+        ops, slots, pages, sizes = (np.array(column) for column in zip(*sorted(shapes)))
+        assert shape_key(ops, slots, pages, sizes, ps, td).tolist() == [
+            shape_key(*shape, ps, td) for shape in sorted(shapes)
+        ]
 
 
 class _Recorder(ConstantLatencyDevice):
@@ -512,6 +553,105 @@ class TestLargeExtents:
             trace, make(), idle_us=idle, queue_depth=queue_depth
         )
         assert_replays_identical(fast, oracle)
+
+
+def _int64_top_trace() -> tuple[BlockTrace, np.ndarray]:
+    """Extents that end at sector ``2**63 - 1``, cross the last 128 KB
+    stripe below it, or run past it, with think times short enough for
+    requests to overlap at depth 4."""
+    last_stripe = I64_TOP - I64_TOP % 256
+    rows = [
+        (0, I64_TOP, 1),
+        (1, I64_TOP - 7, 8),
+        (0, I64_TOP - 299, 300),
+        (1, last_stripe - 20, 40),
+        (0, last_stripe - 3, 5),
+        (1, I64_TOP - 15, 16),
+        (0, last_stripe - 16, 17),
+        (1, I64_TOP - 99, 200),
+    ] * 3
+    ops, lbas, sizes = zip(*rows)
+    n = len(rows)
+    trace = BlockTrace(
+        timestamps=np.arange(n, dtype=np.float64),
+        lbas=np.array(lbas, dtype=np.int64),
+        sizes=np.array(sizes, dtype=np.int64),
+        ops=np.array(ops, dtype=np.int8),
+    )
+    return trace, np.random.default_rng(89).uniform(0.0, 300.0, n - 1)
+
+
+class TestInt64Extents:
+    """The NumPy fragment cut stays exact at the top of the int64 range."""
+
+    @pytest.mark.parametrize("make", [new_node, FlashSSD], ids=["new-node", "ssd"])
+    def test_sync_batch_vs_scalar(self, make):
+        trace, idle = _int64_top_trace()
+        fast_dev, oracle_dev = make(), make()
+        assert_replays_identical(
+            replay_with_idle_batch(trace, fast_dev, idle),
+            replay_with_idle(trace, oracle_dev, idle),
+        )
+        assert _flash_state(fast_dev) == _flash_state(oracle_dev)
+
+    @pytest.mark.parametrize("make", [new_node, FlashSSD], ids=["new-node", "ssd"])
+    def test_depth_4_vs_scalar_oracle(self, make):
+        trace, idle = _int64_top_trace()
+        fast_dev, oracle_dev = make(), make()
+        assert_replays_identical(
+            replay_queue_depth(trace, fast_dev, idle_us=idle, queue_depth=4),
+            replay_queue_depth_scalar(trace, oracle_dev, idle_us=idle, queue_depth=4),
+        )
+        assert _flash_state(fast_dev) == _flash_state(oracle_dev)
+
+
+#: SHA-256 of the four stamp columns and the member state after each
+#: replay of a 10 000-request catalog trace.  The identity suites hold
+#: the streaming loop to oracles that read the same memo entries, so
+#: only a pin shows a change to the entries themselves.
+PINNED_FLASH_DIGESTS = {
+    ("msnfs-sync", "new-node"): "d25c9af2f757737a7f8285faceb527826d35b419c50fabdd94ed0c85c3075824",
+    ("msnfs-sync", "ssd"): "b61928d3b6fe9efc6b23375644e3b80f6dab3b3fc8c53b16811d5396d3236f9f",
+    ("msnfs-b2b", "new-node"): "a0505360e0fb78c9f34b69f398d51f81f6ce80b0895f8c9e84b711bd8ffb8606",
+    ("msnfs-b2b", "ssd"): "5cdf2c54100472b3191f398ed66b07912c97d1b1b8a29bf58b4b18dec60b8f49",
+    ("usr-qd8", "new-node"): "823979125bb1ed1e8481875e0688938dbe4438a44e1e0099e18efccdfe778bbb",
+    ("usr-qd8", "ssd"): "9b4f13e69656ca02447d56de6a46a54a6e55521be58f623a2a10b02f595d2e8a",
+}
+
+
+@cache
+def _old_trace_and_idle(workload: str) -> tuple[BlockTrace, np.ndarray]:
+    """A catalog OLD trace and the idle periods extracted from it."""
+    old = build_pair_for(workload, n_requests=10_000).old
+    return old, extract_idle(old).tidle_us
+
+
+def _replay_digest_case(case: str, device):
+    if case == "usr-qd8":
+        trace, idle = _old_trace_and_idle("usr")
+        return replay_queue_depth(trace, device, idle_us=idle, queue_depth=8)
+    trace, idle = _old_trace_and_idle("MSNFS")
+    if case == "msnfs-b2b":
+        return replay_back_to_back_batch(trace, device)
+    return replay_with_idle_batch(trace, device, idle)
+
+
+class TestFlashStampDigests:
+    @staticmethod
+    def _digest(result, device) -> str:
+        digest = hashlib.sha256()
+        for name in ("submits", "acks", "starts", "finishes"):
+            column = getattr(result, name)
+            digest.update(f"{name}:{column.dtype.str}:".encode())
+            digest.update(np.ascontiguousarray(column).tobytes())
+        digest.update(repr(_flash_state(device)).encode())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("case, device_key", list(PINNED_FLASH_DIGESTS))
+    def test_flash_stamps_are_pinned(self, case, device_key):
+        device = new_node() if device_key == "new-node" else FlashSSD()
+        result = _replay_digest_case(case, device)
+        assert self._digest(result, device) == PINNED_FLASH_DIGESTS[(case, device_key)]
 
 
 class TestFastVsScalarPathPin:

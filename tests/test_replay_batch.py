@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import old_node
 from repro.replay import (
     replay_back_to_back,
     replay_back_to_back_batch,
@@ -44,6 +45,7 @@ from repro.storage import (
     Raid1,
 )
 from repro.trace.record import OpType
+from repro.trace.trace import BlockTrace
 from repro.workloads import collect_trace, generate_intents, get_spec
 from test_properties import block_traces
 
@@ -146,6 +148,28 @@ class TestBatchScalarEquivalence:
         scalar = replay_back_to_back(trace, make())
         batch = replay_back_to_back_batch(trace, make())
         assert_replays_identical(scalar, batch)
+
+    def test_byte_count_past_int64(self):
+        """A 2**54 + 8-sector read is over 2**63 bytes: the channel delay
+        must not wrap (it read -3.69e16 us against the oracle's +3.69e16)."""
+        trace = BlockTrace([0.0, 1.0, 2.0], [0, 1000, 5000], [8, 2**54 + 8, 8], [0, 0, 0])
+        idle = np.zeros(2)
+        batch = replay_with_idle_batch(trace, old_node(), idle)
+        assert_replays_identical(batch, replay_with_idle(trace, old_node(), idle))
+        assert batch.acks[1] > 3e16
+
+    def test_extent_past_int64_end(self):
+        """An HDD extent that runs past sector 2**63 - 1 leaves the head on
+        the last cylinder; a wrapped end once sent the next request on a
+        625 s seek."""
+        trace = BlockTrace(
+            [0.0, 1.0, 2.0], [0, 2**63 - 100, 5000], [8, 200, 8], [0, 0, 0]
+        )
+        idle = np.zeros(2)
+        assert_replays_identical(
+            replay_with_idle_batch(trace, old_node(), idle),
+            replay_with_idle(trace, old_node(), idle),
+        )
 
     @pytest.mark.parametrize("device_key", VECTOR_CAPABLE)
     def test_vector_path_engages(self, device_key):
