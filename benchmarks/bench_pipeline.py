@@ -232,7 +232,7 @@ def bench_streaming_reconstruct(n_requests: int, n_chunks: int = 8) -> dict[str,
 
     def naive_recompute() -> None:
         for hi in bounds:
-            tracker.pipeline.run(pair.old[:hi], new_node())
+            tracker.reconstruct(pair.old[:hi], new_node())
 
     def incremental() -> None:
         session = tracker.stream_session(new_node())

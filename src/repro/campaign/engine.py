@@ -55,11 +55,12 @@ from ..core.baselines import (
     Revision,
     TraceTrackerMethod,
 )
+from ..core.stages import span_speedup
 from ..inference.idle import extract_idle
 from ..metrics.breakdown import average_idle_us, idle_breakdown
 from ..metrics.comparison import intt_gap_stats
 from ..perf import PerfRecorder
-from ..workloads.catalog import get_spec
+from ..workloads.catalog import STAMPED_FAMILIES, get_spec
 from ..workloads.generator import WorkloadSpec
 from ..workloads.materialize import collect_trace_cached
 from .plan import CampaignPlan, RunPoint, expand
@@ -80,11 +81,6 @@ __all__ = [
     "run_campaign",
     "run_point",
 ]
-
-#: Trace families whose OLD traces carry device stamps (Section V's
-#: ":math:`T_{sdev}` known" group) — the ``device_times: auto`` rule.
-_STAMPED_FAMILIES = ("MSPS", "MSRC")
-
 
 def resolve_method(text: str) -> ReconstructionMethod:
     """Parse a campaign method string into a reconstruction method.
@@ -113,10 +109,14 @@ def resolve_method(text: str) -> ReconstructionMethod:
 
 
 def _device_times_auto(options: dict[str, Any], wspec: WorkloadSpec) -> bool:
-    """Resolve the ``device_times`` option for a direct collection."""
+    """Resolve the ``device_times`` option for a direct collection.
+
+    ``auto`` follows the family: stamped for MSPS and MSRC
+    (:data:`~repro.workloads.catalog.STAMPED_FAMILIES`).
+    """
     value = options.get("device_times", "auto")
     if value == "auto":
-        return wspec.category in _STAMPED_FAMILIES
+        return wspec.category in STAMPED_FAMILIES
     return bool(value)
 
 
@@ -262,16 +262,12 @@ def _action_reconstruct(spec: CampaignSpec, point: RunPoint) -> dict[str, Any]:
     new = method.reconstruct(old, point.device.build())
     old_duration = float(old.duration)
     new_duration = float(new.duration)
-    if new_duration > 0.0:
-        speedup = old_duration / new_duration
-    else:
-        speedup = float("inf") if old_duration > 0.0 else 1.0
     return {
         "category": wspec.category,
         "method_name": method.name,
         "old_duration_us": old_duration,
         "new_duration_us": new_duration,
-        "speedup": speedup,
+        "speedup": span_speedup(old_duration, new_duration),
         "median_intt_old_us": float(np.median(old.inter_arrival_times())),
         "median_intt_new_us": float(np.median(new.inter_arrival_times())),
     }

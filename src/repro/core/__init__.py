@@ -17,7 +17,6 @@ from .stages import (
     MetricsStage,
     PostprocessStage,
     ReconstructionMetrics,
-    StagedReconstructionPipeline,
     StreamedReconstruction,
     StreamingReconstructionSession,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "PostprocessStage",
     "MetricsStage",
     "ReconstructionMetrics",
-    "StagedReconstructionPipeline",
     "StreamedReconstruction",
     "StreamingReconstructionSession",
 ]

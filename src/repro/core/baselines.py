@@ -13,6 +13,9 @@ Five methods appear in the evaluation (Section V):
 - ``TraceTracker`` — the full pipeline
   (:class:`repro.core.pipeline.TraceTracker`).
 
+``Dynamic`` is ``TraceTrackerMethod`` with post-processing switched off
+by a class attribute.
+
 All methods implement the same protocol — ``reconstruct(old_trace,
 target) -> BlockTrace`` — so comparison harnesses treat them
 uniformly.
@@ -110,21 +113,15 @@ class FixedThreshold(ReconstructionMethod):
         return replay_with_idle_batch(old_trace, target, idle_us=idle, method=self.name).trace
 
 
-class Dynamic(ReconstructionMethod):
-    """TraceTracker's inference-driven idle without post-processing."""
+class TraceTrackerMethod(ReconstructionMethod):
+    """The full pipeline wrapped in the comparison protocol."""
 
-    name = "dynamic"
+    name = "tracetracker"
+    #: Whether the tracker revives asynchronous gaps after replay.
+    postprocess = True
 
-    def __init__(self, config: TraceTrackerConfig | None = None) -> None:
-        base = config or TraceTrackerConfig()
-        self._tracker = TraceTracker(
-            TraceTrackerConfig(
-                inference=base.inference,
-                prefer_measured_tsdev=base.prefer_measured_tsdev,
-                postprocess=False,
-                min_async_gap_us=base.min_async_gap_us,
-            )
-        )
+    def __init__(self) -> None:
+        self._tracker = TraceTracker(TraceTrackerConfig(postprocess=self.postprocess))
 
     def reconstruct(self, old_trace: BlockTrace, target: StorageDevice) -> BlockTrace:
         trace = self._tracker.reconstruct(old_trace, target).trace
@@ -132,28 +129,19 @@ class Dynamic(ReconstructionMethod):
         return trace
 
 
-class TraceTrackerMethod(ReconstructionMethod):
-    """The full pipeline wrapped in the comparison protocol."""
+class Dynamic(TraceTrackerMethod):
+    """TraceTracker's inference-driven idle without post-processing."""
 
-    name = "tracetracker"
-
-    def __init__(self, config: TraceTrackerConfig | None = None) -> None:
-        self._tracker = TraceTracker(config)
-
-    def reconstruct(self, old_trace: BlockTrace, target: StorageDevice) -> BlockTrace:
-        return self._tracker.reconstruct(old_trace, target).trace
+    name = "dynamic"
+    postprocess = False
 
 
-def standard_methods(
-    acceleration_factor: float = 100.0,
-    fixed_threshold_us: float = 10_000.0,
-    config: TraceTrackerConfig | None = None,
-) -> list[ReconstructionMethod]:
+def standard_methods() -> list[ReconstructionMethod]:
     """The paper's five methods with their published parameters."""
     return [
-        Acceleration(acceleration_factor),
+        Acceleration(100.0),
         Revision(),
-        FixedThreshold(fixed_threshold_us),
-        Dynamic(config),
-        TraceTrackerMethod(config),
+        FixedThreshold(10_000.0),
+        Dynamic(),
+        TraceTrackerMethod(),
     ]

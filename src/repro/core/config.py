@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..inference.decompose import InferenceConfig
+from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = ["TraceTrackerConfig"]
 
@@ -15,25 +14,13 @@ class TraceTrackerConfig:
 
     Attributes
     ----------
-    inference:
-        Tunables of the software-evaluation (inference) stage.
-    prefer_measured_tsdev:
-        When the old trace carries issue/completion stamps (MSPS/MSRC
-        style), use them directly and skip device-time inference — the
-        paper's ":math:`T_{sdev}` known" fast path.
     postprocess:
         Run the asynchronous-mode revival after replay.  Disabling this
         yields the paper's ``Dynamic`` comparison method.
     min_async_gap_us:
         Floor for gaps tightened by post-processing (a submission still
-        needs a sliver of host time).
+        needs a sliver of host time).  A constant, not an option.
     """
 
-    inference: InferenceConfig = field(default_factory=InferenceConfig)
-    prefer_measured_tsdev: bool = True
     postprocess: bool = True
-    min_async_gap_us: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.min_async_gap_us < 0:
-            raise ValueError("min_async_gap_us must be non-negative")
+    min_async_gap_us: ClassVar[float] = 1.0

@@ -13,16 +13,19 @@ This is the paper's primary contribution assembled from the substrates:
    the old trace shows the submitter cannot have waited
    (:mod:`repro.replay.postprocess`).
 
-The stages themselves live in :mod:`repro.core.stages` as composable
-objects; :class:`TraceTracker` wires them per its configuration and
-offers both the classic whole-trace entry point and a streaming one
-for chunked traces larger than memory.
+The stages live in :mod:`repro.core.stages`.  :class:`TraceTracker`
+holds them and runs them itself: :meth:`~TraceTracker.reconstruct`
+over a whole trace, and :meth:`~TraceTracker.reconstruct_stream` and
+:meth:`~TraceTracker.stream_session` over time-ordered chunks of a
+trace larger than memory.  Both take the per-segment path of
+:func:`~repro.core.stages.reconstruct_segment`; they differ only in
+where the idle decomposition comes from.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +34,14 @@ from ..storage.device import StorageDevice
 from ..trace.trace import BlockTrace
 from .config import TraceTrackerConfig
 from .stages import (
+    EmulateStage,
+    InferStage,
+    MetricsStage,
+    PostprocessStage,
     ReconstructionMetrics,
-    StagedReconstructionPipeline,
     StreamedReconstruction,
     StreamingReconstructionSession,
+    reconstruct_segment,
 )
 
 __all__ = ["ReconstructionResult", "TraceTracker"]
@@ -64,12 +71,7 @@ class ReconstructionResult:
     extraction: IdleExtraction
     async_indices: np.ndarray
     method: str
-    metrics: ReconstructionMetrics | None = field(default=None)
-
-    @property
-    def inferred_idle_us(self) -> np.ndarray:
-        """Idle period the emulation slept after each request."""
-        return self.extraction.tidle_us
+    metrics: ReconstructionMetrics
 
 
 class TraceTracker:
@@ -88,11 +90,10 @@ class TraceTracker:
 
     def __init__(self, config: TraceTrackerConfig | None = None) -> None:
         self.config = config or TraceTrackerConfig()
-        self.pipeline = StagedReconstructionPipeline(self.config, method=self.method_name)
-
-    def evaluate_software(self, old_trace: BlockTrace) -> IdleExtraction:
-        """Run the software half only: infer the idle decomposition."""
-        return self.pipeline.infer.run(old_trace)
+        self.infer = InferStage()
+        self.emulate = EmulateStage(method=self.method_name)
+        self.postprocess = PostprocessStage() if self.config.postprocess else None
+        self.metrics = MetricsStage()
 
     def reconstruct(self, old_trace: BlockTrace, target: StorageDevice) -> ReconstructionResult:
         """Remaster ``old_trace`` for the ``target`` storage system.
@@ -100,13 +101,16 @@ class TraceTracker:
         Returns the reconstructed trace plus all intermediate artefacts.
         The old trace is not modified.
         """
-        new_trace, extraction, async_indices, metrics = self.pipeline.run(old_trace, target)
+        extraction = self.infer.run(old_trace)
+        new_trace, async_indices = reconstruct_segment(
+            old_trace, target, extraction, self.emulate, self.postprocess
+        )
         return ReconstructionResult(
             trace=new_trace,
             extraction=extraction,
             async_indices=async_indices,
             method=self.method_name,
-            metrics=metrics,
+            metrics=self.metrics.run(old_trace, new_trace, extraction, async_indices),
         )
 
     def reconstruct_stream(
@@ -116,11 +120,27 @@ class TraceTracker:
 
         ``chunks`` is any iterable of :class:`BlockTrace` segments —
         typically a :class:`~repro.trace.io.reader.TraceReader` over a
-        file too large to materialise.  See
-        :meth:`~repro.core.stages.StagedReconstructionPipeline.run_stream`
-        for the carry-over semantics.
+        file too large to materialise.  One :meth:`stream_session`
+        consumes them; see
+        :class:`~repro.core.stages.StreamingReconstructionSession` for
+        the carry-over semantics and the stream's one latency model.
         """
-        return self.pipeline.run_stream(chunks, target)
+        session = self.stream_session(target)
+        pieces: list[BlockTrace] = []
+        for chunk in chunks:
+            piece = session.feed(chunk)
+            if piece is not None:
+                pieces.append(piece)
+        tail = session.finish()
+        if tail is not None:
+            pieces.append(tail)
+        if not pieces:
+            raise ValueError("cannot reconstruct an empty stream")
+        return StreamedReconstruction(
+            trace=BlockTrace.concat_all(pieces),
+            metrics=session.metrics(),
+            method=self.method_name,
+        )
 
     def stream_session(self, target: StorageDevice) -> StreamingReconstructionSession:
         """A resumable chunk-at-a-time reconstruction session.
@@ -130,4 +150,4 @@ class TraceTracker:
         they arrive and checkpoints its state between chunks, so a
         killed daemon resumes bit-identically.
         """
-        return self.pipeline.stream_session(target)
+        return StreamingReconstructionSession(self, target)

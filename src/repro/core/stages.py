@@ -1,7 +1,7 @@
-"""The reconstruction pipeline as explicit, composable stages.
+"""The reconstruction stages and the per-segment sequence they run in.
 
-The monolithic ``TraceTracker.reconstruct`` decomposes into four stage
-objects, each a small callable with one responsibility:
+A reconstruction is four stage objects, each a small callable with one
+responsibility:
 
 - :class:`InferStage` — software evaluation: decompose every old-trace
   gap into device time and idle time (measured or inferred model);
@@ -12,18 +12,18 @@ objects, each a small callable with one responsibility:
 - :class:`MetricsStage` — summarise what the run did (durations, idle
   slept, async revivals) into :class:`ReconstructionMetrics`.
 
-:class:`StagedReconstructionPipeline` composes them two ways:
-
-- :meth:`~StagedReconstructionPipeline.reconstruct` runs a whole trace
-  through all stages — exactly what :class:`~repro.core.pipeline.
-  TraceTracker` has always done (the tracker now delegates here);
-- :meth:`~StagedReconstructionPipeline.reconstruct_stream` consumes an
-  iterator of :class:`~repro.trace.trace.BlockTrace` chunks (e.g. a
-  :class:`~repro.trace.io.reader.TraceReader`), reconstructing each
-  segment as it arrives with one request of carry-over so the
-  chunk-boundary gaps are decomposed too.  Peak *working-set* memory
-  (parse buffers, per-gap extraction arrays, replay state) is bounded
-  by the chunk size; only the reconstructed output columns accumulate.
+:class:`~repro.core.pipeline.TraceTracker` holds the stages.  Once a
+segment's gaps are decomposed, :func:`reconstruct_segment` flags its
+asynchronous gaps, emulates it and post-processes it; the whole-trace
+run and :class:`StreamingReconstructionSession` both call it, so batch
+and stream differ only in where the idle decomposition comes from.
+The session consumes a trace as time-ordered
+:class:`~repro.trace.trace.BlockTrace` chunks (e.g. from a
+:class:`~repro.trace.io.reader.TraceReader`), reconstructing each
+segment as it arrives with one request of carry-over so the
+chunk-boundary gaps are decomposed too.  Peak *working-set* memory
+(parse buffers, per-gap extraction arrays, replay state) is bounded by
+the chunk size; only the reconstructed output columns accumulate.
 
 Streaming notes:
 
@@ -44,12 +44,11 @@ Streaming notes:
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..inference.decompose import InferenceConfig
 from ..inference.idle import IdleExtraction, extract_idle, extract_idle_with_model
 from ..inference.model import LatencyModel
 from ..replay.batch import replay_with_idle_batch
@@ -59,16 +58,31 @@ from ..storage.device import StorageDevice
 from ..trace.trace import BlockTrace
 from .config import TraceTrackerConfig
 
+if TYPE_CHECKING:
+    from .pipeline import TraceTracker
+
 __all__ = [
     "InferStage",
     "EmulateStage",
     "PostprocessStage",
     "MetricsStage",
     "ReconstructionMetrics",
-    "StagedReconstructionPipeline",
     "StreamedReconstruction",
     "StreamingReconstructionSession",
+    "reconstruct_segment",
+    "span_speedup",
 ]
+
+
+def span_speedup(old_duration_us: float, new_duration_us: float) -> float:
+    """Old span over new span (how much faster the new system is).
+
+    An empty new span reads as infinitely faster, or as 1 when the old
+    span is empty too.
+    """
+    if new_duration_us <= 0.0:
+        return float("inf") if old_duration_us > 0 else 1.0
+    return old_duration_us / new_duration_us
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,33 +115,25 @@ class ReconstructionMetrics:
 
     @property
     def speedup(self) -> float:
-        """Old span over new span (how much faster the new system is)."""
-        if self.new_duration_us <= 0.0:
-            return float("inf") if self.old_duration_us > 0 else 1.0
-        return self.old_duration_us / self.new_duration_us
+        """Old span over new span (see :func:`span_speedup`)."""
+        return span_speedup(self.old_duration_us, self.new_duration_us)
 
 
 @dataclass(frozen=True, slots=True)
 class InferStage:
     """Software evaluation: gap decomposition into T_sdev + T_idle."""
 
-    config: InferenceConfig | None = None
-    prefer_measured: bool = True
-
     def run(self, old_trace: BlockTrace, model: LatencyModel | None = None) -> IdleExtraction:
         """Decompose every inter-arrival gap of ``old_trace``.
 
-        Measured device times win when ``prefer_measured`` is set and
-        the trace carries them.  Otherwise ``model`` decomposes the
-        gaps when given; with no model, one is inferred from
-        ``old_trace`` itself.
+        Measured device times win when the trace carries them (the
+        paper's ":math:`T_{sdev}` known" fast path).  Otherwise
+        ``model`` decomposes the gaps when given; with no model, one
+        is inferred from ``old_trace`` itself.
         """
-        measured = self.prefer_measured and old_trace.has_device_times
-        if model is not None and not measured:
+        if model is not None and not old_trace.has_device_times:
             return extract_idle_with_model(old_trace, model)
-        return extract_idle(
-            old_trace, config=self.config, prefer_measured=self.prefer_measured
-        )
+        return extract_idle(old_trace)
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,7 +153,9 @@ class EmulateStage:
 class PostprocessStage:
     """Asynchronous-timing revival on the replayed trace."""
 
-    min_async_gap_us: float = 1.0
+    #: Floor for each revived gap (a submission still needs a sliver of
+    #: host time).
+    min_async_gap_us: float = TraceTrackerConfig.min_async_gap_us
 
     def run(
         self,
@@ -205,81 +213,27 @@ class StreamedReconstruction:
     method: str
 
 
-class StagedReconstructionPipeline:
-    """Infer → emulate → post-process → metrics, whole or chunked.
+def reconstruct_segment(
+    old_trace: BlockTrace,
+    target: StorageDevice,
+    extraction: IdleExtraction,
+    emulate: EmulateStage,
+    postprocess: PostprocessStage | None,
+) -> tuple[BlockTrace, np.ndarray]:
+    """Reconstruct one segment whose gaps ``extraction`` decomposed.
 
-    Built from a :class:`~repro.core.config.TraceTrackerConfig`; the
-    whole-trace path performs the byte-identical sequence of operations
-    the pre-stage ``TraceTracker.reconstruct`` performed.
+    Flags the asynchronous gaps, replays ``old_trace``'s pattern on
+    ``target`` sleeping the inferred idle, and revives the async gaps
+    unless ``postprocess`` is ``None`` (the paper's ``Dynamic``).
+    Returns the new trace and the async gap indices.  A whole-trace
+    run calls this once; a streaming session once per chunk.
     """
-
-    def __init__(self, config: TraceTrackerConfig | None = None, method: str = "tracetracker") -> None:
-        self.config = config or TraceTrackerConfig()
-        self.method = method
-        self.infer = InferStage(
-            config=self.config.inference, prefer_measured=self.config.prefer_measured_tsdev
-        )
-        self.emulate = EmulateStage(method=method)
-        self.postprocess = (
-            PostprocessStage(min_async_gap_us=self.config.min_async_gap_us)
-            if self.config.postprocess
-            else None
-        )
-        self.metrics = MetricsStage()
-
-    # -- whole-trace ---------------------------------------------------
-
-    def run(
-        self, old_trace: BlockTrace, target: StorageDevice
-    ) -> tuple[BlockTrace, IdleExtraction, np.ndarray, ReconstructionMetrics]:
-        """One pass over a whole trace; returns every stage artefact."""
-        extraction = self.infer.run(old_trace)
-        async_indices = detect_async_indices(extraction.tintt_us, extraction.tsdev_us)
-        replay = self.emulate.run(old_trace, target, extraction.tidle_us)
-        new_trace = replay.trace
-        if self.postprocess is not None:
-            new_trace = self.postprocess.run(replay, extraction, async_indices)
-        metrics = self.metrics.run(old_trace, new_trace, extraction, async_indices)
-        return new_trace, extraction, async_indices, metrics
-
-    # -- chunked -------------------------------------------------------
-
-    def stream_session(self, target: StorageDevice) -> "StreamingReconstructionSession":
-        """A resumable chunk-at-a-time driver bound to ``target``.
-
-        The session form of :meth:`run_stream`: feed it chunks one at a
-        time, collect the emitted pieces as they appear, and checkpoint
-        its :meth:`~StreamingReconstructionSession.state_dict` between
-        chunks — the substrate of the always-on streaming service.
-        """
-        return StreamingReconstructionSession(self, target)
-
-    def run_stream(
-        self, chunks: Iterable[BlockTrace], target: StorageDevice
-    ) -> StreamedReconstruction:
-        """Reconstruct a trace delivered as time-ordered segments.
-
-        Each chunk is processed with the previous chunk's last request
-        prepended (the *carry*), so the boundary gap gets the same
-        idle decomposition an uncut trace would give it; the carry's
-        replayed copy is then dropped and the segment is spliced onto
-        the output timeline at the carry's already-emitted submit time.
-        """
-        session = self.stream_session(target)
-        pieces: list[BlockTrace] = []
-        for chunk in chunks:
-            piece = session.feed(chunk)
-            if piece is not None:
-                pieces.append(piece)
-        tail = session.finish()
-        if tail is not None:
-            pieces.append(tail)
-        if not pieces:
-            raise ValueError("cannot reconstruct an empty stream")
-        out = BlockTrace.concat_all(pieces)
-        return StreamedReconstruction(
-            trace=out, metrics=session.metrics(), method=self.method
-        )
+    async_indices = detect_async_indices(extraction.tintt_us, extraction.tsdev_us)
+    replay = emulate.run(old_trace, target, extraction.tidle_us)
+    new_trace = replay.trace
+    if postprocess is not None:
+        new_trace = postprocess.run(replay, extraction, async_indices)
+    return new_trace, async_indices
 
 
 def _trace_to_state(trace: BlockTrace | None) -> dict | None:
@@ -332,15 +286,18 @@ def _median_model(fits: list[LatencyModel]) -> LatencyModel:
 class StreamingReconstructionSession:
     """Chunk-at-a-time reconstruction with checkpointable state.
 
-    Drives the same carry-one-request algorithm as
-    :meth:`StagedReconstructionPipeline.run_stream`, but incrementally:
-    :meth:`feed` consumes one chunk and returns the reconstructed
-    piece already spliced onto the output timeline (or ``None`` while
-    the stream is still too short to decompose), :meth:`finish` flushes
-    a single-request stream, and :meth:`metrics` folds the running
-    aggregates into the same :class:`ReconstructionMetrics` the batch
-    path computes — bit-identical, because the operations are the same
-    ones in the same order.
+    The engine of :meth:`~repro.core.pipeline.TraceTracker.
+    reconstruct_stream`, one chunk at a time: :meth:`feed` consumes one
+    chunk and returns the reconstructed piece already spliced onto the
+    output timeline (or ``None`` while the stream is still too short to
+    decompose), :meth:`finish` flushes a single-request stream, and
+    :meth:`metrics` folds the running aggregates into
+    :class:`ReconstructionMetrics`.  Each chunk is processed with the
+    previous chunk's last request prepended (the *carry*), so the
+    boundary gap gets the same idle decomposition an uncut trace would
+    give it; the carry's replayed copy is then dropped and the segment
+    is spliced onto the output timeline at the carry's already-emitted
+    submit time.
 
     **One latency model per stream.**  The inferred model describes the
     old device, not a chunk.  So the session fits a model to each chunk
@@ -366,10 +323,8 @@ class StreamingReconstructionSession:
     #: Chunk fits whose coefficient-wise median becomes the frozen model.
     WARMUP_FITS = 16
 
-    def __init__(
-        self, pipeline: StagedReconstructionPipeline, target: StorageDevice
-    ) -> None:
-        self.pipeline = pipeline
+    def __init__(self, tracker: TraceTracker, target: StorageDevice) -> None:
+        self.tracker = tracker
         self.target = target
         self._carry: BlockTrace | None = None
         self._pending: BlockTrace | None = None  # undersized head segments
@@ -416,11 +371,9 @@ class StreamingReconstructionSession:
             self._pending = work
             return None
         extraction, fits = self._extract(work)
-        async_indices = detect_async_indices(extraction.tintt_us, extraction.tsdev_us)
-        replay = self.pipeline.emulate.run(work, self.target, extraction.tidle_us)
-        new_work = replay.trace
-        if self.pipeline.postprocess is not None:
-            new_work = self.pipeline.postprocess.run(replay, extraction, async_indices)
+        new_work, async_indices = reconstruct_segment(
+            work, self.target, extraction, self.tracker.emulate, self.tracker.postprocess
+        )
         if self._carry is None:
             piece = new_work
         else:
@@ -438,7 +391,7 @@ class StreamingReconstructionSession:
         self._pending = None
         self._n_chunks += 1
         self._slept += float(extraction.tidle_us.sum())
-        self._n_async += int(np.count_nonzero(extraction.async_mask))
+        self._n_async += int(async_indices.size)
         self._used_measured = self._used_measured and extraction.used_measured_tsdev
         self._splice_at = float(piece.timestamps[-1])
         self._carry = chunk.select(slice(-1, None))
@@ -450,7 +403,7 @@ class StreamingReconstructionSession:
 
     def _extract(self, work: BlockTrace) -> tuple[IdleExtraction, list[LatencyModel]]:
         """Decompose ``work``'s gaps; return the extraction and the fits after it."""
-        infer = self.pipeline.infer
+        infer = self.tracker.infer
         if self._model is not None:
             return infer.run(work, model=self._model), self._fits
         try:
@@ -472,7 +425,7 @@ class StreamingReconstructionSession:
         if self._pending is None:
             return None
         # The whole stream held a single request: replay it bare.
-        replay = self.pipeline.emulate.run(
+        replay = self.tracker.emulate.run(
             self._pending, self.target, np.zeros(len(self._pending))
         )
         piece = replay.trace
@@ -503,9 +456,8 @@ class StreamingReconstructionSession:
     def metrics(self) -> ReconstructionMetrics:
         """The running aggregates as :class:`ReconstructionMetrics`.
 
-        Matches what :meth:`StagedReconstructionPipeline.run_stream`
-        computes over the concatenated output — the duration is the
-        same two floats subtracted, the counters the same sums.
+        Equal to the metrics of the concatenated output — the duration
+        is the same two floats subtracted, the counters the same sums.
         """
         if self._n_requests == 0:
             raise ValueError("cannot reconstruct an empty stream")

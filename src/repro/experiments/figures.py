@@ -21,14 +21,7 @@ from ..analysis.distribution import EmpiricalCDF, cdf_shape_class
 from ..analysis.interpolation import argmax_derivative, interpolate_cdf
 from ..campaign.engine import run_campaign
 from ..campaign.spec import CampaignSpec, DeviceSpec
-from ..core.baselines import (
-    Acceleration,
-    Dynamic,
-    FixedThreshold,
-    ReconstructionMethod,
-    Revision,
-    TraceTrackerMethod,
-)
+from ..core.baselines import Acceleration, Revision, TraceTrackerMethod, standard_methods
 from ..core.pipeline import TraceTracker
 from ..inference.idle import extract_idle
 from ..inference.movd import calibrate_tmovd, tcdel_profile
@@ -77,17 +70,6 @@ DEFAULT_N = 6_000
 #: Idle shorter than this is treated as CPU-burst residue, not user
 #: idleness, in the Figure 16/17 analyses.
 USER_IDLE_THRESHOLD_US = 100.0
-
-
-def _methods() -> list[ReconstructionMethod]:
-    """The paper's five methods with published parameters."""
-    return [
-        Acceleration(100.0),
-        Revision(),
-        FixedThreshold(10_000.0),
-        Dynamic(),
-        TraceTrackerMethod(),
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -562,7 +544,7 @@ def fig12_method_cdfs(workload: str = "MSNFS", n_requests: int = DEFAULT_N) -> F
 
     pair = build_pair_for(workload, n_requests=n_requests)
     curves: dict[str, BlockTrace] = {"Target": pair.new}
-    for method in _methods():
+    for method in standard_methods():
         curves[method.name] = method.reconstruct(pair.old, new_node())
     series = {k: cdf_series(v.inter_arrival_times()) for k, v in curves.items()}
     ks = {k: ks_distance(v, pair.new) for k, v in curves.items() if k != "Target"}

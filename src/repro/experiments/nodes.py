@@ -8,12 +8,15 @@ Section V's testbed is reproduced as two simulator configurations:
   SSDs ... 18 channels, 36 dies, and 72 planes" each, behind PCIe 3.0).
 
 Every experiment builds devices through these factories so the whole
-evaluation shares one hardware definition.
+evaluation shares one hardware definition: the presets of
+:data:`repro.campaign.devices.DEVICE_PRESETS`, which campaign specs
+name too.
 """
 
 from __future__ import annotations
 
-from ..storage import FlashArray, FlashGeometry, HDDGeometry, HDDModel
+from ..campaign.devices import build_device
+from ..storage import FlashArray, HDDModel
 
 __all__ = ["old_node", "new_node", "calibration_disk"]
 
@@ -24,12 +27,12 @@ def old_node(seed: int = 42) -> HDDModel:
     ``seed`` controls the rotational-phase RNG; experiments that build
     several OLD traces use distinct seeds for independence.
     """
-    return HDDModel(geometry=HDDGeometry(), seed=seed)
+    return build_device("old-node", {"seed": seed})
 
 
 def new_node() -> FlashArray:
     """The all-flash target node (NEW): 4 SSDs, paper geometry."""
-    return FlashArray(n_ssds=4, stripe_kb=128, geometry=FlashGeometry())
+    return build_device("new-node")
 
 
 def calibration_disk(seed: int = 7) -> HDDModel:
@@ -38,11 +41,4 @@ def calibration_disk(seed: int = 7) -> HDDModel:
     The paper replays FIU workloads on a WD Blue class drive; a
     slightly newer geometry (faster media rate) than the OLD node.
     """
-    geometry = HDDGeometry(
-        rpm=7200.0,
-        avg_seek_ms=8.9,
-        track_to_track_ms=2.0,
-        sectors_per_track=2000,
-        heads=4,
-    )
-    return HDDModel(geometry=geometry, seed=seed)
+    return build_device("calibration-disk", {"seed": seed})

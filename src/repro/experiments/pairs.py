@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ..storage.device import StorageDevice
 from ..trace.trace import BlockTrace
-from ..workloads.catalog import get_spec
+from ..workloads.catalog import STAMPED_FAMILIES, get_spec
 from ..workloads.generator import IntentStream, WorkloadSpec, collect_trace, generate_intents
 from ..workloads.materialize import collect_trace_cached
 from .nodes import new_node, old_node
@@ -100,7 +100,7 @@ def build_pair_for(
     if n_requests is not None:
         spec = spec.scaled(n_requests)
     if old_has_device_times is None:
-        old_has_device_times = spec.category in ("MSPS", "MSRC")
+        old_has_device_times = spec.category in STAMPED_FAMILIES
     # Through the trace store: with both collections cached, the intent
     # stream is never generated; on a miss it is generated once and
     # shared by both devices (the paper's one-stream-two-nodes method).

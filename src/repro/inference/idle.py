@@ -19,17 +19,17 @@ import numpy as np
 
 from ..trace.io.fingerprint import trace_digest
 from ..trace.trace import BlockTrace
-from .decompose import InferenceConfig, InferenceReport, estimate_model
+from .decompose import InferenceReport, estimate_model
 from .model import LatencyModel
 
 __all__ = ["IdleExtraction", "extract_idle", "extract_idle_with_model"]
 
 
 #: Content-keyed memo for inferred latency models.  Model estimation is
-#: a pure function of (trace contents, config); comparison harnesses
+#: a pure function of the trace contents; comparison harnesses
 #: routinely run several reconstruction methods over one OLD trace, and
 #: this spares each the repeated inference.  Small and FIFO-bounded.
-_MODEL_MEMO: dict[tuple[bytes, InferenceConfig | None], InferenceReport] = {}
+_MODEL_MEMO: dict[bytes, InferenceReport] = {}
 _MODEL_MEMO_MAX = 32
 
 
@@ -43,11 +43,11 @@ def _trace_digest(trace: BlockTrace) -> bytes:
     return trace_digest(trace)
 
 
-def _estimate_model_memo(trace: BlockTrace, config: InferenceConfig | None) -> InferenceReport:
-    key = (_trace_digest(trace), config)
+def _estimate_model_memo(trace: BlockTrace) -> InferenceReport:
+    key = _trace_digest(trace)
     report = _MODEL_MEMO.get(key)
     if report is None:
-        report = estimate_model(trace, config)
+        report = estimate_model(trace)
         if len(_MODEL_MEMO) >= _MODEL_MEMO_MAX:
             _MODEL_MEMO.pop(next(iter(_MODEL_MEMO)))
         _MODEL_MEMO[key] = report
@@ -135,11 +135,7 @@ def extract_idle_with_model(trace: BlockTrace, model: LatencyModel) -> IdleExtra
     )
 
 
-def extract_idle(
-    trace: BlockTrace,
-    config: InferenceConfig | None = None,
-    prefer_measured: bool = True,
-) -> IdleExtraction:
+def extract_idle(trace: BlockTrace, prefer_measured: bool = True) -> IdleExtraction:
     """Decompose a trace's gaps into device time and idle time.
 
     For ":math:`T_{sdev}` known" traces (``prefer_measured`` and device
@@ -161,7 +157,7 @@ def extract_idle(
             report=None,
             used_measured_tsdev=True,
         )
-    report = _estimate_model_memo(trace, config)
+    report = _estimate_model_memo(trace)
     extraction = extract_idle_with_model(trace, report.model)
     return IdleExtraction(
         tintt_us=extraction.tintt_us,

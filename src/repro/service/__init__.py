@@ -19,7 +19,7 @@ Pieces:
 
 The batch pipeline remains the correctness oracle: for the same
 content, ``out.csv`` and the final metrics are byte- and bit-identical
-to ``pipeline.run_stream(TraceReader(path, chunk_requests=N))`` — even
+to ``TraceTracker().reconstruct_stream(TraceReader(path, chunk_requests=N))`` — even
 across SIGKILL and restart.
 """
 

@@ -25,7 +25,7 @@ queue, no second thread and no lock.
 **Parity contract.**  For a well-formed stream the daemon's sink and
 metrics are byte- and bit-identical to the batch oracle::
 
-    pipeline.run_stream(TraceReader(path, chunk_requests=N), target)
+    TraceTracker().reconstruct_stream(TraceReader(path, chunk_requests=N), target)
 
 over the same content — including across a SIGKILL and restart at any
 point, because each commit checkpoints the chunks handled so far (byte

@@ -156,8 +156,11 @@ class Raid0(_RaidBase):
         lbas = np.asarray(lbas, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
         n = len(lbas)
-        stripe0 = lbas // ss
-        spans = (lbas + sizes - 1) // ss - stripe0 + 1
+        # Offsets are taken within each request's first stripe, so no
+        # intermediate passes int64 when an extent ends at its top.
+        stripe0, off = np.divmod(lbas, ss)
+        end = off + (sizes - 1)  # last sector, from the first stripe's start
+        spans = end // ss + 1
         if n and int(spans.max()) > n_members:
             return None
         offsets = np.zeros(n + 1, dtype=np.int64)
@@ -166,13 +169,12 @@ class Raid0(_RaidBase):
         req = np.repeat(np.arange(n, dtype=np.int64), spans)
         k = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], spans)
         frag_stripe = stripe0[req] + k
-        frag_start = np.maximum(lbas[req], frag_stripe * ss)
-        frag_end = np.minimum((lbas + sizes)[req], (frag_stripe + 1) * ss)
-        within = frag_start - frag_stripe * ss
+        within = np.where(k == 0, off[req], 0)
+        last = np.where(k == spans[req] - 1, end[req] % ss, ss - 1)
         local = (frag_stripe // n_members) * ss + within
         member = frag_stripe % n_members
         ops_f = ops_arr[req]
-        frag_size = frag_end - frag_start
+        frag_size = last - within + 1
         streams = []
         for m in range(n_members):
             sel = member == m

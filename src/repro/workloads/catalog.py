@@ -30,6 +30,7 @@ __all__ = [
     "FIU_WORKLOADS",
     "MSRC_WORKLOADS",
     "ALL_WORKLOADS",
+    "STAMPED_FAMILIES",
     "get_spec",
     "workload_names",
     "spec_variants",
@@ -160,6 +161,10 @@ MSPS_WORKLOADS: tuple[str, ...] = tuple(_MSPS)
 FIU_WORKLOADS: tuple[str, ...] = tuple(_FIU)
 MSRC_WORKLOADS: tuple[str, ...] = tuple(_MSRC)
 ALL_WORKLOADS: tuple[str, ...] = tuple(WORKLOAD_SPECS)
+
+#: Families whose traces carry device (issue/completion) stamps:
+#: Section V's ":math:`T_{sdev}` known" group.  FIU traces do not.
+STAMPED_FAMILIES: tuple[str, ...] = ("MSPS", "MSRC")
 
 
 def get_spec(name: str) -> WorkloadSpec:

@@ -64,7 +64,7 @@ def bare_stream_file(tmp_path_factory):
 
 
 def stream_oracle(src, chunk, base):
-    result = TraceTracker().pipeline.run_stream(
+    result = TraceTracker().reconstruct_stream(
         TraceReader(src, chunk_requests=chunk), device()
     )
     out = base / "out.csv"

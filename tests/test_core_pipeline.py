@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import asdict
+from functools import cache
+
 import numpy as np
 import pytest
 
@@ -9,14 +13,17 @@ from repro.core import (
     Acceleration,
     Dynamic,
     FixedThreshold,
+    PostprocessStage,
     Revision,
     TraceTracker,
     TraceTrackerConfig,
     TraceTrackerMethod,
     standard_methods,
 )
+from repro.experiments import new_node, old_node
 from repro.metrics import ks_distance
-from repro.workloads import collect_trace, generate_intents
+from repro.trace import BlockTrace
+from repro.workloads import collect_trace, generate_intents, get_spec
 
 
 class TestTraceTrackerPipeline:
@@ -28,7 +35,7 @@ class TestTraceTrackerPipeline:
 
     def test_software_half_standalone(self, old_trace):
         tracker = TraceTracker()
-        extraction = tracker.evaluate_software(old_trace)
+        extraction = tracker.infer.run(old_trace)
         assert len(extraction) == len(old_trace) - 1
         assert extraction.used_measured_tsdev
 
@@ -39,7 +46,7 @@ class TestTraceTrackerPipeline:
 
     def test_result_exposes_idle_and_async(self, old_trace, flash):
         result = TraceTracker().reconstruct(old_trace, flash)
-        assert (result.inferred_idle_us >= 0).all()
+        assert (result.extraction.tidle_us >= 0).all()
         assert result.async_indices.ndim == 1
         assert result.method == "tracetracker"
 
@@ -57,8 +64,11 @@ class TestTraceTrackerPipeline:
         assert len(result.trace) == len(old_trace_bare)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        # The post-processing floor is one constant, not an option.
+        with pytest.raises(TypeError):
             TraceTrackerConfig(min_async_gap_us=-1.0)
+        assert TraceTrackerConfig().min_async_gap_us == 1.0
+        assert PostprocessStage().min_async_gap_us == TraceTrackerConfig.min_async_gap_us
 
 
 class TestBaselines:
@@ -134,3 +144,55 @@ class TestHeadlineBehaviour:
         # duration must sit near the true NEW duration.
         assert rev.duration < tt.duration
         assert tt.duration == pytest.approx(new.duration, rel=0.5)
+
+
+#: SHA-256 of the timestamp, issue and complete columns of each
+#: reconstruction of a 10 000-request OLD trace on the NEW node, plus
+#: its metrics where the entry point returns them.  ``msnfs-bare``
+#: carries no device stamps, so its latency model is inferred;
+#: ``usr-stamped`` takes the measured path.  Only a pin shows a change
+#: that moves every entry point at once.
+PINNED_RECONSTRUCTION_DIGESTS = {
+    ("msnfs-bare", "tracetracker"): "b05806d82d3662844c304c4b705911919413ab23aa582e734f37b4ead92b4845",
+    ("msnfs-bare", "dynamic"): "4de9ad2a07f43484e6a4c7fd1b6817c16e59cf6bc1e3c6107c11a152f3de6d0a",
+    ("msnfs-bare", "stream"): "79a7016a79353064c01b450d2c3673214f822c7f51a48469a086ce0a1c28644a",
+    ("usr-stamped", "tracetracker"): "f7aff9b4cf3e6b4b14f2fd3a03a66517fb03f3fa299fee9f08d29eaa285cc86e",
+    ("usr-stamped", "dynamic"): "4f1d1681d5cc6b5673246943266253b826eabbaba28f3dd7bade3c54cc06c55d",
+    ("usr-stamped", "stream"): "f251952c808d6565ef92a8478066e98b4a85ddd96e9051ee543356821705195b",
+}
+
+_DIGEST_INPUTS = {"msnfs-bare": ("MSNFS", False), "usr-stamped": ("usr", True)}
+
+
+@cache
+def _digest_input(name: str) -> BlockTrace:
+    workload, stamped = _DIGEST_INPUTS[name]
+    intents = generate_intents(get_spec(workload).scaled(10_000))
+    return collect_trace(intents, old_node(), record_device_times=stamped)
+
+
+class TestReconstructionDigests:
+    @staticmethod
+    def _digest(trace: BlockTrace, metrics=None) -> str:
+        digest = hashlib.sha256()
+        for name in ("timestamps", "issues", "completes"):
+            column = getattr(trace, name)
+            digest.update(f"{name}:{column.dtype.str}:".encode())
+            digest.update(np.ascontiguousarray(column).tobytes())
+        if metrics is not None:
+            digest.update(repr(sorted(asdict(metrics).items())).encode())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("name, entry", list(PINNED_RECONSTRUCTION_DIGESTS))
+    def test_reconstruction_is_pinned(self, name, entry):
+        old = _digest_input(name)
+        if entry == "tracetracker":
+            result = TraceTracker().reconstruct(old, new_node())
+            got = self._digest(result.trace, result.metrics)
+        elif entry == "dynamic":
+            got = self._digest(Dynamic().reconstruct(old, new_node()))
+        else:
+            chunks = (old.select(slice(s, s + 256)) for s in range(0, len(old), 256))
+            result = TraceTracker().reconstruct_stream(chunks, new_node())
+            got = self._digest(result.trace, result.metrics)
+        assert got == PINNED_RECONSTRUCTION_DIGESTS[(name, entry)]

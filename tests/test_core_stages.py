@@ -1,4 +1,4 @@
-"""Staged pipeline: whole-trace equivalence and chunked streaming."""
+"""Reconstruction stages: the whole-trace run, chunked streaming and the session."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 from repro.core import (
     InferStage,
     ReconstructionMetrics,
-    StagedReconstructionPipeline,
     StreamingReconstructionSession,
     TraceTracker,
     TraceTrackerConfig,
@@ -31,14 +30,14 @@ def per_chunk_refit(chunks, device):
     """Chunked reconstruction with a fresh model fit for every chunk.
 
     The carry-one-request splice of the streaming session, with each
-    chunk run through the whole-trace pipeline: the session's output
-    until its model freezes.
+    chunk run through the whole-trace reconstruction: the session's
+    output until its model freezes.
     """
-    pipeline = StagedReconstructionPipeline()
+    tracker = TraceTracker()
     pieces, carry, splice_at = [], None, 0.0
     for chunk in chunks:
         work = chunk if carry is None else carry.concat(chunk)
-        new, *_ = pipeline.run(work, device)
+        new = tracker.reconstruct(work, device).trace
         if carry is not None:
             new = new.select(slice(1, None)).shifted(splice_at - float(new.timestamps[0]))
         pieces.append(new)
@@ -47,20 +46,18 @@ def per_chunk_refit(chunks, device):
 
 
 class TestWholeTraceEquivalence:
-    """The staged pipeline IS the tracker's engine; results must agree."""
+    """Batch and stream share one per-segment path."""
 
-    def test_pipeline_matches_tracker(self, old_trace, flash):
-        tracker = TraceTracker()
-        via_tracker = tracker.reconstruct(old_trace, flash)
-        new, extraction, async_indices, metrics = StagedReconstructionPipeline(
-            TraceTrackerConfig()
-        ).run(old_trace, FlashArray())
-        np.testing.assert_array_equal(via_tracker.trace.timestamps, new.timestamps)
-        np.testing.assert_array_equal(via_tracker.async_indices, async_indices)
-        np.testing.assert_allclose(
-            via_tracker.extraction.tidle_us, extraction.tidle_us
-        )
-        assert via_tracker.metrics == metrics
+    @pytest.mark.parametrize("trace_name", ["old_trace", "old_trace_bare"])
+    def test_one_chunk_stream_is_the_whole_trace_run(self, trace_name, request):
+        trace = request.getfixturevalue(trace_name)
+        whole = TraceTracker().reconstruct(trace, FlashArray())
+        streamed = TraceTracker().reconstruct_stream(iter([trace]), FlashArray())
+        for column in ("timestamps", "issues", "completes"):
+            np.testing.assert_array_equal(
+                getattr(streamed.trace, column), getattr(whole.trace, column)
+            )
+        assert streamed.metrics == whole.metrics
 
     def test_metrics_populated(self, old_trace, flash):
         result = TraceTracker().reconstruct(old_trace, flash)
@@ -74,8 +71,7 @@ class TestWholeTraceEquivalence:
         assert metrics.speedup > 1.0  # flash replays an HDD trace faster
 
     def test_postprocess_stage_optional(self, old_trace):
-        pipeline = StagedReconstructionPipeline(TraceTrackerConfig(postprocess=False))
-        assert pipeline.postprocess is None
+        assert TraceTracker(TraceTrackerConfig(postprocess=False)).postprocess is None
 
 
 class TestStreaming:
@@ -143,7 +139,7 @@ class TestStreaming:
 
 
 class TestStreamingSession:
-    """Incremental session ≡ run_stream, including across a state round-trip."""
+    """Incremental session ≡ reconstruct_stream, including across a state round-trip."""
 
     def _device(self):
         return ConstantLatencyDevice(SATA_600, read_us=80.0, write_us=120.0)

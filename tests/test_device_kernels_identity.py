@@ -604,6 +604,24 @@ class TestInt64Extents:
         )
         assert _flash_state(fast_dev) == _flash_state(oracle_dev)
 
+    @pytest.mark.parametrize("queue_depth", [None, 1, 4], ids=["sync", "depth-1", "depth-4"])
+    def test_raid0_vs_scalar_oracle(self, queue_depth):
+        """Raid0's member-stream cut, in sync and queue-depth replay."""
+        trace, idle = _int64_top_trace()
+
+        def make():
+            return Raid0([HDDModel(seed=s) for s in (1, 2, 3)], stripe_kb=64)
+
+        if queue_depth is None:
+            fast = replay_with_idle_batch(trace, make(), idle)
+            oracle = replay_with_idle(trace, make(), idle)
+        else:
+            fast = replay_queue_depth(trace, make(), idle_us=idle, queue_depth=queue_depth)
+            oracle = replay_queue_depth_scalar(
+                trace, make(), idle_us=idle, queue_depth=queue_depth
+            )
+        assert_replays_identical(fast, oracle)
+
 
 #: SHA-256 of the four stamp columns and the member state after each
 #: replay of a 10 000-request catalog trace.  The identity suites hold

@@ -37,7 +37,7 @@ def test_api_build_has_zero_warnings(build_docs, tmp_path: Path):
     assert (tmp_path / "index.md").exists()
     assert len(list(tmp_path.glob("*.md"))) == len(names) + 1
     stages = (tmp_path / "repro.core.stages.md").read_text(encoding="utf-8")
-    assert "## class `StagedReconstructionPipeline`" in stages
+    assert "## class `StreamingReconstructionSession`" in stages
 
 
 def test_committed_api_reference_is_present(build_docs):

@@ -2,7 +2,7 @@
 
 The load-bearing contract: for the same well-formed content, the
 daemon's ``out.csv`` and final metrics are byte-/bit-identical to the
-batch oracle ``pipeline.run_stream(TraceReader(path, chunk_requests=N))``.
+batch oracle ``TraceTracker().reconstruct_stream(TraceReader(path, chunk_requests=N))``.
 Poison records are quarantined to the dead-letter file and never kill
 the stream.
 """
@@ -59,7 +59,7 @@ def oracle(stream_trace, tmp_path_factory):
     base = tmp_path_factory.mktemp("oracle")
     src = base / "old.csv"
     dump_trace(stream_trace, src, fmt="internal")
-    result = TraceTracker().pipeline.run_stream(
+    result = TraceTracker().reconstruct_stream(
         TraceReader(src, chunk_requests=CHUNK), device()
     )
     out = base / "out.csv"
